@@ -43,7 +43,7 @@ from .evaluation import (
     judge_pairwise,
     recall_of_set,
 )
-from .fusion import BudgetPlan, FusedResult, per_view_budget, retrieve_mc, retrieve_single
+from .fusion import FusedResult, per_view_budget, retrieve_mc, retrieve_single
 from .providers import HttpEmbeddingProvider, HttpLlmClient, LlmClient, MockEmbeddingProvider
 from .retrieval import (
     DenseIndex,

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .corpus import Document, QAItem
-from .errors import DataError, DuplicateId, EmptyCorpus, InvalidTarget, SchemaError, UnknownDoc
-from .jsonio import iter_jsonl, write_jsonl
+from .errors import DataError, EmptyCorpus, InvalidTarget, UnknownDoc
+from .jsonio import write_jsonl
 from .text import token_count
 
 CONTENT = "content"
@@ -265,26 +265,3 @@ def write_chunks_jsonl(chunks: list[Chunk], path: str | Path) -> None:
             for c in chunks
         ),
     )
-
-
-def read_chunks_jsonl(path: str | Path, docs: list[Document]) -> list[Chunk]:
-    docs_by_id = {d.doc_id: d for d in docs}
-    chunks: list[Chunk] = []
-    seen: set[tuple[str, str]] = set()
-    for lineno, record in iter_jsonl(path):
-        try:
-            scheme = ChunkScheme.parse(record["scheme"])
-            doc_id = record["doc_id"]
-            chunk_id = record["chunk_id"]
-            section_id = record["section_id"]
-            span = (record["char_start"], record["char_end"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"bad chunk record: {exc}", line=lineno) from exc
-        if (doc_id, chunk_id) in seen:
-            raise DuplicateId(f"chunk {chunk_id!r} repeated for document {doc_id!r}")
-        seen.add((doc_id, chunk_id))
-        doc = docs_by_id.get(doc_id)
-        if doc is None:
-            raise UnknownDoc(f"chunk references unknown document {doc_id!r}")
-        chunks.append(Chunk(chunk_id, doc_id, section_id, span, doc.full_text[span[0]:span[1]], scheme))
-    return chunks

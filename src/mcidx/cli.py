@@ -13,7 +13,6 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .chunking import ChunkScheme, chunk_document, chunking_error, write_chunks_jsonl
@@ -27,24 +26,18 @@ from .corpus import (
 from .errors import McIndexError, ParseError, ProviderError
 from .evaluation import (
     MODE_MC,
-    build_doc_context,
+    doc_contexts,
+    doc_units,
+    doc_views_for,
     eval_recall,
     generate_answer,
     judge_pairwise,
     parse_mode,
-    retrieve_unit_ids,
 )
 from .fusion import retrieve_mc, retrieve_single
 from .jsonio import write_jsonl
 from .providers import HttpLlmClient
-from .retrieval import (
-    DENSE,
-    DenseIndex,
-    build_dense_index,
-    build_sparse_index,
-    parse_retriever,
-    resolve_provider,
-)
+from .retrieval import DENSE, DenseIndex, build_index, parse_retriever, resolve_provider
 from .store import load_index, save_index
 from .views import (
     EXTRACTIVE_GENERATOR,
@@ -52,7 +45,6 @@ from .views import (
     ViewKind,
     build_views,
     read_views_jsonl,
-    view_texts,
     write_views_jsonl,
 )
 
@@ -64,28 +56,6 @@ EXIT_DATA = 2
 EXIT_PROVIDER = 3
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One reproducible evaluation run; spec strings appear verbatim in reports."""
-
-    corpus: Path
-    qa: Path
-    scheme: str
-    mode: str
-    retriever: str
-    ks: tuple[float, ...]
-    output: Path | None
-
-    def validate(self) -> "RunConfig":
-        ChunkScheme.parse(self.scheme)
-        parse_mode(self.mode)
-        parse_retriever(self.retriever)
-        for k in self.ks:
-            if k != 1.5 and not float(k).is_integer():
-                raise ValueError(f"bad budget {k!r}: must be 1.5 or an integer")
-        return self
-
-
 def parse_k_list(spec: str) -> tuple[float, ...]:
     ks = []
     for piece in spec.split(","):
@@ -94,39 +64,18 @@ def parse_k_list(spec: str) -> tuple[float, ...]:
             value = float(piece)
         except ValueError:
             raise ValueError(f"bad budget {piece!r} in k list") from None
+        if value != 1.5 and not value.is_integer():
+            raise ValueError(f"bad budget {piece!r}: must be 1.5 or an integer")
         ks.append(int(value) * 1.0 if value.is_integer() else value)
-    if not ks:
-        raise ValueError("empty k list")
     return tuple(ks)
 
 
-def _load_views_arg(args, docs):
-    if getattr(args, "views", None):
-        return read_views_jsonl(args.views)
-    return None
+def _load_views_arg(args):
+    return read_views_jsonl(args.views) if args.views else None
 
 
 def _llm_from_env(jobs: int):
     return HttpLlmClient.from_env(max_in_flight=jobs)
-
-
-def _corpus_units(docs, scheme: ChunkScheme, view: ViewKind | None, views_by_doc):
-    """Corpus-wide (unit_id, text) pairs; ids are doc-qualified.
-
-    View indexes are keyed by section id (identical across the three views so
-    they can be fused); plain chunk indexes are keyed by chunk id.
-    """
-    units = []
-    for doc in docs:
-        if view is ViewKind.RAW_TEXT:
-            units.extend((f"{doc.doc_id}#{s.section_id}", s.text) for s in doc.sections)
-        elif view in (ViewKind.KEYWORDS, ViewKind.SUMMARY):
-            entries = views_by_doc[doc.doc_id]
-            units.extend((f"{doc.doc_id}#{sid}", text) for sid, text in view_texts(entries, view))
-        else:
-            for chunk in chunk_document(doc, scheme):
-                units.append((f"{doc.doc_id}#{chunk.chunk_id}", chunk.text))
-    return units
 
 
 def cmd_ingest(args) -> int:
@@ -165,18 +114,14 @@ def cmd_index(args) -> int:
     scheme = ChunkScheme.parse(args.scheme)
     kind, provider_name = parse_retriever(args.retriever)
     view = ViewKind(args.view) if args.view else None
-    views_by_doc = None
-    if view is not None and scheme.kind != "content":
-        raise ValueError("view indexes require --scheme content")
-    if view in (ViewKind.KEYWORDS, ViewKind.SUMMARY):
-        views_by_doc = _load_views_arg(args, docs) or {
-            doc.doc_id: build_views(doc, generator=EXTRACTIVE_GENERATOR) for doc in docs
-        }
-    units = _corpus_units(docs, scheme, view, views_by_doc)
-    if kind == DENSE:
-        index = build_dense_index(units, resolve_provider(provider_name))
-    else:
-        index = build_sparse_index(units, kind)
+    needs_views = view in (ViewKind.KEYWORDS, ViewKind.SUMMARY)
+    views_by_doc = _load_views_arg(args) if needs_views else None
+    units = []
+    for doc in docs:
+        doc_views = doc_views_for(doc, views_by_doc) if needs_views else None
+        # Unit ids are doc-qualified so one index can hold the whole corpus.
+        units.extend((f"{doc.doc_id}#{uid}", text) for uid, _, text in doc_units(doc, scheme, view, doc_views))
+    index = build_index(units, kind, resolve_provider(provider_name) if kind == DENSE else None)
     save_index(index, args.output)
     logger.info("saved %s index of %d units to %s", args.retriever, len(units), args.output)
     return EXIT_OK
@@ -201,7 +146,7 @@ def cmd_retrieve(args) -> int:
             print(json.dumps({
                 "unit_id": unit.unit_id,
                 "position": pos,
-                "views": sorted(v.value for v in unit.views),
+                "views": sorted(v.value for v in unit.view_ranks),
                 "view_ranks": {v.value: r for v, r in unit.view_ranks.items()},
             }))
     else:
@@ -215,26 +160,18 @@ def cmd_retrieve(args) -> int:
 
 
 def cmd_eval_recall(args) -> int:
-    config = RunConfig(
-        corpus=Path(args.corpus),
-        qa=Path(args.qa),
-        scheme=args.scheme,
-        mode=args.mode,
-        retriever=args.retriever,
-        ks=parse_k_list(args.k),
-        output=Path(args.output) if args.output else None,
-    ).validate()
-    docs = load_corpus_jsonl(config.corpus)
-    qa = load_and_filter_qa(config.qa, docs)
+    ks = parse_k_list(args.k)
+    docs = load_corpus_jsonl(args.corpus)
+    qa = load_and_filter_qa(args.qa, docs)
     llm = _llm_from_env(args.jobs) if args.generator == LLM_GENERATOR else None
     report = eval_recall(
         docs,
         qa,
-        config.scheme,
-        config.retriever,
-        config.mode,
-        list(config.ks),
-        views=_load_views_arg(args, docs),
+        args.scheme,
+        args.retriever,
+        args.mode,
+        list(ks),
+        views=_load_views_arg(args),
         generator=args.generator,
         llm=llm,
         invert_parity=args.invert_parity,
@@ -242,9 +179,10 @@ def cmd_eval_recall(args) -> int:
         b=args.b,
     )
     csv_text = report.to_csv()
-    if config.output:
-        config.output.parent.mkdir(parents=True, exist_ok=True)
-        config.output.write_text(csv_text, encoding="utf-8")
+    if args.output:
+        output = Path(args.output)
+        output.parent.mkdir(parents=True, exist_ok=True)
+        output.write_text(csv_text, encoding="utf-8")
     else:
         sys.stdout.write(csv_text)
     if args.markdown:
@@ -275,41 +213,23 @@ def cmd_eval_answers(args) -> int:
     by_id = {d.doc_id: d for d in docs}
     llm = _llm_from_env(args.jobs)
 
-    views_by_doc = _load_views_arg(args, docs)
+    views_by_doc = _load_views_arg(args)
+    sides = [
+        doc_contexts(ChunkScheme.parse(scheme), args.retriever, mode, views_by_doc, args.generator, llm)
+        for scheme, mode in ((args.scheme_a, args.mode_a), (args.scheme_b, args.mode_b))
+    ]
 
-    def side(scheme_spec: str, mode: str):
-        scheme = ChunkScheme.parse(scheme_spec)
-        mode_kind, view = parse_mode(mode)
-        retriever_kind, provider_name = parse_retriever(args.retriever)
-        provider = resolve_provider(provider_name) if retriever_kind == DENSE else None
-        needs_views = mode_kind == MODE_MC or view in (ViewKind.KEYWORDS, ViewKind.SUMMARY)
-        contexts = {}
+    def answer(context_for, item, ordinal: int) -> str:
+        doc = by_id[item.doc_id]
+        ctx = context_for(doc)
+        (unit_ids,) = ctx.retrieve(item.question, [args.k], ordinal)
+        texts = [doc.full_text[slice(*ctx.span_by_unit[uid])] for uid in unit_ids]
+        return generate_answer(item.question, texts, llm)
 
-        def texts_for(item, ordinal):
-            doc = by_id[item.doc_id]
-            if doc.doc_id not in contexts:
-                doc_views = None
-                if needs_views:
-                    doc_views = (
-                        views_by_doc[doc.doc_id]
-                        if views_by_doc
-                        else build_views(doc, generator=args.generator,
-                                         llm=llm if args.generator == LLM_GENERATOR else None)
-                    )
-                contexts[doc.doc_id] = build_doc_context(doc, scheme, mode, retriever_kind, provider, doc_views)
-            ctx = contexts[doc.doc_id]
-            unit_ids = retrieve_unit_ids(ctx, item.question, args.k, ordinal, provider)
-            return [ctx.text_by_unit[uid] for uid in unit_ids]
-
-        return texts_for
-
-    texts_a = side(args.scheme_a, args.mode_a)
-    texts_b = side(args.scheme_b, args.mode_b)
     records = []
     tallies = {"score_based": {"a": 0, "b": 0, "tie": 0}, "round_based": {"a": 0, "b": 0, "tie": 0}}
     for ordinal, item in enumerate(qa):
-        answer_a = generate_answer(item.question, texts_a(item, ordinal), llm)
-        answer_b = generate_answer(item.question, texts_b(item, ordinal), llm)
+        answer_a, answer_b = (answer(side, item, ordinal) for side in sides)
         outcome = judge_pairwise(item.question, item.answer, answer_a, answer_b, llm)
         tallies["score_based"][outcome.score_based.value] += 1
         tallies["round_based"][outcome.round_based.value] += 1
@@ -342,8 +262,15 @@ def _add_bm25_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--b", type=float, default=0.75, help="BM25 length normalization")
 
 
+def _at_least_one(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+    parser.add_argument("--jobs", type=_at_least_one, default=os.cpu_count() or 1,
                         help="worker pool size for provider calls")
 
 

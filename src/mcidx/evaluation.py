@@ -1,8 +1,10 @@
 """Answer-scope recall, the evaluation grid, and pairwise answer judging.
 
 Recall of a question is the fraction of its answer scope's characters
-covered by the union of retrieved spans. Evaluation scores each question
-only against its own document's chunks, so indexes are built per document.
+covered by the union of retrieved spans. Evaluation builds one context per
+document: its unit table (``doc_units``) and one index per view of the mode,
+so each question is scored only against its own document. Each question is
+ranked once per index; every budget k slices or fuses that one ranking.
 Pairwise judging scores two candidate answers in two position-swapped
 rounds; the score-based winner has the higher score total, the round-based
 winner must win both rounds outright.
@@ -12,12 +14,13 @@ from __future__ import annotations
 
 import enum
 import logging
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .chunking import ChunkScheme, chunk_document, scope_doc_span
 from .corpus import Document, QAItem
-from .errors import EmptyRetrieval, EmptyScope, ParseError, ProviderMismatch, UnknownDoc
-from .fusion import retrieve_mc, retrieve_single
+from .errors import EmptyRetrieval, EmptyScope, ParseError, ProviderMismatch, UnknownDoc, ViewMismatch
+from .fusion import VIEW_ORDER, fuse, per_view_budget, single_budget
 from .jsonio import iter_json_objects
 from .prompts import render_answer_prompt, render_judge_prompt
 from .providers import EmbeddingProvider, LlmClient
@@ -25,9 +28,11 @@ from .retrieval import (
     B_DEFAULT,
     DENSE,
     K1_DEFAULT,
-    build_dense_index,
-    build_sparse_index,
+    DenseIndex,
+    SparseIndex,
+    build_index,
     parse_retriever,
+    rank_units,
     resolve_provider,
 )
 from .views import EXTRACTIVE_GENERATOR, ViewEntry, ViewKind, build_views, view_texts
@@ -52,12 +57,6 @@ def parse_mode(spec: str) -> tuple[str, ViewKind | None]:
     if kind == MODE_SINGLE and sep and view in _SINGLE_VIEWS:
         return MODE_SINGLE, _SINGLE_VIEWS[view]
     raise ValueError(f"unknown mode spec {spec!r}")
-
-
-def format_mode(kind: str, view: ViewKind | None = None) -> str:
-    if kind == MODE_MC:
-        return MODE_MC
-    return f"{MODE_SINGLE}:{view.value}"
 
 
 def format_k(k: float) -> str:
@@ -151,27 +150,64 @@ def recall_of_set(retrieved, qa: QAItem, docs) -> float:
     return covered / (scope_end - scope_start)
 
 
+def _mode_views(mode: str) -> tuple[ViewKind | None, ...]:
+    """The views a mode indexes, in fusion order; ``None`` is the scheme's chunks."""
+    mode_kind, view = parse_mode(mode)
+    if mode_kind == MODE_MC:
+        return VIEW_ORDER
+    return (None if view is ViewKind.RAW_TEXT else view,)
+
+
+def doc_units(
+    doc: Document, scheme: ChunkScheme, view: ViewKind | None, doc_views: list[ViewEntry] | None
+) -> list[tuple[str, tuple[int, int], str]]:
+    """``(unit_id, doc_span, text)`` of what a (scheme, view) pair indexes, in section order.
+
+    With no view the units are the scheme's chunks. A view indexes the
+    document's sections and needs the content scheme: the raw view with the
+    corpus section text, the keyword and summary views with their entries in
+    ``doc_views``, which must name each section exactly once.
+    """
+    if view is None:
+        return [(c.chunk_id, c.doc_span, c.text) for c in chunk_document(doc, scheme)]
+    if scheme.kind != "content":
+        raise ValueError(f"views index sections and need the content scheme, got {scheme.spec()!r}")
+    if view is ViewKind.RAW_TEXT:
+        return [(s.section_id, s.doc_span, s.text) for s in doc.sections]
+    if doc_views is None:
+        raise UnknownDoc(f"no views supplied for document {doc.doc_id!r}")
+    entries = view_texts(doc_views, view)
+    texts = dict(entries)
+    if len(texts) != len(entries) or texts.keys() != {s.section_id for s in doc.sections}:
+        raise ViewMismatch(f"{view.value} views of document {doc.doc_id!r} do not cover exactly its sections")
+    return [(s.section_id, s.doc_span, texts[s.section_id]) for s in doc.sections]
+
+
+def doc_views_for(
+    doc: Document, views: dict[str, list[ViewEntry]] | None,
+    generator: str = EXTRACTIVE_GENERATOR, llm: LlmClient | None = None,
+) -> list[ViewEntry] | None:
+    """The document's entries in ``views``, or views built for it when ``views`` is None."""
+    return views.get(doc.doc_id) if views is not None else build_views(doc, generator=generator, llm=llm)
+
+
 @dataclass
 class DocRetrievalContext:
-    """Per-document retrieval state for one (scheme, mode, retriever) setup."""
+    """One document's unit spans and one index per view of a mode, in fusion order."""
 
-    index: object | None
-    view_indexes: dict[ViewKind, object] | None
     span_by_unit: dict[str, tuple[int, int]]
-    text_by_unit: dict[str, str]
+    indexes: dict[ViewKind | None, SparseIndex | DenseIndex]
+    provider: EmbeddingProvider | None
 
-
-def _resolve_retrieval(retriever: str, provider: EmbeddingProvider | None):
-    kind, provider_name = parse_retriever(retriever)
-    if kind != DENSE:
-        return kind, None
-    if provider is None:
-        provider = resolve_provider(provider_name)
-    elif provider.name != provider_name:
-        raise ProviderMismatch(
-            f"retriever spec names provider {provider_name!r} but client is {provider.name!r}"
-        )
-    return kind, provider
+    def retrieve(self, question: str, ks: list[float], ordinal: int,
+                 k1: float = K1_DEFAULT, b: float = B_DEFAULT) -> list[list[str]]:
+        """Retrieved unit ids per budget k, all from one ranking per index."""
+        rankings = {view: rank_units(index, question, self.provider, k1=k1, b=b)
+                    for view, index in self.indexes.items()}
+        if len(rankings) > 1:
+            return [fuse(rankings, per_view_budget(k, ordinal)).unit_ids for k in ks]
+        (ranking,) = rankings.values()
+        return [[s.unit_id for s in ranking[:single_budget(k, ordinal)]] for k in ks]
 
 
 def build_doc_context(
@@ -182,51 +218,43 @@ def build_doc_context(
     provider: EmbeddingProvider | None,
     doc_views: list[ViewEntry] | None,
 ) -> DocRetrievalContext:
-    mode_kind, view = parse_mode(mode)
-
-    def make_index(units):
-        if retriever_kind == DENSE:
-            return build_dense_index(units, provider)
-        return build_sparse_index(units, retriever_kind)
-
-    section_spans = {s.section_id: s.doc_span for s in doc.sections}
-    section_texts = {s.section_id: s.text for s in doc.sections}
-
-    if mode_kind == MODE_MC:
-        view_indexes = {
-            kind: make_index(view_texts(doc_views, kind))
-            for kind in (ViewKind.RAW_TEXT, ViewKind.KEYWORDS, ViewKind.SUMMARY)
-        }
-        return DocRetrievalContext(None, view_indexes, section_spans, section_texts)
-
-    if view in (ViewKind.KEYWORDS, ViewKind.SUMMARY):
-        index = make_index(view_texts(doc_views, view))
-        return DocRetrievalContext(index, None, section_spans, section_texts)
-
-    chunks = chunk_document(doc, scheme)
-    units = [(c.chunk_id, c.text) for c in chunks]
-    return DocRetrievalContext(
-        make_index(units),
-        None,
-        {c.chunk_id: c.doc_span for c in chunks},
-        {c.chunk_id: c.text for c in chunks},
-    )
+    indexes = {}
+    for view in _mode_views(mode):
+        # The views of a mode share one unit table: the document's sections.
+        units = doc_units(doc, scheme, view, doc_views)
+        span_by_unit = {uid: span for uid, span, _ in units}
+        indexes[view] = build_index([(uid, text) for uid, _, text in units], retriever_kind, provider)
+    return DocRetrievalContext(span_by_unit, indexes, provider)
 
 
-def retrieve_unit_ids(
-    ctx: DocRetrievalContext,
-    question: str,
-    k: float,
-    ordinal: int,
-    provider: EmbeddingProvider | None,
-    k1: float = K1_DEFAULT,
-    b: float = B_DEFAULT,
-) -> list[str]:
-    if ctx.view_indexes is not None:
-        fused = retrieve_mc(ctx.view_indexes, question, k, ordinal, provider, k1=k1, b=b)
-        return fused.unit_ids
-    scored = retrieve_single(ctx.index, question, k, ordinal, provider, k1=k1, b=b)
-    return [s.unit_id for s in scored]
+def doc_contexts(
+    scheme: ChunkScheme, retriever: str, mode: str, views: dict[str, list[ViewEntry]] | None,
+    generator: str, llm: LlmClient | None, provider: EmbeddingProvider | None = None,
+) -> Callable[[Document], DocRetrievalContext]:
+    """Context lookup for one (scheme, retriever, mode) setup; each is built on first use.
+
+    Keyword and summary views come from ``views`` when given, else they are
+    built with ``generator``.
+    """
+    needs_views = any(v in (ViewKind.KEYWORDS, ViewKind.SUMMARY) for v in _mode_views(mode))
+    retriever_kind, provider_name = parse_retriever(retriever)
+    if retriever_kind != DENSE:
+        provider = None
+    elif provider is None:
+        provider = resolve_provider(provider_name)
+    elif provider.name != provider_name:
+        raise ProviderMismatch(
+            f"retriever spec names provider {provider_name!r} but client is {provider.name!r}"
+        )
+    contexts: dict[str, DocRetrievalContext] = {}
+
+    def context_for(doc: Document) -> DocRetrievalContext:
+        if doc.doc_id not in contexts:
+            doc_views = doc_views_for(doc, views, generator, llm) if needs_views else None
+            contexts[doc.doc_id] = build_doc_context(doc, scheme, mode, retriever_kind, provider, doc_views)
+        return contexts[doc.doc_id]
+
+    return context_for
 
 
 def eval_recall(
@@ -247,37 +275,15 @@ def eval_recall(
 ) -> RecallReport:
     """Mean recall per budget k for one (scheme, retriever, mode) setup.
 
-    Indexes are built per document, questions keep their dataset-order
-    ordinal for budget alternation, and questions whose document is absent
-    are skipped with a warning. Views are built on demand (with the given
-    generator) when the mode needs them and none are supplied.
+    Each document gets one context (see ``doc_contexts``), each question one
+    ranking per index, and questions keep their dataset-order ordinal for
+    budget alternation. Questions whose document is absent are skipped with a
+    warning.
     """
     if isinstance(scheme, str):
         scheme = ChunkScheme.parse(scheme)
-    mode_kind, view = parse_mode(mode)
-    needs_views = mode_kind == MODE_MC or view in (ViewKind.KEYWORDS, ViewKind.SUMMARY)
-    if needs_views and scheme.kind != "content":
-        raise ValueError(f"mode {mode!r} requires the content scheme, got {scheme.spec()!r}")
-    retriever_kind, resolved_provider = _resolve_retrieval(retriever, provider)
+    context_for = doc_contexts(scheme, retriever, mode, views, generator, llm, provider)
     by_id = _docs_by_id(docs)
-
-    contexts: dict[str, DocRetrievalContext] = {}
-
-    def context_for(doc: Document) -> DocRetrievalContext:
-        if doc.doc_id not in contexts:
-            doc_views = None
-            if needs_views:
-                if views is not None:
-                    doc_views = views.get(doc.doc_id)
-                    if doc_views is None:
-                        raise UnknownDoc(f"no views supplied for document {doc.doc_id!r}")
-                else:
-                    doc_views = build_views(doc, generator=generator, llm=llm)
-            contexts[doc.doc_id] = build_doc_context(
-                doc, scheme, mode, retriever_kind, resolved_provider, doc_views
-            )
-        return contexts[doc.doc_id]
-
     per_k: dict[float, list[float]] = {float(k): [] for k in ks}
     for position, item in enumerate(qa):
         doc = by_id.get(item.doc_id)
@@ -286,8 +292,7 @@ def eval_recall(
             continue
         ctx = context_for(doc)
         ordinal = position + 1 if invert_parity else position
-        for k in ks:
-            unit_ids = retrieve_unit_ids(ctx, item.question, k, ordinal, resolved_provider, k1=k1, b=b)
+        for k, unit_ids in zip(ks, ctx.retrieve(item.question, ks, ordinal, k1=k1, b=b)):
             spans = [ctx.span_by_unit[uid] for uid in unit_ids]
             per_k[float(k)].append(recall_of_set(spans, item, by_id))
 
@@ -295,17 +300,7 @@ def eval_recall(
     for k in ks:
         recalls = per_k[float(k)]
         mean = sum(recalls) / len(recalls) if recalls else 0.0
-        rows.append(
-            RecallRow(
-                scheme=scheme.spec(),
-                retriever=retriever,
-                mode=mode,
-                k=float(k),
-                n_questions=len(recalls),
-                mean_recall=mean,
-                per_question=tuple(recalls),
-            )
-        )
+        rows.append(RecallRow(scheme.spec(), retriever, mode, float(k), len(recalls), mean, tuple(recalls)))
     return RecallReport(tuple(rows))
 
 

@@ -11,7 +11,7 @@ not matched output sizes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import InvalidK, ViewMismatch
 from .providers import EmbeddingProvider
@@ -24,23 +24,14 @@ VIEW_ORDER = (ViewKind.RAW_TEXT, ViewKind.KEYWORDS, ViewKind.SUMMARY)
 
 
 @dataclass(frozen=True)
-class BudgetPlan:
-    k: float
-    per_view_even: int
-    per_view_odd: int
-
-
-@dataclass(frozen=True)
 class FusedUnit:
     unit_id: str
     view_ranks: dict[ViewKind, int]
-    views: frozenset[ViewKind]
 
 
 @dataclass(frozen=True)
 class FusedResult:
     units: tuple[FusedUnit, ...]
-    plan: BudgetPlan
     k_prime: int
 
     @property
@@ -82,8 +73,12 @@ def per_view_budget(k: float, question_ordinal: int) -> int:
     return max(1, budget)
 
 
-def make_budget_plan(k: float) -> BudgetPlan:
-    return BudgetPlan(k=float(k), per_view_even=per_view_budget(k, 0), per_view_odd=per_view_budget(k, 1))
+def single_budget(k: float, question_ordinal: int) -> int:
+    """Single-view budget for total budget k; k=1.5 alternates 1 and 2 by ordinal."""
+    value = _validate_k(k, minimum=1)
+    if value == 1.5:
+        return 2 if question_ordinal % 2 == 1 else 1
+    return int(value)
 
 
 def retrieve_single(
@@ -96,12 +91,25 @@ def retrieve_single(
     b: float = B_DEFAULT,
 ) -> list[ScoredUnit]:
     """Top-k single-view retrieval; k=1.5 alternates between 1 and 2."""
-    value = _validate_k(k, minimum=1)
-    if value == 1.5:
-        n = 2 if question_ordinal % 2 == 1 else 1
-    else:
-        n = int(value)
+    n = single_budget(k, question_ordinal)
     return rank_units(index, query, provider, k1=k1, b=b)[:n]
+
+
+def fuse(rankings: dict[ViewKind, list[ScoredUnit]], k_prime: int) -> FusedResult:
+    """Fuse per-view top-k' rankings by round-robin with deduplication.
+
+    Views are consumed in the fixed order raw, keywords, summary, taking each
+    view's next-ranked unit in turn and skipping ids already emitted. The
+    deduplicated union is returned in full.
+    """
+    tops = [rankings[view][:k_prime] for view in VIEW_ORDER]
+    view_ranks: dict[str, dict[ViewKind, int]] = {}
+    for view, top in zip(VIEW_ORDER, tops):
+        for scored in top:
+            view_ranks.setdefault(scored.unit_id, {})[view] = scored.rank
+    # Round r takes every view's r-th unit; dict keys keep first occurrences.
+    order = dict.fromkeys(top[r].unit_id for r in range(k_prime) for top in tops if r < len(top))
+    return FusedResult(tuple(FusedUnit(uid, view_ranks[uid]) for uid in order), k_prime)
 
 
 def retrieve_mc(
@@ -113,44 +121,13 @@ def retrieve_mc(
     k1: float = K1_DEFAULT,
     b: float = B_DEFAULT,
 ) -> FusedResult:
-    """Fuse per-view top-k' rankings by round-robin with deduplication.
-
-    Views are consumed in the fixed order raw, keywords, summary, taking each
-    view's next-ranked unit in turn and skipping ids already emitted. The
-    deduplicated union is returned in full.
-    """
+    """Rank the query in each view index and ``fuse`` the per-view top-k'."""
     missing = [v.value for v in VIEW_ORDER if v not in view_indexes]
     if missing:
         raise ViewMismatch(f"missing view indexes: {missing}")
     id_sets = {view: frozenset(view_indexes[view].unit_ids) for view in VIEW_ORDER}
     if len(set(id_sets.values())) != 1:
         raise ViewMismatch("view indexes cover different unit id sets")
-
     k_prime = per_view_budget(k, question_ordinal)
-    tops = {
-        view: [
-            replace(scored, view_kind=view)
-            for scored in rank_units(view_indexes[view], query, provider, k1=k1, b=b)[:k_prime]
-        ]
-        for view in VIEW_ORDER
-    }
-
-    view_ranks: dict[str, dict[ViewKind, int]] = {}
-    for view in VIEW_ORDER:
-        for scored in tops[view]:
-            view_ranks.setdefault(scored.unit_id, {})[view] = scored.rank
-
-    fused: list[FusedUnit] = []
-    seen: set[str] = set()
-    for round_idx in range(k_prime):
-        for view in VIEW_ORDER:
-            ranked = tops[view]
-            if round_idx >= len(ranked):
-                continue
-            unit_id = ranked[round_idx].unit_id
-            if unit_id in seen:
-                continue
-            seen.add(unit_id)
-            ranks = view_ranks[unit_id]
-            fused.append(FusedUnit(unit_id, dict(ranks), frozenset(ranks)))
-    return FusedResult(tuple(fused), make_budget_plan(k), k_prime)
+    rankings = {view: rank_units(view_indexes[view], query, provider, k1=k1, b=b) for view in VIEW_ORDER}
+    return fuse(rankings, k_prime)

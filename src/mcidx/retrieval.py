@@ -2,8 +2,9 @@
 
 All rankings are full (every unit scored), with scores non-increasing and
 ties broken by ascending corpus position, so results are reproducible across
-runs and thread counts. Evaluation always builds per-document indexes: a
-question is scored only against the chunks of its own document.
+runs and thread counts. Evaluation builds one context per document, so a
+question is scored only against the units of its own document, and ranks
+each question once per index: every budget k is a prefix of that ranking.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -24,9 +24,6 @@ from .errors import (
 )
 from .providers import EmbeddingProvider, HttpEmbeddingProvider, MockEmbeddingProvider
 from .text import index_terms, truncate_tokens
-
-if TYPE_CHECKING:
-    from .views import ViewKind
 
 TFIDF = "tfidf"
 BM25 = "bm25"
@@ -56,7 +53,6 @@ class ScoredUnit:
     unit_id: str
     score: float
     rank: int
-    view_kind: "ViewKind | None" = None
 
 
 @dataclass
@@ -239,6 +235,15 @@ def build_dense_index(
     return DenseIndex([uid for uid, _ in units], embed(texts, provider, batch_size), provider.name)
 
 
+def build_index(
+    units: list[tuple[str, str]], kind: str, provider: EmbeddingProvider | None = None
+) -> SparseIndex | DenseIndex:
+    """Index ``(unit_id, text)`` pairs for any retriever kind; dense needs the provider."""
+    if kind == DENSE:
+        return build_dense_index(units, provider)
+    return build_sparse_index(units, kind)
+
+
 def score_dense(index: DenseIndex, query: str, provider: EmbeddingProvider) -> list[ScoredUnit]:
     """Cosine (dot product of normalized vectors) between query and rows."""
     if provider.name != index.provider:
@@ -275,10 +280,6 @@ def parse_retriever(spec: str) -> tuple[str, str | None]:
     if kind == DENSE and sep and name:
         return DENSE, name
     raise ValueError(f"unknown retriever spec {spec!r}")
-
-
-def format_retriever(kind: str, provider_name: str | None = None) -> str:
-    return f"{DENSE}:{provider_name}" if kind == DENSE else kind
 
 
 def resolve_provider(name: str) -> EmbeddingProvider:

@@ -130,7 +130,12 @@ def load_index(directory: str | Path) -> SparseIndex | DenseIndex:
     manifest_path = directory / MANIFEST
     if not manifest_path.exists():
         raise CorruptIndex(f"no manifest at {manifest_path}")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise CorruptIndex(f"manifest {manifest_path} is not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise CorruptIndex(f"manifest {manifest_path} is not a JSON object")
     if manifest.get("format_version") != FORMAT_VERSION:
         raise VersionMismatch(
             f"index format version {manifest.get('format_version')!r} is not supported"

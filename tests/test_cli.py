@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from mcidx.cli import RunConfig, build_parser, parse_k_list, run
+from mcidx.cli import build_parser, parse_k_list, run
 from mcidx.corpus import write_corpus_jsonl, write_qa_jsonl
 from mcidx.synthetic import synthetic_corpus
 
@@ -30,6 +30,9 @@ def dataset(tmp_path):
 
 
 class TestExitCodes:
+    def test_parser_builds(self):
+        assert build_parser().prog == "mcidx"
+
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
         assert "mcidx" in capsys.readouterr().out
@@ -192,28 +195,130 @@ class TestPipeline:
         assert all(r["score_based"] == "tie" for r in records)
 
 
-class TestRunConfig:
-    def test_validate_round_trips_specs(self, tmp_path):
-        config = RunConfig(
-            corpus=tmp_path / "c.jsonl",
-            qa=tmp_path / "q.jsonl",
-            scheme="flc-content:200",
-            mode="single:keywords",
-            retriever="dense:mock",
-            ks=(1.5, 3.0),
-            output=None,
-        )
-        assert config.validate() is config
-
-    def test_bad_k_rejected(self, tmp_path):
-        config = RunConfig(tmp_path / "c", tmp_path / "q", "content", "mc", "bm25", (2.5,), None)
-        with pytest.raises(ValueError):
-            config.validate()
+class TestParseKList:
+    def test_bad_k_rejected(self):
+        for spec in ("2.5", "3,0.5", "nan", "inf"):
+            with pytest.raises(ValueError):
+                parse_k_list(spec)
 
     def test_parse_k_list(self):
         assert parse_k_list("1.5,3,5,10") == (1.5, 3.0, 5.0, 10.0)
         with pytest.raises(ValueError):
             parse_k_list("three")
+        with pytest.raises(ValueError):
+            parse_k_list("")
 
-    def test_parser_builds(self):
-        assert build_parser().prog == "mcidx"
+
+def _views_file(tmp_path, corpus, keep=lambda record: True, extra=()):
+    """A views.jsonl from the ``views`` command, filtered by ``keep`` plus ``extra`` records."""
+    full = tmp_path / "views_full.jsonl"
+    assert run(["views", "--corpus", str(corpus), "--output", str(full)]) == 0
+    records = [json.loads(line) for line in full.read_text().splitlines()]
+    path = tmp_path / "views.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in [*filter(keep, records), *extra]))
+    return path
+
+
+def _answers_stub(stub, monkeypatch):
+    monkeypatch.setenv("MCIDX_LLM_URL", stub.url)
+
+    def responder(path, payload):
+        if "evaluating answers" in payload["prompt"]:
+            return (200, {"text": '{"answer_1_score": 5, "answer_2_score": 5}'})
+        return (200, {"text": "an answer"})
+
+    stub.responder = responder
+
+
+class TestViewsCoverSections:
+    """A views file must cover exactly each document's sections, else exit 2."""
+
+    def test_missing_section_in_mc_recall(self, dataset, tmp_path, capsys):
+        corpus, qa = dataset
+        views = _views_file(tmp_path, corpus,
+                            keep=lambda r: (r["doc_id"], r["section_id"]) != ("doc000", "s0003"))
+        code = run(["eval", "recall", "--corpus", str(corpus), "--qa", str(qa),
+                    "--scheme", "content", "--retriever", "bm25", "--mode", "mc",
+                    "--k", "1.5,3,5,10", "--views", str(views)])
+        assert code == 2
+        assert "do not cover exactly its sections" in capsys.readouterr().err
+
+    def test_unknown_section_in_mc_recall(self, dataset, tmp_path, capsys):
+        corpus, qa = dataset
+        question = json.loads(qa.read_text().splitlines()[0])["question"]
+        extra = [{"doc_id": "doc000", "section_id": "s9999", "view_kind": kind,
+                  "text": question, "provenance": "extractive"}
+                 for kind in ("raw", "keywords", "summary")]
+        views = _views_file(tmp_path, corpus, extra=extra)
+        code = run(["eval", "recall", "--corpus", str(corpus), "--qa", str(qa),
+                    "--scheme", "content", "--retriever", "bm25", "--mode", "mc",
+                    "--k", "10", "--views", str(views)])
+        assert code == 2
+        assert "do not cover exactly its sections" in capsys.readouterr().err
+
+    def test_index_views_missing_document(self, dataset, tmp_path, capsys):
+        corpus, _ = dataset
+        views = _views_file(tmp_path, corpus, keep=lambda r: r["doc_id"] == "doc000")
+        code = run(["index", "--corpus", str(corpus), "--scheme", "content",
+                    "--retriever", "bm25", "--view", "keywords", "--views", str(views),
+                    "--output", str(tmp_path / "idx")])
+        assert code == 2
+        assert "no views supplied for document 'doc001'" in capsys.readouterr().err
+
+    def test_eval_answers_views_missing_document(self, dataset, tmp_path, stub, monkeypatch, capsys):
+        corpus, qa = dataset
+        _answers_stub(stub, monkeypatch)
+        views = _views_file(tmp_path, corpus, keep=lambda r: r["doc_id"] == "doc000")
+        code = run(["eval", "answers", "--corpus", str(corpus), "--qa", str(qa),
+                    "--retriever", "bm25", "--k", "3",
+                    "--scheme-a", "content", "--mode-a", "mc",
+                    "--scheme-b", "flc:300", "--mode-b", "single:raw",
+                    "--views", str(views), "--output", str(tmp_path / "judge.jsonl")])
+        assert code == 2
+        assert "no views supplied for document 'doc001'" in capsys.readouterr().err
+
+
+class TestUsageChecks:
+    def test_eval_answers_view_mode_needs_content_scheme(self, dataset, tmp_path, stub,
+                                                          monkeypatch, capsys):
+        corpus, qa = dataset
+        _answers_stub(stub, monkeypatch)
+        code = run(["eval", "answers", "--corpus", str(corpus), "--qa", str(qa),
+                    "--retriever", "bm25", "--k", "3",
+                    "--scheme-a", "flc:300", "--mode-a", "mc",
+                    "--scheme-b", "content", "--mode-b", "single:raw",
+                    "--output", str(tmp_path / "judge.jsonl")])
+        assert code == 1
+        assert "content scheme" in capsys.readouterr().err
+
+    def test_eval_recall_fractional_k_other_than_1_5(self, dataset, capsys):
+        corpus, qa = dataset
+        code = run(["eval", "recall", "--corpus", str(corpus), "--qa", str(qa),
+                    "--scheme", "content", "--retriever", "bm25", "--mode", "mc", "--k", "2.5"])
+        assert code == 1
+        assert "2.5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,rest", [
+        (["views"], ["--generator", "extractive", "--output", "unused.jsonl"]),
+        (["eval", "recall"], ["--qa", "q.jsonl", "--scheme", "content", "--retriever", "bm25",
+                              "--mode", "mc", "--k", "3"]),
+        (["eval", "answers"], ["--qa", "q.jsonl", "--retriever", "bm25",
+                               "--scheme-a", "content", "--mode-a", "mc",
+                               "--scheme-b", "content", "--mode-b", "single:raw",
+                               "--output", "unused.jsonl"]),
+    ])
+    def test_jobs_below_one_is_usage_error(self, command, rest, dataset, monkeypatch, capsys):
+        # Rejected at parsing, before any input is read or any LLM client exists.
+        monkeypatch.delenv("MCIDX_LLM_URL", raising=False)
+        corpus, _ = dataset
+        assert run([*command, "--corpus", str(corpus), *rest, "--jobs", "0"]) == 1
+        assert "--jobs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("manifest", ["{not json", "[]"], ids=["not-json", "not-object"])
+    def test_unparseable_manifest_is_data_error(self, manifest, tmp_path, capsys):
+        index = tmp_path / "idx"
+        index.mkdir()
+        (index / "manifest.json").write_text(manifest)
+        code = run(["retrieve", "--index", str(index), "--question", "anything"])
+        assert code == 2
+        assert "manifest" in capsys.readouterr().err

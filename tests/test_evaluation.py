@@ -2,25 +2,30 @@ from __future__ import annotations
 
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
 from conftest import ScriptedLlm, make_doc
-from mcidx.chunking import chunk_flc
+import mcidx.evaluation as evaluation
+from mcidx.chunking import ChunkScheme, chunk_flc
 from mcidx.corpus import QAItem, QuestionType
-from mcidx.errors import EmptyRetrieval, EmptyScope, ParseError, UnknownDoc
+from mcidx.errors import EmptyRetrieval, EmptyScope, ParseError, UnknownDoc, ViewMismatch
 from mcidx.evaluation import (
     RecallReport,
     Winner,
+    build_doc_context,
+    doc_units,
     eval_recall,
-    format_mode,
     generate_answer,
     judge_outcome,
     judge_pairwise,
     parse_mode,
     recall_of_set,
 )
+from mcidx.fusion import retrieve_mc, retrieve_single
 from mcidx.synthetic import complementarity_fixture, synthetic_corpus
+from mcidx.views import ViewKind, build_views
 from oracles import oracle_judge, oracle_recall_sum
 
 
@@ -179,10 +184,86 @@ class TestEvalRecall:
         assert "| content | bm25 | mc |" in table
 
 
+class TestDocUnits:
+    CONTENT = ChunkScheme.parse("content")
+
+    def _doc(self):
+        return make_doc(["Alpha beta gamma.", "Delta epsilon zeta.", "Eta theta iota."])
+
+    @pytest.mark.parametrize("change", ["drop", "unknown", "repeat"])
+    def test_view_entries_must_cover_exactly_the_sections(self, change):
+        doc = self._doc()
+        views = build_views(doc)
+        keywords = [v for v in views if v.view_kind is ViewKind.KEYWORDS]
+        if change == "drop":
+            views.remove(keywords[1])
+        elif change == "unknown":
+            views.append(replace(keywords[0], section_id="s9999"))
+        else:
+            views.append(keywords[0])
+        with pytest.raises(ViewMismatch):
+            doc_units(doc, self.CONTENT, ViewKind.KEYWORDS, views)
+
+    def test_units_follow_section_order(self):
+        doc = self._doc()
+        views = [replace(v, text=f"{v.view_kind.value} {v.section_id}") for v in reversed(build_views(doc))]
+        spans = [(s.section_id, s.doc_span) for s in doc.sections]
+        raw = doc_units(doc, self.CONTENT, ViewKind.RAW_TEXT, views)
+        assert raw == [(sid, span, s.text) for (sid, span), s in zip(spans, doc.sections)]
+        summary = doc_units(doc, self.CONTENT, ViewKind.SUMMARY, views)
+        assert summary == [(sid, span, f"summary {sid}") for sid, span in spans]
+
+    def test_missing_views_and_wrong_scheme_rejected(self):
+        doc = self._doc()
+        with pytest.raises(UnknownDoc):
+            doc_units(doc, self.CONTENT, ViewKind.KEYWORDS, None)
+        with pytest.raises(ValueError):
+            doc_units(doc, ChunkScheme.parse("flc:100"), ViewKind.RAW_TEXT, None)
+
+
+class TestOneRankingPerQuestion:
+    KS = [1.5, 3, 5, 10]
+
+    @pytest.mark.parametrize("scheme,mode,per_question", [
+        ("flc:100", "single:raw", 1),
+        ("content", "single:raw", 1),
+        ("content", "single:keywords", 1),
+        ("content", "single:summary", 1),
+        ("content", "mc", 3),
+    ])
+    def test_rank_calls_per_question(self, monkeypatch, scheme, mode, per_question):
+        calls = []
+        rank_units = evaluation.rank_units
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return rank_units(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "rank_units", counting)
+        docs, qa = synthetic_corpus(n_docs=2)
+        eval_recall(docs, qa, scheme, "bm25", mode, self.KS)
+        assert len(calls) == per_question * len(qa)
+
+    @pytest.mark.parametrize("scheme,mode", [("flc-content:100", "single:raw"), ("content", "mc")])
+    def test_every_k_equals_its_own_retrieval(self, scheme, mode):
+        docs, qa = synthetic_corpus(n_docs=1)
+        ctx = build_doc_context(docs[0], ChunkScheme.parse(scheme), mode, "tfidf", None,
+                                build_views(docs[0]))
+        for ordinal, item in enumerate(qa):
+            if mode == "mc":
+                expected = [retrieve_mc(ctx.indexes, item.question, k, ordinal).unit_ids
+                            for k in self.KS]
+            else:
+                expected = [[s.unit_id for s in retrieve_single(ctx.indexes[None], item.question, k, ordinal)]
+                            for k in self.KS]
+            assert ctx.retrieve(item.question, self.KS, ordinal) == expected
+
+
 class TestModeSpec:
     @pytest.mark.parametrize("spec", ["mc", "single:raw", "single:keywords", "single:summary"])
     def test_round_trip(self, spec):
-        assert format_mode(*parse_mode(spec)) == spec
+        kind, view = parse_mode(spec)
+        assert (kind if view is None else f"{kind}:{view.value}") == spec
 
     @pytest.mark.parametrize("spec", ["single", "single:dense", "fusion", ""])
     def test_bad_specs(self, spec):

@@ -5,8 +5,8 @@ import random
 import pytest
 
 from mcidx.errors import InvalidK, ViewMismatch
-from mcidx.fusion import make_budget_plan, per_view_budget, retrieve_mc, retrieve_single
-from mcidx.retrieval import build_sparse_index
+from mcidx.fusion import fuse, per_view_budget, retrieve_mc, retrieve_single
+from mcidx.retrieval import build_sparse_index, rank_units
 from mcidx.views import ViewKind
 
 VIEWS = (ViewKind.RAW_TEXT, ViewKind.KEYWORDS, ViewKind.SUMMARY)
@@ -52,11 +52,6 @@ class TestPerViewBudget:
     def test_invalid_budgets(self, k):
         with pytest.raises(InvalidK):
             per_view_budget(k, 0)
-
-    def test_plan_fields(self):
-        plan = make_budget_plan(3)
-        assert (plan.k, plan.per_view_even, plan.per_view_odd) == (3.0, 1, 2)
-        assert plan.per_view_odd >= plan.per_view_even
 
 
 class TestRetrieveSingle:
@@ -106,7 +101,7 @@ class TestRetrieveMc:
         )
         fused = retrieve_mc(indexes, "q", 1.5, 0)
         assert fused.unit_ids == ["u7"]
-        assert fused.units[0].views == frozenset(VIEWS)
+        assert set(fused.units[0].view_ranks) == set(VIEWS)
 
     def test_disjoint_top_ones_give_three(self):
         indexes = indexes_with_counts(
@@ -174,6 +169,15 @@ class TestFusionLaws:
                 if previous is not None:
                     assert previous <= set(ids)
                 previous, previous_kp = set(ids), k_prime
+
+    @pytest.mark.parametrize("ordinal", [0, 1])
+    @pytest.mark.parametrize("k", [1.5, 3, 5, 10])
+    def test_fuse_of_full_rankings_equals_retrieve_mc(self, k, ordinal):
+        rng = random.Random(11)
+        for _ in range(20):
+            indexes = self._random_indexes(rng)
+            rankings = {view: rank_units(index, "q") for view, index in indexes.items()}
+            assert fuse(rankings, per_view_budget(k, ordinal)) == retrieve_mc(indexes, "q", k, ordinal)
 
     def test_deterministic(self):
         rng = random.Random(3)

@@ -17,7 +17,6 @@ from mcidx.retrieval import (
     build_dense_index,
     build_sparse_index,
     embed,
-    format_retriever,
     parse_retriever,
     score_bm25,
     score_dense,
@@ -244,7 +243,8 @@ class TestScoreDense:
 class TestRetrieverSpec:
     @pytest.mark.parametrize("spec", ["tfidf", "bm25", "dense:mock", "dense:e5-large"])
     def test_round_trip(self, spec):
-        assert format_retriever(*parse_retriever(spec)) == spec
+        kind, provider_name = parse_retriever(spec)
+        assert (kind if provider_name is None else f"{kind}:{provider_name}") == spec
 
     @pytest.mark.parametrize("spec", ["dense", "dense:", "colbert", ""])
     def test_bad_specs(self, spec):
