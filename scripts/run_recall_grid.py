@@ -2,12 +2,14 @@
 
 Covers every chunking scheme, the three single views plus multi-view fusion,
 and all three offline retrievers (TF-IDF, BM25, mock dense) at budgets
-k = 1.5, 3, 5, 10. Writes a CSV and a markdown table.
+k = 1.5, 3, 5, 10. Writes a CSV and a markdown table, and prints the CSV's
+sha256 so two checkouts can be compared for byte-identical results.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 from pathlib import Path
 
 from mcidx.evaluation import RecallReport, eval_recall
@@ -41,9 +43,11 @@ def main() -> None:
     args.out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = args.out_dir / "recall_grid.csv"
     md_path = args.out_dir / "recall_grid.md"
-    csv_path.write_text(merged.to_csv(), encoding="utf-8")
+    csv_bytes = merged.to_csv().encode("utf-8")
+    csv_path.write_bytes(csv_bytes)
     md_path.write_text(merged.to_markdown(), encoding="utf-8")
     print(f"wrote {csv_path} and {md_path}")
+    print(f"sha256 {hashlib.sha256(csv_bytes).hexdigest()}  {csv_path}")
     print()
     print(merged.to_markdown())
 

@@ -201,13 +201,15 @@ class DocRetrievalContext:
 
     def retrieve(self, question: str, ks: list[float], ordinal: int,
                  k1: float = K1_DEFAULT, b: float = B_DEFAULT) -> list[list[str]]:
-        """Retrieved unit ids per budget k, all from one ranking per index."""
-        rankings = {view: rank_units(index, question, self.provider, k1=k1, b=b)
+        """Retrieved unit ids per budget k, all from one ranking per index to the largest budget."""
+        fused = len(self.indexes) > 1
+        budgets = [(per_view_budget if fused else single_budget)(k, ordinal) for k in ks]
+        rankings = {view: rank_units(index, question, self.provider, k1=k1, b=b, n=max(budgets, default=0))
                     for view, index in self.indexes.items()}
-        if len(rankings) > 1:
-            return [fuse(rankings, per_view_budget(k, ordinal)).unit_ids for k in ks]
+        if fused:
+            return [fuse(rankings, budget).unit_ids for budget in budgets]
         (ranking,) = rankings.values()
-        return [[s.unit_id for s in ranking[:single_budget(k, ordinal)]] for k in ks]
+        return [[s.unit_id for s in ranking[:budget]] for budget in budgets]
 
 
 def build_doc_context(
@@ -280,6 +282,8 @@ def eval_recall(
     budget alternation. Questions whose document is absent are skipped with a
     warning.
     """
+    if len({float(k) for k in ks}) != len(ks):
+        raise ValueError(f"repeated budget in {list(ks)}: each k gets one row")
     if isinstance(scheme, str):
         scheme = ChunkScheme.parse(scheme)
     context_for = doc_contexts(scheme, retriever, mode, views, generator, llm, provider)

@@ -91,8 +91,7 @@ def retrieve_single(
     b: float = B_DEFAULT,
 ) -> list[ScoredUnit]:
     """Top-k single-view retrieval; k=1.5 alternates between 1 and 2."""
-    n = single_budget(k, question_ordinal)
-    return rank_units(index, query, provider, k1=k1, b=b)[:n]
+    return rank_units(index, query, provider, k1=k1, b=b, n=single_budget(k, question_ordinal))
 
 
 def fuse(rankings: dict[ViewKind, list[ScoredUnit]], k_prime: int) -> FusedResult:
@@ -129,5 +128,6 @@ def retrieve_mc(
     if len(set(id_sets.values())) != 1:
         raise ViewMismatch("view indexes cover different unit id sets")
     k_prime = per_view_budget(k, question_ordinal)
-    rankings = {view: rank_units(view_indexes[view], query, provider, k1=k1, b=b) for view in VIEW_ORDER}
+    rankings = {view: rank_units(view_indexes[view], query, provider, k1=k1, b=b, n=k_prime)
+                for view in VIEW_ORDER}
     return fuse(rankings, k_prime)

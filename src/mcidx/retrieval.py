@@ -1,10 +1,11 @@
 """Sparse (TF-IDF, Okapi BM25) and dense scoring over retrieval units.
 
-All rankings are full (every unit scored), with scores non-increasing and
-ties broken by ascending corpus position, so results are reproducible across
-runs and thread counts. Evaluation builds one context per document, so a
-question is scored only against the units of its own document, and ranks
-each question once per index: every budget k is a prefix of that ranking.
+Sparse indexes hold term postings, and a query touches only its own terms'
+postings. Rankings have scores non-increasing and ties broken by ascending
+corpus position, so results are reproducible across runs and thread counts;
+the top n is always a prefix of the full ranking. Evaluation builds one
+context per document and ranks each question once per index, to the largest
+budget: every budget k is a prefix of that ranking.
 """
 
 from __future__ import annotations
@@ -12,16 +13,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    DuplicateId,
-    EmptyCorpus,
-    ProviderError,
-    ProviderMismatch,
-)
+from .errors import DimensionMismatch, DuplicateId, EmptyCorpus, ProviderError, ProviderMismatch
 from .providers import EmbeddingProvider, HttpEmbeddingProvider, MockEmbeddingProvider
 from .text import index_terms, truncate_tokens
 
@@ -57,18 +53,50 @@ class ScoredUnit:
 
 @dataclass
 class SparseIndex:
+    """Term postings in CSR layout: row ``terms[t]`` of every array is term t.
+
+    Rows are in sorted term order; ``postings[indptr[r]:indptr[r + 1]]`` are
+    the ascending unit indexes containing the row's term and ``tfs`` their
+    term counts. ``avgdl``, ``idf`` and (TF-IDF only) the units' tf*idf
+    lengths ``unit_norms`` are derived here, whether the postings were built
+    from text or loaded from disk, so the floats are bit-identical either way.
+    """
+
     kind: str
     unit_ids: list[str]
-    term_freqs: list[dict[str, int]]
-    doc_freq: dict[str, int]
-    unit_lens: list[int]
-    avgdl: float
-    idf: dict[str, float]
-    unit_norms: list[float] = field(default_factory=list)
+    terms: dict[str, int]
+    indptr: np.ndarray
+    postings: np.ndarray
+    tfs: np.ndarray
+    unit_lens: np.ndarray
+    avgdl: float = field(init=False)
+    idf: np.ndarray = field(init=False)
+    unit_norms: np.ndarray | None = field(init=False, default=None)
+
+    def __post_init__(self) -> None:
+        if self.kind not in (TFIDF, BM25):
+            raise ValueError(f"unknown sparse index kind {self.kind!r}")
+        idf_fn = smoothed_idf if self.kind == TFIDF else bm25_idf
+        # math.log per term: np.log may differ from it in the last bit.
+        self.idf = np.array([idf_fn(df, self.n) for df in np.diff(self.indptr).tolist()], dtype=np.float64)
+        self.avgdl = int(self.unit_lens.sum()) / self.n
+        if self.kind == TFIDF:
+            # float_power calls the C pow() that Python's ** does, and bincount
+            # adds each unit's squares sequentially in (sorted) term order.
+            squares = np.float_power(self.tfs * np.repeat(self.idf, np.diff(self.indptr)), 2)
+            self.unit_norms = np.sqrt(np.bincount(self.postings, weights=squares, minlength=self.n))
 
     @property
     def n(self) -> int:
         return len(self.unit_ids)
+
+    def term_postings(self, term: str) -> tuple[float, np.ndarray, np.ndarray] | None:
+        """(idf, unit indexes, tfs) of a term's postings, or None if unseen."""
+        r = self.terms.get(term)
+        if r is None:
+            return None
+        start, end = self.indptr[r], self.indptr[r + 1]
+        return float(self.idf[r]), self.postings[start:end], self.tfs[start:end]
 
 
 @dataclass
@@ -96,106 +124,71 @@ def _check_units(units: list[tuple[str, str]]) -> None:
         seen.add(unit_id)
 
 
-def assemble_sparse_index(
-    kind: str,
-    unit_ids: list[str],
-    term_freqs: list[dict[str, int]],
-    unit_lens: list[int],
-) -> SparseIndex:
-    """Derive df, idf, avgdl, and norms from raw term counts.
-
-    Building from text and reloading from disk both funnel through here, so
-    the derived floats are bit-identical either way.
-    """
-    if kind not in (TFIDF, BM25):
-        raise ValueError(f"unknown sparse index kind {kind!r}")
-    doc_freq: Counter[str] = Counter()
-    for tf in term_freqs:
-        doc_freq.update(tf.keys())
-    n = len(unit_ids)
-    idf_fn = smoothed_idf if kind == TFIDF else bm25_idf
-    idf = {term: idf_fn(df, n) for term, df in doc_freq.items()}
-    index = SparseIndex(
-        kind=kind,
-        unit_ids=unit_ids,
-        term_freqs=term_freqs,
-        doc_freq=dict(doc_freq),
-        unit_lens=unit_lens,
-        avgdl=sum(unit_lens) / n,
-        idf=idf,
-    )
-    if kind == TFIDF:
-        # Summed in sorted term order so norms are bit-identical whether the
-        # index was built from text or reloaded from disk.
-        index.unit_norms = [
-            math.sqrt(sum((tf * idf[t]) ** 2 for t, tf in sorted(freqs.items())))
-            for freqs in term_freqs
-        ]
-    return index
-
-
 def build_sparse_index(units: list[tuple[str, str]], kind: str) -> SparseIndex:
     """Index ``(unit_id, text)`` pairs for TF-IDF or BM25 scoring."""
-    if kind not in (TFIDF, BM25):
-        raise ValueError(f"unknown sparse index kind {kind!r}")
     units = list(units)
     _check_units(units)
-    unit_ids = [uid for uid, _ in units]
-    term_freqs = [dict(Counter(index_terms(text))) for _, text in units]
-    unit_lens = [sum(tf.values()) for tf in term_freqs]
-    return assemble_sparse_index(kind, unit_ids, term_freqs, unit_lens)
+    counts = [Counter(index_terms(text)) for _, text in units]
+    terms = {term: row for row, term in enumerate(sorted(set().union(*counts)))}
+    rows = np.fromiter(chain.from_iterable(map(terms.__getitem__, c) for c in counts), np.int64)
+    tfs = np.fromiter(chain.from_iterable(c.values() for c in counts), np.int64)
+    unit_idx = np.repeat(np.arange(len(units)), [len(c) for c in counts])
+    # A stable sort by row keeps each row's units ascending.
+    order = np.argsort(rows, kind="stable")
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=len(terms)))))
+    unit_lens = np.array([sum(c.values()) for c in counts], dtype=np.int64)
+    return SparseIndex(kind, [uid for uid, _ in units], terms, indptr, unit_idx[order], tfs[order], unit_lens)
 
 
-def _ranked(unit_ids: list[str], scores: list[float]) -> list[ScoredUnit]:
-    order = sorted(range(len(unit_ids)), key=lambda i: (-scores[i], i))
-    return [ScoredUnit(unit_ids[i], scores[i], rank + 1) for rank, i in enumerate(order)]
+def _ranked(unit_ids: list[str], scores: np.ndarray, n: int | None) -> list[ScoredUnit]:
+    """Top n (all when None) by (-score, position).
+
+    Every unit scoring at least the n-th largest score is kept, so ties at the
+    cut are broken by position as in the full ranking.
+    """
+    candidates = np.arange(len(scores))
+    if n is not None and n < len(scores):
+        candidates = np.flatnonzero(scores >= np.partition(scores, -n)[-n])
+    order = candidates[np.argsort(-scores[candidates], kind="stable")][:n]
+    return [ScoredUnit(unit_ids[i], s, rank)
+            for rank, (i, s) in enumerate(zip(order.tolist(), scores[order].tolist()), 1)]
 
 
-def score_tfidf(index: SparseIndex, query: str) -> list[ScoredUnit]:
-    """Cosine similarity between L2-normalized tf*idf vectors.
+def score_tfidf(index: SparseIndex, query: str, n: int | None = None) -> list[ScoredUnit]:
+    """Cosine similarity between L2-normalized tf*idf vectors, top n.
 
     Query terms unseen at index time get weight zero; a query with no known
     terms yields an all-zero ranking in corpus order.
     """
     if index.kind != TFIDF:
         raise ValueError(f"score_tfidf needs a {TFIDF!r} index, got {index.kind!r}")
-    query_weights = {
-        term: count * index.idf[term]
-        for term, count in Counter(index_terms(query)).items()
-        if term in index.idf
-    }
-    query_norm = math.sqrt(sum(w * w for w in query_weights.values()))
-    scores = []
-    for freqs, unit_norm in zip(index.term_freqs, index.unit_norms):
-        dot = sum(weight * freqs.get(term, 0) * index.idf[term] for term, weight in query_weights.items())
-        denom = query_norm * unit_norm
-        scores.append(dot / denom if denom else 0.0)
-    return _ranked(index.unit_ids, scores)
+    weighted = [(count * found[0], found) for term, count in Counter(index_terms(query)).items()
+                if (found := index.term_postings(term)) is not None]
+    query_norm = math.sqrt(sum(weight * weight for weight, _ in weighted))
+    dots = np.zeros(index.n)
+    for weight, (idf, unit_idx, tfs) in weighted:
+        dots[unit_idx] += weight * tfs * idf
+    denom = query_norm * index.unit_norms
+    return _ranked(index.unit_ids, np.divide(dots, denom, out=np.zeros(index.n), where=denom != 0), n)
 
 
 def score_bm25(
-    index: SparseIndex, query: str, k1: float = K1_DEFAULT, b: float = B_DEFAULT
+    index: SparseIndex, query: str, k1: float = K1_DEFAULT, b: float = B_DEFAULT, n: int | None = None
 ) -> list[ScoredUnit]:
-    """Okapi BM25 with saturation k1 and length normalization b.
+    """Okapi BM25 with saturation k1 and length normalization b, top n.
 
     Contributions sum over query token occurrences, so repeated query terms
     scale their contribution.
     """
     if index.kind != BM25:
         raise ValueError(f"score_bm25 needs a {BM25!r} index, got {index.kind!r}")
-    query_terms = index_terms(query)
-    scores = []
-    for freqs, unit_len in zip(index.term_freqs, index.unit_lens):
-        ratio = unit_len / index.avgdl if index.avgdl else 0.0
-        denom_norm = k1 * (1.0 - b + b * ratio)
-        score = 0.0
-        for term in query_terms:
-            tf = freqs.get(term)
-            if not tf:
-                continue
-            score += index.idf[term] * tf * (k1 + 1.0) / (tf + denom_norm)
-        scores.append(score)
-    return _ranked(index.unit_ids, scores)
+    found = [postings for term in index_terms(query) if (postings := index.term_postings(term)) is not None]
+    scores = np.zeros(index.n)
+    if found:  # then some unit has terms, so avgdl > 0
+        denom_norm = k1 * (1.0 - b + b * (index.unit_lens / index.avgdl))
+    for idf, unit_idx, tfs in found:
+        scores[unit_idx] += idf * tfs * (k1 + 1.0) / (tfs + denom_norm[unit_idx])
+    return _ranked(index.unit_ids, scores, n)
 
 
 def embed(texts: list[str], provider: EmbeddingProvider, batch_size: int = EMBED_BATCH_SIZE) -> np.ndarray:
@@ -244,15 +237,16 @@ def build_index(
     return build_sparse_index(units, kind)
 
 
-def score_dense(index: DenseIndex, query: str, provider: EmbeddingProvider) -> list[ScoredUnit]:
-    """Cosine (dot product of normalized vectors) between query and rows."""
+def score_dense(
+    index: DenseIndex, query: str, provider: EmbeddingProvider, n: int | None = None
+) -> list[ScoredUnit]:
+    """Cosine (dot product of normalized vectors) between query and rows, top n."""
     if provider.name != index.provider:
         raise ProviderMismatch(
             f"index built with provider {index.provider!r}, scoring with {provider.name!r}"
         )
     query_vec = embed([truncate_tokens(query, DENSE_TOKEN_LIMIT)], provider)[0]
-    scores = (index.matrix @ query_vec).tolist()
-    return _ranked(index.unit_ids, scores)
+    return _ranked(index.unit_ids, index.matrix @ query_vec, n)
 
 
 def rank_units(
@@ -261,15 +255,16 @@ def rank_units(
     provider: EmbeddingProvider | None = None,
     k1: float = K1_DEFAULT,
     b: float = B_DEFAULT,
+    n: int | None = None,
 ) -> list[ScoredUnit]:
-    """Score a query against any index kind, returning the full ranking."""
+    """Score a query against any index kind, returning the top n (all when None)."""
     if isinstance(index, DenseIndex):
         if provider is None:
             raise ValueError("dense scoring needs the embedding provider")
-        return score_dense(index, query, provider)
+        return score_dense(index, query, provider, n)
     if index.kind == TFIDF:
-        return score_tfidf(index, query)
-    return score_bm25(index, query, k1=k1, b=b)
+        return score_tfidf(index, query, n)
+    return score_bm25(index, query, k1=k1, b=b, n=n)
 
 
 def parse_retriever(spec: str) -> tuple[str, str | None]:

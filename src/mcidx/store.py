@@ -9,8 +9,12 @@ Directory layout:
 * dense: ``ids.jsonl`` (row order) and ``embeddings.f32le`` (row-major
   little-endian float32 matrix).
 
-Loading rebuilds derived statistics (idf, norms, avgdl) from the stored
-integers, so a save/load round trip reproduces rankings bit-exactly.
+Loading parses the postings straight into the index arrays and checks them
+(terms sorted and unique, unit indexes in range and strictly ascending per
+term, term counts positive and summing to each unit's token count); any
+defect is ``CorruptIndex``. Derived
+statistics (idf, norms, avgdl) are recomputed from the stored integers, so a
+save/load round trip reproduces rankings bit-exactly.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import numpy as np
 
 from .errors import CorruptIndex, VersionMismatch
 from .jsonio import iter_jsonl, write_jsonl
-from .retrieval import BM25, DENSE, TFIDF, DenseIndex, SparseIndex, assemble_sparse_index
+from .retrieval import BM25, DENSE, TFIDF, DenseIndex, SparseIndex
 
 FORMAT_VERSION = 1
 
@@ -46,43 +50,75 @@ def _sha256(path: Path) -> str:
 
 
 def _pack_terms(index: SparseIndex) -> bytes:
-    postings: dict[str, list[tuple[int, int]]] = {}
-    for unit_idx, freqs in enumerate(index.term_freqs):
-        for term, tf in freqs.items():
-            postings.setdefault(term, []).append((unit_idx, tf))
-    out = [_TERMS_MAGIC, struct.pack("<I", len(postings))]
-    for term in sorted(postings):
+    pairs = np.stack([index.postings, index.tfs], axis=1).astype("<u4").tobytes()
+    indptr = index.indptr.tolist()
+    out = [_TERMS_MAGIC, struct.pack("<I", len(index.terms))]
+    for term, row in index.terms.items():  # rows are in sorted term order
+        start, end = indptr[row], indptr[row + 1]
         encoded = term.encode("utf-8")
-        entries = postings[term]
-        out.append(struct.pack("<I", len(encoded)))
-        out.append(encoded)
-        out.append(struct.pack("<I", len(entries)))
-        for unit_idx, tf in entries:
-            out.append(struct.pack("<II", unit_idx, tf))
+        out += [struct.pack("<I", len(encoded)), encoded,
+                struct.pack("<I", end - start), pairs[8 * start:8 * end]]
     return b"".join(out)
 
 
-def _unpack_terms(blob: bytes, n_units: int) -> list[dict[str, int]]:
+def _unpack_terms(blob: bytes, n_units: int) -> tuple[dict[str, int], np.ndarray, np.ndarray, np.ndarray]:
+    """``terms``, ``indptr``, ``postings`` and ``tfs`` of a terms file, checked."""
     if blob[:4] != _TERMS_MAGIC:
         raise CorruptIndex("terms file has wrong magic bytes")
-    term_freqs: list[dict[str, int]] = [{} for _ in range(n_units)]
+    terms: dict[str, int] = {}
+    blocks: list[memoryview] = []
+    counts: list[int] = []
+    view = memoryview(blob)
     try:
         (n_terms,) = struct.unpack_from("<I", blob, 4)
         offset = 8
-        for _ in range(n_terms):
+        for row in range(n_terms):
             (term_len,) = struct.unpack_from("<I", blob, offset)
-            offset += 4
-            term = blob[offset:offset + term_len].decode("utf-8")
-            offset += term_len
-            (n_postings,) = struct.unpack_from("<I", blob, offset)
-            offset += 4
-            for _ in range(n_postings):
-                unit_idx, tf = struct.unpack_from("<II", blob, offset)
-                offset += 8
-                term_freqs[unit_idx][term] = tf
-    except (struct.error, IndexError, UnicodeDecodeError) as exc:
+            term = blob[offset + 4:offset + 4 + term_len].decode("utf-8")
+            if row and term <= previous:
+                raise CorruptIndex(f"terms file has {term!r} after {previous!r}: not sorted and unique")
+            terms[term] = row
+            previous = term
+            (count,) = struct.unpack_from("<I", blob, offset + 4 + term_len)
+            offset += 8 + term_len
+            blocks.append(view[offset:offset + 8 * count])
+            counts.append(count)
+            offset += 8 * count
+    except (struct.error, UnicodeDecodeError) as exc:
         raise CorruptIndex(f"terms file is malformed: {exc}") from exc
-    return term_freqs
+    if offset != len(blob):
+        raise CorruptIndex("terms file size does not match its contents")
+    postings, tfs = np.frombuffer(b"".join(blocks), dtype="<u4").reshape(-1, 2).T.astype(np.int64, order="C")
+    if postings.size and postings.max() >= n_units:
+        raise CorruptIndex("terms file names a unit index out of range")
+    if (tfs == 0).any():
+        raise CorruptIndex("terms file has a zero term count")
+    rows = np.repeat(np.arange(n_terms), counts)
+    if ((np.diff(postings) <= 0) & (np.diff(rows) == 0)).any():
+        raise CorruptIndex("terms file has postings not strictly ascending within a term")
+    return terms, np.concatenate(([0], np.cumsum(counts, dtype=np.int64))), postings, tfs
+
+
+def _count(record: dict, key: str, where: str, minimum: int) -> int:
+    value = record.get(key)
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise CorruptIndex(f"{where}: {key!r} is not an integer >= {minimum}")
+    return value
+
+
+def _read_units(path: Path, n_units: int, with_lens: bool) -> tuple[list[str], list[int]]:
+    """Unit ids (and token counts) of a units or ids file, in row order."""
+    unit_ids: list[str] = []
+    unit_lens: list[int] = []
+    for lineno, record in iter_jsonl(path):
+        if not isinstance(record.get("unit_id"), str):
+            raise CorruptIndex(f"{path.name} line {lineno}: no string 'unit_id'")
+        unit_ids.append(record["unit_id"])
+        if with_lens:
+            unit_lens.append(_count(record, "n_tokens", f"{path.name} line {lineno}", 0))
+    if len(unit_ids) != n_units:
+        raise CorruptIndex(f"{path.name} unit count does not match manifest")
+    return unit_ids, unit_lens
 
 
 def save_index(index: SparseIndex | DenseIndex, directory: str | Path) -> None:
@@ -100,7 +136,7 @@ def save_index(index: SparseIndex | DenseIndex, directory: str | Path) -> None:
             directory / UNITS_FILE,
             (
                 {"unit_id": uid, "n_tokens": n}
-                for uid, n in zip(index.unit_ids, index.unit_lens)
+                for uid, n in zip(index.unit_ids, index.unit_lens.tolist())
             ),
         )
         (directory / TERMS_FILE).write_bytes(_pack_terms(index))
@@ -116,7 +152,10 @@ def save_index(index: SparseIndex | DenseIndex, directory: str | Path) -> None:
 
 
 def _verify_checksums(directory: Path, manifest: dict) -> None:
-    for name, expected in manifest.get("checksums", {}).items():
+    checksums = manifest.get("checksums")
+    if not isinstance(checksums, dict):
+        raise CorruptIndex("manifest: 'checksums' is not an object")
+    for name, expected in checksums.items():
         path = directory / name
         if not path.exists():
             raise CorruptIndex(f"missing index file {name!r}")
@@ -142,22 +181,21 @@ def load_index(directory: str | Path) -> SparseIndex | DenseIndex:
         )
     _verify_checksums(directory, manifest)
     kind = manifest.get("kind")
+    n_units = _count(manifest, "n_units", "manifest", 1)
     if kind == DENSE:
-        unit_ids = [record["unit_id"] for _, record in iter_jsonl(directory / IDS_FILE)]
+        dim = _count(manifest, "dim", "manifest", 1)
+        if not isinstance(manifest.get("provider"), str):
+            raise CorruptIndex("manifest: 'provider' is not a string")
+        unit_ids, _ = _read_units(directory / IDS_FILE, n_units, with_lens=False)
         blob = (directory / EMBEDDINGS_FILE).read_bytes()
-        n, dim = manifest["n_units"], manifest["dim"]
-        if len(unit_ids) != n or len(blob) != n * dim * 4:
+        if len(blob) != n_units * dim * 4:
             raise CorruptIndex("embeddings size does not match manifest")
-        matrix = np.frombuffer(blob, dtype="<f4").reshape(n, dim).copy()
+        matrix = np.frombuffer(blob, dtype="<f4").reshape(n_units, dim).copy()
         return DenseIndex(unit_ids, matrix, manifest["provider"])
     if kind not in (TFIDF, BM25):
         raise CorruptIndex(f"unknown index kind {kind!r}")
-    unit_ids: list[str] = []
-    unit_lens: list[int] = []
-    for _, record in iter_jsonl(directory / UNITS_FILE):
-        unit_ids.append(record["unit_id"])
-        unit_lens.append(record["n_tokens"])
-    if len(unit_ids) != manifest["n_units"]:
-        raise CorruptIndex("unit count does not match manifest")
-    term_freqs = _unpack_terms((directory / TERMS_FILE).read_bytes(), len(unit_ids))
-    return assemble_sparse_index(kind, unit_ids, term_freqs, unit_lens)
+    unit_ids, unit_lens = _read_units(directory / UNITS_FILE, n_units, with_lens=True)
+    terms, indptr, postings, tfs = _unpack_terms((directory / TERMS_FILE).read_bytes(), n_units)
+    if not np.array_equal(np.bincount(postings, weights=tfs, minlength=n_units), unit_lens):
+        raise CorruptIndex(f"{UNITS_FILE} token counts do not match the term counts in {TERMS_FILE}")
+    return SparseIndex(kind, unit_ids, terms, indptr, postings, tfs, np.array(unit_lens, dtype=np.int64))

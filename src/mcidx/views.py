@@ -123,6 +123,32 @@ def extractive_summary(section: Section) -> str:
     return section.text[:end].rstrip()
 
 
+def _doc_freq(doc: Document) -> dict[str, int]:
+    """Number of the document's sections that contain each index term."""
+    df: dict[str, int] = {}
+    for section in doc.sections:
+        for term in set(index_terms(section.text)):
+            df[term] = df.get(term, 0) + 1
+    return df
+
+
+def _top_keywords(
+    section: Section, df: dict[str, int], n_sections: int, n: int = 20, stopwords: frozenset[str] = STOPWORDS
+) -> list[str]:
+    counts: dict[str, int] = {}
+    first_pos: dict[str, int] = {}
+    for pos, term in enumerate(index_terms(section.text)):
+        if term in stopwords:
+            continue
+        counts[term] = counts.get(term, 0) + 1
+        first_pos.setdefault(term, pos)
+    scored = sorted(
+        counts,
+        key=lambda t: (-counts[t] * smoothed_idf(df[t], n_sections), first_pos[t]),
+    )
+    return scored[:n]
+
+
 def extractive_keywords(
     section: Section,
     doc: Document,
@@ -136,23 +162,7 @@ def extractive_keywords(
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    n_sections = len(doc.sections)
-    df: dict[str, int] = {}
-    for other in doc.sections:
-        for term in set(index_terms(other.text)):
-            df[term] = df.get(term, 0) + 1
-    counts: dict[str, int] = {}
-    first_pos: dict[str, int] = {}
-    for pos, term in enumerate(index_terms(section.text)):
-        if term in stopwords:
-            continue
-        counts[term] = counts.get(term, 0) + 1
-        first_pos.setdefault(term, pos)
-    scored = sorted(
-        counts,
-        key=lambda t: (-counts[t] * smoothed_idf(df[t], n_sections), first_pos[t]),
-    )
-    return scored[:n]
+    return _top_keywords(section, _doc_freq(doc), len(doc.sections), n, stopwords)
 
 
 def _llm_views_for_section(section: Section, llm: LlmClient) -> list[ViewEntry]:
@@ -181,8 +191,7 @@ def _llm_views_for_section(section: Section, llm: LlmClient) -> list[ViewEntry]:
     ]
 
 
-def _extractive_views_for_section(section: Section, doc: Document) -> list[ViewEntry]:
-    keywords = extractive_keywords(section, doc)
+def _extractive_views_for_section(section: Section, keywords: list[str]) -> list[ViewEntry]:
     return [
         ViewEntry(section.section_id, ViewKind.RAW_TEXT, section.text, Provenance.IDENTITY),
         ViewEntry(section.section_id, ViewKind.KEYWORDS, KEYWORD_SEPARATOR.join(keywords), Provenance.EXTRACTIVE_FALLBACK),
@@ -202,7 +211,10 @@ def build_views(
     returned order is always the document's section order.
     """
     if generator == EXTRACTIVE_GENERATOR:
-        per_section = [_extractive_views_for_section(s, doc) for s in doc.sections]
+        # One df table per document: keywords rank terms over all its sections.
+        df = _doc_freq(doc)
+        per_section = [_extractive_views_for_section(s, _top_keywords(s, df, len(doc.sections)))
+                       for s in doc.sections]
     elif generator == LLM_GENERATOR:
         if llm is None:
             raise ValueError("generator 'llm' requires an LlmClient")

@@ -71,6 +71,44 @@ def oracle_bm25_scores(
     return scores
 
 
+def reference_loop_scores(
+    units: list[tuple[str, str]], query: str, kind: str, k1: float = 1.5, b: float = 0.75
+) -> dict[str, float]:
+    """Per-unit dict-and-loop scoring in the package's exact operation order.
+
+    TF-IDF norms sum ``(tf * idf) ** 2`` in sorted term order and the dot
+    product runs over query terms in first-occurrence order; BM25 adds one
+    contribution per query token. The vectorized scorers must equal these
+    floats bit for bit, not just within a tolerance.
+    """
+    n = len(units)
+    freqs = [Counter(oracle_terms(text)) for _, text in units]
+    df: Counter[str] = Counter()
+    for tf in freqs:
+        df.update(tf.keys())
+    if kind == "tfidf":
+        idf = {t: math.log((1 + n) / (1 + d)) + 1.0 for t, d in df.items()}
+        q = {t: c * idf[t] for t, c in Counter(oracle_terms(query)).items() if t in idf}
+        q_norm = math.sqrt(sum(w * w for w in q.values()))
+        scores = []
+        for tf in freqs:
+            u_norm = math.sqrt(sum((c * idf[t]) ** 2 for t, c in sorted(tf.items())))
+            dot = sum(w * tf.get(t, 0) * idf[t] for t, w in q.items())
+            scores.append(dot / (q_norm * u_norm) if q_norm * u_norm else 0.0)
+    else:
+        idf = {t: math.log(1.0 + (n - d + 0.5) / (d + 0.5)) for t, d in df.items()}
+        avgdl = sum(sum(tf.values()) for tf in freqs) / n
+        scores = []
+        for tf in freqs:
+            denom_norm = k1 * (1.0 - b + b * (sum(tf.values()) / avgdl if avgdl else 0.0))
+            total = 0.0
+            for t in oracle_terms(query):
+                if tf.get(t):
+                    total += idf[t] * tf[t] * (k1 + 1.0) / (tf[t] + denom_norm)
+            scores.append(total)
+    return {uid: score for (uid, _), score in zip(units, scores)}
+
+
 def oracle_rank(scores: dict[str, float], corpus_order: list[str]) -> list[str]:
     """Unit ids sorted by descending score, ties by corpus position."""
     position = {uid: i for i, uid in enumerate(corpus_order)}

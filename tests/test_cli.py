@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -298,6 +299,13 @@ class TestUsageChecks:
         assert code == 1
         assert "2.5" in capsys.readouterr().err
 
+    def test_eval_recall_repeated_k(self, dataset, capsys):
+        corpus, qa = dataset
+        code = run(["eval", "recall", "--corpus", str(corpus), "--qa", str(qa),
+                    "--scheme", "content", "--retriever", "bm25", "--mode", "single:raw", "--k", "3,3"])
+        assert code == 1
+        assert "repeated budget" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command,rest", [
         (["views"], ["--generator", "extractive", "--output", "unused.jsonl"]),
         (["eval", "recall"], ["--qa", "q.jsonl", "--scheme", "content", "--retriever", "bm25",
@@ -322,3 +330,16 @@ class TestUsageChecks:
         code = run(["retrieve", "--index", str(index), "--question", "anything"])
         assert code == 2
         assert "manifest" in capsys.readouterr().err
+
+    def test_manifest_without_n_units_is_data_error(self, tmp_path, capsys):
+        index = tmp_path / "idx"
+        index.mkdir()
+        checksums = {}
+        for name in ("units.jsonl", "terms.bin"):
+            (index / name).write_bytes(b"")
+            checksums[name] = hashlib.sha256(b"").hexdigest()
+        (index / "manifest.json").write_text(
+            json.dumps({"format_version": 1, "kind": "bm25", "checksums": checksums}))
+        code = run(["retrieve", "--index", str(index), "--question", "anything"])
+        assert code == 2
+        assert "n_units" in capsys.readouterr().err

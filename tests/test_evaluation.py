@@ -137,6 +137,12 @@ class TestEvalRecall:
             assert single.rows[0].mean_recall <= 0.45
             assert mc.rows[0].mean_recall > single.rows[0].mean_recall
 
+    @pytest.mark.parametrize("ks", [[3, 3], [1.5, 3, 3.0]])
+    def test_repeated_budget_rejected(self, ks):
+        docs, qa = synthetic_corpus(n_docs=2)
+        with pytest.raises(ValueError, match="repeated budget"):
+            eval_recall(docs, qa, "content", "bm25", "single:raw", ks)
+
     def test_mc_requires_content_scheme(self):
         docs, qa = synthetic_corpus(n_docs=1)
         with pytest.raises(ValueError):

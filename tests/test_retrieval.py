@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcidx.errors import (
     DimensionMismatch,
@@ -15,9 +17,11 @@ from mcidx.errors import (
 from mcidx.providers import EmbeddingProvider, MockEmbeddingProvider
 from mcidx.retrieval import (
     build_dense_index,
+    build_index,
     build_sparse_index,
     embed,
     parse_retriever,
+    rank_units,
     score_bm25,
     score_dense,
     score_tfidf,
@@ -28,6 +32,7 @@ from oracles import (
     oracle_rank,
     oracle_terms,
     oracle_tfidf_scores,
+    reference_loop_scores,
 )
 
 THREE_UNITS = [("d1", "cat sat"), ("d2", "cat cat dog"), ("d3", "fish")]
@@ -49,7 +54,11 @@ def random_units(rng: random.Random, max_units=10, max_terms=30):
 class TestBuildSparseIndex:
     def test_statistics(self):
         index = build_sparse_index([("a", "cat sat"), ("b", "cat")], "tfidf")
-        assert index.doc_freq == {"cat": 2, "sat": 1}
+        doc_freq = {term: int(index.indptr[row + 1] - index.indptr[row]) for term, row in index.terms.items()}
+        assert doc_freq == {"cat": 2, "sat": 1}
+        assert list(index.terms.values()) == [0, 1]
+        assert index.postings.tolist() == [0, 1, 0]
+        assert index.tfs.tolist() == [1, 1, 1]
         assert index.n == 2
 
     def test_duplicate_unit_id(self):
@@ -127,7 +136,8 @@ class TestScoreBm25:
 
     def test_idf_strictly_positive(self):
         index = build_sparse_index([("a", "cat"), ("b", "cat"), ("c", "cat")], "bm25")
-        assert all(v > 0 for v in index.idf.values())
+        assert index.idf.shape == (1,)
+        assert (index.idf > 0).all()
 
 
 class TestOracleEquivalence:
@@ -154,6 +164,25 @@ class TestOracleEquivalence:
             checked += 1
         assert checked == 100
 
+    @pytest.mark.parametrize("kind", ["tfidf", "bm25"])
+    def test_scores_bit_exact_against_loop_reference(self, kind):
+        # In the first corpus u0's TF-IDF norm differs in the last bit when
+        # (tf * idf) ** 2 is taken as a plain product instead of C pow().
+        cases = [([("u0", "a b b b")] + [(f"u{i}", "x") for i in range(1, 5)], "a")]
+        rng = random.Random(77)
+        for _ in range(60):
+            vocabulary = [f"w{i}" for i in range(rng.randint(2, 80))]
+            units = [
+                (f"u{i}", " ".join(rng.choice(vocabulary) for _ in range(rng.randint(0, 60))))
+                for i in range(rng.randint(1, 30))
+            ]
+            query = " ".join(rng.choice(vocabulary + ["unseen"]) for _ in range(rng.randint(0, 8)))
+            cases.append((units, query))
+        for units, query in cases:
+            expected = reference_loop_scores(units, query, kind)
+            index = build_sparse_index(units, kind)
+            assert {u.unit_id: u.score for u in rank_units(index, query)} == expected
+
     def test_scores_always_finite(self):
         rng = random.Random(9)
         for _ in range(20):
@@ -162,6 +191,24 @@ class TestOracleEquivalence:
                 index = build_sparse_index(units, kind)
                 for scored in scorer(index, "t0 t1 t2"):
                     assert math.isfinite(scored.score)
+
+
+class TestTopN:
+    # Texts over three words repeat often, so equal scores straddle every cut.
+    @settings(max_examples=60, deadline=None)
+    @given(
+        texts=st.lists(st.lists(st.sampled_from("abc"), max_size=3).map(" ".join), min_size=1, max_size=12),
+        query=st.lists(st.sampled_from("abcz"), max_size=4).map(" ".join),
+    )
+    def test_top_n_is_prefix_of_full_ranking(self, texts, query):
+        units = [(f"u{i}", text) for i, text in enumerate(texts)]
+        provider = MockEmbeddingProvider()
+        for kind in ("tfidf", "bm25", "dense"):
+            index = build_index(units, kind, provider)
+            full = rank_units(index, query, provider)
+            assert len(full) == len(units)
+            for n in range(1, len(units) + 2):
+                assert rank_units(index, query, provider, n=n) == full[:n], (kind, n)
 
 
 class TestEmbed:

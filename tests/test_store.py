@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import struct
 
+import numpy as np
 import pytest
 
 from mcidx.errors import CorruptIndex, VersionMismatch
@@ -13,7 +16,7 @@ from mcidx.retrieval import (
     score_dense,
     score_tfidf,
 )
-from mcidx.store import EMBEDDINGS_FILE, MANIFEST, TERMS_FILE, load_index, save_index
+from mcidx.store import EMBEDDINGS_FILE, IDS_FILE, MANIFEST, TERMS_FILE, UNITS_FILE, load_index, save_index
 
 UNITS = [
     ("u1", "cat sat on the mat"),
@@ -64,11 +67,10 @@ class TestSparseRoundTrip:
         save_index(index, tmp_path / "idx")
         reloaded = load_index(tmp_path / "idx")
         assert reloaded.unit_ids == index.unit_ids
-        assert reloaded.term_freqs == index.term_freqs
-        assert reloaded.doc_freq == index.doc_freq
-        assert reloaded.unit_lens == index.unit_lens
+        assert reloaded.terms == index.terms
+        for name in ("indptr", "postings", "tfs", "unit_lens", "idf"):
+            assert np.array_equal(getattr(reloaded, name), getattr(index, name)), name
         assert reloaded.avgdl == index.avgdl
-        assert reloaded.idf == index.idf
 
 
 class TestDenseRoundTrip:
@@ -117,3 +119,116 @@ class TestCorruption:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(CorruptIndex):
             load_index(tmp_path)
+
+
+def _rewrite(directory, name, data: bytes):
+    """Replace an index file and update its manifest checksum, so loading reaches the parser."""
+    (directory / name).write_bytes(data)
+    manifest = json.loads((directory / MANIFEST).read_text())
+    manifest["checksums"][name] = hashlib.sha256(data).hexdigest()
+    (directory / MANIFEST).write_text(json.dumps(manifest))
+
+
+def _edit_manifest(directory, **changes):
+    manifest = json.loads((directory / MANIFEST).read_text())
+    for key, value in changes.items():
+        if value is _DROP:
+            del manifest[key]
+        else:
+            manifest[key] = value
+    (directory / MANIFEST).write_text(json.dumps(manifest))
+
+
+_DROP = object()
+
+
+def _terms_blob(entries) -> bytes:
+    """terms.bin bytes for ``[(term, [(unit_idx, tf), ...]), ...]`` in the given order."""
+    out = [b"MCIT", struct.pack("<I", len(entries))]
+    for term, postings in entries:
+        encoded = term.encode("utf-8")
+        out += [struct.pack("<I", len(encoded)), encoded, struct.pack("<I", len(postings))]
+        out += [struct.pack("<II", unit_idx, tf) for unit_idx, tf in postings]
+    return b"".join(out)
+
+
+class TestCorruptIndexRejected:
+    @pytest.fixture
+    def sparse(self, tmp_path):
+        save_index(build_sparse_index(UNITS, "bm25"), tmp_path)
+        return tmp_path
+
+    @pytest.fixture
+    def dense(self, tmp_path):
+        save_index(build_dense_index(UNITS, MockEmbeddingProvider()), tmp_path)
+        return tmp_path
+
+    def test_valid_handmade_terms_file_loads(self, sparse):
+        units = "".join(f'{{"unit_id": "u{i}", "n_tokens": {n}}}\n' for i, n in enumerate([1, 3, 0, 0], 1))
+        _rewrite(sparse, UNITS_FILE, units.encode())
+        _rewrite(sparse, TERMS_FILE, _terms_blob([("cat", [(0, 1), (1, 2)]), ("dog", [(1, 1)])]))
+        index = load_index(sparse)
+        assert index.terms == {"cat": 0, "dog": 1}
+        assert index.postings.tolist() == [0, 1, 1]
+        assert index.tfs.tolist() == [1, 2, 1]
+
+    @pytest.mark.parametrize("changes", [
+        {"n_units": _DROP}, {"n_units": "4"}, {"n_units": 4.0}, {"n_units": True}, {"n_units": 0},
+    ], ids=["missing", "string", "float", "bool", "zero"])
+    def test_bad_n_units_sparse(self, sparse, changes):
+        _edit_manifest(sparse, **changes)
+        with pytest.raises(CorruptIndex, match="n_units"):
+            load_index(sparse)
+
+    @pytest.mark.parametrize("changes", [{"checksums": _DROP}, {"checksums": []}], ids=["missing", "list"])
+    def test_bad_checksums(self, sparse, changes):
+        _edit_manifest(sparse, **changes)
+        with pytest.raises(CorruptIndex, match="checksums"):
+            load_index(sparse)
+
+    @pytest.mark.parametrize("changes", [
+        {"n_units": _DROP}, {"dim": _DROP}, {"dim": "64"}, {"provider": _DROP}, {"provider": 7},
+    ], ids=["no-n_units", "no-dim", "string-dim", "no-provider", "int-provider"])
+    def test_bad_dense_manifest(self, dense, changes):
+        _edit_manifest(dense, **changes)
+        with pytest.raises(CorruptIndex):
+            load_index(dense)
+
+    def test_dense_record_without_unit_id(self, dense):
+        _rewrite(dense, IDS_FILE, b'{"unit_id": "u1"}\n{"id": "u2"}\n{"unit_id": "u3"}\n{"unit_id": "u4"}\n')
+        with pytest.raises(CorruptIndex, match="unit_id"):
+            load_index(dense)
+
+    @pytest.mark.parametrize("record", [
+        '{"n_tokens": 5}', '{"unit_id": "u2"}', '{"unit_id": "u2", "n_tokens": "5"}',
+        '{"unit_id": "u2", "n_tokens": 5.0}', '{"unit_id": "u2", "n_tokens": -1}',
+        '{"unit_id": "u2", "n_tokens": 4}',
+    ], ids=["no-unit_id", "no-n_tokens", "string-n_tokens", "float-n_tokens", "negative-n_tokens",
+            "n_tokens-not-sum-of-tfs"])
+    def test_bad_units_record(self, sparse, record):
+        lines = (sparse / UNITS_FILE).read_text().splitlines()
+        lines[1] = record
+        _rewrite(sparse, UNITS_FILE, ("\n".join(lines) + "\n").encode())
+        with pytest.raises(CorruptIndex):
+            load_index(sparse)
+
+    @pytest.mark.parametrize("entries", [
+        [("dog", [(0, 1)]), ("cat", [(1, 1)])],
+        [("cat", [(0, 1)]), ("cat", [(1, 1)])],
+        [("cat", [(0, 1), (4, 1)])],
+        [("cat", [(0, 1), (1, 0)])],
+        [("cat", [(1, 1), (0, 1)])],
+        [("cat", [(1, 1), (1, 2)])],
+    ], ids=["unsorted-terms", "repeated-term", "unit-out-of-range", "zero-tf",
+            "descending-postings", "repeated-posting"])
+    def test_bad_terms_file(self, sparse, entries):
+        _rewrite(sparse, TERMS_FILE, _terms_blob(entries))
+        with pytest.raises(CorruptIndex):
+            load_index(sparse)
+
+    @pytest.mark.parametrize("cut", [-3, 3], ids=["truncated", "trailing-bytes"])
+    def test_terms_file_size(self, sparse, cut):
+        blob = (sparse / TERMS_FILE).read_bytes()
+        _rewrite(sparse, TERMS_FILE, blob[:cut] if cut < 0 else blob + b"\0" * cut)
+        with pytest.raises(CorruptIndex):
+            load_index(sparse)
