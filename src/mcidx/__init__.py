@@ -11,10 +11,7 @@ from .chunking import (
     Chunk,
     ChunkScheme,
     ChunkingErrorReport,
-    chunk_content_aware,
     chunk_document,
-    chunk_flc,
-    chunk_flc_content,
     chunking_error,
     split_sentences,
 )

@@ -1,13 +1,14 @@
 """Chunking schemes and the chunking-error metric.
 
-Three schemes produce retrieval units from a document:
+Three schemes produce retrieval units from a document. Each cuts a list of
+regions, either whole or by a greedy sentence merge:
 
-* content-aware: one chunk per section, the section text itself;
-* fixed-length (``flc:<N>``): whole sentences of the full document greedily
-  merged until a chunk reaches the target token count;
-* section-bounded fixed-length (``flc-content:<N>``): the same greedy merge
-  applied independently inside each section, so chunks never cross section
-  boundaries.
+* content-aware (``content``): each section is one region, kept whole;
+* fixed-length (``flc:<N>``): the full document text is one region, whose
+  whole sentences are greedily merged until a chunk reaches the target token
+  count;
+* section-bounded fixed-length (``flc-content:<N>``): each section is one
+  region, merged the same way, so chunks never cross section boundaries.
 
 Sentences are never split, so chunks can overshoot the target by at most one
 sentence.
@@ -15,11 +16,12 @@ sentence.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
 from .corpus import Document, QAItem
-from .errors import DataError, EmptyCorpus, InvalidTarget, UnknownDoc
+from .errors import DataError, EmptyCorpus, UnknownDoc
 from .jsonio import write_jsonl
 from .text import token_count
 
@@ -29,13 +31,25 @@ FLC_CONTENT = "flc-content"
 
 # Characters that may open a following sentence, besides uppercase and digits.
 _OPENERS = "\"'([{“‘«"
-_TERMINALS = ".!?"
+# A terminal and the whitespace run after it; ``\s`` matches exactly the
+# characters for which ``str.isspace()`` is true.
+_TERMINAL_RUN = re.compile(r"[.!?]\s+")
 
 
 @dataclass(frozen=True)
 class ChunkScheme:
     kind: str
     target_tokens: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.kind == CONTENT:
+            if self.target_tokens is not None:
+                raise ValueError(f"the {CONTENT} scheme takes no target, got {self.target_tokens!r}")
+        elif self.kind in (FLC, FLC_CONTENT):
+            if not isinstance(self.target_tokens, int) or self.target_tokens < 1:
+                raise ValueError(f"{self.kind} chunk target must be an integer >= 1, got {self.target_tokens!r}")
+        else:
+            raise ValueError(f"unknown chunking scheme kind {self.kind!r}")
 
     def spec(self) -> str:
         if self.kind == CONTENT:
@@ -45,18 +59,14 @@ class ChunkScheme:
     @classmethod
     def parse(cls, spec: str) -> "ChunkScheme":
         """Parse ``content | flc:<N> | flc-content:<N>``."""
-        if spec == CONTENT:
-            return cls(CONTENT)
         kind, sep, target = spec.partition(":")
-        if kind in (FLC, FLC_CONTENT) and sep:
-            try:
-                n = int(target)
-            except ValueError:
-                raise ValueError(f"bad chunk target in scheme spec {spec!r}") from None
-            if n < 1:
-                raise ValueError(f"chunk target must be >= 1 in {spec!r}")
-            return cls(kind, n)
-        raise ValueError(f"unknown chunking scheme spec {spec!r}")
+        if not sep:
+            return cls(kind)
+        try:
+            n = int(target)
+        except ValueError:
+            raise ValueError(f"bad chunk target in scheme spec {spec!r}") from None
+        return cls(kind, n)
 
 
 @dataclass(frozen=True)
@@ -92,25 +102,14 @@ def split_sentences(text: str) -> list[tuple[str, tuple[int, int]]]:
     if not text:
         return []
     n = len(text)
-    bounds: list[int] = []
-    for i, ch in enumerate(text):
-        if ch not in _TERMINALS:
-            continue
-        k = i + 1
-        while k < n and text[k].isspace():
-            k += 1
-        if k == i + 1 or k == n:
-            continue
-        nxt = text[k]
-        if nxt.isupper() or nxt.isdigit() or nxt in _OPENERS:
+    bounds = []
+    for match in _TERMINAL_RUN.finditer(text):
+        k = match.end()
+        if k < n and (text[k].isupper() or text[k].isdigit() or text[k] in _OPENERS):
             bounds.append(k)
-    sentences = []
-    prev = 0
-    for bound in bounds:
-        sentences.append((text[prev:bound], (prev, bound)))
-        prev = bound
-    sentences.append((text[prev:], (prev, n)))
-    return sentences
+    starts = [0, *bounds]
+    ends = [*bounds, n]
+    return [(text[s:e], (s, e)) for s, e in zip(starts, ends)]
 
 
 def _greedy_spans(sentences: list[tuple[str, tuple[int, int]]], target_tokens: int) -> list[tuple[int, int]]:
@@ -150,72 +149,31 @@ def _containing_section(doc: Document, span: tuple[int, int]) -> str | None:
     return None
 
 
-def chunk_content_aware(doc: Document) -> list[Chunk]:
-    """One chunk per section."""
-    scheme = ChunkScheme(CONTENT)
-    return [
-        Chunk(f"c{i:04d}", doc.doc_id, section.section_id, section.doc_span, section.text, scheme)
-        for i, section in enumerate(doc.sections)
-    ]
-
-
-def chunk_flc(doc: Document, target_tokens: int) -> list[Chunk]:
-    """Fixed-length chunks over the whole document text.
-
-    A chunk crossing a section boundary has ``section_id`` None.
-    """
-    if target_tokens < 1:
-        raise InvalidTarget(f"target_tokens must be >= 1, got {target_tokens}")
-    scheme = ChunkScheme(FLC, target_tokens)
-    sentences = split_sentences(doc.full_text)
-    if not sentences:
-        return []
-    chunks = []
-    for i, span in enumerate(_greedy_spans(sentences, target_tokens)):
-        chunks.append(
-            Chunk(
-                chunk_id=f"c{i:04d}",
-                doc_id=doc.doc_id,
-                section_id=_containing_section(doc, span),
-                doc_span=span,
-                text=doc.full_text[span[0]:span[1]],
-                scheme=scheme,
-            )
-        )
-    return chunks
-
-
-def chunk_flc_content(doc: Document, target_tokens: int) -> list[Chunk]:
-    """Fixed-length chunks built independently inside each section."""
-    if target_tokens < 1:
-        raise InvalidTarget(f"target_tokens must be >= 1, got {target_tokens}")
-    scheme = ChunkScheme(FLC_CONTENT, target_tokens)
-    chunks: list[Chunk] = []
-    for section in doc.sections:
-        offset = section.doc_span[0]
-        for s, e in _greedy_spans(split_sentences(section.text), target_tokens):
-            span = (offset + s, offset + e)
-            chunks.append(
-                Chunk(
-                    chunk_id=f"c{len(chunks):04d}",
-                    doc_id=doc.doc_id,
-                    section_id=section.section_id,
-                    doc_span=span,
-                    text=doc.full_text[span[0]:span[1]],
-                    scheme=scheme,
-                )
-            )
-    return chunks
-
-
 def chunk_document(doc: Document, scheme: ChunkScheme) -> list[Chunk]:
-    if scheme.kind == CONTENT:
-        return chunk_content_aware(doc)
+    """The document's chunks under ``scheme``, in document order.
+
+    ``flc`` cuts the full text as one region, so a chunk's section is the one
+    containing it, or None when it crosses a section boundary. The other
+    schemes cut each section as its own region and keep that section's id.
+    """
+    text = doc.full_text
     if scheme.kind == FLC:
-        return chunk_flc(doc, scheme.target_tokens)
-    if scheme.kind == FLC_CONTENT:
-        return chunk_flc_content(doc, scheme.target_tokens)
-    raise ValueError(f"unknown scheme kind {scheme.kind!r}")
+        regions = [(None, (0, len(text)))]
+    else:
+        regions = [(section.section_id, section.doc_span) for section in doc.sections]
+    chunks: list[Chunk] = []
+    for section_id, (start, end) in regions:
+        if scheme.kind == CONTENT:
+            spans = [(start, end)]
+        else:
+            sentences = split_sentences(text[start:end])
+            spans = [(start + s, start + e) for s, e in _greedy_spans(sentences, scheme.target_tokens)]
+        for span in spans:
+            chunk_section = _containing_section(doc, span) if scheme.kind == FLC else section_id
+            chunks.append(
+                Chunk(f"c{len(chunks):04d}", doc.doc_id, chunk_section, span, text[span[0]:span[1]], scheme)
+            )
+    return chunks
 
 
 def scope_doc_span(doc: Document, item: QAItem) -> tuple[int, int]:

@@ -23,7 +23,7 @@ from .corpus import (
     parse_markdown,
     write_corpus_jsonl,
 )
-from .errors import McIndexError, ParseError, ProviderError
+from .errors import InvalidK, McIndexError, ParseError, ProviderError
 from .evaluation import (
     MODE_MC,
     doc_contexts,
@@ -34,7 +34,7 @@ from .evaluation import (
     judge_pairwise,
     parse_mode,
 )
-from .fusion import retrieve_mc, retrieve_single
+from .fusion import _validate_k, retrieve_mc, retrieve_single
 from .jsonio import write_jsonl
 from .providers import HttpLlmClient
 from .retrieval import DENSE, DenseIndex, build_index, parse_retriever, resolve_provider
@@ -57,17 +57,27 @@ EXIT_PROVIDER = 3
 
 
 def parse_k_list(spec: str) -> tuple[float, ...]:
+    """Budgets of a comma-separated ``--k`` value; a bad one is a usage error."""
     ks = []
     for piece in spec.split(","):
-        piece = piece.strip()
         try:
-            value = float(piece)
-        except ValueError:
-            raise ValueError(f"bad budget {piece!r} in k list") from None
-        if value != 1.5 and not value.is_integer():
-            raise ValueError(f"bad budget {piece!r}: must be 1.5 or an integer")
-        ks.append(int(value) * 1.0 if value.is_integer() else value)
+            ks.append(_validate_k(float(piece), minimum=1))
+        except (ValueError, InvalidK):
+            raise ValueError(f"bad budget {piece.strip()!r}: must be 1.5 or a positive integer") from None
     return tuple(ks)
+
+
+def parse_k(spec: str) -> float:
+    """The budget of a ``--k`` value that takes exactly one (ValueError otherwise)."""
+    (k,) = parse_k_list(spec)
+    return k
+
+
+def _write_text(path: str, text: str) -> None:
+    """Write an output file, creating its parent directories."""
+    output = Path(path)
+    output.parent.mkdir(parents=True, exist_ok=True)
+    output.write_text(text, encoding="utf-8")
 
 
 def _load_views_arg(args):
@@ -160,7 +170,6 @@ def cmd_retrieve(args) -> int:
 
 
 def cmd_eval_recall(args) -> int:
-    ks = parse_k_list(args.k)
     docs = load_corpus_jsonl(args.corpus)
     qa = load_and_filter_qa(args.qa, docs)
     llm = _llm_from_env(args.jobs) if args.generator == LLM_GENERATOR else None
@@ -170,7 +179,7 @@ def cmd_eval_recall(args) -> int:
         args.scheme,
         args.retriever,
         args.mode,
-        list(ks),
+        list(args.k),
         views=_load_views_arg(args),
         generator=args.generator,
         llm=llm,
@@ -180,13 +189,11 @@ def cmd_eval_recall(args) -> int:
     )
     csv_text = report.to_csv()
     if args.output:
-        output = Path(args.output)
-        output.parent.mkdir(parents=True, exist_ok=True)
-        output.write_text(csv_text, encoding="utf-8")
+        _write_text(args.output, csv_text)
     else:
         sys.stdout.write(csv_text)
     if args.markdown:
-        Path(args.markdown).write_text(report.to_markdown(), encoding="utf-8")
+        _write_text(args.markdown, report.to_markdown())
     return EXIT_OK
 
 
@@ -201,7 +208,7 @@ def cmd_eval_chunking_error(args) -> int:
         lines.append(f"{spec},{report.n_scopes},{report.n_split},{report.error_rate:.6f}")
     text = "\n".join(lines) + "\n"
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+        _write_text(args.output, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -315,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="index directory (three for --mode mc: raw keywords summary)")
     p.add_argument("--mode", default="single:raw", help="mc | single:<raw|keywords|summary>")
     p.add_argument("--question", required=True)
-    p.add_argument("--k", type=float, default=5)
+    p.add_argument("--k", type=parse_k, default="5")
     p.add_argument("--ordinal", type=int, default=0, help="question ordinal for budget alternation")
     _add_bm25_flags(p)
     p.set_defaults(func=cmd_retrieve)
@@ -329,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", required=True)
     p.add_argument("--retriever", required=True)
     p.add_argument("--mode", required=True)
-    p.add_argument("--k", required=True, help="comma-separated budgets, e.g. 1.5,3,5,10")
+    p.add_argument("--k", type=parse_k_list, required=True, help="comma-separated budgets, e.g. 1.5,3,5,10")
     p.add_argument("--views", default=None, help="views.jsonl to reuse")
     p.add_argument("--generator", choices=(LLM_GENERATOR, EXTRACTIVE_GENERATOR),
                    default=EXTRACTIVE_GENERATOR)
@@ -352,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--qa", required=True)
     p.add_argument("--retriever", required=True)
-    p.add_argument("--k", type=float, default=5)
+    p.add_argument("--k", type=parse_k, default="5")
     p.add_argument("--scheme-a", required=True)
     p.add_argument("--mode-a", required=True)
     p.add_argument("--scheme-b", required=True)

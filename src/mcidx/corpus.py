@@ -58,9 +58,6 @@ class Document:
     def sections_by_id(self) -> dict[str, Section]:
         return {s.section_id: s for s in self.sections}
 
-    def section(self, section_id: str) -> Section:
-        return self.sections_by_id[section_id]
-
 
 class QuestionType(enum.Enum):
     NARRATIVE_PLOT = "NarrativePlot"
@@ -267,13 +264,9 @@ def write_corpus_jsonl(docs: list[Document], path: str | Path) -> None:
     )
 
 
-def filter_long_docs(docs: list[Document], min_tokens: int = MIN_DOC_TOKENS, count_tokens=token_count) -> list[Document]:
-    """Keep documents with at least ``min_tokens`` tokens, preserving order.
-
-    ``count_tokens`` is a hook for alternative tokenizers; the whitespace
-    default is normative.
-    """
-    return [d for d in docs if count_tokens(d.full_text) >= min_tokens]
+def filter_long_docs(docs: list[Document], min_tokens: int = MIN_DOC_TOKENS) -> list[Document]:
+    """Keep documents with at least ``min_tokens`` whitespace tokens, preserving order."""
+    return [d for d in docs if token_count(d.full_text) >= min_tokens]
 
 
 def load_qa_jsonl(path: str | Path) -> list[QAItem]:

@@ -42,10 +42,6 @@ class UnknownDoc(DataError):
     """A question references a document (or section) that is not present."""
 
 
-class InvalidTarget(DataError):
-    """Chunk target length below 1."""
-
-
 class InvalidK(DataError):
     """Retrieval budget outside {1.5} and the positive integers."""
 

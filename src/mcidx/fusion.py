@@ -54,9 +54,9 @@ def _validate_k(k: float, minimum: float) -> float:
 def per_view_budget(k: float, question_ordinal: int) -> int:
     """Per-view budget k' for total budget k at the given question ordinal.
 
-    k=1.5 -> 1; k=3 -> 1/2 alternating; k=5 -> 3; k=10 -> 6/7 alternating;
-    any other integer k -> floor(2k/3) on even ordinals, ceil(2k/3) on odd,
-    never below 1.
+    k=1.5 -> 1; k=3 -> 1/2 alternating; k=5 -> 3; any other integer k ->
+    floor(2k/3) on even ordinals, ceil(2k/3) on odd, never below 1 (so k=10
+    -> 6/7 alternating).
     """
     value = _validate_k(k, minimum=2)
     odd = question_ordinal % 2 == 1
@@ -67,8 +67,6 @@ def per_view_budget(k: float, question_ordinal: int) -> int:
         return 2 if odd else 1
     if kk == 5:
         return 3
-    if kk == 10:
-        return 7 if odd else 6
     budget = math.ceil(2 * kk / 3) if odd else math.floor(2 * kk / 3)
     return max(1, budget)
 

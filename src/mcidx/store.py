@@ -3,7 +3,7 @@
 Directory layout:
 
 * ``manifest.json`` - format_version, kind, provider, unit/dim counts, and a
-  sha256 checksum per data file (verified on load);
+  sha256 checksum for exactly the kind's data files (verified on load);
 * sparse: ``units.jsonl`` (unit ids and token counts, in corpus order) and
   ``terms.bin`` (inverted index: term postings as little-endian u32 pairs);
 * dense: ``ids.jsonl`` (row order) and ``embeddings.f32le`` (row-major
@@ -39,6 +39,10 @@ IDS_FILE = "ids.jsonl"
 EMBEDDINGS_FILE = "embeddings.f32le"
 
 _TERMS_MAGIC = b"MCIT"
+
+
+def _data_files(kind: str) -> tuple[str, str]:
+    return (IDS_FILE, EMBEDDINGS_FILE) if kind == DENSE else (UNITS_FILE, TERMS_FILE)
 
 
 def _sha256(path: Path) -> str:
@@ -128,7 +132,6 @@ def save_index(index: SparseIndex | DenseIndex, directory: str | Path) -> None:
         kind = DENSE
         write_jsonl(directory / IDS_FILE, ({"unit_id": uid} for uid in index.unit_ids))
         (directory / EMBEDDINGS_FILE).write_bytes(index.matrix.astype("<f4").tobytes())
-        data_files = [IDS_FILE, EMBEDDINGS_FILE]
         extra = {"provider": index.provider, "n_units": index.n, "dim": index.dim}
     else:
         kind = index.kind
@@ -140,21 +143,22 @@ def save_index(index: SparseIndex | DenseIndex, directory: str | Path) -> None:
             ),
         )
         (directory / TERMS_FILE).write_bytes(_pack_terms(index))
-        data_files = [UNITS_FILE, TERMS_FILE]
         extra = {"provider": None, "n_units": index.n}
     manifest = {
         "format_version": FORMAT_VERSION,
         "kind": kind,
-        "checksums": {name: _sha256(directory / name) for name in data_files},
+        "checksums": {name: _sha256(directory / name) for name in _data_files(kind)},
         **extra,
     }
     (directory / MANIFEST).write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
 
 
-def _verify_checksums(directory: Path, manifest: dict) -> None:
+def _verify_checksums(directory: Path, manifest: dict, data_files: tuple[str, str]) -> None:
     checksums = manifest.get("checksums")
     if not isinstance(checksums, dict):
         raise CorruptIndex("manifest: 'checksums' is not an object")
+    if set(checksums) != set(data_files):
+        raise CorruptIndex(f"manifest: 'checksums' must name exactly {sorted(data_files)}")
     for name, expected in checksums.items():
         path = directory / name
         if not path.exists():
@@ -179,8 +183,10 @@ def load_index(directory: str | Path) -> SparseIndex | DenseIndex:
         raise VersionMismatch(
             f"index format version {manifest.get('format_version')!r} is not supported"
         )
-    _verify_checksums(directory, manifest)
     kind = manifest.get("kind")
+    if kind not in (TFIDF, BM25, DENSE):
+        raise CorruptIndex(f"unknown index kind {kind!r}")
+    _verify_checksums(directory, manifest, _data_files(kind))
     n_units = _count(manifest, "n_units", "manifest", 1)
     if kind == DENSE:
         dim = _count(manifest, "dim", "manifest", 1)
@@ -192,8 +198,6 @@ def load_index(directory: str | Path) -> SparseIndex | DenseIndex:
             raise CorruptIndex("embeddings size does not match manifest")
         matrix = np.frombuffer(blob, dtype="<f4").reshape(n_units, dim).copy()
         return DenseIndex(unit_ids, matrix, manifest["provider"])
-    if kind not in (TFIDF, BM25):
-        raise CorruptIndex(f"unknown index kind {kind!r}")
     unit_ids, unit_lens = _read_units(directory / UNITS_FILE, n_units, with_lens=True)
     terms, indptr, postings, tfs = _unpack_terms((directory / TERMS_FILE).read_bytes(), n_units)
     if not np.array_equal(np.bincount(postings, weights=tfs, minlength=n_units), unit_lens):

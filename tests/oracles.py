@@ -130,6 +130,34 @@ def oracle_cosine_scores(rows: list[list[float]], query_row: list[float]) -> lis
     return scores
 
 
+def oracle_split_sentences(text: str) -> list[tuple[str, tuple[int, int]]]:
+    """Per-character sentence split: a boundary after '.', '!' or '?', a
+    whitespace run (``str.isspace``), and then an uppercase letter, a digit or
+    an opening quote/bracket; the run stays with the preceding sentence."""
+    if not text:
+        return []
+    n = len(text)
+    bounds: list[int] = []
+    for i, ch in enumerate(text):
+        if ch not in ".!?":
+            continue
+        k = i + 1
+        while k < n and text[k].isspace():
+            k += 1
+        if k == i + 1 or k == n:
+            continue
+        nxt = text[k]
+        if nxt.isupper() or nxt.isdigit() or nxt in "\"'([{“‘«":
+            bounds.append(k)
+    sentences = []
+    prev = 0
+    for bound in bounds:
+        sentences.append((text[prev:bound], (prev, bound)))
+        prev = bound
+    sentences.append((text[prev:], (prev, n)))
+    return sentences
+
+
 def oracle_scope_split(chunk_spans: list[tuple[int, int]], scope: tuple[int, int]) -> bool:
     """Position-set containment check: split iff no chunk covers every scope char."""
     scope_chars = set(range(scope[0], scope[1]))

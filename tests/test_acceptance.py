@@ -11,13 +11,7 @@ import random
 import time
 from contextlib import contextmanager
 
-from mcidx.chunking import (
-    ChunkScheme,
-    chunk_content_aware,
-    chunk_document,
-    chunking_error,
-    scope_doc_span,
-)
+from mcidx.chunking import ChunkScheme, chunk_document, chunking_error, scope_doc_span
 from mcidx.cli import run
 from mcidx.corpus import QAItem, QuestionType, write_corpus_jsonl, write_qa_jsonl
 from mcidx.evaluation import eval_recall, judge_outcome, recall_of_set
@@ -72,11 +66,11 @@ def test_criterion_1_recall_worked_example():
 def test_criterion_2_content_aware_error_is_zero():
     with criterion(2, "content-aware chunking error is 0.0 on bundled and 50 random corpora", 5.0):
         docs, qa = synthetic_corpus()
-        chunks = [c for d in docs for c in chunk_content_aware(d)]
+        chunks = [c for d in docs for c in chunk_document(d, ChunkScheme("content"))]
         assert chunking_error(chunks, qa, docs).error_rate == 0.0
         for seed in range(50):
             docs, qa = synthetic_corpus(n_docs=2, questions_per_doc=4, seed=1000 + seed)
-            chunks = [c for d in docs for c in chunk_content_aware(d)]
+            chunks = [c for d in docs for c in chunk_document(d, ChunkScheme("content"))]
             report = chunking_error(chunks, qa, docs)
             assert report.error_rate == 0.0
             assert report.n_scopes == len(qa)

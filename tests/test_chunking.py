@@ -5,19 +5,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import make_doc
-from mcidx.chunking import (
-    ChunkScheme,
-    chunk_content_aware,
-    chunk_flc,
-    chunk_flc_content,
-    chunking_error,
-    split_sentences,
-)
+from mcidx.chunking import ChunkScheme, chunk_document, chunking_error, split_sentences
 from mcidx.corpus import QAItem, QuestionType
-from mcidx.errors import EmptyCorpus, InvalidTarget, UnknownDoc
+from mcidx.errors import EmptyCorpus, UnknownDoc
 from mcidx.synthetic import synthetic_corpus
 from mcidx.text import token_count
-from oracles import oracle_scope_split
+from oracles import oracle_scope_split, oracle_split_sentences
+
+# Terminals, ASCII and Unicode whitespace, non-ASCII uppercase, Unicode digits
+# and every opener: the characters the sentence rule branches on.
+_SENTENCE_ALPHABET = ".!?" + " \t\n\x1c\x85\u3000\xa0" + "aAÉΩЖ" + "1²٣" + "\"'([{“‘«" + "b,"
 
 
 def sent(n_tokens, stem="w"):
@@ -51,6 +48,10 @@ class TestSplitSentences:
     def test_empty_text(self):
         assert split_sentences("") == []
 
+    @given(st.text(alphabet=_SENTENCE_ALPHABET, max_size=80))
+    def test_equals_per_character_oracle(self, text):
+        assert split_sentences(text) == oracle_split_sentences(text)
+
     @given(st.text(max_size=300))
     def test_spans_partition_input(self, text):
         result = split_sentences(text)
@@ -68,21 +69,21 @@ class TestSplitSentences:
 class TestContentAware:
     def test_one_chunk_per_section(self):
         doc = make_doc(["one two.", "three four.", "five."])
-        chunks = chunk_content_aware(doc)
+        chunks = chunk_document(doc, ChunkScheme("content"))
         assert len(chunks) == 3
         assert [c.doc_span for c in chunks] == [s.doc_span for s in doc.sections]
         assert [c.text for c in chunks] == [s.text for s in doc.sections]
 
     def test_single_section(self):
         doc = make_doc(["only section text."])
-        chunks = chunk_content_aware(doc)
+        chunks = chunk_document(doc, ChunkScheme("content"))
         assert len(chunks) == 1
         assert chunks[0].text == doc.sections[0].text
 
     def test_section_ids_set_and_unique(self):
         docs, _ = synthetic_corpus(n_docs=2)
         for doc in docs:
-            ids = [c.section_id for c in chunk_content_aware(doc)]
+            ids = [c.section_id for c in chunk_document(doc, ChunkScheme("content"))]
             assert None not in ids
             assert len(set(ids)) == len(ids)
 
@@ -90,33 +91,33 @@ class TestContentAware:
 class TestFlc:
     def test_greedy_close_at_target(self):
         doc = make_doc([" ".join([sent(60, "a"), sent(50, "b"), sent(70, "c")])])
-        chunks = chunk_flc(doc, 100)
+        chunks = chunk_document(doc, ChunkScheme("flc", 100))
         assert [token_count(c.text) for c in chunks] == [110, 70]
 
     def test_single_long_sentence_never_split(self):
         doc = make_doc([sent(400)])
-        chunks = chunk_flc(doc, 100)
+        chunks = chunk_document(doc, ChunkScheme("flc", 100))
         assert len(chunks) == 1
         assert token_count(chunks[0].text) == 400
 
     def test_empty_body_gives_no_chunks(self):
         doc = make_doc([""])
-        assert chunk_flc(doc, 100) == []
+        assert chunk_document(doc, ChunkScheme("flc", 100)) == []
 
     def test_invalid_target(self):
-        with pytest.raises(InvalidTarget):
-            chunk_flc(make_doc(["x."]), 0)
+        with pytest.raises(ValueError):
+            chunk_document(make_doc(["x."]), ChunkScheme("flc", 0))
 
     def test_cross_section_chunk_has_no_section_id(self):
         # Two sections; one sentence each; chunk big enough to span both.
         doc = make_doc([sent(30, "a"), sent(30, "b")])
-        chunks = chunk_flc(doc, 50)
+        chunks = chunk_document(doc, ChunkScheme("flc", 50))
         assert len(chunks) == 1
         assert chunks[0].section_id is None
 
     def test_chunk_inside_one_section_keeps_its_id(self):
         doc = make_doc([" ".join([sent(40, "a"), sent(40, "b")]), sent(80, "c")])
-        chunks = chunk_flc(doc, 80)
+        chunks = chunk_document(doc, ChunkScheme("flc", 80))
         assert chunks[0].section_id == "s0000"
         assert chunks[-1].section_id == "s0001"
 
@@ -126,7 +127,7 @@ class TestFlcContent:
         texts = [" ".join(sent(50, f"a{i}") for i in range(3)),
                  " ".join(sent(50, f"b{i}") for i in range(3))]
         doc = make_doc(texts)
-        chunks = chunk_flc_content(doc, 100)
+        chunks = chunk_document(doc, ChunkScheme("flc-content", 100))
         assert len(chunks) == 4  # two per 150-token section
         by_section = {}
         for chunk in chunks:
@@ -140,14 +141,14 @@ class TestFlcContent:
 
     def test_short_section_is_one_chunk(self):
         doc = make_doc([sent(30)])
-        chunks = chunk_flc_content(doc, 100)
+        chunks = chunk_document(doc, ChunkScheme("flc-content", 100))
         assert len(chunks) == 1
         assert chunks[0].text == doc.sections[0].text
 
     def test_contrast_with_plain_flc_at_boundary(self):
         doc = make_doc([sent(30, "a"), sent(30, "b")])
-        plain = chunk_flc(doc, 50)
-        bounded = chunk_flc_content(doc, 50)
+        plain = chunk_document(doc, ChunkScheme("flc", 50))
+        bounded = chunk_document(doc, ChunkScheme("flc-content", 50))
         assert any(c.section_id is None for c in plain)
         assert all(c.section_id is not None for c in bounded)
 
@@ -159,14 +160,14 @@ def _qa(doc_id, section_id, span, qid="q"):
 class TestChunkingError:
     def test_content_aware_is_zero(self):
         docs, qa = synthetic_corpus(n_docs=3)
-        chunks = [c for d in docs for c in chunk_content_aware(d)]
+        chunks = [c for d in docs for c in chunk_document(d, ChunkScheme("content"))]
         report = chunking_error(chunks, qa, docs)
         assert report.error_rate == 0.0
         assert report.n_scopes == len(qa)
 
     def test_scope_crossing_chunk_boundary_counts_split(self):
         doc = make_doc([" ".join(sent(25, f"s{i}") for i in range(4))])
-        chunks = chunk_flc(doc, 25)  # one chunk per sentence
+        chunks = chunk_document(doc, ChunkScheme("flc", 25))  # one chunk per sentence
         boundary = chunks[0].doc_span[1]
         item = _qa(doc.doc_id, "s0000", (boundary - 10, boundary + 10))
         report = chunking_error(chunks, [item], [doc])
@@ -175,13 +176,13 @@ class TestChunkingError:
 
     def test_scope_inside_one_chunk_not_split(self):
         doc = make_doc([" ".join(sent(25, f"s{i}") for i in range(4))])
-        chunks = chunk_flc(doc, 100)
+        chunks = chunk_document(doc, ChunkScheme("flc", 100))
         item = _qa(doc.doc_id, "s0000", (10, 40))
         assert chunking_error(chunks, [item], [doc]).n_split == 0
 
     def test_unknown_doc_raises(self):
         doc = make_doc(["alpha beta."])
-        chunks = chunk_content_aware(doc)
+        chunks = chunk_document(doc, ChunkScheme("content"))
         with pytest.raises(UnknownDoc):
             chunking_error(chunks, [_qa("ghost", "s0000", (0, 3))], [doc])
 
@@ -191,7 +192,7 @@ class TestChunkingError:
 
     def test_error_rate_zero_when_no_scopes(self):
         doc = make_doc(["alpha beta."])
-        report = chunking_error(chunk_content_aware(doc), [], [doc])
+        report = chunking_error(chunk_document(doc, ChunkScheme("content")), [], [doc])
         assert report.error_rate == 0.0
 
 
@@ -200,7 +201,7 @@ class TestPartitionInvariants:
     def test_flc_partitions_full_text(self, target):
         docs, _ = synthetic_corpus(n_docs=3)
         for doc in docs:
-            chunks = chunk_flc(doc, target)
+            chunks = chunk_document(doc, ChunkScheme("flc", target))
             assert chunks[0].doc_span[0] == 0
             assert chunks[-1].doc_span[1] == len(doc.full_text)
             for left, right in zip(chunks, chunks[1:]):
@@ -212,7 +213,7 @@ class TestPartitionInvariants:
     def test_flc_content_partitions_each_section(self, target):
         docs, _ = synthetic_corpus(n_docs=3)
         for doc in docs:
-            chunks = chunk_flc_content(doc, target)
+            chunks = chunk_document(doc, ChunkScheme("flc-content", target))
             by_section = {}
             for chunk in chunks:
                 by_section.setdefault(chunk.section_id, []).append(chunk)
@@ -228,7 +229,7 @@ class TestPartitionInvariants:
         docs, _ = synthetic_corpus(n_docs=3)
         for doc in docs:
             max_sentence = max(token_count(s) for s, _ in split_sentences(doc.full_text))
-            chunks = chunk_flc(doc, target)
+            chunks = chunk_document(doc, ChunkScheme("flc", target))
             for chunk in chunks[:-1]:
                 assert token_count(chunk.text) >= target
             for chunk in chunks:
@@ -244,3 +245,8 @@ class TestChunkScheme:
     def test_bad_specs_rejected(self, spec):
         with pytest.raises(ValueError):
             ChunkScheme.parse(spec)
+
+    @pytest.mark.parametrize("kind,target", [("flc", 0), ("content", 5), ("flc", None), ("semantic", None)])
+    def test_bad_schemes_rejected_on_construction(self, kind, target):
+        with pytest.raises(ValueError):
+            ChunkScheme(kind, target)

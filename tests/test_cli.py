@@ -154,6 +154,18 @@ class TestPipeline:
                     "--output", str(tmp_path / "r.csv"), "--markdown", str(md)]) == 0
         assert "k=3" in md.read_text()
 
+    def test_output_paths_create_parent_directories(self, dataset, tmp_path):
+        corpus, qa = dataset
+        out = tmp_path / "new" / "dirs"
+        assert run(["eval", "recall", "--corpus", str(corpus), "--qa", str(qa),
+                    "--scheme", "content", "--retriever", "bm25", "--mode", "single:raw", "--k", "3",
+                    "--output", str(out / "csv" / "r.csv"), "--markdown", str(out / "md" / "r.md")]) == 0
+        assert run(["eval", "chunking-error", "--corpus", str(corpus), "--qa", str(qa),
+                    "--scheme", "content", "--output", str(out / "err" / "e.csv")]) == 0
+        assert (out / "csv" / "r.csv").read_text().startswith("scheme,retriever,mode,k")
+        assert "k=3" in (out / "md" / "r.md").read_text()
+        assert (out / "err" / "e.csv").read_text().startswith("scheme,n_scopes")
+
     def test_eval_chunking_error_multiple_schemes(self, dataset, tmp_path, capsys):
         corpus, qa = dataset
         assert run(["eval", "chunking-error", "--corpus", str(corpus), "--qa", str(qa),
@@ -198,7 +210,7 @@ class TestPipeline:
 
 class TestParseKList:
     def test_bad_k_rejected(self):
-        for spec in ("2.5", "3,0.5", "nan", "inf"):
+        for spec in ("2.5", "3,0.5", "nan", "inf", "0", "-3", "3,0"):
             with pytest.raises(ValueError):
                 parse_k_list(spec)
 
@@ -298,6 +310,36 @@ class TestUsageChecks:
                     "--scheme", "content", "--retriever", "bm25", "--mode", "mc", "--k", "2.5"])
         assert code == 1
         assert "2.5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k", ["2.5", "nan", "0", "-3", "3,5"])
+    def test_retrieve_bad_k_is_usage_error(self, k, dataset, tmp_path, capsys):
+        corpus, _ = dataset
+        idx = tmp_path / "idx"
+        assert run(["index", "--corpus", str(corpus), "--scheme", "content",
+                    "--retriever", "bm25", "--output", str(idx)]) == 0
+        assert run(["retrieve", "--index", str(idx), "--question", "anything", "--k", k]) == 1
+        assert "--k" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k", ["0", "-3", "nan"])
+    def test_eval_recall_bad_k_is_usage_error(self, k, dataset, capsys):
+        corpus, qa = dataset
+        code = run(["eval", "recall", "--corpus", str(corpus), "--qa", str(qa),
+                    "--scheme", "content", "--retriever", "bm25", "--mode", "single:raw", "--k", k])
+        assert code == 1
+        assert "--k" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k", ["2.5", "0"])
+    def test_eval_answers_bad_k_is_usage_error_before_setup(self, k, dataset, tmp_path, monkeypatch, capsys):
+        # No LLM endpoint: a budget noticed after setup would exit 3 instead.
+        monkeypatch.delenv("MCIDX_LLM_URL", raising=False)
+        corpus, qa = dataset
+        code = run(["eval", "answers", "--corpus", str(corpus), "--qa", str(qa),
+                    "--retriever", "bm25", "--k", k,
+                    "--scheme-a", "content", "--mode-a", "mc",
+                    "--scheme-b", "content", "--mode-b", "single:raw",
+                    "--output", str(tmp_path / "judge.jsonl")])
+        assert code == 1
+        assert "--k" in capsys.readouterr().err
 
     def test_eval_recall_repeated_k(self, dataset, capsys):
         corpus, qa = dataset

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import ScriptedLlm, make_doc
 import mcidx.evaluation as evaluation
-from mcidx.chunking import ChunkScheme, chunk_flc
+from mcidx.chunking import ChunkScheme, chunk_document
 from mcidx.corpus import QAItem, QuestionType
 from mcidx.errors import EmptyRetrieval, EmptyScope, ParseError, UnknownDoc, ViewMismatch
 from mcidx.evaluation import (
@@ -88,7 +88,7 @@ class TestRecallOfSet:
     def test_union_equals_sum_for_disjoint_flc_chunks(self):
         docs, qa = synthetic_corpus(n_docs=2)
         for doc in docs:
-            chunks = chunk_flc(doc, 100)
+            chunks = chunk_document(doc, ChunkScheme("flc", 100))
             for item in [q for q in qa if q.doc_id == doc.doc_id]:
                 rng = random.Random(item.question_id)
                 subset = rng.sample(chunks, min(4, len(chunks)))
@@ -102,7 +102,7 @@ class TestRecallOfSet:
 
     def test_accepts_chunk_objects(self):
         doc = self._doc()
-        chunks = chunk_flc(doc, 10)
+        chunks = chunk_document(doc, ChunkScheme("flc", 10))
         item = _qa(doc.doc_id, "s0000", (0, 100))
         assert recall_of_set(chunks, item, [doc]) == 1.0
 

@@ -186,6 +186,24 @@ class TestCorruptIndexRejected:
         with pytest.raises(CorruptIndex, match="checksums"):
             load_index(sparse)
 
+    @pytest.mark.parametrize("names", [(), (TERMS_FILE,), (TERMS_FILE, IDS_FILE)],
+                             ids=["none", "terms-only", "other-kind-file"])
+    def test_checksums_must_name_the_kind_files(self, sparse, names):
+        # The edited units file loads unless the manifest is held to the kind's files.
+        units = sparse / UNITS_FILE
+        units.write_text(units.read_text().replace('"u1"', '"zzz"', 1))
+        (sparse / IDS_FILE).write_text('{"unit_id": "u1"}\n')
+        _edit_manifest(sparse, checksums={n: hashlib.sha256((sparse / n).read_bytes()).hexdigest() for n in names})
+        with pytest.raises(CorruptIndex, match="checksums"):
+            load_index(sparse)
+
+    def test_checksums_naming_an_extra_file(self, dense):
+        (dense / "notes.txt").write_bytes(b"x")
+        manifest = json.loads((dense / MANIFEST).read_text())
+        _edit_manifest(dense, checksums={**manifest["checksums"], "notes.txt": hashlib.sha256(b"x").hexdigest()})
+        with pytest.raises(CorruptIndex, match="checksums"):
+            load_index(dense)
+
     @pytest.mark.parametrize("changes", [
         {"n_units": _DROP}, {"dim": _DROP}, {"dim": "64"}, {"provider": _DROP}, {"provider": 7},
     ], ids=["no-n_units", "no-dim", "string-dim", "no-provider", "int-provider"])
