@@ -23,9 +23,9 @@ from .corpus import (
     parse_markdown,
     write_corpus_jsonl,
 )
-from .errors import InvalidK, McIndexError, ParseError, ProviderError
+from .errors import McIndexError, ParseError, ProviderError
 from .evaluation import (
-    MODE_MC,
+    check_budgets,
     doc_contexts,
     doc_units,
     doc_views_for,
@@ -58,13 +58,7 @@ EXIT_PROVIDER = 3
 
 def parse_k_list(spec: str) -> tuple[float, ...]:
     """Budgets of a comma-separated ``--k`` value; a bad one is a usage error."""
-    ks = []
-    for piece in spec.split(","):
-        try:
-            ks.append(_validate_k(float(piece), minimum=1))
-        except (ValueError, InvalidK):
-            raise ValueError(f"bad budget {piece.strip()!r}: must be 1.5 or a positive integer") from None
-    return tuple(ks)
+    return tuple(_validate_k(piece, minimum=1) for piece in spec.split(","))
 
 
 def parse_k(spec: str) -> float:
@@ -138,7 +132,11 @@ def cmd_index(args) -> int:
 
 
 def cmd_retrieve(args) -> int:
-    mode_kind, _ = parse_mode(args.mode)
+    views = parse_mode(args.mode)
+    if len(args.index) != len(views):
+        raise ValueError(f"--mode {args.mode} needs one --index directory per view ({len(views)}), "
+                         f"got {len(args.index)}")
+    check_budgets(views, [args.k])
     indexes = [load_index(d) for d in args.index]
     providers = {
         index.provider: resolve_provider(index.provider)
@@ -146,12 +144,8 @@ def cmd_retrieve(args) -> int:
         if isinstance(index, DenseIndex)
     }
     provider = next(iter(providers.values()), None)
-    if mode_kind == MODE_MC:
-        if len(indexes) != 3:
-            raise ValueError("--mode mc needs three index directories: raw keywords summary")
-        view_indexes = dict(zip((ViewKind.RAW_TEXT, ViewKind.KEYWORDS, ViewKind.SUMMARY), indexes))
-        fused = retrieve_mc(view_indexes, args.question, args.k, args.ordinal, provider,
-                            k1=args.k1, b=args.b)
+    if len(views) > 1:
+        fused = retrieve_mc(dict(zip(views, indexes)), args.question, args.k, args.ordinal, provider)
         for pos, unit in enumerate(fused.units, start=1):
             print(json.dumps({
                 "unit_id": unit.unit_id,
@@ -160,10 +154,7 @@ def cmd_retrieve(args) -> int:
                 "view_ranks": {v.value: r for v, r in unit.view_ranks.items()},
             }))
     else:
-        if len(indexes) != 1:
-            raise ValueError("single-view retrieval takes exactly one index directory")
-        scored = retrieve_single(indexes[0], args.question, args.k, args.ordinal, provider,
-                                 k1=args.k1, b=args.b)
+        scored = retrieve_single(indexes[0], args.question, args.k, args.ordinal, provider)
         for unit in scored:
             print(json.dumps({"unit_id": unit.unit_id, "score": unit.score, "rank": unit.rank}))
     return EXIT_OK
@@ -184,8 +175,6 @@ def cmd_eval_recall(args) -> int:
         generator=args.generator,
         llm=llm,
         invert_parity=args.invert_parity,
-        k1=args.k1,
-        b=args.b,
     )
     csv_text = report.to_csv()
     if args.output:
@@ -215,6 +204,8 @@ def cmd_eval_chunking_error(args) -> int:
 
 
 def cmd_eval_answers(args) -> int:
+    for mode in (args.mode_a, args.mode_b):
+        check_budgets(parse_mode(mode), [args.k])
     docs = load_corpus_jsonl(args.corpus)
     qa = load_and_filter_qa(args.qa, docs)
     by_id = {d.doc_id: d for d in docs}
@@ -262,11 +253,6 @@ def cmd_stats(args) -> int:
     qa = load_and_filter_qa(args.qa, docs) if args.qa else []
     print(json.dumps(corpus_stats(docs, qa).to_dict()))
     return EXIT_OK
-
-
-def _add_bm25_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--k1", type=float, default=1.5, help="BM25 term saturation")
-    parser.add_argument("--b", type=float, default=0.75, help="BM25 length normalization")
 
 
 def _at_least_one(text: str) -> int:
@@ -324,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--question", required=True)
     p.add_argument("--k", type=parse_k, default="5")
     p.add_argument("--ordinal", type=int, default=0, help="question ordinal for budget alternation")
-    _add_bm25_flags(p)
     p.set_defaults(func=cmd_retrieve)
 
     p_eval = sub.add_parser("eval", help="evaluation harness")
@@ -344,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="give even ordinals the larger alternating budget")
     p.add_argument("--output", default=None, help="CSV path (default: stdout)")
     p.add_argument("--markdown", default=None, help="also write a markdown table here")
-    _add_bm25_flags(p)
     _add_jobs_flag(p)
     p.set_defaults(func=cmd_eval_recall)
 

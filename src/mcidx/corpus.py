@@ -26,7 +26,7 @@ logger = logging.getLogger(__name__)
 SECTION_SEPARATOR = "\n"
 
 # Reference-style sections dropped at ingestion to reduce retrieval noise.
-DEFAULT_EXCLUDED_HEADINGS = frozenset({"see also", "notes", "references", "external links"})
+EXCLUDED_HEADINGS = frozenset({"see also", "notes", "references", "external links"})
 
 PREAMBLE_HEADING = "(preamble)"
 
@@ -159,18 +159,13 @@ def build_document(
     return Document(doc_id, title, tuple(built), SECTION_SEPARATOR.join(pieces))
 
 
-def parse_markdown(
-    text: str,
-    doc_id: str,
-    title: str | None = None,
-    excluded_headings: frozenset[str] = DEFAULT_EXCLUDED_HEADINGS,
-) -> Document:
+def parse_markdown(text: str, doc_id: str) -> Document:
     """Split markdown into flat sections at headings of any level.
 
     A heading line (1-6 ``#`` then whitespace) opens a new section whose text
     runs until the next heading; a heading therefore contributes only its own
     preamble, never the text of nested subheadings. Text before the first
-    heading becomes a level-0 section. Headings matching ``excluded_headings``
+    heading becomes a level-0 section. Headings in ``EXCLUDED_HEADINGS``
     (case-insensitive) are dropped together with their body, and sections
     whose body is blank are dropped entirely.
     """
@@ -184,7 +179,7 @@ def parse_markdown(
 
     sections: list[tuple[str, str, int, str]] = []
     for heading, level, lines in blocks:
-        if heading.casefold() in excluded_headings:
+        if heading.casefold() in EXCLUDED_HEADINGS:
             continue
         body = "\n".join(lines).strip()
         if not body:
@@ -192,7 +187,7 @@ def parse_markdown(
         sections.append((f"s{len(sections):04d}", heading, level, body))
     if not sections:
         raise EmptyDocument(f"no content survived heading exclusion for {doc_id!r}")
-    return build_document(doc_id, title if title is not None else doc_id, sections)
+    return build_document(doc_id, doc_id, sections)
 
 
 def render_markdown(doc: Document) -> str:

@@ -42,10 +42,6 @@ class UnknownDoc(DataError):
     """A question references a document (or section) that is not present."""
 
 
-class InvalidK(DataError):
-    """Retrieval budget outside {1.5} and the positive integers."""
-
-
 class ViewMismatch(DataError):
     """View indexes do not cover the same unit ids."""
 

@@ -25,9 +25,7 @@ from .jsonio import iter_json_objects
 from .prompts import render_answer_prompt, render_judge_prompt
 from .providers import EmbeddingProvider, LlmClient
 from .retrieval import (
-    B_DEFAULT,
     DENSE,
-    K1_DEFAULT,
     DenseIndex,
     SparseIndex,
     build_index,
@@ -39,24 +37,29 @@ from .views import EXTRACTIVE_GENERATOR, ViewEntry, ViewKind, build_views, view_
 
 logger = logging.getLogger(__name__)
 
-MODE_MC = "mc"
-MODE_SINGLE = "single"
-
-_SINGLE_VIEWS = {
-    "raw": ViewKind.RAW_TEXT,
-    "keywords": ViewKind.KEYWORDS,
-    "summary": ViewKind.SUMMARY,
+_MODE_VIEWS = {
+    "mc": VIEW_ORDER,
+    "single:raw": (None,),
+    "single:keywords": (ViewKind.KEYWORDS,),
+    "single:summary": (ViewKind.SUMMARY,),
 }
 
 
-def parse_mode(spec: str) -> tuple[str, ViewKind | None]:
-    """Parse ``mc | single:<raw|keywords|summary>``."""
-    if spec == MODE_MC:
-        return MODE_MC, None
-    kind, sep, view = spec.partition(":")
-    if kind == MODE_SINGLE and sep and view in _SINGLE_VIEWS:
-        return MODE_SINGLE, _SINGLE_VIEWS[view]
-    raise ValueError(f"unknown mode spec {spec!r}")
+def parse_mode(spec: str) -> tuple[ViewKind | None, ...]:
+    """The views ``mc | single:<raw|keywords|summary>`` indexes, in fusion order.
+
+    ``None`` is the scheme's chunks, which ``single:raw`` indexes.
+    """
+    if spec not in _MODE_VIEWS:
+        raise ValueError(f"unknown mode spec {spec!r}")
+    return _MODE_VIEWS[spec]
+
+
+def check_budgets(views: tuple[ViewKind | None, ...], ks: list[float]) -> None:
+    """Reject (ValueError) a budget the rule of a mode with these views does not take."""
+    rule = per_view_budget if len(views) > 1 else single_budget
+    for k in ks:
+        rule(k, 0)
 
 
 def format_k(k: float) -> str:
@@ -150,14 +153,6 @@ def recall_of_set(retrieved, qa: QAItem, docs) -> float:
     return covered / (scope_end - scope_start)
 
 
-def _mode_views(mode: str) -> tuple[ViewKind | None, ...]:
-    """The views a mode indexes, in fusion order; ``None`` is the scheme's chunks."""
-    mode_kind, view = parse_mode(mode)
-    if mode_kind == MODE_MC:
-        return VIEW_ORDER
-    return (None if view is ViewKind.RAW_TEXT else view,)
-
-
 def doc_units(
     doc: Document, scheme: ChunkScheme, view: ViewKind | None, doc_views: list[ViewEntry] | None
 ) -> list[tuple[str, tuple[int, int], str]]:
@@ -199,12 +194,11 @@ class DocRetrievalContext:
     indexes: dict[ViewKind | None, SparseIndex | DenseIndex]
     provider: EmbeddingProvider | None
 
-    def retrieve(self, question: str, ks: list[float], ordinal: int,
-                 k1: float = K1_DEFAULT, b: float = B_DEFAULT) -> list[list[str]]:
+    def retrieve(self, question: str, ks: list[float], ordinal: int) -> list[list[str]]:
         """Retrieved unit ids per budget k, all from one ranking per index to the largest budget."""
         fused = len(self.indexes) > 1
         budgets = [(per_view_budget if fused else single_budget)(k, ordinal) for k in ks]
-        rankings = {view: rank_units(index, question, self.provider, k1=k1, b=b, n=max(budgets, default=0))
+        rankings = {view: rank_units(index, question, self.provider, n=max(budgets, default=0))
                     for view, index in self.indexes.items()}
         if fused:
             return [fuse(rankings, budget).unit_ids for budget in budgets]
@@ -221,7 +215,7 @@ def build_doc_context(
     doc_views: list[ViewEntry] | None,
 ) -> DocRetrievalContext:
     indexes = {}
-    for view in _mode_views(mode):
+    for view in parse_mode(mode):
         # The views of a mode share one unit table: the document's sections.
         units = doc_units(doc, scheme, view, doc_views)
         span_by_unit = {uid: span for uid, span, _ in units}
@@ -238,7 +232,7 @@ def doc_contexts(
     Keyword and summary views come from ``views`` when given, else they are
     built with ``generator``.
     """
-    needs_views = any(v in (ViewKind.KEYWORDS, ViewKind.SUMMARY) for v in _mode_views(mode))
+    needs_views = any(v in (ViewKind.KEYWORDS, ViewKind.SUMMARY) for v in parse_mode(mode))
     retriever_kind, provider_name = parse_retriever(retriever)
     if retriever_kind != DENSE:
         provider = None
@@ -272,8 +266,6 @@ def eval_recall(
     llm: LlmClient | None = None,
     provider: EmbeddingProvider | None = None,
     invert_parity: bool = False,
-    k1: float = K1_DEFAULT,
-    b: float = B_DEFAULT,
 ) -> RecallReport:
     """Mean recall per budget k for one (scheme, retriever, mode) setup.
 
@@ -282,6 +274,7 @@ def eval_recall(
     budget alternation. Questions whose document is absent are skipped with a
     warning.
     """
+    check_budgets(parse_mode(mode), ks)
     if len({float(k) for k in ks}) != len(ks):
         raise ValueError(f"repeated budget in {list(ks)}: each k gets one row")
     if isinstance(scheme, str):
@@ -296,7 +289,7 @@ def eval_recall(
             continue
         ctx = context_for(doc)
         ordinal = position + 1 if invert_parity else position
-        for k, unit_ids in zip(ks, ctx.retrieve(item.question, ks, ordinal, k1=k1, b=b)):
+        for k, unit_ids in zip(ks, ctx.retrieve(item.question, ks, ordinal)):
             spans = [ctx.span_by_unit[uid] for uid in unit_ids]
             per_k[float(k)].append(recall_of_set(spans, item, by_id))
 

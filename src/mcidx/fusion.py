@@ -5,7 +5,9 @@ the top results from each view, deduplication brings the union back to
 approximately k units. Fractional budgets (k=1.5, and the odd/even split of
 2k/3) alternate by question ordinal so they average out over a dataset. The
 fused union is never truncated to k: comparisons happen at matched budgets,
-not matched output sizes.
+not matched output sizes. A multi-view budget is 1.5 or an integer >= 2, a
+single-view one 1.5 or a positive integer; anything else is a ValueError.
+Every view is ranked by ``rank_units`` with its retriever's fixed settings.
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidK, ViewMismatch
+from .errors import ViewMismatch
 from .providers import EmbeddingProvider
-from .retrieval import B_DEFAULT, K1_DEFAULT, DenseIndex, ScoredUnit, SparseIndex, rank_units
+from .retrieval import DenseIndex, ScoredUnit, SparseIndex, rank_units
 from .views import ViewKind
 
 # Fixed merge order; recall over the returned set is order-insensitive, this
@@ -39,24 +41,22 @@ class FusedResult:
         return [u.unit_id for u in self.units]
 
 
-def _validate_k(k: float, minimum: float) -> float:
-    if k == 1.5:
-        return 1.5
-    try:
-        value = float(k)
-    except (TypeError, ValueError):
-        raise InvalidK(f"budget must be 1.5 or a positive integer, got {k!r}") from None
+def _validate_k(k: float, minimum: int) -> float:
+    """k as a float if it is 1.5 or an integer >= minimum, else ValueError."""
+    value = float(k)
+    if value == 1.5:
+        return value
     if not value.is_integer() or value < minimum:
-        raise InvalidK(f"budget must be 1.5 or an integer >= {minimum}, got {k!r}")
+        raise ValueError(f"--k {value:g}: budget must be 1.5 or an integer >= {minimum}")
     return value
 
 
 def per_view_budget(k: float, question_ordinal: int) -> int:
     """Per-view budget k' for total budget k at the given question ordinal.
 
-    k=1.5 -> 1; k=3 -> 1/2 alternating; k=5 -> 3; any other integer k ->
-    floor(2k/3) on even ordinals, ceil(2k/3) on odd, never below 1 (so k=10
-    -> 6/7 alternating).
+    k=1.5 -> 1; k=3 -> 1/2 alternating; k=5 -> 3; any other integer k >= 2
+    -> floor(2k/3) on even ordinals, ceil(2k/3) on odd (so k=10 -> 6/7
+    alternating).
     """
     value = _validate_k(k, minimum=2)
     odd = question_ordinal % 2 == 1
@@ -67,8 +67,7 @@ def per_view_budget(k: float, question_ordinal: int) -> int:
         return 2 if odd else 1
     if kk == 5:
         return 3
-    budget = math.ceil(2 * kk / 3) if odd else math.floor(2 * kk / 3)
-    return max(1, budget)
+    return math.ceil(2 * kk / 3) if odd else math.floor(2 * kk / 3)
 
 
 def single_budget(k: float, question_ordinal: int) -> int:
@@ -85,11 +84,9 @@ def retrieve_single(
     k: float,
     question_ordinal: int,
     provider: EmbeddingProvider | None = None,
-    k1: float = K1_DEFAULT,
-    b: float = B_DEFAULT,
 ) -> list[ScoredUnit]:
     """Top-k single-view retrieval; k=1.5 alternates between 1 and 2."""
-    return rank_units(index, query, provider, k1=k1, b=b, n=single_budget(k, question_ordinal))
+    return rank_units(index, query, provider, n=single_budget(k, question_ordinal))
 
 
 def fuse(rankings: dict[ViewKind, list[ScoredUnit]], k_prime: int) -> FusedResult:
@@ -115,8 +112,6 @@ def retrieve_mc(
     k: float,
     question_ordinal: int,
     provider: EmbeddingProvider | None = None,
-    k1: float = K1_DEFAULT,
-    b: float = B_DEFAULT,
 ) -> FusedResult:
     """Rank the query in each view index and ``fuse`` the per-view top-k'."""
     missing = [v.value for v in VIEW_ORDER if v not in view_indexes]
@@ -126,6 +121,6 @@ def retrieve_mc(
     if len(set(id_sets.values())) != 1:
         raise ViewMismatch("view indexes cover different unit id sets")
     k_prime = per_view_budget(k, question_ordinal)
-    rankings = {view: rank_units(view_indexes[view], query, provider, k1=k1, b=b, n=k_prime)
+    rankings = {view: rank_units(view_indexes[view], query, provider, n=k_prime)
                 for view in VIEW_ORDER}
     return fuse(rankings, k_prime)

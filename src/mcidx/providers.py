@@ -34,6 +34,8 @@ EMBED_URL_ENV = "MCIDX_EMBED_URL"
 _RETRYABLE_STATUS = {429, 500, 502, 503, 504}
 DEFAULT_MAX_IN_FLIGHT = 4
 
+MOCK_EMBED_DIM = 256
+
 
 class LlmClient:
     """Interface for text generation endpoints."""
@@ -169,24 +171,23 @@ class HttpEmbeddingProvider(EmbeddingProvider):
 class MockEmbeddingProvider(EmbeddingProvider):
     """Deterministic offline provider: feature-hashed term counts.
 
-    Each term is hashed into one of ``dim`` buckets; a text's vector is its
-    bucket-count histogram (normalization happens index-side). Identical
-    texts always map to identical vectors, so rankings are reproducible and
-    checkable against a brute-force cosine oracle.
+    Each term is hashed into one of ``MOCK_EMBED_DIM`` buckets; a text's
+    vector is its bucket-count histogram (normalization happens index-side).
+    Identical texts always map to identical vectors, so rankings are
+    reproducible and checkable against a brute-force cosine oracle.
     """
 
-    def __init__(self, dim: int = 256, name: str = "mock"):
+    def __init__(self, name: str = "mock"):
         self.name = name
-        self.dim = dim
 
     def _bucket(self, term: str) -> int:
         digest = hashlib.blake2b(term.encode("utf-8"), digest_size=8).digest()
-        return int.from_bytes(digest, "little") % self.dim
+        return int.from_bytes(digest, "little") % MOCK_EMBED_DIM
 
     def embed(self, texts: list[str]) -> list[list[float]]:
         rows = []
         for text in texts:
-            row = [0.0] * self.dim
+            row = [0.0] * MOCK_EMBED_DIM
             for term in index_terms(text):
                 row[self._bucket(term)] += 1.0
             rows.append(row)

@@ -1,9 +1,11 @@
 """Sparse (TF-IDF, Okapi BM25) and dense scoring over retrieval units.
 
 Sparse indexes hold term postings, and a query touches only its own terms'
-postings. Rankings have scores non-increasing and ties broken by ascending
-corpus position, so results are reproducible across runs and thread counts;
-the top n is always a prefix of the full ranking. Evaluation builds one
+postings. BM25 runs at its standard settings k1=1.5, b=0.75 (Robertson &
+Zaragoza, 2009), the constants ``BM25_K1`` and ``BM25_B`` that only
+``score_bm25`` reads. Rankings have scores non-increasing and ties broken by
+ascending corpus position, so results are reproducible across runs and thread
+counts; the top n is always a prefix of the full ranking. Evaluation builds one
 context per document and ranks each question once per index, to the largest
 budget: every budget k is a prefix of that ranking.
 """
@@ -25,8 +27,8 @@ TFIDF = "tfidf"
 BM25 = "bm25"
 DENSE = "dense"
 
-K1_DEFAULT = 1.5
-B_DEFAULT = 0.75
+BM25_K1 = 1.5
+BM25_B = 0.75
 
 # Single-vector encoders cap their input; texts are cut to this many
 # whitespace tokens before embedding.
@@ -172,10 +174,8 @@ def score_tfidf(index: SparseIndex, query: str, n: int | None = None) -> list[Sc
     return _ranked(index.unit_ids, np.divide(dots, denom, out=np.zeros(index.n), where=denom != 0), n)
 
 
-def score_bm25(
-    index: SparseIndex, query: str, k1: float = K1_DEFAULT, b: float = B_DEFAULT, n: int | None = None
-) -> list[ScoredUnit]:
-    """Okapi BM25 with saturation k1 and length normalization b, top n.
+def score_bm25(index: SparseIndex, query: str, n: int | None = None) -> list[ScoredUnit]:
+    """Okapi BM25 with saturation ``BM25_K1`` and length normalization ``BM25_B``, top n.
 
     Contributions sum over query token occurrences, so repeated query terms
     scale their contribution.
@@ -185,14 +185,14 @@ def score_bm25(
     found = [postings for term in index_terms(query) if (postings := index.term_postings(term)) is not None]
     scores = np.zeros(index.n)
     if found:  # then some unit has terms, so avgdl > 0
-        denom_norm = k1 * (1.0 - b + b * (index.unit_lens / index.avgdl))
+        denom_norm = BM25_K1 * (1.0 - BM25_B + BM25_B * (index.unit_lens / index.avgdl))
     for idf, unit_idx, tfs in found:
-        scores[unit_idx] += idf * tfs * (k1 + 1.0) / (tfs + denom_norm[unit_idx])
+        scores[unit_idx] += idf * tfs * (BM25_K1 + 1.0) / (tfs + denom_norm[unit_idx])
     return _ranked(index.unit_ids, scores, n)
 
 
-def embed(texts: list[str], provider: EmbeddingProvider, batch_size: int = EMBED_BATCH_SIZE) -> np.ndarray:
-    """Embed texts in batches and L2-normalize the rows (float32).
+def embed(texts: list[str], provider: EmbeddingProvider) -> np.ndarray:
+    """Embed texts in batches of ``EMBED_BATCH_SIZE`` and L2-normalize the rows (float32).
 
     Zero vectors (texts with no terms under a sparse-featured provider) are
     left unnormalized rather than divided by zero.
@@ -201,8 +201,8 @@ def embed(texts: list[str], provider: EmbeddingProvider, batch_size: int = EMBED
     if not texts:
         return np.zeros((0, 0), dtype=np.float32)
     rows: list[list[float]] = []
-    for start in range(0, len(texts), batch_size):
-        batch = texts[start:start + batch_size]
+    for start in range(0, len(texts), EMBED_BATCH_SIZE):
+        batch = texts[start:start + EMBED_BATCH_SIZE]
         out = provider.embed(batch)
         if len(out) != len(batch):
             raise ProviderError(
@@ -218,14 +218,12 @@ def embed(texts: list[str], provider: EmbeddingProvider, batch_size: int = EMBED
     return (matrix / norms).astype(np.float32)
 
 
-def build_dense_index(
-    units: list[tuple[str, str]], provider: EmbeddingProvider, batch_size: int = EMBED_BATCH_SIZE
-) -> DenseIndex:
+def build_dense_index(units: list[tuple[str, str]], provider: EmbeddingProvider) -> DenseIndex:
     """Embed unit texts (truncated to the encoder input cap) into a DenseIndex."""
     units = list(units)
     _check_units(units)
     texts = [truncate_tokens(text, DENSE_TOKEN_LIMIT) for _, text in units]
-    return DenseIndex([uid for uid, _ in units], embed(texts, provider, batch_size), provider.name)
+    return DenseIndex([uid for uid, _ in units], embed(texts, provider), provider.name)
 
 
 def build_index(
@@ -253,8 +251,6 @@ def rank_units(
     index: SparseIndex | DenseIndex,
     query: str,
     provider: EmbeddingProvider | None = None,
-    k1: float = K1_DEFAULT,
-    b: float = B_DEFAULT,
     n: int | None = None,
 ) -> list[ScoredUnit]:
     """Score a query against any index kind, returning the top n (all when None)."""
@@ -264,7 +260,7 @@ def rank_units(
         return score_dense(index, query, provider, n)
     if index.kind == TFIDF:
         return score_tfidf(index, query, n)
-    return score_bm25(index, query, k1=k1, b=b, n=n)
+    return score_bm25(index, query, n)
 
 
 def parse_retriever(spec: str) -> tuple[str, str | None]:

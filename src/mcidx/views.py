@@ -132,13 +132,11 @@ def _doc_freq(doc: Document) -> dict[str, int]:
     return df
 
 
-def _top_keywords(
-    section: Section, df: dict[str, int], n_sections: int, n: int = 20, stopwords: frozenset[str] = STOPWORDS
-) -> list[str]:
+def _top_keywords(section: Section, df: dict[str, int], n_sections: int, n: int = 20) -> list[str]:
     counts: dict[str, int] = {}
     first_pos: dict[str, int] = {}
     for pos, term in enumerate(index_terms(section.text)):
-        if term in stopwords:
+        if term in STOPWORDS:
             continue
         counts[term] = counts.get(term, 0) + 1
         first_pos.setdefault(term, pos)
@@ -153,7 +151,6 @@ def extractive_keywords(
     section: Section,
     doc: Document,
     n: int = 20,
-    stopwords: frozenset[str] = STOPWORDS,
 ) -> list[str]:
     """Top-n section terms by TF-IDF over the document's sections.
 
@@ -162,7 +159,7 @@ def extractive_keywords(
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return _top_keywords(section, _doc_freq(doc), len(doc.sections), n, stopwords)
+    return _top_keywords(section, _doc_freq(doc), len(doc.sections), n)
 
 
 def _llm_views_for_section(section: Section, llm: LlmClient) -> list[ViewEntry]:

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from mcidx import cli
 from mcidx.cli import build_parser, parse_k_list, run
 from mcidx.corpus import write_corpus_jsonl, write_qa_jsonl
 from mcidx.synthetic import synthetic_corpus
@@ -311,24 +312,39 @@ class TestUsageChecks:
         assert code == 1
         assert "2.5" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("k", ["2.5", "nan", "0", "-3", "3,5"])
-    def test_retrieve_bad_k_is_usage_error(self, k, dataset, tmp_path, capsys):
+    @pytest.mark.parametrize("k,mode", [
+        ("2.5", "single:raw"), ("nan", "single:raw"), ("0", "single:raw"), ("-3", "single:raw"),
+        ("3,5", "single:raw"), ("1", "mc"),
+    ], ids=["2.5", "nan", "0", "-3", "3,5", "1-mc"])
+    def test_retrieve_bad_k_is_usage_error(self, k, mode, dataset, tmp_path, capsys):
         corpus, _ = dataset
         idx = tmp_path / "idx"
         assert run(["index", "--corpus", str(corpus), "--scheme", "content",
                     "--retriever", "bm25", "--output", str(idx)]) == 0
-        assert run(["retrieve", "--index", str(idx), "--question", "anything", "--k", k]) == 1
+        # mc fuses three views; the one section index stands in for each of them.
+        dirs = [str(idx)] * (3 if mode == "mc" else 1)
+        assert run(["retrieve", "--mode", mode, "--index", *dirs, "--question", "anything", "--k", k]) == 1
         assert "--k" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("k", ["0", "-3", "nan"])
-    def test_eval_recall_bad_k_is_usage_error(self, k, dataset, capsys):
+    @pytest.mark.parametrize("k,mode", [("0", "single:raw"), ("-3", "single:raw"), ("nan", "single:raw"),
+                                        ("1", "mc")], ids=["0", "-3", "nan", "1-mc"])
+    def test_eval_recall_bad_k_is_usage_error(self, k, mode, dataset, capsys):
         corpus, qa = dataset
         code = run(["eval", "recall", "--corpus", str(corpus), "--qa", str(qa),
-                    "--scheme", "content", "--retriever", "bm25", "--mode", "single:raw", "--k", k])
+                    "--scheme", "content", "--retriever", "bm25", "--mode", mode, "--k", k])
         assert code == 1
         assert "--k" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("k", ["2.5", "0"])
+    @pytest.mark.parametrize("mode,n_dirs", [("mc", 2), ("mc", 4), ("single:raw", 2)])
+    def test_retrieve_wrong_index_count_loads_nothing(self, mode, n_dirs, tmp_path, monkeypatch, capsys):
+        loaded = []
+        monkeypatch.setattr(cli, "load_index", loaded.append)
+        code = run(["retrieve", "--mode", mode, "--question", "anything",
+                    "--index", *(str(tmp_path / f"idx{i}") for i in range(n_dirs))])
+        assert (code, loaded) == (1, [])
+        assert "--index" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k", ["2.5", "0", "1"])
     def test_eval_answers_bad_k_is_usage_error_before_setup(self, k, dataset, tmp_path, monkeypatch, capsys):
         # No LLM endpoint: a budget noticed after setup would exit 3 instead.
         monkeypatch.delenv("MCIDX_LLM_URL", raising=False)

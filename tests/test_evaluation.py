@@ -266,10 +266,17 @@ class TestOneRankingPerQuestion:
 
 
 class TestModeSpec:
-    @pytest.mark.parametrize("spec", ["mc", "single:raw", "single:keywords", "single:summary"])
+    # A mode is the views it indexes in fusion order; None is the scheme's chunks.
+    VIEWS = {
+        "mc": (ViewKind.RAW_TEXT, ViewKind.KEYWORDS, ViewKind.SUMMARY),
+        "single:raw": (None,),
+        "single:keywords": (ViewKind.KEYWORDS,),
+        "single:summary": (ViewKind.SUMMARY,),
+    }
+
+    @pytest.mark.parametrize("spec", list(VIEWS))
     def test_round_trip(self, spec):
-        kind, view = parse_mode(spec)
-        assert (kind if view is None else f"{kind}:{view.value}") == spec
+        assert parse_mode(spec) == self.VIEWS[spec]
 
     @pytest.mark.parametrize("spec", ["single", "single:dense", "fusion", ""])
     def test_bad_specs(self, spec):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from mcidx.errors import InvalidK, ViewMismatch
+from mcidx.errors import ViewMismatch
 from mcidx.fusion import fuse, per_view_budget, retrieve_mc, retrieve_single
 from mcidx.retrieval import build_sparse_index, rank_units
 from mcidx.views import ViewKind
@@ -50,7 +50,7 @@ class TestPerViewBudget:
 
     @pytest.mark.parametrize("k", [0, 1, -2, 2.7, 0.5])
     def test_invalid_budgets(self, k):
-        with pytest.raises(InvalidK):
+        with pytest.raises(ValueError):
             per_view_budget(k, 0)
 
 
@@ -75,7 +75,7 @@ class TestRetrieveSingle:
         assert len(retrieve_single(self._index(), "q", 1, 0)) == 1
 
     def test_invalid_k(self):
-        with pytest.raises(InvalidK):
+        with pytest.raises(ValueError):
             retrieve_single(self._index(), "q", 0.5, 0)
 
 

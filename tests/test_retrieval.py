@@ -246,7 +246,7 @@ class TestEmbed:
                 return [[float(len(t)), 1.0] for t in texts]
 
         texts = [f"t{'x' * i}" for i in range(70)]
-        matrix = embed(texts, RecordingProvider(), batch_size=32)
+        matrix = embed(texts, RecordingProvider())
         assert [len(c) for c in calls] == [32, 32, 6]
         assert matrix.shape == (70, 2)
 
