@@ -23,8 +23,6 @@ from .corpus import (
     Section,
     build_document,
     corpus_stats,
-    filter_long_docs,
-    generate_questions,
     load_and_filter_qa,
     load_corpus_jsonl,
     parse_markdown,

@@ -23,9 +23,11 @@ from .corpus import (
     parse_markdown,
     write_corpus_jsonl,
 )
-from .errors import McIndexError, ParseError, ProviderError
+from .errors import McIndexError, ParseError, ProviderError, ViewMismatch
 from .evaluation import (
     check_budgets,
+    check_setup,
+    check_views,
     doc_contexts,
     doc_units,
     doc_views_for,
@@ -93,8 +95,8 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_chunk(args) -> int:
-    docs = load_corpus_jsonl(args.corpus)
     scheme = ChunkScheme.parse(args.scheme)
+    docs = load_corpus_jsonl(args.corpus)
     chunks = [c for doc in docs for c in chunk_document(doc, scheme)]
     write_chunks_jsonl(chunks, args.output)
     logger.info("wrote %d chunks to %s", len(chunks), args.output)
@@ -114,10 +116,11 @@ def cmd_views(args) -> int:
 
 
 def cmd_index(args) -> int:
-    docs = load_corpus_jsonl(args.corpus)
     scheme = ChunkScheme.parse(args.scheme)
     kind, provider_name = parse_retriever(args.retriever)
     view = ViewKind(args.view) if args.view else None
+    check_views(scheme, (view,))
+    docs = load_corpus_jsonl(args.corpus)
     needs_views = view in (ViewKind.KEYWORDS, ViewKind.SUMMARY)
     views_by_doc = _load_views_arg(args) if needs_views else None
     units = []
@@ -138,6 +141,9 @@ def cmd_retrieve(args) -> int:
                          f"got {len(args.index)}")
     check_budgets(views, [args.k])
     indexes = [load_index(d) for d in args.index]
+    # Checked once where the view indexes meet; fusion relies on it.
+    if len({frozenset(index.unit_ids) for index in indexes}) > 1:
+        raise ViewMismatch("view indexes cover different unit id sets")
     providers = {
         index.provider: resolve_provider(index.provider)
         for index in indexes
@@ -161,13 +167,15 @@ def cmd_retrieve(args) -> int:
 
 
 def cmd_eval_recall(args) -> int:
+    scheme = ChunkScheme.parse(args.scheme)
+    check_setup(scheme, args.retriever, args.mode, list(args.k))
     docs = load_corpus_jsonl(args.corpus)
     qa = load_and_filter_qa(args.qa, docs)
     llm = _llm_from_env(args.jobs) if args.generator == LLM_GENERATOR else None
     report = eval_recall(
         docs,
         qa,
-        args.scheme,
+        scheme,
         args.retriever,
         args.mode,
         list(args.k),
@@ -187,11 +195,11 @@ def cmd_eval_recall(args) -> int:
 
 
 def cmd_eval_chunking_error(args) -> int:
+    schemes = [(spec, ChunkScheme.parse(spec)) for spec in args.scheme]
     docs = load_corpus_jsonl(args.corpus)
     qa = load_and_filter_qa(args.qa, docs)
     lines = ["scheme,n_scopes,n_split,error_rate"]
-    for spec in args.scheme:
-        scheme = ChunkScheme.parse(spec)
+    for spec, scheme in schemes:
         chunks = [c for doc in docs for c in chunk_document(doc, scheme)]
         report = chunking_error(chunks, qa, docs)
         lines.append(f"{spec},{report.n_scopes},{report.n_split},{report.error_rate:.6f}")
@@ -204,18 +212,18 @@ def cmd_eval_chunking_error(args) -> int:
 
 
 def cmd_eval_answers(args) -> int:
-    for mode in (args.mode_a, args.mode_b):
-        check_budgets(parse_mode(mode), [args.k])
+    setups = [(ChunkScheme.parse(scheme), mode)
+              for scheme, mode in ((args.scheme_a, args.mode_a), (args.scheme_b, args.mode_b))]
+    for scheme, mode in setups:
+        check_setup(scheme, args.retriever, mode, [args.k])
     docs = load_corpus_jsonl(args.corpus)
     qa = load_and_filter_qa(args.qa, docs)
     by_id = {d.doc_id: d for d in docs}
     llm = _llm_from_env(args.jobs)
 
     views_by_doc = _load_views_arg(args)
-    sides = [
-        doc_contexts(ChunkScheme.parse(scheme), args.retriever, mode, views_by_doc, args.generator, llm)
-        for scheme, mode in ((args.scheme_a, args.mode_a), (args.scheme_b, args.mode_b))
-    ]
+    sides = [doc_contexts(scheme, args.retriever, mode, views_by_doc, args.generator, llm)
+             for scheme, mode in setups]
 
     def answer(context_for, item, ordinal: int) -> str:
         doc = by_id[item.doc_id]

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
-from .errors import DuplicateId, EmptyDocument, ParseError, SchemaError
-from .jsonio import iter_json_objects, iter_jsonl, write_jsonl
-from .prompts import render_question_prompt
+from .errors import DuplicateId, EmptyDocument, SchemaError
+from .jsonio import iter_jsonl, write_jsonl
 from .text import token_count
 
 logger = logging.getLogger(__name__)
@@ -31,8 +30,6 @@ EXCLUDED_HEADINGS = frozenset({"see also", "notes", "references", "external link
 PREAMBLE_HEADING = "(preamble)"
 
 _HEADING_RE = re.compile(r"^(#{1,6})\s+(.*\S)\s*$")
-
-MIN_DOC_TOKENS = 10_000
 
 
 @dataclass(frozen=True)
@@ -91,7 +88,10 @@ for _qt, _aliases in {
 
 
 def parse_question_type(name: str) -> QuestionType:
-    """Map a type label (canonical or generation-prompt phrasing) to the enum."""
+    """Map a type label, canonical or in the paper's longer phrasing, to the enum.
+
+    QA files from outside this package may carry either form.
+    """
     key = _normalize_type_key(name)
     if key not in _TYPE_ALIASES:
         raise ValueError(f"unknown question type: {name!r}")
@@ -190,17 +190,6 @@ def parse_markdown(text: str, doc_id: str) -> Document:
     return build_document(doc_id, doc_id, sections)
 
 
-def render_markdown(doc: Document) -> str:
-    """Inverse of parse_markdown for the normalized flat form."""
-    parts = []
-    for section in doc.sections:
-        if section.level <= 0:
-            parts.append(section.text)
-        else:
-            parts.append(f"{'#' * min(section.level, 6)} {section.heading}\n{section.text}")
-    return "\n".join(parts)
-
-
 def _require(record: dict, key: str, kind: type, lineno: int):
     if key not in record:
         raise SchemaError(f"missing key {key!r}", line=lineno)
@@ -257,11 +246,6 @@ def write_corpus_jsonl(docs: list[Document], path: str | Path) -> None:
             for d in docs
         ),
     )
-
-
-def filter_long_docs(docs: list[Document], min_tokens: int = MIN_DOC_TOKENS) -> list[Document]:
-    """Keep documents with at least ``min_tokens`` whitespace tokens, preserving order."""
-    return [d for d in docs if token_count(d.full_text) >= min_tokens]
 
 
 def load_qa_jsonl(path: str | Path) -> list[QAItem]:
@@ -337,50 +321,6 @@ def write_qa_jsonl(items: list[QAItem], path: str | Path) -> None:
             for q in items
         ),
     )
-
-
-def generate_questions(section: Section, llm, doc_id: str) -> list[QAItem]:
-    """Ask the LLM for three questions over a section and locate their scopes.
-
-    Each returned record must quote its supporting context verbatim; records
-    whose context is not found in the section text (or whose type label is
-    unrecognized) are discarded.
-    """
-    raw = llm.generate(render_question_prompt(section.text), max_tokens=2048)
-    records = [
-        obj
-        for obj in iter_json_objects(raw)
-        if all(isinstance(obj.get(k), str) for k in ("question", "type", "answer", "answer_context"))
-    ]
-    if not records:
-        raise ParseError(f"no question records parsed from output for section {section.section_id!r}")
-    items: list[QAItem] = []
-    for record in records:
-        context = record["answer_context"]
-        start = section.text.find(context) if context else -1
-        if start < 0:
-            logger.warning(
-                "discarding generated question for %s: answer context not found verbatim",
-                section.section_id,
-            )
-            continue
-        try:
-            qtype = parse_question_type(record["type"])
-        except ValueError:
-            logger.warning("discarding generated question for %s: %r", section.section_id, record["type"])
-            continue
-        items.append(
-            QAItem(
-                question_id=f"{doc_id}:{section.section_id}:q{len(items)}",
-                doc_id=doc_id,
-                question=record["question"],
-                answer=record["answer"],
-                question_type=qtype,
-                scope_section_id=section.section_id,
-                scope_span=(start, start + len(context)),
-            )
-        )
-    return items
 
 
 def corpus_stats(docs: list[Document], qa_items: list[QAItem]) -> CorpusStats:

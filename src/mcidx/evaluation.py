@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .chunking import ChunkScheme, chunk_document, scope_doc_span
 from .corpus import Document, QAItem
-from .errors import EmptyRetrieval, EmptyScope, ParseError, ProviderMismatch, UnknownDoc, ViewMismatch
+from .errors import EmptyRetrieval, EmptyScope, ParseError, UnknownDoc, ViewMismatch
 from .fusion import VIEW_ORDER, fuse, per_view_budget, single_budget
 from .jsonio import iter_json_objects
 from .prompts import render_answer_prompt, render_judge_prompt
@@ -55,11 +55,31 @@ def parse_mode(spec: str) -> tuple[ViewKind | None, ...]:
     return _MODE_VIEWS[spec]
 
 
+def check_views(scheme: ChunkScheme, views: tuple[ViewKind | None, ...]) -> None:
+    """Reject (ValueError) a view under a scheme other than content: views index sections."""
+    if scheme.kind != "content" and views != (None,):
+        raise ValueError(f"views index sections and need the content scheme, got {scheme.spec()!r}")
+
+
 def check_budgets(views: tuple[ViewKind | None, ...], ks: list[float]) -> None:
-    """Reject (ValueError) a budget the rule of a mode with these views does not take."""
+    """Reject (ValueError) a repeated budget or one the rule of a mode with these views does not take."""
     rule = per_view_budget if len(views) > 1 else single_budget
     for k in ks:
         rule(k, 0)
+    if len({float(k) for k in ks}) != len(ks):
+        raise ValueError(f"repeated budget in {list(ks)}: each k gets one row")
+
+
+def check_setup(scheme: ChunkScheme, retriever: str, mode: str, ks: list[float]) -> None:
+    """Apply every rule of a (scheme, retriever, mode, budgets) setup; ValueError names a broken one.
+
+    Callers run it where the setup enters, before any file is read, client
+    created or document touched.
+    """
+    parse_retriever(retriever)
+    views = parse_mode(mode)
+    check_views(scheme, views)
+    check_budgets(views, ks)
 
 
 def format_k(k: float) -> str:
@@ -159,14 +179,13 @@ def doc_units(
     """``(unit_id, doc_span, text)`` of what a (scheme, view) pair indexes, in section order.
 
     With no view the units are the scheme's chunks. A view indexes the
-    document's sections and needs the content scheme: the raw view with the
-    corpus section text, the keyword and summary views with their entries in
-    ``doc_views``, which must name each section exactly once.
+    document's sections: the raw view with the corpus section text, the
+    keyword and summary views with their entries in ``doc_views``, which must
+    name each section exactly once. Callers check that a view comes with the
+    content scheme (``check_views``).
     """
     if view is None:
         return [(c.chunk_id, c.doc_span, c.text) for c in chunk_document(doc, scheme)]
-    if scheme.kind != "content":
-        raise ValueError(f"views index sections and need the content scheme, got {scheme.spec()!r}")
     if view is ViewKind.RAW_TEXT:
         return [(s.section_id, s.doc_span, s.text) for s in doc.sections]
     if doc_views is None:
@@ -225,7 +244,7 @@ def build_doc_context(
 
 def doc_contexts(
     scheme: ChunkScheme, retriever: str, mode: str, views: dict[str, list[ViewEntry]] | None,
-    generator: str, llm: LlmClient | None, provider: EmbeddingProvider | None = None,
+    generator: str, llm: LlmClient | None,
 ) -> Callable[[Document], DocRetrievalContext]:
     """Context lookup for one (scheme, retriever, mode) setup; each is built on first use.
 
@@ -234,14 +253,7 @@ def doc_contexts(
     """
     needs_views = any(v in (ViewKind.KEYWORDS, ViewKind.SUMMARY) for v in parse_mode(mode))
     retriever_kind, provider_name = parse_retriever(retriever)
-    if retriever_kind != DENSE:
-        provider = None
-    elif provider is None:
-        provider = resolve_provider(provider_name)
-    elif provider.name != provider_name:
-        raise ProviderMismatch(
-            f"retriever spec names provider {provider_name!r} but client is {provider.name!r}"
-        )
+    provider = resolve_provider(provider_name) if retriever_kind == DENSE else None
     contexts: dict[str, DocRetrievalContext] = {}
 
     def context_for(doc: Document) -> DocRetrievalContext:
@@ -264,7 +276,6 @@ def eval_recall(
     views: dict[str, list[ViewEntry]] | None = None,
     generator: str = EXTRACTIVE_GENERATOR,
     llm: LlmClient | None = None,
-    provider: EmbeddingProvider | None = None,
     invert_parity: bool = False,
 ) -> RecallReport:
     """Mean recall per budget k for one (scheme, retriever, mode) setup.
@@ -272,14 +283,12 @@ def eval_recall(
     Each document gets one context (see ``doc_contexts``), each question one
     ranking per index, and questions keep their dataset-order ordinal for
     budget alternation. Questions whose document is absent are skipped with a
-    warning.
+    warning. The setup is checked (``check_setup``) before any document is.
     """
-    check_budgets(parse_mode(mode), ks)
-    if len({float(k) for k in ks}) != len(ks):
-        raise ValueError(f"repeated budget in {list(ks)}: each k gets one row")
     if isinstance(scheme, str):
         scheme = ChunkScheme.parse(scheme)
-    context_for = doc_contexts(scheme, retriever, mode, views, generator, llm, provider)
+    check_setup(scheme, retriever, mode, ks)
+    context_for = doc_contexts(scheme, retriever, mode, views, generator, llm)
     by_id = _docs_by_id(docs)
     per_k: dict[float, list[float]] = {float(k): [] for k in ks}
     for position, item in enumerate(qa):

@@ -8,6 +8,8 @@ fused union is never truncated to k: comparisons happen at matched budgets,
 not matched output sizes. A multi-view budget is 1.5 or an integer >= 2, a
 single-view one 1.5 or a positive integer; anything else is a ValueError.
 Every view is ranked by ``rank_units`` with its retriever's fixed settings.
+Fusion trusts its view indexes to cover the same unit ids: evaluation builds
+them from one unit table, and ``mcidx retrieve`` checks them once, at load.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ViewMismatch
 from .providers import EmbeddingProvider
 from .retrieval import DenseIndex, ScoredUnit, SparseIndex, rank_units
 from .views import ViewKind
@@ -113,13 +114,11 @@ def retrieve_mc(
     question_ordinal: int,
     provider: EmbeddingProvider | None = None,
 ) -> FusedResult:
-    """Rank the query in each view index and ``fuse`` the per-view top-k'."""
-    missing = [v.value for v in VIEW_ORDER if v not in view_indexes]
-    if missing:
-        raise ViewMismatch(f"missing view indexes: {missing}")
-    id_sets = {view: frozenset(view_indexes[view].unit_ids) for view in VIEW_ORDER}
-    if len(set(id_sets.values())) != 1:
-        raise ViewMismatch("view indexes cover different unit id sets")
+    """Rank the query in each view index and ``fuse`` the per-view top-k'.
+
+    ``view_indexes`` must hold every view of ``VIEW_ORDER`` over the same unit
+    ids; callers check that where the indexes are built or loaded.
+    """
     k_prime = per_view_budget(k, question_ordinal)
     rankings = {view: rank_units(view_indexes[view], query, provider, n=k_prime)
                 for view in VIEW_ORDER}

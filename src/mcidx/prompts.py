@@ -8,40 +8,6 @@ from __future__ import annotations
 
 from string import Template
 
-QUESTION_GENERATION = Template("""\
-You are a sophisticated question generator. You need to use the reference text to generate 3 questions,
-each with its question type, the supporting context sentences, and the short answer.
-
-The generation should strictly follow the following guidelines:
-(1) Each question must be sufficiently answered by the reference text only;
-(2) Each question needs to be short and accurate;
-(3) All supporting context sentences must be the original text from the reference text;
-(4) Each question should need long context (more than 5 sentences) to answer accurately;
-(5) The type of each question needs to be ONE from the following eight types:
-1. **Questions about Narrative and Plot Details**: inquire about specific details or the sequence of
-   events in a narrative (such as a story, movie, or historical account).
-2. **Summarization Questions**: require the summarization of a long passage, argument, or a complicated
-   process without omitting crucial details.
-3. **Inferential and Implied Questions**: depend on understanding subtleties and reading between the
-   lines, such as the author's intent or the implications of certain actions.
-4. **Questions Requiring Synthesis of Information**: necessitate the synthesis of information dispersed
-   across a long passage.
-5. **Cause and Effect Questions**: require understanding the causal relationship between events
-   described in the text.
-6. **Comparative Questions**: ask for comparisons between different ideas, characters, or events within
-   a text.
-7. **Explanatory Questions**: ask for explanations of complex concepts or processes that are described
-   in detail within the text.
-8. **Questions about Themes and Motifs**: consider the entire text to identify patterns and draw
-   conclusions about the central messages.
-
-**Reference text**:
-$text
-
-Return each question as a json object on its own line, in the following format:
-{"question": "...", "type": "...", "answer": "...", "answer_context": "..."}
-""")
-
 SUMMARY = Template("""\
 You are a helpful summarization assistant. Please help me summarize the following section into no more
 than 10 sentences or 200 words.
@@ -102,10 +68,6 @@ Finally in a new line, you must return the scores and nothing else. The scores m
 following json format:
 {"answer_1_score":"...", "answer_2_score":"..."}
 """)
-
-
-def render_question_prompt(section_text: str) -> str:
-    return QUESTION_GENERATION.substitute(text=section_text)
 
 
 def render_summary_prompt(section_name: str, section_text: str) -> str:

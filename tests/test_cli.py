@@ -81,6 +81,19 @@ class TestExitCodes:
         assert code == 3
         assert "MCIDX_LLM_URL" in capsys.readouterr().err
 
+    def test_mc_retrieve_over_different_unit_sets_is_data_error(self, dataset, tmp_path, capsys):
+        corpus, _ = dataset
+        views = tmp_path / "views.jsonl"
+        assert run(["views", "--corpus", str(corpus), "--output", str(views)]) == 0
+        dirs = []
+        for scheme, view in (("content", "raw"), ("content", "keywords"), ("flc:100", None)):
+            dirs.append(str(tmp_path / f"idx{len(dirs)}"))
+            extra = ["--view", view, "--views", str(views)] if view else []
+            assert run(["index", "--corpus", str(corpus), "--scheme", scheme, "--retriever", "bm25",
+                        *extra, "--output", dirs[-1]]) == 0
+        assert run(["retrieve", "--mode", "mc", "--index", *dirs, "--question", "anything"]) == 2
+        assert "different unit id sets" in capsys.readouterr().err
+
 
 class TestPipeline:
     def test_ingest_excludes_reference_sections(self, tmp_path, capsys):
@@ -304,6 +317,33 @@ class TestUsageChecks:
                     "--output", str(tmp_path / "judge.jsonl")])
         assert code == 1
         assert "content scheme" in capsys.readouterr().err
+
+    def test_eval_answers_view_mode_needs_content_scheme_without_llm(self, dataset, tmp_path,
+                                                                     monkeypatch, capsys):
+        # No LLM endpoint: a setup rule checked after the client exists would exit 3 instead.
+        monkeypatch.delenv("MCIDX_LLM_URL", raising=False)
+        corpus, qa = dataset
+        code = run(["eval", "answers", "--corpus", str(corpus), "--qa", str(qa),
+                    "--retriever", "bm25", "--k", "3",
+                    "--scheme-a", "flc:300", "--mode-a", "mc",
+                    "--scheme-b", "content", "--mode-b", "single:raw",
+                    "--output", str(tmp_path / "judge.jsonl")])
+        assert code == 1
+        assert "content scheme" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "recall", "--qa", "qa.jsonl", "--scheme", "content", "--retriever", "bm25",
+         "--mode", "bogus", "--k", "3"],
+        ["eval", "recall", "--qa", "qa.jsonl", "--scheme", "content", "--retriever", "bogus",
+         "--mode", "mc", "--k", "3"],
+        ["eval", "recall", "--qa", "qa.jsonl", "--scheme", "flc:100", "--retriever", "bm25",
+         "--mode", "mc", "--k", "3"],
+        ["index", "--scheme", "flc:100", "--retriever", "bm25", "--view", "raw", "--output", "idx"],
+    ], ids=["unknown-mode", "unknown-retriever", "mc-under-flc", "index-view-under-flc"])
+    def test_setup_usage_error_before_corpus_is_read(self, argv, tmp_path, capsys):
+        # The corpus path is wrong too: read first, it would be exit 2 ("missing file").
+        assert run([*argv, "--corpus", str(tmp_path / "missing.jsonl")]) == 1
+        assert "usage error" in capsys.readouterr().err
 
     def test_eval_recall_fractional_k_other_than_1_5(self, dataset, capsys):
         corpus, qa = dataset

@@ -6,23 +6,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import ScriptedLlm, make_doc
+from conftest import make_doc
 from mcidx.corpus import (
     QuestionType,
     build_document,
     corpus_stats,
-    filter_long_docs,
-    generate_questions,
     load_and_filter_qa,
     load_corpus_jsonl,
     load_qa_jsonl,
     parse_markdown,
     parse_question_type,
-    render_markdown,
     write_corpus_jsonl,
     write_qa_jsonl,
 )
-from mcidx.errors import DuplicateId, EmptyDocument, ParseError, SchemaError
+from mcidx.errors import DuplicateId, EmptyDocument, SchemaError
 from mcidx.synthetic import synthetic_corpus
 from mcidx.text import token_count
 
@@ -70,14 +67,6 @@ class TestParseMarkdown:
             start, end = section.doc_span
             assert doc.full_text[start:end] == section.text
 
-    def test_render_parse_round_trip(self):
-        source = "start\n# One\nalpha beta\n## Two\ngamma\n### Three\ndelta epsilon"
-        doc = parse_markdown(source, "d")
-        again = parse_markdown(render_markdown(doc), "d")
-        assert [(s.heading, s.level, s.text) for s in again.sections] == [
-            (s.heading, s.level, s.text) for s in doc.sections
-        ]
-
 
 class TestCorpusJsonl:
     def test_round_trip(self, tmp_path):
@@ -118,29 +107,6 @@ class TestCorpusJsonl:
         with pytest.raises(SchemaError) as err:
             load_corpus_jsonl(path)
         assert err.value.line == 1  # first record is already malformed
-
-
-class TestFilterLongDocs:
-    def _doc_with_tokens(self, n, doc_id="d"):
-        return make_doc([" ".join(["tok"] * n)], doc_id=doc_id)
-
-    def test_boundary_is_inclusive(self):
-        doc = self._doc_with_tokens(10_000)
-        assert filter_long_docs([doc]) == [doc]
-
-    def test_below_threshold_dropped(self):
-        assert filter_long_docs([self._doc_with_tokens(9_999)]) == []
-
-    def test_elementwise_and_order_preserving(self):
-        docs = [self._doc_with_tokens(n, f"d{n}") for n in (12_000, 3_000, 10_000)]
-        kept = filter_long_docs(docs)
-        assert [d.doc_id for d in kept] == ["d12000", "d10000"]
-
-    @given(st.lists(st.integers(min_value=0, max_value=120), max_size=8), st.integers(1, 100))
-    def test_idempotent(self, sizes, min_tokens):
-        docs = [self._doc_with_tokens(n, f"d{i}") for i, n in enumerate(sizes)]
-        once = filter_long_docs(docs, min_tokens)
-        assert filter_long_docs(once, min_tokens) == once
 
 
 class TestQaLoading:
@@ -215,49 +181,6 @@ class TestQuestionTypes:
     def test_unknown_raises(self):
         with pytest.raises(ValueError):
             parse_question_type("TrueFalse")
-
-
-class TestGenerateQuestions:
-    def _section(self):
-        doc = make_doc(["The reactor uses molten salt. It was built in 1965. "
-                        "Cooling relies on passive convection throughout the year."])
-        return doc.sections[0]
-
-    def test_context_located_as_substring(self):
-        section = self._section()
-        context = "It was built in 1965."
-        start = section.text.find(context)
-        record = {"question": "When was it built?", "type": "Cause and Effect Questions",
-                  "answer": "1965", "answer_context": context}
-        llm = ScriptedLlm([json.dumps(record)])
-        items = generate_questions(section, llm, doc_id="d")
-        assert len(items) == 1
-        assert items[0].scope_span == (start, start + len(context))
-        assert items[0].question_type is QuestionType.CAUSE_EFFECT
-        assert section.text in llm.prompts[0]
-
-    def test_absent_context_discarded(self):
-        record = {"question": "?", "type": "Comparative", "answer": "x",
-                  "answer_context": "this text is nowhere"}
-        items = generate_questions(self._section(), ScriptedLlm([json.dumps(record)]), doc_id="d")
-        assert items == []
-
-    def test_invalid_json_raises_parse_error(self):
-        with pytest.raises(ParseError):
-            generate_questions(self._section(), ScriptedLlm(["no json here at all"]), doc_id="d")
-
-    def test_three_records_parsed_from_one_call(self):
-        section = self._section()
-        records = [
-            {"question": f"q{i}", "type": "Explanatory", "answer": "a",
-             "answer_context": "The reactor uses molten salt."}
-            for i in range(3)
-        ]
-        payload = "\n".join(json.dumps(r) for r in records)
-        llm = ScriptedLlm([payload])
-        items = generate_questions(section, llm, doc_id="d")
-        assert len(items) == 3
-        assert len(llm.prompts) == 1
 
 
 class TestCorpusStats:

@@ -15,6 +15,7 @@ from mcidx.evaluation import (
     RecallReport,
     Winner,
     build_doc_context,
+    check_views,
     doc_units,
     eval_recall,
     generate_answer,
@@ -148,6 +149,16 @@ class TestEvalRecall:
         with pytest.raises(ValueError):
             eval_recall(docs, qa, "flc:100", "bm25", "mc", [3])
 
+    @pytest.mark.parametrize("mode,qa", [
+        ("mc", []),
+        ("single:keywords", [_qa("missing-doc", "s0000", (0, 5))]),
+    ], ids=["mc-no-questions", "keywords-no-document"])
+    def test_view_mode_rejected_before_any_question(self, mode, qa):
+        # No question reaches a document, so only a check made up front sees the setup.
+        docs, _ = synthetic_corpus(n_docs=1)
+        with pytest.raises(ValueError, match="content scheme"):
+            eval_recall(docs, qa, "flc:100", "bm25", mode, [3])
+
     def test_unknown_documents_skipped_not_fatal(self):
         docs, qa = synthetic_corpus(n_docs=2)
         stray = _qa("missing-doc", "s0000", (0, 5), qid="stray")
@@ -224,7 +235,7 @@ class TestDocUnits:
         with pytest.raises(UnknownDoc):
             doc_units(doc, self.CONTENT, ViewKind.KEYWORDS, None)
         with pytest.raises(ValueError):
-            doc_units(doc, ChunkScheme.parse("flc:100"), ViewKind.RAW_TEXT, None)
+            check_views(ChunkScheme.parse("flc:100"), (ViewKind.RAW_TEXT,))
 
 
 class TestOneRankingPerQuestion:

@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from mcidx.errors import ViewMismatch
 from mcidx.fusion import fuse, per_view_budget, retrieve_mc, retrieve_single
 from mcidx.retrieval import build_sparse_index, rank_units
 from mcidx.views import ViewKind
@@ -127,18 +126,6 @@ class TestRetrieveMc:
         fused = retrieve_mc(indexes, "q", 3, 1)
         u3 = next(u for u in fused.units if u.unit_id == "u3")
         assert u3.view_ranks == {ViewKind.RAW_TEXT: 1, ViewKind.KEYWORDS: 2}
-
-    def test_mismatched_unit_sets_rejected(self):
-        indexes = indexes_with_counts({view: {} for view in VIEWS}, n_units=4)
-        indexes[ViewKind.SUMMARY] = build_sparse_index([("other", "q")], "bm25")
-        with pytest.raises(ViewMismatch):
-            retrieve_mc(indexes, "q", 3, 0)
-
-    def test_missing_view_rejected(self):
-        indexes = indexes_with_counts({view: {} for view in VIEWS}, n_units=4)
-        del indexes[ViewKind.KEYWORDS]
-        with pytest.raises(ViewMismatch):
-            retrieve_mc(indexes, "q", 3, 0)
 
 
 class TestFusionLaws:
