@@ -37,7 +37,7 @@ from .evaluation import (
     parse_mode,
 )
 from .fusion import _validate_k, retrieve_mc, retrieve_single
-from .jsonio import write_jsonl
+from .jsonio import atomic_text_writer, write_jsonl
 from .providers import HttpLlmClient
 from .retrieval import DENSE, DenseIndex, build_index, parse_retriever, resolve_provider
 from .store import load_index, save_index
@@ -70,10 +70,9 @@ def parse_k(spec: str) -> float:
 
 
 def _write_text(path: str, text: str) -> None:
-    """Write an output file, creating its parent directories."""
-    output = Path(path)
-    output.parent.mkdir(parents=True, exist_ok=True)
-    output.write_text(text, encoding="utf-8")
+    """Write an output file atomically, creating its parent directories."""
+    with atomic_text_writer(path) as fh:
+        fh.write(text)
 
 
 def _load_views_arg(args):

@@ -62,16 +62,16 @@ class VersionMismatch(DataError):
     """A persisted index uses an unsupported format version."""
 
 
-class DimensionMismatch(DataError):
-    """An embedding provider returned rows of differing lengths."""
-
-
 class ProviderMismatch(DataError):
     """A dense index was built with a different provider than supplied."""
 
 
 class ProviderError(McIndexError):
     """A generation or embedding endpoint failed (after retries)."""
+
+
+class DimensionMismatch(ProviderError):
+    """An embedding provider's vectors are not one numeric row per text of a single width."""
 
 
 class ParseError(McIndexError):

@@ -1,10 +1,13 @@
-"""JSONL file helpers and tolerant JSON extraction from generated text."""
+"""JSONL file helpers, atomic text writes and tolerant JSON extraction from generated text."""
 
 from __future__ import annotations
 
 import json
+import os
 from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 from pathlib import Path
+from typing import TextIO
 
 from .errors import SchemaError
 
@@ -28,10 +31,29 @@ def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
             yield lineno, record
 
 
-def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
+@contextmanager
+def atomic_text_writer(path: str | Path) -> Iterator[TextIO]:
+    """Open ``path`` for writing text so that it is replaced only on success.
+
+    Writes go to a temporary sibling in the same directory (created with its
+    parents), which ``os.replace`` moves over ``path`` once the block exits
+    cleanly. If the block raises, the sibling is removed and any old file at
+    ``path`` keeps its bytes.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
+    with atomic_text_writer(path) as fh:
         for record in records:
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 

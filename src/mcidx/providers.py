@@ -20,6 +20,7 @@ import os
 import threading
 import time
 
+import numpy as np
 import requests
 
 from .errors import ProviderError
@@ -168,27 +169,33 @@ class HttpEmbeddingProvider(EmbeddingProvider):
         return vectors
 
 
+class _BucketMemo(dict):
+    """``term -> bucket``; a term is hashed the first time it is looked up."""
+
+    def __missing__(self, term: str) -> int:
+        digest = hashlib.blake2b(term.encode("utf-8"), digest_size=8).digest()
+        bucket = self[term] = int.from_bytes(digest, "little") % MOCK_EMBED_DIM
+        return bucket
+
+
 class MockEmbeddingProvider(EmbeddingProvider):
     """Deterministic offline provider: feature-hashed term counts.
 
     Each term is hashed into one of ``MOCK_EMBED_DIM`` buckets; a text's
     vector is its bucket-count histogram (normalization happens index-side).
+    An instance hashes each distinct term once and keeps its bucket, so a
+    row does not depend on which texts the instance embedded before.
     Identical texts always map to identical vectors, so rankings are
     reproducible and checkable against a brute-force cosine oracle.
     """
 
     def __init__(self, name: str = "mock"):
         self.name = name
-
-    def _bucket(self, term: str) -> int:
-        digest = hashlib.blake2b(term.encode("utf-8"), digest_size=8).digest()
-        return int.from_bytes(digest, "little") % MOCK_EMBED_DIM
+        self._buckets = _BucketMemo()
 
     def embed(self, texts: list[str]) -> list[list[float]]:
-        rows = []
-        for text in texts:
-            row = [0.0] * MOCK_EMBED_DIM
-            for term in index_terms(text):
-                row[self._bucket(term)] += 1.0
-            rows.append(row)
-        return rows
+        buckets = self._buckets
+        ids = [row * MOCK_EMBED_DIM + buckets[term]
+               for row, text in enumerate(texts) for term in index_terms(text)]
+        counts = np.bincount(np.array(ids, dtype=np.intp), minlength=len(texts) * MOCK_EMBED_DIM)
+        return counts.reshape(len(texts), MOCK_EMBED_DIM).astype(np.float64).tolist()

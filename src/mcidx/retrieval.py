@@ -194,25 +194,33 @@ def score_bm25(index: SparseIndex, query: str, n: int | None = None) -> list[Sco
 def embed(texts: list[str], provider: EmbeddingProvider) -> np.ndarray:
     """Embed texts in batches of ``EMBED_BATCH_SIZE`` and L2-normalize the rows (float32).
 
-    Zero vectors (texts with no terms under a sparse-featured provider) are
-    left unnormalized rather than divided by zero.
+    Each batch must come back as one finite row per text, every row of one
+    width across batches; anything else is a ProviderError (DimensionMismatch
+    for a wrong shape). Zero vectors (texts with no terms under a sparse-featured
+    provider) are left unnormalized rather than divided by zero.
     """
     texts = list(texts)
     if not texts:
         return np.zeros((0, 0), dtype=np.float32)
-    rows: list[list[float]] = []
+    blocks: list[np.ndarray] = []
     for start in range(0, len(texts), EMBED_BATCH_SIZE):
         batch = texts[start:start + EMBED_BATCH_SIZE]
         out = provider.embed(batch)
-        if len(out) != len(batch):
-            raise ProviderError(
-                f"provider {provider.name!r} returned {len(out)} vectors for {len(batch)} texts"
+        try:
+            block = np.asarray(out, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise DimensionMismatch(
+                f"provider {provider.name!r} returned vectors that are not a numeric matrix: {exc}"
+            ) from exc
+        if block.ndim != 2 or block.shape[0] != len(batch) or (blocks and block.shape[1] != blocks[0].shape[1]):
+            after = f" after width {blocks[0].shape[1]}" if blocks else ""
+            raise DimensionMismatch(
+                f"provider {provider.name!r} returned shape {block.shape} for {len(batch)} texts{after}"
             )
-        rows.extend(out)
-    dims = {len(row) for row in rows}
-    if len(dims) != 1:
-        raise DimensionMismatch(f"provider {provider.name!r} returned mixed dimensions {sorted(dims)}")
-    matrix = np.asarray(rows, dtype=np.float64)
+        if not np.isfinite(block).all():
+            raise ProviderError(f"provider {provider.name!r} returned a non-finite vector value")
+        blocks.append(block)
+    matrix = np.concatenate(blocks)
     norms = np.linalg.norm(matrix, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
     return (matrix / norms).astype(np.float32)

@@ -35,9 +35,4 @@ def index_terms(text: str) -> list[str]:
 
     Tokens that are pure punctuation vanish.
     """
-    terms = []
-    for token in text.lower().split():
-        term = token.strip(EDGE_PUNCT)
-        if term:
-            terms.append(term)
-    return terms
+    return [term for token in text.lower().split() if (term := token.strip(EDGE_PUNCT))]

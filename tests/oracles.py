@@ -6,6 +6,7 @@ arithmetic, position sets) and share no scoring code with the package.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import string
 from collections import Counter
@@ -18,6 +19,18 @@ def oracle_terms(text: str) -> list[str]:
         if term:
             terms.append(term)
     return terms
+
+
+def oracle_mock_embed(texts: list[str], dim: int = 256) -> list[list[float]]:
+    """Feature-hashed term counts, one blake2b per term occurrence."""
+    rows = []
+    for text in texts:
+        row = [0.0] * dim
+        for term in oracle_terms(text):
+            digest = hashlib.blake2b(term.encode("utf-8"), digest_size=8).digest()
+            row[int.from_bytes(digest, "little") % dim] += 1.0
+        rows.append(row)
+    return rows
 
 
 def oracle_tfidf_scores(units: list[tuple[str, str]], query: str) -> dict[str, float]:

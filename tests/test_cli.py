@@ -441,3 +441,19 @@ class TestUsageChecks:
         code = run(["retrieve", "--index", str(index), "--question", "anything"])
         assert code == 2
         assert "n_units" in capsys.readouterr().err
+
+
+class TestMalformedEmbeddings:
+    @pytest.mark.parametrize("row", [[1.0, "a"], 1.0, [1.0, None]],
+                             ids=["string-value", "flat-number", "null-value"])
+    def test_index_with_malformed_vectors_is_provider_error(self, row, dataset, tmp_path, stub,
+                                                           monkeypatch, capsys):
+        monkeypatch.setenv("MCIDX_EMBED_URL", stub.url)
+        stub.responder = lambda path, payload: (200, {"vectors": [row] * len(payload["texts"])})
+        corpus, _ = dataset
+        output = tmp_path / "idx"
+        code = run(["index", "--corpus", str(corpus), "--scheme", "content",
+                    "--retriever", "dense:stub", "--output", str(output)])
+        assert code == 3
+        assert "provider error" in capsys.readouterr().err
+        assert not output.exists()

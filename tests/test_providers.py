@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mcidx.errors import ProviderError
 from mcidx.providers import (
@@ -8,6 +11,20 @@ from mcidx.providers import (
     HttpLlmClient,
     MockEmbeddingProvider,
 )
+from oracles import oracle_mock_embed
+
+# Repeated, Unicode, edge-punctuated and punctuation-only tokens.
+_TOKENS = ["cat", "Cat", "cat,", "(cat)", "naïve", "«Naïve»", "straße", "ΣΊΣΥΦΟΣ", "日本語",
+           "x-y", "—", "...", "“”", "🙂", "a\u0301"]
+_TEXTS = st.one_of(
+    st.lists(st.sampled_from(_TOKENS), max_size=12).map(" ".join),
+    st.text(max_size=40),
+)
+
+
+def _row_bytes(rows) -> tuple[tuple[int, ...], bytes]:
+    matrix = np.asarray(rows, dtype=np.float64)
+    return matrix.shape, matrix.tobytes()
 
 
 def _client(stub, **kwargs):
@@ -91,3 +108,14 @@ class TestMockEmbeddingProvider:
         (single,) = provider.embed(["cat"])
         (double,) = provider.embed(["cat cat"])
         assert sum(double) == 2 * sum(single)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(_TEXTS, max_size=8))
+    @example([])
+    @example(["", "  ", "... —"])  # a batch without a single term
+    def test_equals_per_occurrence_oracle(self, texts):
+        provider = MockEmbeddingProvider()
+        expected = oracle_mock_embed(texts)
+        assert _row_bytes(provider.embed(texts)) == _row_bytes(expected)
+        # A second call on the same, now warm, instance gives the same rows.
+        assert _row_bytes(provider.embed(texts[::-1])) == _row_bytes(expected[::-1])

@@ -12,6 +12,7 @@ from mcidx.errors import (
     DimensionMismatch,
     DuplicateId,
     EmptyCorpus,
+    ProviderError,
     ProviderMismatch,
 )
 from mcidx.providers import EmbeddingProvider, MockEmbeddingProvider
@@ -234,6 +235,20 @@ class TestEmbed:
 
         with pytest.raises(DimensionMismatch):
             embed(["a", "b"], RaggedProvider())
+
+    def test_width_change_between_batches_is_provider_error(self):
+        class ShiftingProvider(EmbeddingProvider):
+            name = "shifting"
+
+            def __init__(self):
+                self.width = 2
+
+            def embed(self, texts):
+                self.width += 1
+                return [[1.0] * self.width for _ in texts]
+
+        with pytest.raises(ProviderError, match="after width 3"):
+            embed(["t"] * 40, ShiftingProvider())
 
     def test_batching_preserves_order(self):
         calls = []

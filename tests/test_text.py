@@ -1,9 +1,17 @@
 from __future__ import annotations
 
+import string
+
 from hypothesis import given
 from hypothesis import strategies as st
 
 from mcidx.text import index_terms, token_count, truncate_tokens
+from oracles import oracle_terms
+
+# Letters (cased and not), every edge-punctuation character spelled out here
+# rather than imported, and ASCII and Unicode whitespace, so tokens split,
+# strip and vanish in every combination.
+_TERM_ALPHABET = "aZéÉßΣ日" + string.punctuation + "‘’“”«»–—" + " \t\n\x1c\x85\u3000\xa0"
 
 
 def test_token_count_empty():
@@ -42,3 +50,8 @@ def test_index_terms_lowercase_and_edge_punctuation():
 
 def test_index_terms_drops_pure_punctuation():
     assert index_terms("hello -- world ...") == ["hello", "world"]
+
+
+@given(st.text(alphabet=_TERM_ALPHABET, max_size=60))
+def test_index_terms_equals_oracle(text):
+    assert index_terms(text) == oracle_terms(text)
