@@ -388,6 +388,9 @@ def run(argv=None) -> int:
     except McIndexError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except UnicodeDecodeError as exc:
+        print(f"data error: a file is not UTF-8 text: {exc}", file=sys.stderr)
+        return EXIT_DATA
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

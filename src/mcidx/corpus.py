@@ -17,7 +17,7 @@ from functools import cached_property
 from pathlib import Path
 
 from .errors import DuplicateId, EmptyDocument, SchemaError
-from .jsonio import iter_jsonl, write_jsonl
+from .jsonio import iter_jsonl, require, write_jsonl
 from .text import token_count
 
 logger = logging.getLogger(__name__)
@@ -190,26 +190,14 @@ def parse_markdown(text: str, doc_id: str) -> Document:
     return build_document(doc_id, doc_id, sections)
 
 
-def _require(record: dict, key: str, kind: type, lineno: int):
-    if key not in record:
-        raise SchemaError(f"missing key {key!r}", line=lineno)
-    value = record[key]
-    if kind is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise SchemaError(f"key {key!r} must be an integer", line=lineno)
-    elif not isinstance(value, kind):
-        raise SchemaError(f"key {key!r} must be {kind.__name__}", line=lineno)
-    return value
-
-
 def load_corpus_jsonl(path: str | Path) -> list[Document]:
     """Load documents from corpus JSONL, recomputing spans from section texts."""
     docs: list[Document] = []
     seen: set[str] = set()
     for lineno, record in iter_jsonl(path):
-        doc_id = _require(record, "doc_id", str, lineno)
-        title = _require(record, "title", str, lineno)
-        raw_sections = _require(record, "sections", list, lineno)
+        doc_id = require(record, "doc_id", str, lineno)
+        title = require(record, "title", str, lineno)
+        raw_sections = require(record, "sections", list, lineno)
         if not raw_sections:
             raise SchemaError("document has no sections", line=lineno)
         sections = []
@@ -218,10 +206,10 @@ def load_corpus_jsonl(path: str | Path) -> list[Document]:
                 raise SchemaError("section entry is not an object", line=lineno)
             sections.append(
                 (
-                    _require(raw, "section_id", str, lineno),
-                    _require(raw, "heading", str, lineno),
-                    _require(raw, "level", int, lineno),
-                    _require(raw, "text", str, lineno),
+                    require(raw, "section_id", str, lineno),
+                    require(raw, "heading", str, lineno),
+                    require(raw, "level", int, lineno),
+                    require(raw, "text", str, lineno),
                 )
             )
         if doc_id in seen:
@@ -252,22 +240,22 @@ def load_qa_jsonl(path: str | Path) -> list[QAItem]:
     """Load QA items without cross-checking them against a corpus."""
     items: list[QAItem] = []
     for lineno, record in iter_jsonl(path):
-        scope = _require(record, "scope", dict, lineno)
+        scope = require(record, "scope", dict, lineno)
         try:
-            qtype = parse_question_type(_require(record, "question_type", str, lineno))
+            qtype = parse_question_type(require(record, "question_type", str, lineno))
         except ValueError as exc:
             raise SchemaError(str(exc), line=lineno) from exc
         items.append(
             QAItem(
-                question_id=_require(record, "question_id", str, lineno),
-                doc_id=_require(record, "doc_id", str, lineno),
-                question=_require(record, "question", str, lineno),
-                answer=_require(record, "answer", str, lineno),
+                question_id=require(record, "question_id", str, lineno),
+                doc_id=require(record, "doc_id", str, lineno),
+                question=require(record, "question", str, lineno),
+                answer=require(record, "answer", str, lineno),
                 question_type=qtype,
-                scope_section_id=_require(scope, "section_id", str, lineno),
+                scope_section_id=require(scope, "section_id", str, lineno),
                 scope_span=(
-                    _require(scope, "char_start", int, lineno),
-                    _require(scope, "char_end", int, lineno),
+                    require(scope, "char_start", int, lineno),
+                    require(scope, "char_end", int, lineno),
                 ),
             )
         )

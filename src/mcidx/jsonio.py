@@ -1,4 +1,4 @@
-"""JSONL file helpers, atomic text writes and tolerant JSON extraction from generated text."""
+"""JSONL file helpers, typed record fields, atomic text writes and tolerant JSON extraction from generated text."""
 
 from __future__ import annotations
 
@@ -29,6 +29,19 @@ def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
             if not isinstance(record, dict):
                 raise SchemaError("record is not a JSON object", line=lineno)
             yield lineno, record
+
+
+def require(record: dict, key: str, kind: type, lineno: int):
+    """``record[key]`` if it is present and of ``kind`` (an int is not a bool), else SchemaError."""
+    if key not in record:
+        raise SchemaError(f"missing key {key!r}", line=lineno)
+    value = record[key]
+    if kind is int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise SchemaError(f"key {key!r} must be an integer", line=lineno)
+    elif not isinstance(value, kind):
+        raise SchemaError(f"key {key!r} must be {kind.__name__}", line=lineno)
+    return value
 
 
 @contextmanager

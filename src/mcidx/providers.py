@@ -7,9 +7,13 @@ Both HTTP contracts are tiny JSON-over-POST surfaces:
 * ``POST {MCIDX_EMBED_URL}/embed`` with ``{"texts": [str]}`` returns
   ``{"vectors": [[float]], "model": str}``.
 
-Transient failures (connection errors, 429, 5xx) are retried with exponential
-backoff up to a retry budget; anything else is a ProviderError. A semaphore
-bounds in-flight calls per client so parallel view generation stays polite.
+Both clients send through one ``_post_json`` with one fixed policy: each
+request may take ``TIMEOUT_S``; transient failures (connection errors, 429,
+5xx) are retried ``MAX_RETRIES`` times after the first try, waiting
+``BACKOFF_S`` and doubling the wait each time; anything else, including a 200
+whose body is not a JSON object, is a ProviderError. A semaphore bounds
+in-flight calls per client, held across retries, so parallel view generation
+stays polite.
 """
 
 from __future__ import annotations
@@ -33,6 +37,9 @@ LLM_API_KEY_ENV = "MCIDX_LLM_API_KEY"
 EMBED_URL_ENV = "MCIDX_EMBED_URL"
 
 _RETRYABLE_STATUS = {429, 500, 502, 503, 504}
+TIMEOUT_S = 60.0
+MAX_RETRIES = 3
+BACKOFF_S = 0.5
 DEFAULT_MAX_IN_FLIGHT = 4
 
 MOCK_EMBED_DIM = 256
@@ -40,8 +47,6 @@ MOCK_EMBED_DIM = 256
 
 class LlmClient:
     """Interface for text generation endpoints."""
-
-    name: str = "llm"
 
     def generate(self, prompt: str, max_tokens: int = 1024) -> str:
         raise NotImplementedError
@@ -52,81 +57,52 @@ class EmbeddingProvider:
 
     name: str = "embedding"
 
-    def embed(self, texts: list[str]) -> list[list[float]]:
+    def embed(self, texts: list[str]):
+        """One row per text, as a 2-D array-like of numbers."""
         raise NotImplementedError
 
 
-def _post_json_with_retry(
-    url: str,
-    payload: dict,
-    headers: dict[str, str],
-    timeout: float,
-    max_retries: int,
-    backoff: float,
-) -> dict:
-    last_error: str = "no attempt made"
-    for attempt in range(max_retries + 1):
+def _post_json(url: str, payload: dict, headers: dict[str, str]) -> dict:
+    """POST ``payload`` and return the JSON object of a 200 reply, retrying transient failures."""
+    for attempt in range(MAX_RETRIES + 1):
         if attempt:
-            time.sleep(backoff * (2 ** (attempt - 1)))
+            time.sleep(BACKOFF_S * (2 ** (attempt - 1)))
         try:
-            response = requests.post(url, json=payload, headers=headers, timeout=timeout)
+            response = requests.post(url, json=payload, headers=headers, timeout=TIMEOUT_S)
         except requests.RequestException as exc:
             last_error = f"request failed: {exc}"
-            logger.warning("%s (attempt %d/%d)", last_error, attempt + 1, max_retries + 1)
-            continue
-        if response.status_code == 200:
-            try:
-                return response.json()
-            except ValueError as exc:
-                raise ProviderError(f"non-JSON response from {url}: {exc}") from exc
-        if response.status_code in _RETRYABLE_STATUS:
+        else:
+            if response.status_code == 200:
+                try:
+                    data = response.json()
+                except ValueError as exc:
+                    raise ProviderError(f"non-JSON response from {url}: {exc}") from exc
+                if not isinstance(data, dict):
+                    raise ProviderError(f"response from {url} is not a JSON object")
+                return data
+            if response.status_code not in _RETRYABLE_STATUS:
+                raise ProviderError(f"HTTP {response.status_code} from {url}: {response.text[:200]}")
             last_error = f"HTTP {response.status_code} from {url}"
-            logger.warning("%s (attempt %d/%d)", last_error, attempt + 1, max_retries + 1)
-            continue
-        raise ProviderError(f"HTTP {response.status_code} from {url}: {response.text[:200]}")
+        logger.warning("%s (attempt %d/%d)", last_error, attempt + 1, MAX_RETRIES + 1)
     raise ProviderError(f"retries exhausted for {url}: {last_error}")
 
 
 class HttpLlmClient(LlmClient):
-    def __init__(
-        self,
-        base_url: str,
-        api_key: str | None = None,
-        *,
-        name: str = "llm",
-        timeout: float = 60.0,
-        max_retries: int = 3,
-        backoff: float = 0.5,
-        max_in_flight: int = DEFAULT_MAX_IN_FLIGHT,
-    ):
-        self.name = name
+    def __init__(self, base_url: str, api_key: str | None = None, *, max_in_flight: int):
         self._url = base_url.rstrip("/") + "/generate"
-        self._api_key = api_key
-        self._timeout = timeout
-        self._max_retries = max_retries
-        self._backoff = backoff
+        self._headers = {"Authorization": f"Bearer {api_key}"} if api_key else {}
         self._slots = threading.Semaphore(max_in_flight)
 
     @classmethod
-    def from_env(cls, **kwargs) -> "HttpLlmClient":
+    def from_env(cls, max_in_flight: int) -> "HttpLlmClient":
         url = os.environ.get(LLM_URL_ENV)
         if not url:
             raise ProviderError(f"{LLM_URL_ENV} is not set")
-        return cls(url, api_key=os.environ.get(LLM_API_KEY_ENV), **kwargs)
+        return cls(url, api_key=os.environ.get(LLM_API_KEY_ENV), max_in_flight=max_in_flight)
 
     def generate(self, prompt: str, max_tokens: int = 1024) -> str:
-        headers = {}
-        if self._api_key:
-            headers["Authorization"] = f"Bearer {self._api_key}"
         with self._slots:
-            data = _post_json_with_retry(
-                self._url,
-                {"prompt": prompt, "max_tokens": max_tokens},
-                headers,
-                self._timeout,
-                self._max_retries,
-                self._backoff,
-            )
+            data = _post_json(self._url, {"prompt": prompt, "max_tokens": max_tokens}, self._headers)
         text = data.get("text")
         if not isinstance(text, str):
             raise ProviderError(f"response from {self._url} lacks a 'text' string")
@@ -134,35 +110,21 @@ class HttpLlmClient(LlmClient):
 
 
 class HttpEmbeddingProvider(EmbeddingProvider):
-    def __init__(
-        self,
-        base_url: str,
-        *,
-        name: str,
-        timeout: float = 60.0,
-        max_retries: int = 3,
-        backoff: float = 0.5,
-        max_in_flight: int = DEFAULT_MAX_IN_FLIGHT,
-    ):
+    def __init__(self, base_url: str, *, name: str):
         self.name = name
         self._url = base_url.rstrip("/") + "/embed"
-        self._timeout = timeout
-        self._max_retries = max_retries
-        self._backoff = backoff
-        self._slots = threading.Semaphore(max_in_flight)
+        self._slots = threading.Semaphore(DEFAULT_MAX_IN_FLIGHT)
 
     @classmethod
-    def from_env(cls, name: str, **kwargs) -> "HttpEmbeddingProvider":
+    def from_env(cls, name: str) -> "HttpEmbeddingProvider":
         url = os.environ.get(EMBED_URL_ENV)
         if not url:
             raise ProviderError(f"{EMBED_URL_ENV} is not set")
-        return cls(url, name=name, **kwargs)
+        return cls(url, name=name)
 
     def embed(self, texts: list[str]) -> list[list[float]]:
         with self._slots:
-            data = _post_json_with_retry(
-                self._url, {"texts": list(texts)}, {}, self._timeout, self._max_retries, self._backoff
-            )
+            data = _post_json(self._url, {"texts": list(texts)}, {})
         vectors = data.get("vectors")
         if not isinstance(vectors, list) or len(vectors) != len(texts):
             raise ProviderError(f"response from {self._url} lacks one vector per input text")
@@ -193,9 +155,9 @@ class MockEmbeddingProvider(EmbeddingProvider):
         self.name = name
         self._buckets = _BucketMemo()
 
-    def embed(self, texts: list[str]) -> list[list[float]]:
+    def embed(self, texts: list[str]) -> np.ndarray:
         buckets = self._buckets
         ids = [row * MOCK_EMBED_DIM + buckets[term]
                for row, text in enumerate(texts) for term in index_terms(text)]
         counts = np.bincount(np.array(ids, dtype=np.intp), minlength=len(texts) * MOCK_EMBED_DIM)
-        return counts.reshape(len(texts), MOCK_EMBED_DIM).astype(np.float64).tolist()
+        return counts.reshape(len(texts), MOCK_EMBED_DIM).astype(np.float64)

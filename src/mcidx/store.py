@@ -11,8 +11,8 @@ Directory layout:
 
 Loading parses the postings straight into the index arrays and checks them
 (terms sorted and unique, unit indexes in range and strictly ascending per
-term, term counts positive and summing to each unit's token count); any
-defect is ``CorruptIndex``. Derived
+term, term counts positive and summing to each unit's token count) and the
+embeddings (every value finite); any defect is ``CorruptIndex``. Derived
 statistics (idf, norms, avgdl) are recomputed from the stored integers, so a
 save/load round trip reproduces rankings bit-exactly.
 """
@@ -197,6 +197,8 @@ def load_index(directory: str | Path) -> SparseIndex | DenseIndex:
         if len(blob) != n_units * dim * 4:
             raise CorruptIndex("embeddings size does not match manifest")
         matrix = np.frombuffer(blob, dtype="<f4").reshape(n_units, dim).copy()
+        if not np.isfinite(matrix).all():
+            raise CorruptIndex("embeddings file has a non-finite value")
         return DenseIndex(unit_ids, matrix, manifest["provider"])
     unit_ids, unit_lens = _read_units(directory / UNITS_FILE, n_units, with_lens=True)
     terms, indptr, postings, tfs = _unpack_terms((directory / TERMS_FILE).read_bytes(), n_units)

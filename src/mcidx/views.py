@@ -19,7 +19,7 @@ from pathlib import Path
 from .chunking import split_sentences
 from .corpus import Document, Section
 from .errors import ParseError, ProviderError, SchemaError
-from .jsonio import iter_jsonl, write_jsonl
+from .jsonio import iter_jsonl, require, write_jsonl
 from .prompts import render_keywords_prompt, render_summary_prompt
 from .providers import DEFAULT_MAX_IN_FLIGHT, LlmClient
 from .retrieval import DENSE_TOKEN_LIMIT, smoothed_idf
@@ -249,12 +249,12 @@ def read_views_jsonl(path: str | Path) -> dict[str, list[ViewEntry]]:
     for lineno, record in iter_jsonl(path):
         try:
             entry = ViewEntry(
-                section_id=record["section_id"],
+                section_id=require(record, "section_id", str, lineno),
                 view_kind=ViewKind(record["view_kind"]),
-                text=record["text"],
+                text=require(record, "text", str, lineno),
                 provenance=Provenance(record["provenance"]),
             )
-            doc_id = record["doc_id"]
+            doc_id = require(record, "doc_id", str, lineno)
         except (KeyError, ValueError) as exc:
             raise SchemaError(f"bad view record: {exc}", line=lineno) from exc
         views_by_doc.setdefault(doc_id, []).append(entry)

@@ -13,8 +13,6 @@ from mcidx.providers import LlmClient
 class ScriptedLlm(LlmClient):
     """Returns queued responses (or a handler's output) and records prompts."""
 
-    name = "scripted"
-
     def __init__(self, responses=None, handler=None):
         self.responses = list(responses or [])
         self.handler = handler
@@ -31,8 +29,6 @@ class ScriptedLlm(LlmClient):
 
 class RefusingLlm(LlmClient):
     """Fails the test if any call reaches it."""
-
-    name = "refusing"
 
     def generate(self, prompt: str, max_tokens: int = 1024) -> str:
         raise AssertionError("LLM was called but no call was expected")

@@ -457,3 +457,81 @@ class TestMalformedEmbeddings:
         assert code == 3
         assert "provider error" in capsys.readouterr().err
         assert not output.exists()
+
+
+class TestNonObjectReply:
+    @pytest.mark.parametrize("command", [
+        ["eval", "answers", "--retriever", "bm25", "--k", "3",
+         "--scheme-a", "content", "--mode-a", "mc", "--scheme-b", "flc:300", "--mode-b", "single:raw"],
+        ["index", "--scheme", "content", "--retriever", "dense:stub"],
+    ], ids=["llm", "embedding"])
+    def test_200_with_json_array_is_provider_error(self, command, dataset, tmp_path, stub,
+                                                   monkeypatch, capsys):
+        monkeypatch.setenv("MCIDX_LLM_URL", stub.url)
+        monkeypatch.setenv("MCIDX_EMBED_URL", stub.url)
+        stub.default = (200, [1, 2])
+        corpus, qa = dataset
+        qa_args = ["--qa", str(qa)] if command[0] == "eval" else []
+        code = run([*command, "--corpus", str(corpus), *qa_args, "--output", str(tmp_path / "out")])
+        assert code == 3
+        assert "not a JSON object" in capsys.readouterr().err
+
+
+class TestMistypedViewFields:
+    @pytest.mark.parametrize("kind,field,value,command", [
+        ("keywords", "text", 5, ["index", "--retriever", "bm25", "--view", "keywords"]),
+        ("summary", "text", None, ["eval", "recall", "--retriever", "bm25", "--mode", "mc", "--k", "3"]),
+        ("keywords", "doc_id", ["x"], ["index", "--retriever", "bm25", "--view", "keywords"]),
+    ], ids=["int-text-index", "null-text-recall", "list-doc_id"])
+    def test_mistyped_field_is_data_error(self, kind, field, value, command, dataset, tmp_path, capsys):
+        corpus, qa = dataset
+        views = _views_file(tmp_path, corpus)
+        records = [json.loads(line) for line in views.read_text().splitlines()]
+        next(r for r in records if r["view_kind"] == kind)[field] = value
+        views.write_text("".join(json.dumps(r) + "\n" for r in records))
+        rest = ["--qa", str(qa)] if command[0] == "eval" else ["--output", str(tmp_path / "idx")]
+        code = run([*command, "--corpus", str(corpus), "--scheme", "content", "--views", str(views), *rest])
+        assert code == 2
+        assert f"key {field!r} must be str" in capsys.readouterr().err
+
+
+class TestNotUtf8:
+    """A file that is not UTF-8 text is a data error (exit 2), wherever it is read."""
+
+    BAD = b"\xff\xfe not utf-8\n"
+
+    def test_markdown(self, tmp_path, capsys):
+        source = tmp_path / "guide.md"
+        source.write_bytes(b"# Guide\n" + self.BAD)
+        assert run(["ingest", str(source), "--output", str(tmp_path / "corpus.jsonl")]) == 2
+        assert "not UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["stats", "chunk"])
+    def test_corpus(self, command, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_bytes(self.BAD)
+        rest = ["--scheme", "content", "--output", str(tmp_path / "chunks.jsonl")] if command == "chunk" else []
+        assert run([command, "--corpus", str(corpus), *rest]) == 2
+        assert "not UTF-8" in capsys.readouterr().err
+
+    def test_views(self, dataset, tmp_path, capsys):
+        corpus, _ = dataset
+        views = tmp_path / "views.jsonl"
+        views.write_bytes(self.BAD)
+        code = run(["index", "--corpus", str(corpus), "--scheme", "content", "--retriever", "bm25",
+                    "--view", "keywords", "--views", str(views), "--output", str(tmp_path / "idx")])
+        assert code == 2
+        assert "not UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["manifest.json", "units.jsonl"])
+    def test_index_file(self, name, dataset, tmp_path, capsys):
+        corpus, _ = dataset
+        index = tmp_path / "idx"
+        assert run(["index", "--corpus", str(corpus), "--scheme", "content", "--retriever", "bm25",
+                    "--output", str(index)]) == 0
+        (index / name).write_bytes(self.BAD)
+        if name != "manifest.json":
+            manifest = json.loads((index / "manifest.json").read_text())
+            manifest["checksums"][name] = hashlib.sha256(self.BAD).hexdigest()
+            (index / "manifest.json").write_text(json.dumps(manifest))
+        assert run(["retrieve", "--index", str(index), "--question", "anything"]) == 2

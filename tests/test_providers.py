@@ -5,8 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mcidx import providers
 from mcidx.errors import ProviderError
 from mcidx.providers import (
+    MOCK_EMBED_DIM,
     HttpEmbeddingProvider,
     HttpLlmClient,
     MockEmbeddingProvider,
@@ -23,13 +25,17 @@ _TEXTS = st.one_of(
 
 
 def _row_bytes(rows) -> tuple[tuple[int, ...], bytes]:
-    matrix = np.asarray(rows, dtype=np.float64)
+    matrix = np.asarray(rows, dtype=np.float64).reshape(-1, MOCK_EMBED_DIM)
     return matrix.shape, matrix.tobytes()
 
 
-def _client(stub, **kwargs):
-    kwargs.setdefault("backoff", 0.01)
-    return HttpLlmClient(stub.url, api_key="sekrit", **kwargs)
+@pytest.fixture(autouse=True)
+def _short_backoff(monkeypatch):
+    monkeypatch.setattr(providers, "BACKOFF_S", 0.01)
+
+
+def _client(stub):
+    return HttpLlmClient(stub.url, api_key="sekrit", max_in_flight=1)
 
 
 class TestHttpLlmClient:
@@ -42,15 +48,17 @@ class TestHttpLlmClient:
         assert payload == {"prompt": "hello prompt", "max_tokens": 77}
         assert headers["Authorization"] == "Bearer sekrit"
 
-    def test_retries_transient_errors_then_succeeds(self, stub):
+    def test_retries_transient_errors_then_succeeds(self, stub, monkeypatch):
+        monkeypatch.setattr(providers, "MAX_RETRIES", 3)
         stub.queue = [(500, "boom"), (429, "slow down"), (200, {"text": "fine"})]
-        assert _client(stub, max_retries=3).generate("p") == "fine"
+        assert _client(stub).generate("p") == "fine"
         assert len(stub.requests) == 3
 
-    def test_retry_budget_exhausted(self, stub):
+    def test_retry_budget_exhausted(self, stub, monkeypatch):
+        monkeypatch.setattr(providers, "MAX_RETRIES", 2)
         stub.default = (503, "down")
         with pytest.raises(ProviderError, match="retries exhausted"):
-            _client(stub, max_retries=2).generate("p")
+            _client(stub).generate("p")
         assert len(stub.requests) == 3  # initial try + 2 retries
 
     def test_non_retryable_status_fails_fast(self, stub):
@@ -68,19 +76,19 @@ class TestHttpLlmClient:
         monkeypatch.setenv("MCIDX_LLM_URL", stub.url)
         monkeypatch.setenv("MCIDX_LLM_API_KEY", "envkey")
         stub.default = (200, {"text": "enviro"})
-        assert HttpLlmClient.from_env(backoff=0.01).generate("p") == "enviro"
+        assert HttpLlmClient.from_env(max_in_flight=1).generate("p") == "enviro"
         assert stub.requests[0][2]["Authorization"] == "Bearer envkey"
 
     def test_from_env_requires_url(self, monkeypatch):
         monkeypatch.delenv("MCIDX_LLM_URL", raising=False)
         with pytest.raises(ProviderError, match="MCIDX_LLM_URL"):
-            HttpLlmClient.from_env()
+            HttpLlmClient.from_env(max_in_flight=1)
 
 
 class TestHttpEmbeddingProvider:
     def test_request_and_response(self, stub):
         stub.default = (200, {"vectors": [[1.0, 0.0], [0.0, 1.0]], "model": "stub-model"})
-        provider = HttpEmbeddingProvider(stub.url, name="stub", backoff=0.01)
+        provider = HttpEmbeddingProvider(stub.url, name="stub")
         vectors = provider.embed(["a", "b"])
         assert vectors == [[1.0, 0.0], [0.0, 1.0]]
         path, payload, _ = stub.requests[0]
@@ -89,15 +97,26 @@ class TestHttpEmbeddingProvider:
 
     def test_wrong_vector_count(self, stub):
         stub.default = (200, {"vectors": [[1.0]], "model": "stub"})
-        provider = HttpEmbeddingProvider(stub.url, name="stub", backoff=0.01)
+        provider = HttpEmbeddingProvider(stub.url, name="stub")
         with pytest.raises(ProviderError, match="one vector per input"):
             provider.embed(["a", "b"])
+
+
+@pytest.mark.parametrize("call", [
+    lambda url: HttpLlmClient(url, max_in_flight=1).generate("p"),
+    lambda url: HttpEmbeddingProvider(url, name="stub").embed(["a", "b"]),
+], ids=["llm", "embedding"])
+def test_non_object_json_is_provider_error(call, stub):
+    stub.default = (200, [1, 2])
+    with pytest.raises(ProviderError, match="not a JSON object"):
+        call(stub.url)
+    assert len(stub.requests) == 1
 
 
 class TestMockEmbeddingProvider:
     def test_deterministic(self):
         provider = MockEmbeddingProvider()
-        assert provider.embed(["cat sat"]) == provider.embed(["cat sat"])
+        assert np.array_equal(provider.embed(["cat sat"]), provider.embed(["cat sat"]))
 
     def test_dimension(self):
         provider = MockEmbeddingProvider()

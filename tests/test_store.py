@@ -212,6 +212,15 @@ class TestCorruptIndexRejected:
         with pytest.raises(CorruptIndex):
             load_index(dense)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_embeddings(self, dense, value):
+        # Every score against a NaN row is NaN, which no ranking threshold admits.
+        matrix = np.frombuffer((dense / EMBEDDINGS_FILE).read_bytes(), dtype="<f4").copy()
+        matrix[:] = value
+        _rewrite(dense, EMBEDDINGS_FILE, matrix.tobytes())
+        with pytest.raises(CorruptIndex, match="non-finite"):
+            load_index(dense)
+
     def test_dense_record_without_unit_id(self, dense):
         _rewrite(dense, IDS_FILE, b'{"unit_id": "u1"}\n{"id": "u2"}\n{"unit_id": "u3"}\n{"unit_id": "u4"}\n')
         with pytest.raises(CorruptIndex, match="unit_id"):
