@@ -23,7 +23,7 @@ from .corpus import (
     parse_markdown,
     write_corpus_jsonl,
 )
-from .errors import McIndexError, ParseError, ProviderError, ViewMismatch
+from .errors import DataError, McIndexError, ParseError, ProviderError, ViewMismatch
 from .evaluation import (
     check_budgets,
     check_setup,
@@ -87,7 +87,11 @@ def cmd_ingest(args) -> int:
     docs = []
     for path in args.inputs:
         path = Path(path)
-        docs.append(parse_markdown(path.read_text(encoding="utf-8"), doc_id=path.stem))
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path} is not UTF-8 text: {exc.reason}") from exc
+        docs.append(parse_markdown(text, doc_id=path.stem))
     write_corpus_jsonl(docs, args.output)
     logger.info("wrote %d documents to %s", len(docs), args.output)
     return EXIT_OK
@@ -387,9 +391,6 @@ def run(argv=None) -> int:
         return EXIT_DATA
     except McIndexError as exc:
         print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except UnicodeDecodeError as exc:
-        print(f"data error: a file is not UTF-8 text: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -9,26 +9,47 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import TextIO
 
-from .errors import SchemaError
+from .errors import DataError, SchemaError
+
+_JSON_WHITESPACE = " \t\n\r"
+# ``json.loads`` without its per-call wrapper, which matches whitespace with
+# two regexes; ``iter_jsonl_lines`` strips that whitespace itself.
+_raw_decode = json.JSONDecoder().raw_decode
 
 
 def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
     """Yield ``(line_number, record)`` for every non-blank line of a JSONL file.
 
     Raises SchemaError (with the line number) on invalid JSON or on records
-    that are not objects.
+    that are not objects, and DataError naming ``path`` if it is not UTF-8.
     """
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
+        yield from iter_jsonl_lines(fh, path)
+
+
+def iter_jsonl_lines(lines: Iterable[str], path: str | Path) -> Iterator[tuple[int, dict]]:
+    """``iter_jsonl`` over the lines of ``path`` already opened as UTF-8 text.
+
+    Each line is decoded as ``json.loads`` would: a line that is empty or
+    whitespace (in the ``str.isspace`` sense) is skipped; otherwise JSON
+    whitespace around one value is allowed and anything else is an error.
+    """
+    try:
+        for lineno, line in enumerate(lines, start=1):
+            text = line.strip(_JSON_WHITESPACE)
+            if not text or text.isspace():
                 continue
             try:
-                record = json.loads(line)
+                record, end = _raw_decode(text)
             except json.JSONDecodeError as exc:
                 raise SchemaError(f"invalid JSON ({exc.msg})", line=lineno) from exc
+            if end != len(text):
+                raise SchemaError("invalid JSON (Extra data)", line=lineno)
             if not isinstance(record, dict):
                 raise SchemaError("record is not a JSON object", line=lineno)
             yield lineno, record
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text: {exc.reason}") from exc
 
 
 def require(record: dict, key: str, kind: type, lineno: int):

@@ -3,31 +3,35 @@
 Directory layout:
 
 * ``manifest.json`` - format_version, kind, provider, unit/dim counts, and a
-  sha256 checksum for exactly the kind's data files (verified on load);
+  sha256 checksum for exactly the kind's data files;
 * sparse: ``units.jsonl`` (unit ids and token counts, in corpus order) and
   ``terms.bin`` (inverted index: term postings as little-endian u32 pairs);
 * dense: ``ids.jsonl`` (row order) and ``embeddings.f32le`` (row-major
   little-endian float32 matrix).
 
-Loading parses the postings straight into the index arrays and checks them
-(terms sorted and unique, unit indexes in range and strictly ascending per
-term, term counts positive and summing to each unit's token count) and the
-embeddings (every value finite); any defect is ``CorruptIndex``. Derived
-statistics (idf, norms, avgdl) are recomputed from the stored integers, so a
-save/load round trip reproduces rankings bit-exactly.
+Loading reads each data file once and checks its checksum on the bytes that
+are then parsed. It parses the postings straight into the index arrays and
+checks them (terms sorted and unique, unit indexes in range and strictly
+ascending per term, term counts positive and summing to each unit's token
+count), the unit ids (one per row, none repeated) and the embeddings (every
+value finite); any defect is ``CorruptIndex``. Derived statistics (idf,
+norms, avgdl) are recomputed from the stored integers, so a save/load round
+trip reproduces rankings bit-exactly.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import struct
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
 from .errors import CorruptIndex, VersionMismatch
-from .jsonio import iter_jsonl, write_jsonl
+from .jsonio import iter_jsonl_lines, write_jsonl
 from .retrieval import BM25, DENSE, TFIDF, DenseIndex, SparseIndex
 
 FORMAT_VERSION = 1
@@ -110,18 +114,26 @@ def _count(record: dict, key: str, where: str, minimum: int) -> int:
     return value
 
 
-def _read_units(path: Path, n_units: int, with_lens: bool) -> tuple[list[str], list[int]]:
-    """Unit ids (and token counts) of a units or ids file, in row order."""
+def _read_units(path: Path, blob: bytes, n_units: int, with_lens: bool) -> tuple[list[str], list[int]]:
+    """Unit ids (and token counts) of a units or ids file's bytes, in row order."""
     unit_ids: list[str] = []
     unit_lens: list[int] = []
-    for lineno, record in iter_jsonl(path):
-        if not isinstance(record.get("unit_id"), str):
+    for lineno, record in iter_jsonl_lines(io.TextIOWrapper(io.BytesIO(blob), encoding="utf-8"), path):
+        unit_id = record.get("unit_id")
+        if not isinstance(unit_id, str):
             raise CorruptIndex(f"{path.name} line {lineno}: no string 'unit_id'")
-        unit_ids.append(record["unit_id"])
+        unit_ids.append(unit_id)
         if with_lens:
-            unit_lens.append(_count(record, "n_tokens", f"{path.name} line {lineno}", 0))
+            n_tokens = record.get("n_tokens")
+            # JSON decodes to no int subclass but bool, which is not a count.
+            if type(n_tokens) is not int or n_tokens < 0:
+                raise CorruptIndex(f"{path.name} line {lineno}: 'n_tokens' is not an integer >= 0")
+            unit_lens.append(n_tokens)
     if len(unit_ids) != n_units:
         raise CorruptIndex(f"{path.name} unit count does not match manifest")
+    if len(set(unit_ids)) != n_units:
+        repeated = next(uid for uid, count in Counter(unit_ids).items() if count > 1)
+        raise CorruptIndex(f"{path.name} repeats unit id {repeated!r}")
     return unit_ids, unit_lens
 
 
@@ -153,19 +165,23 @@ def save_index(index: SparseIndex | DenseIndex, directory: str | Path) -> None:
     (directory / MANIFEST).write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
 
 
-def _verify_checksums(directory: Path, manifest: dict, data_files: tuple[str, str]) -> None:
+def _read_verified(directory: Path, manifest: dict, data_files: tuple[str, str]) -> tuple[bytes, bytes]:
+    """The bytes of the kind's data files, each read once and checked against its manifest checksum."""
     checksums = manifest.get("checksums")
     if not isinstance(checksums, dict):
         raise CorruptIndex("manifest: 'checksums' is not an object")
     if set(checksums) != set(data_files):
         raise CorruptIndex(f"manifest: 'checksums' must name exactly {sorted(data_files)}")
-    for name, expected in checksums.items():
-        path = directory / name
-        if not path.exists():
-            raise CorruptIndex(f"missing index file {name!r}")
-        actual = _sha256(path)
-        if actual != expected:
+    blobs = []
+    for name in data_files:
+        try:
+            blob = (directory / name).read_bytes()
+        except FileNotFoundError:
+            raise CorruptIndex(f"missing index file {name!r}") from None
+        if hashlib.sha256(blob).hexdigest() != checksums[name]:
             raise CorruptIndex(f"checksum mismatch for {name!r}")
+        blobs.append(blob)
+    return blobs[0], blobs[1]
 
 
 def load_index(directory: str | Path) -> SparseIndex | DenseIndex:
@@ -186,22 +202,21 @@ def load_index(directory: str | Path) -> SparseIndex | DenseIndex:
     kind = manifest.get("kind")
     if kind not in (TFIDF, BM25, DENSE):
         raise CorruptIndex(f"unknown index kind {kind!r}")
-    _verify_checksums(directory, manifest, _data_files(kind))
+    units_blob, data_blob = _read_verified(directory, manifest, _data_files(kind))
     n_units = _count(manifest, "n_units", "manifest", 1)
     if kind == DENSE:
         dim = _count(manifest, "dim", "manifest", 1)
         if not isinstance(manifest.get("provider"), str):
             raise CorruptIndex("manifest: 'provider' is not a string")
-        unit_ids, _ = _read_units(directory / IDS_FILE, n_units, with_lens=False)
-        blob = (directory / EMBEDDINGS_FILE).read_bytes()
-        if len(blob) != n_units * dim * 4:
+        unit_ids, _ = _read_units(directory / IDS_FILE, units_blob, n_units, with_lens=False)
+        if len(data_blob) != n_units * dim * 4:
             raise CorruptIndex("embeddings size does not match manifest")
-        matrix = np.frombuffer(blob, dtype="<f4").reshape(n_units, dim).copy()
+        matrix = np.frombuffer(data_blob, dtype="<f4").reshape(n_units, dim).copy()
         if not np.isfinite(matrix).all():
             raise CorruptIndex("embeddings file has a non-finite value")
         return DenseIndex(unit_ids, matrix, manifest["provider"])
-    unit_ids, unit_lens = _read_units(directory / UNITS_FILE, n_units, with_lens=True)
-    terms, indptr, postings, tfs = _unpack_terms((directory / TERMS_FILE).read_bytes(), n_units)
+    unit_ids, unit_lens = _read_units(directory / UNITS_FILE, units_blob, n_units, with_lens=True)
+    terms, indptr, postings, tfs = _unpack_terms(data_blob, n_units)
     if not np.array_equal(np.bincount(postings, weights=tfs, minlength=n_units), unit_lens):
         raise CorruptIndex(f"{UNITS_FILE} token counts do not match the term counts in {TERMS_FILE}")
     return SparseIndex(kind, unit_ids, terms, indptr, postings, tfs, np.array(unit_lens, dtype=np.int64))

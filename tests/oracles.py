@@ -7,6 +7,7 @@ arithmetic, position sets) and share no scoring code with the package.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import string
 from collections import Counter
@@ -206,3 +207,25 @@ def oracle_judge(a1: float, b1: float, a2: float, b2: float) -> tuple[str, str]:
     else:
         round_based = "tie"
     return score_based, round_based
+
+
+def oracle_jsonl(path) -> tuple[list[tuple[int, object]], int | None]:
+    """Per-line ``json.loads`` over a JSONL file read with universal newlines.
+
+    Returns the ``(line_number, record)`` pairs before the first line that is
+    not one JSON object, and that line's number (None if every line is one).
+    Lines that ``str.strip`` empties are skipped.
+    """
+    pairs = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except ValueError:
+                return pairs, lineno
+            if not isinstance(record, dict):
+                return pairs, lineno
+            pairs.append((lineno, record))
+    return pairs, None

@@ -496,7 +496,7 @@ class TestMistypedViewFields:
 
 
 class TestNotUtf8:
-    """A file that is not UTF-8 text is a data error (exit 2), wherever it is read."""
+    """A file that is not UTF-8 text is a data error (exit 2) that names the file, wherever it is read."""
 
     BAD = b"\xff\xfe not utf-8\n"
 
@@ -504,7 +504,7 @@ class TestNotUtf8:
         source = tmp_path / "guide.md"
         source.write_bytes(b"# Guide\n" + self.BAD)
         assert run(["ingest", str(source), "--output", str(tmp_path / "corpus.jsonl")]) == 2
-        assert "not UTF-8" in capsys.readouterr().err
+        assert f"{source} is not UTF-8" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["stats", "chunk"])
     def test_corpus(self, command, tmp_path, capsys):
@@ -512,7 +512,7 @@ class TestNotUtf8:
         corpus.write_bytes(self.BAD)
         rest = ["--scheme", "content", "--output", str(tmp_path / "chunks.jsonl")] if command == "chunk" else []
         assert run([command, "--corpus", str(corpus), *rest]) == 2
-        assert "not UTF-8" in capsys.readouterr().err
+        assert f"{corpus} is not UTF-8" in capsys.readouterr().err
 
     def test_views(self, dataset, tmp_path, capsys):
         corpus, _ = dataset
@@ -521,7 +521,19 @@ class TestNotUtf8:
         code = run(["index", "--corpus", str(corpus), "--scheme", "content", "--retriever", "bm25",
                     "--view", "keywords", "--views", str(views), "--output", str(tmp_path / "idx")])
         assert code == 2
-        assert "not UTF-8" in capsys.readouterr().err
+        assert f"{views} is not UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["corpus", "qa", "views"])
+    def test_eval_recall_names_the_bad_file(self, bad, dataset, tmp_path, capsys):
+        corpus, qa = dataset
+        views = tmp_path / "views.jsonl"
+        assert run(["views", "--corpus", str(corpus), "--output", str(views)]) == 0
+        paths = {"corpus": corpus, "qa": qa, "views": views}
+        paths[bad].write_bytes(self.BAD)
+        code = run(["eval", "recall", "--corpus", str(corpus), "--qa", str(qa), "--scheme", "content",
+                    "--retriever", "bm25", "--mode", "mc", "--k", "3", "--views", str(views)])
+        assert code == 2
+        assert f"{paths[bad]} is not UTF-8" in capsys.readouterr().err
 
     @pytest.mark.parametrize("name", ["manifest.json", "units.jsonl"])
     def test_index_file(self, name, dataset, tmp_path, capsys):
@@ -534,4 +546,8 @@ class TestNotUtf8:
             manifest = json.loads((index / "manifest.json").read_text())
             manifest["checksums"][name] = hashlib.sha256(self.BAD).hexdigest()
             (index / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
         assert run(["retrieve", "--index", str(index), "--question", "anything"]) == 2
+        err = capsys.readouterr().err
+        assert str(index / name) in err
+        assert "UTF-8" in err or "utf-8" in err

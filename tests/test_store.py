@@ -1,13 +1,22 @@
 from __future__ import annotations
 
+import builtins
 import hashlib
+import io
 import json
+import os
+import shutil
 import struct
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mcidx.errors import CorruptIndex, VersionMismatch
+from mcidx.cli import run
+from mcidx.errors import CorruptIndex, McIndexError, VersionMismatch
 from mcidx.providers import MockEmbeddingProvider
 from mcidx.retrieval import (
     build_dense_index,
@@ -239,6 +248,15 @@ class TestCorruptIndexRejected:
         with pytest.raises(CorruptIndex):
             load_index(sparse)
 
+    @pytest.mark.parametrize("kind, name", [("sparse", UNITS_FILE), ("dense", IDS_FILE)])
+    def test_repeated_unit_id(self, request, kind, name):
+        directory = request.getfixturevalue(kind)
+        lines = (directory / name).read_text().splitlines(keepends=True)
+        lines[1] = lines[1].replace('"u2"', '"u1"')
+        _rewrite(directory, name, "".join(lines).encode())
+        with pytest.raises(CorruptIndex, match=f"{name} repeats unit id 'u1'"):
+            load_index(directory)
+
     @pytest.mark.parametrize("entries", [
         [("dog", [(0, 1)]), ("cat", [(1, 1)])],
         [("cat", [(0, 1)]), ("cat", [(1, 1)])],
@@ -259,3 +277,62 @@ class TestCorruptIndexRejected:
         _rewrite(sparse, TERMS_FILE, blob[:cut] if cut < 0 else blob + b"\0" * cut)
         with pytest.raises(CorruptIndex):
             load_index(sparse)
+
+
+def _saved(kind, directory):
+    index = build_dense_index(UNITS, MockEmbeddingProvider()) if kind == "dense" else build_sparse_index(UNITS, kind)
+    save_index(index, directory)
+    return directory
+
+
+@pytest.mark.parametrize("kind", ["bm25", "dense"])
+def test_load_reads_each_file_once(tmp_path, monkeypatch, kind):
+    directory = _saved(kind, tmp_path)
+    expected = Counter(path.name for path in directory.iterdir())
+    opened = Counter()
+    real_open = io.open
+
+    def counting_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and Path(file).parent == directory:
+            opened[Path(file).name] += 1
+        return real_open(file, *args, **kwargs)
+
+    # Module code calls the builtin; pathlib calls io.open.
+    monkeypatch.setattr(builtins, "open", counting_open)
+    monkeypatch.setattr(io, "open", counting_open)
+    load_index(directory)
+    assert opened == expected
+
+
+@pytest.fixture(scope="module")
+def saved_indexes(tmp_path_factory):
+    return {kind: _saved(kind, tmp_path_factory.mktemp(kind)) for kind in ("tfidf", "bm25", "dense")}
+
+
+_EDITS = st.lists(
+    st.tuples(st.sampled_from(["flip", "insert", "delete"]), st.integers(0, 1 << 16), st.integers(1, 255)),
+    min_size=1, max_size=4,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(["tfidf", "bm25", "dense"]), first_file=st.booleans(), edits=_EDITS)
+def test_mutated_data_file_loads_or_is_a_data_error(saved_indexes, tmp_path_factory, kind, first_file, edits):
+    """Flipped, inserted or deleted bytes under a matching checksum: an index or an McIndexError, never a crash."""
+    directory = tmp_path_factory.mktemp("fuzz")
+    shutil.copytree(saved_indexes[kind], directory, dirs_exist_ok=True)
+    name = ((IDS_FILE, EMBEDDINGS_FILE) if kind == "dense" else (UNITS_FILE, TERMS_FILE))[not first_file]
+    blob = bytearray((directory / name).read_bytes())
+    for op, position, byte in edits:
+        if op == "insert":
+            blob.insert(position % (len(blob) + 1), byte)
+        elif blob and op == "flip":
+            blob[position % len(blob)] ^= byte
+        elif blob:
+            del blob[position % len(blob)]
+    _rewrite(directory, name, bytes(blob))
+    try:
+        load_index(directory)
+    except McIndexError:
+        pass
+    assert run(["retrieve", "--index", str(directory), "--question", "cat dog fish", "--k", "2"]) in (0, 2)
