@@ -7,6 +7,8 @@ or embedding endpoints, exit 3).
 
 from __future__ import annotations
 
+from pathlib import Path
+
 
 class McIndexError(Exception):
     """Base class for all package errors."""
@@ -17,13 +19,24 @@ class DataError(McIndexError):
 
 
 class SchemaError(DataError):
-    """A JSONL record does not match the expected schema."""
+    """A JSONL record does not match the expected schema.
 
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
+    Reads ``<path>: line <line>: <message>``, leaving out a part while it is
+    None. A loader sets ``path`` on the errors raised for its file's records.
+    """
+
+    def __init__(self, message: str, line: int | None = None, path: str | Path | None = None):
         super().__init__(message)
+        self.line = line
+        self.path = path
+
+    def __str__(self) -> str:
+        text = self.args[0]
+        if self.line is not None:
+            text = f"line {self.line}: {text}"
+        if self.path is not None:
+            text = f"{self.path}: {text}"
+        return text
 
 
 class DuplicateId(DataError):

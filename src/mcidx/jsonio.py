@@ -15,13 +15,17 @@ _JSON_WHITESPACE = " \t\n\r"
 # ``json.loads`` without its per-call wrapper, which matches whitespace with
 # two regexes; ``iter_jsonl_lines`` strips that whitespace itself.
 _raw_decode = json.JSONDecoder().raw_decode
+# ``json.dumps(record, ensure_ascii=False)`` builds a new encoder per call;
+# this one is built once and writes the same bytes.
+_encode = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
     """Yield ``(line_number, record)`` for every non-blank line of a JSONL file.
 
-    Raises SchemaError (with the line number) on invalid JSON or on records
-    that are not objects, and DataError naming ``path`` if it is not UTF-8.
+    Raises SchemaError naming ``path`` and the line on invalid JSON or on
+    records that are not objects, and DataError naming ``path`` if it is not
+    UTF-8.
     """
     with open(path, encoding="utf-8") as fh:
         yield from iter_jsonl_lines(fh, path)
@@ -42,11 +46,11 @@ def iter_jsonl_lines(lines: Iterable[str], path: str | Path) -> Iterator[tuple[i
             try:
                 record, end = _raw_decode(text)
             except json.JSONDecodeError as exc:
-                raise SchemaError(f"invalid JSON ({exc.msg})", line=lineno) from exc
+                raise SchemaError(f"invalid JSON ({exc.msg})", lineno, path) from exc
             if end != len(text):
-                raise SchemaError("invalid JSON (Extra data)", line=lineno)
+                raise SchemaError("invalid JSON (Extra data)", lineno, path)
             if not isinstance(record, dict):
-                raise SchemaError("record is not a JSON object", line=lineno)
+                raise SchemaError("record is not a JSON object", lineno, path)
             yield lineno, record
     except UnicodeDecodeError as exc:
         raise DataError(f"{path} is not UTF-8 text: {exc.reason}") from exc
@@ -89,7 +93,7 @@ def atomic_text_writer(path: str | Path) -> Iterator[TextIO]:
 def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
     with atomic_text_writer(path) as fh:
         for record in records:
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+            fh.write(_encode(record) + "\n")
 
 
 def iter_json_objects(text: str) -> Iterator[dict]:

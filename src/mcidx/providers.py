@@ -28,7 +28,7 @@ import numpy as np
 import requests
 
 from .errors import ProviderError
-from .text import index_terms
+from .text import TermMemo, index_terms
 
 logger = logging.getLogger(__name__)
 
@@ -131,13 +131,13 @@ class HttpEmbeddingProvider(EmbeddingProvider):
         return vectors
 
 
-class _BucketMemo(dict):
-    """``term -> bucket``; a term is hashed the first time it is looked up."""
+def _bucket(term: str) -> int:
+    digest = hashlib.blake2b(term.encode("utf-8"), digest_size=8).digest()
+    return int.from_bytes(digest, "little") % MOCK_EMBED_DIM
 
-    def __missing__(self, term: str) -> int:
-        digest = hashlib.blake2b(term.encode("utf-8"), digest_size=8).digest()
-        bucket = self[term] = int.from_bytes(digest, "little") % MOCK_EMBED_DIM
-        return bucket
+
+# ``term -> bucket``, shared by every MockEmbeddingProvider in the process.
+_BUCKETS = TermMemo(_bucket)
 
 
 class MockEmbeddingProvider(EmbeddingProvider):
@@ -145,19 +145,20 @@ class MockEmbeddingProvider(EmbeddingProvider):
 
     Each term is hashed into one of ``MOCK_EMBED_DIM`` buckets; a text's
     vector is its bucket-count histogram (normalization happens index-side).
-    An instance hashes each distinct term once and keeps its bucket, so a
-    row does not depend on which texts the instance embedded before.
+    The module hashes each distinct term once and keeps its bucket, so a row
+    does not depend on which texts any instance embedded before.
     Identical texts always map to identical vectors, so rankings are
     reproducible and checkable against a brute-force cosine oracle.
     """
 
     def __init__(self, name: str = "mock"):
         self.name = name
-        self._buckets = _BucketMemo()
 
     def embed(self, texts: list[str]) -> np.ndarray:
-        buckets = self._buckets
-        ids = [row * MOCK_EMBED_DIM + buckets[term]
-               for row, text in enumerate(texts) for term in index_terms(text)]
-        counts = np.bincount(np.array(ids, dtype=np.intp), minlength=len(texts) * MOCK_EMBED_DIM)
-        return counts.reshape(len(texts), MOCK_EMBED_DIM).astype(np.float64)
+        # Row by row: one ``fromiter`` over the whole batch is faster for
+        # large batches but about doubles the cost of a one-text query embed.
+        matrix = np.zeros((len(texts), MOCK_EMBED_DIM))
+        for row, text in enumerate(texts):
+            buckets = np.fromiter(map(_BUCKETS.__getitem__, index_terms(text)), np.intp)
+            matrix[row] = np.bincount(buckets, minlength=MOCK_EMBED_DIM)
+        return matrix

@@ -4,13 +4,46 @@ A "token" is a maximal run of non-whitespace characters (Unicode whitespace
 as separators). This whitespace definition is deterministic and model-free
 and is normative for every length threshold in the package. Index terms are
 tokens lowercased with punctuation stripped from both edges.
+
+A corpus repeats a small vocabulary, so ``index_terms`` strips each distinct
+lowercased token once per process and looks it up after that, in one
+module-level ``TermMemo``. Such a table holds at most ``TERM_MEMO_MAX``
+entries: a miss on a full table clears it before inserting. A term is a pure
+function of its token, so clearing the table, or sharing it between callers,
+never changes a result; it only costs the strips again.
 """
 
 from __future__ import annotations
 
 import string
+import threading
+from collections.abc import Callable
 
 EDGE_PUNCT = string.punctuation + "‘’“”«»–—"
+TERM_MEMO_MAX = 1 << 16
+
+
+class TermMemo(dict):
+    """``key -> compute(key)`` for a pure ``compute``, computed on the first lookup of ``key``.
+
+    Never holds more than ``TERM_MEMO_MAX`` entries (see the module docstring).
+    """
+
+    def __init__(self, compute: Callable[[str], object]):
+        super().__init__()
+        self._compute = compute
+        self._lock = threading.Lock()
+
+    def __missing__(self, key: str):
+        value = self._compute(key)
+        with self._lock:
+            if len(self) >= TERM_MEMO_MAX:
+                self.clear()
+            self[key] = value
+        return value
+
+
+_TERMS = TermMemo(lambda token: token.strip(EDGE_PUNCT))
 
 
 def token_count(text: str) -> int:
@@ -35,4 +68,4 @@ def index_terms(text: str) -> list[str]:
 
     Tokens that are pure punctuation vanish.
     """
-    return [term for token in text.lower().split() if (term := token.strip(EDGE_PUNCT))]
+    return list(filter(None, map(_TERMS.__getitem__, text.lower().split())))

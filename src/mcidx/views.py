@@ -246,16 +246,20 @@ def write_views_jsonl(views_by_doc: dict[str, list[ViewEntry]], path: str | Path
 
 def read_views_jsonl(path: str | Path) -> dict[str, list[ViewEntry]]:
     views_by_doc: dict[str, list[ViewEntry]] = {}
-    for lineno, record in iter_jsonl(path):
-        try:
-            entry = ViewEntry(
-                section_id=require(record, "section_id", str, lineno),
-                view_kind=ViewKind(record["view_kind"]),
-                text=require(record, "text", str, lineno),
-                provenance=Provenance(record["provenance"]),
-            )
-            doc_id = require(record, "doc_id", str, lineno)
-        except (KeyError, ValueError) as exc:
-            raise SchemaError(f"bad view record: {exc}", line=lineno) from exc
-        views_by_doc.setdefault(doc_id, []).append(entry)
+    try:
+        for lineno, record in iter_jsonl(path):
+            try:
+                entry = ViewEntry(
+                    section_id=require(record, "section_id", str, lineno),
+                    view_kind=ViewKind(record["view_kind"]),
+                    text=require(record, "text", str, lineno),
+                    provenance=Provenance(record["provenance"]),
+                )
+                doc_id = require(record, "doc_id", str, lineno)
+            except (KeyError, ValueError) as exc:
+                raise SchemaError(f"bad view record: {exc}", line=lineno) from exc
+            views_by_doc.setdefault(doc_id, []).append(entry)
+    except SchemaError as exc:
+        exc.path = path
+        raise
     return views_by_doc

@@ -551,3 +551,41 @@ class TestNotUtf8:
         err = capsys.readouterr().err
         assert str(index / name) in err
         assert "UTF-8" in err or "utf-8" in err
+
+
+class TestBadRecordNamesTheFile:
+    """A JSONL record that does not decode, or lacks a field, is a data error naming its file and line."""
+
+    @pytest.mark.parametrize("line", ["{not json}", '{"a": 1} x', "[1, 2]", "{}"],
+                             ids=["invalid-json", "extra-data", "not-an-object", "missing-key"])
+    @pytest.mark.parametrize("bad", ["corpus", "qa", "views"])
+    def test_eval_recall(self, bad, line, dataset, tmp_path, capsys):
+        corpus, qa = dataset
+        views = tmp_path / "views.jsonl"
+        assert run(["views", "--corpus", str(corpus), "--output", str(views)]) == 0
+        path = {"corpus": corpus, "qa": qa, "views": views}[bad]
+        lineno = len(path.read_text().splitlines()) + 1
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+        capsys.readouterr()
+        code = run(["eval", "recall", "--corpus", str(corpus), "--qa", str(qa), "--scheme", "content",
+                    "--retriever", "bm25", "--mode", "mc", "--k", "3", "--views", str(views)])
+        assert code == 2
+        assert f"data error: {path}: line {lineno}: " in capsys.readouterr().err
+
+
+    def test_index_units_file(self, dataset, tmp_path, capsys):
+        corpus, _ = dataset
+        index = tmp_path / "idx"
+        assert run(["index", "--corpus", str(corpus), "--scheme", "content", "--retriever", "bm25",
+                    "--output", str(index)]) == 0
+        units = index / "units.jsonl"
+        lines = units.read_text().splitlines()
+        lines[1] = "{not json}"
+        units.write_text("".join(line + "\n" for line in lines))
+        manifest = json.loads((index / "manifest.json").read_text())
+        manifest["checksums"]["units.jsonl"] = hashlib.sha256(units.read_bytes()).hexdigest()
+        (index / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert run(["retrieve", "--index", str(index), "--question", "anything"]) == 2
+        assert f"data error: {units}: line 2: invalid JSON" in capsys.readouterr().err

@@ -129,12 +129,15 @@ class TestMockEmbeddingProvider:
         assert sum(double) == 2 * sum(single)
 
     @settings(max_examples=80, deadline=None)
-    @given(st.lists(_TEXTS, max_size=8))
-    @example([])
-    @example(["", "  ", "... —"])  # a batch without a single term
-    def test_equals_per_occurrence_oracle(self, texts):
-        provider = MockEmbeddingProvider()
-        expected = oracle_mock_embed(texts)
-        assert _row_bytes(provider.embed(texts)) == _row_bytes(expected)
-        # A second call on the same, now warm, instance gives the same rows.
-        assert _row_bytes(provider.embed(texts[::-1])) == _row_bytes(expected[::-1])
+    @given(st.lists(_TEXTS, max_size=8), st.lists(_TEXTS, max_size=8))
+    @example([], [])
+    @example(["cat cat"], ["", "  ", "... —"])  # texts without a single term are zero rows
+    def test_equals_per_occurrence_oracle(self, first, second):
+        # Rows depend on neither the instance nor what any instance embedded before.
+        warm = MockEmbeddingProvider()
+        calls = [(first, warm.embed(first)), (second, warm.embed(second)),
+                 (second, MockEmbeddingProvider().embed(second))]
+        for texts, rows in calls:
+            assert rows.dtype == np.float64
+            assert rows.shape == (len(texts), MOCK_EMBED_DIM)
+            assert _row_bytes(rows) == _row_bytes(oracle_mock_embed(texts))

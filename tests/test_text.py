@@ -2,16 +2,18 @@ from __future__ import annotations
 
 import string
 
-from hypothesis import given
+import pytest
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from mcidx import text as text_module
 from mcidx.text import index_terms, token_count, truncate_tokens
 from oracles import oracle_terms
 
-# Letters (cased and not), every edge-punctuation character spelled out here
-# rather than imported, and ASCII and Unicode whitespace, so tokens split,
-# strip and vanish in every combination.
-_TERM_ALPHABET = "aZéÉßΣ日" + string.punctuation + "‘’“”«»–—" + " \t\n\x1c\x85\u3000\xa0"
+# Letters (cased and not, and "İ", whose lowercase form is longer), every
+# edge-punctuation character spelled out here rather than imported, and ASCII
+# and Unicode whitespace, so tokens split, strip and vanish in every combination.
+_TERM_ALPHABET = "aZéÉßΣ日İ" + string.punctuation + "‘’“”«»–—" + " \t\n\x1c\x85\u3000\xa0"
 
 
 def test_token_count_empty():
@@ -53,5 +55,14 @@ def test_index_terms_drops_pure_punctuation():
 
 
 @given(st.text(alphabet=_TERM_ALPHABET, max_size=60))
+@example("İSTANBUL -- “İzmir” a\x1cb\x85c\xa0d\u3000e ... «x» —y— ‘z’")
 def test_index_terms_equals_oracle(text):
-    assert index_terms(text) == oracle_terms(text)
+    # Cold, then warm, under the real bound and under a bound of 3, where the
+    # term table is cleared in the middle of a call.
+    for bound in (text_module.TERM_MEMO_MAX, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(text_module, "TERM_MEMO_MAX", bound)
+            text_module._TERMS.clear()
+            for _ in range(2):
+                assert index_terms(text) == oracle_terms(text)
+                assert len(text_module._TERMS) <= bound
