@@ -96,6 +96,11 @@ def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
             fh.write(_encode(record) + "\n")
 
 
+def jsonl_bytes(records: Iterable[dict]) -> bytes:
+    """The UTF-8 bytes that ``write_jsonl`` writes for ``records``."""
+    return "".join([_encode(record) + "\n" for record in records]).encode("utf-8")
+
+
 def iter_json_objects(text: str) -> Iterator[dict]:
     """Extract every top-level JSON object embedded in free-form text.
 

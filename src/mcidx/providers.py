@@ -7,25 +7,30 @@ Both HTTP contracts are tiny JSON-over-POST surfaces:
 * ``POST {MCIDX_EMBED_URL}/embed`` with ``{"texts": [str]}`` returns
   ``{"vectors": [[float]], "model": str}``.
 
-Both clients send through one ``_post_json`` with one fixed policy: each
-request may take ``TIMEOUT_S``; transient failures (connection errors, 429,
-5xx) are retried ``MAX_RETRIES`` times after the first try, waiting
-``BACKOFF_S`` and doubling the wait each time; anything else, including a 200
-whose body is not a JSON object, is a ProviderError. A semaphore bounds
-in-flight calls per client, held across retries, so parallel view generation
-stays polite.
+Both clients check their endpoint URL when they are built and send through
+one ``_post_json``, on the standard library's ``urllib.request``, with one
+fixed policy: each request may take ``TIMEOUT_S``; transient failures
+(connection errors, 429, 5xx) are retried ``MAX_RETRIES`` times after the
+first try, waiting ``BACKOFF_S`` and doubling the wait each time; anything
+else, including a 200 whose body is not a JSON object, is a ProviderError.
+A semaphore bounds in-flight calls per client, held across retries, so
+parallel view generation stays polite.
 """
 
 from __future__ import annotations
 
 import hashlib
+import http.client
+import json
 import logging
 import os
 import threading
 import time
+import urllib.error
+import urllib.parse
+import urllib.request
 
 import numpy as np
-import requests
 
 from .errors import ProviderError
 from .text import TermMemo, index_terms
@@ -62,34 +67,68 @@ class EmbeddingProvider:
         raise NotImplementedError
 
 
+def _visible_ascii(text: str) -> bool:
+    """No space, control or non-ASCII character, which ``http.client`` rejects or cannot encode."""
+    return all(32 < ord(c) < 127 for c in text)
+
+
+def _endpoint(base_url: str, path: str, variable: str) -> str:
+    """``base_url`` + ``path``, once ``base_url`` is known to be an http(s) URL naming a host.
+
+    Checked when a client is built, so a bad ``variable`` fails before any
+    request instead of after every retry. The opener would also follow
+    ``file:``, ``ftp:`` and ``data:`` URLs.
+    """
+    try:
+        parts = urllib.parse.urlsplit(base_url)
+        valid = (parts.scheme in ("http", "https") and bool(parts.hostname)
+                 and parts.port != 0 and _visible_ascii(base_url))
+    except ValueError:  # unbalanced brackets, a port that is not a number in range
+        valid = False
+    if not valid:
+        raise ProviderError(f"{variable} must be an http:// or https:// URL naming a host, "
+                            f"in printable ASCII without spaces; got {base_url!r}")
+    return base_url.rstrip("/") + path
+
+
 def _post_json(url: str, payload: dict, headers: dict[str, str]) -> dict:
     """POST ``payload`` and return the JSON object of a 200 reply, retrying transient failures."""
+    request = urllib.request.Request(
+        url, data=json.dumps(payload, allow_nan=False).encode("utf-8"),
+        headers={"Content-Type": "application/json", **headers}, method="POST")
     for attempt in range(MAX_RETRIES + 1):
         if attempt:
             time.sleep(BACKOFF_S * (2 ** (attempt - 1)))
         try:
-            response = requests.post(url, json=payload, headers=headers, timeout=TIMEOUT_S)
-        except requests.RequestException as exc:
+            try:
+                response = urllib.request.urlopen(request, timeout=TIMEOUT_S)
+            except urllib.error.HTTPError as exc:  # any status outside 2xx
+                response = exc
+            with response:
+                status, raw = response.status, response.read()
+        except (OSError, http.client.HTTPException) as exc:
             last_error = f"request failed: {exc}"
         else:
-            if response.status_code == 200:
+            if status == 200:
                 try:
-                    data = response.json()
+                    data = json.loads(raw)
                 except ValueError as exc:
                     raise ProviderError(f"non-JSON response from {url}: {exc}") from exc
                 if not isinstance(data, dict):
                     raise ProviderError(f"response from {url} is not a JSON object")
                 return data
-            if response.status_code not in _RETRYABLE_STATUS:
-                raise ProviderError(f"HTTP {response.status_code} from {url}: {response.text[:200]}")
-            last_error = f"HTTP {response.status_code} from {url}"
+            if status not in _RETRYABLE_STATUS:
+                raise ProviderError(f"HTTP {status} from {url}: {raw.decode('utf-8', 'replace')[:200]}")
+            last_error = f"HTTP {status} from {url}"
         logger.warning("%s (attempt %d/%d)", last_error, attempt + 1, MAX_RETRIES + 1)
     raise ProviderError(f"retries exhausted for {url}: {last_error}")
 
 
 class HttpLlmClient(LlmClient):
     def __init__(self, base_url: str, api_key: str | None = None, *, max_in_flight: int):
-        self._url = base_url.rstrip("/") + "/generate"
+        self._url = _endpoint(base_url, "/generate", LLM_URL_ENV)
+        if api_key and not _visible_ascii(api_key):
+            raise ProviderError(f"{LLM_API_KEY_ENV} must be printable ASCII without spaces")
         self._headers = {"Authorization": f"Bearer {api_key}"} if api_key else {}
         self._slots = threading.Semaphore(max_in_flight)
 
@@ -112,7 +151,7 @@ class HttpLlmClient(LlmClient):
 class HttpEmbeddingProvider(EmbeddingProvider):
     def __init__(self, base_url: str, *, name: str):
         self.name = name
-        self._url = base_url.rstrip("/") + "/embed"
+        self._url = _endpoint(base_url, "/embed", EMBED_URL_ENV)
         self._slots = threading.Semaphore(DEFAULT_MAX_IN_FLIGHT)
 
     @classmethod

@@ -9,8 +9,9 @@ Directory layout:
 * dense: ``ids.jsonl`` (row order) and ``embeddings.f32le`` (row-major
   little-endian float32 matrix).
 
-Loading reads each data file once and checks its checksum on the bytes that
-are then parsed. It parses the postings straight into the index arrays and
+Saving hashes each data file's bytes before it writes them, so nothing is
+read back. Loading reads each data file once and checks its checksum on the
+bytes that are then parsed. It parses the postings straight into the index arrays and
 checks them (terms sorted and unique, unit indexes in range and strictly
 ascending per term, term counts positive and summing to each unit's token
 count), the unit ids (one per row, none repeated) and the embeddings (every
@@ -31,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CorruptIndex, VersionMismatch
-from .jsonio import iter_jsonl_lines, write_jsonl
+from .jsonio import iter_jsonl_lines, jsonl_bytes
 from .retrieval import BM25, DENSE, TFIDF, DenseIndex, SparseIndex
 
 FORMAT_VERSION = 1
@@ -47,14 +48,6 @@ _TERMS_MAGIC = b"MCIT"
 
 def _data_files(kind: str) -> tuple[str, str]:
     return (IDS_FILE, EMBEDDINGS_FILE) if kind == DENSE else (UNITS_FILE, TERMS_FILE)
-
-
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(block)
-    return digest.hexdigest()
 
 
 def _pack_terms(index: SparseIndex) -> bytes:
@@ -121,19 +114,19 @@ def _read_units(path: Path, blob: bytes, n_units: int, with_lens: bool) -> tuple
     for lineno, record in iter_jsonl_lines(io.TextIOWrapper(io.BytesIO(blob), encoding="utf-8"), path):
         unit_id = record.get("unit_id")
         if not isinstance(unit_id, str):
-            raise CorruptIndex(f"{path.name} line {lineno}: no string 'unit_id'")
+            raise CorruptIndex(f"{path}: line {lineno}: no string 'unit_id'")
         unit_ids.append(unit_id)
         if with_lens:
             n_tokens = record.get("n_tokens")
             # JSON decodes to no int subclass but bool, which is not a count.
             if type(n_tokens) is not int or n_tokens < 0:
-                raise CorruptIndex(f"{path.name} line {lineno}: 'n_tokens' is not an integer >= 0")
+                raise CorruptIndex(f"{path}: line {lineno}: 'n_tokens' is not an integer >= 0")
             unit_lens.append(n_tokens)
     if len(unit_ids) != n_units:
-        raise CorruptIndex(f"{path.name} unit count does not match manifest")
+        raise CorruptIndex(f"{path}: unit count does not match the manifest")
     if len(set(unit_ids)) != n_units:
         repeated = next(uid for uid, count in Counter(unit_ids).items() if count > 1)
-        raise CorruptIndex(f"{path.name} repeats unit id {repeated!r}")
+        raise CorruptIndex(f"{path} repeats unit id {repeated!r}")
     return unit_ids, unit_lens
 
 
@@ -142,26 +135,20 @@ def save_index(index: SparseIndex | DenseIndex, directory: str | Path) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     if isinstance(index, DenseIndex):
         kind = DENSE
-        write_jsonl(directory / IDS_FILE, ({"unit_id": uid} for uid in index.unit_ids))
-        (directory / EMBEDDINGS_FILE).write_bytes(index.matrix.astype("<f4").tobytes())
+        blobs = (jsonl_bytes({"unit_id": uid} for uid in index.unit_ids),
+                 index.matrix.astype("<f4").tobytes())
         extra = {"provider": index.provider, "n_units": index.n, "dim": index.dim}
     else:
         kind = index.kind
-        write_jsonl(
-            directory / UNITS_FILE,
-            (
-                {"unit_id": uid, "n_tokens": n}
-                for uid, n in zip(index.unit_ids, index.unit_lens.tolist())
-            ),
-        )
-        (directory / TERMS_FILE).write_bytes(_pack_terms(index))
+        blobs = (jsonl_bytes({"unit_id": uid, "n_tokens": n}
+                             for uid, n in zip(index.unit_ids, index.unit_lens.tolist())),
+                 _pack_terms(index))
         extra = {"provider": None, "n_units": index.n}
-    manifest = {
-        "format_version": FORMAT_VERSION,
-        "kind": kind,
-        "checksums": {name: _sha256(directory / name) for name in _data_files(kind)},
-        **extra,
-    }
+    checksums = {}
+    for name, blob in zip(_data_files(kind), blobs):
+        (directory / name).write_bytes(blob)
+        checksums[name] = hashlib.sha256(blob).hexdigest()
+    manifest = {"format_version": FORMAT_VERSION, "kind": kind, "checksums": checksums, **extra}
     (directory / MANIFEST).write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
 
 

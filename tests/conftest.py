@@ -38,11 +38,14 @@ class StubServer:
     """Tiny JSON-over-POST endpoint with a scriptable response queue.
 
     Responses come from ``responder(path, payload)`` when set, else from the
-    ``queue``, else ``default``.
+    ``queue``, else ``default``. A body is sent as is if it is bytes or str,
+    else as JSON; a status of None closes the connection without a reply.
+    ``bodies`` holds the raw bytes of each request body.
     """
 
     def __init__(self):
         self.requests: list[tuple[str, dict, dict]] = []
+        self.bodies: list[bytes] = []
         self.queue: list[tuple[int, object]] = []
         self.default: tuple[int, object] = (200, {"text": "ok"})
         self.responder = None
@@ -51,13 +54,19 @@ class StubServer:
         class Handler(BaseHTTPRequestHandler):
             def do_POST(self):
                 length = int(self.headers.get("Content-Length", 0))
-                payload = json.loads(self.rfile.read(length) or b"{}")
+                raw = self.rfile.read(length)
+                payload = json.loads(raw or b"{}")
+                outer.bodies.append(raw)
                 outer.requests.append((self.path, payload, dict(self.headers)))
                 if outer.responder is not None:
                     status, body = outer.responder(self.path, payload)
                 else:
                     status, body = outer.queue.pop(0) if outer.queue else outer.default
-                data = (body if isinstance(body, str) else json.dumps(body)).encode()
+                if status is None:
+                    return
+                if isinstance(body, str):
+                    body = body.encode()
+                data = body if isinstance(body, bytes) else json.dumps(body).encode()
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(data)))
@@ -68,7 +77,8 @@ class StubServer:
                 pass
 
         self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
+        # A short poll interval lets ``stop`` return at once instead of after 0.5 s.
+        self.thread = threading.Thread(target=self.server.serve_forever, args=(0.01,), daemon=True)
         self.thread.start()
 
     @property

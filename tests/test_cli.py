@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from mcidx import cli
+from mcidx import cli, providers
 from mcidx.cli import build_parser, parse_k_list, run
 from mcidx.corpus import write_corpus_jsonl, write_qa_jsonl
 from mcidx.synthetic import synthetic_corpus
@@ -477,6 +477,19 @@ class TestNonObjectReply:
         assert "not a JSON object" in capsys.readouterr().err
 
 
+def test_llm_url_that_is_not_http_fails_before_any_request(dataset, tmp_path, monkeypatch, capsys):
+    def no_sleep(seconds):
+        raise AssertionError("a bad endpoint URL must fail before any request is retried")
+
+    monkeypatch.setattr(providers.time, "sleep", no_sleep)
+    monkeypatch.setenv("MCIDX_LLM_URL", "localhost:9/x")
+    corpus, _ = dataset
+    code = run(["views", "--corpus", str(corpus), "--generator", "llm", "--jobs", "1",
+                "--output", str(tmp_path / "views.jsonl")])
+    assert code == 3
+    assert "MCIDX_LLM_URL must be an http:// or https:// URL" in capsys.readouterr().err
+
+
 class TestMistypedViewFields:
     @pytest.mark.parametrize("kind,field,value,command", [
         ("keywords", "text", 5, ["index", "--retriever", "bm25", "--view", "keywords"]),
@@ -589,3 +602,24 @@ class TestBadRecordNamesTheFile:
         capsys.readouterr()
         assert run(["retrieve", "--index", str(index), "--question", "anything"]) == 2
         assert f"data error: {units}: line 2: invalid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["raw", "keywords", "summary"])
+    def test_view_index_record_names_its_index(self, bad, dataset, tmp_path, capsys):
+        corpus, _ = dataset
+        views = tmp_path / "views.jsonl"
+        assert run(["views", "--corpus", str(corpus), "--output", str(views)]) == 0
+        dirs = {view: tmp_path / f"idx_{view}" for view in ("raw", "keywords", "summary")}
+        for view, index in dirs.items():
+            assert run(["index", "--corpus", str(corpus), "--scheme", "content", "--retriever", "bm25",
+                        "--view", view, "--views", str(views), "--output", str(index)]) == 0
+        units = dirs[bad] / "units.jsonl"
+        lines = units.read_text().splitlines()
+        lines[1] = '{"n_tokens": 3}'
+        units.write_text("".join(line + "\n" for line in lines))
+        manifest = json.loads((dirs[bad] / "manifest.json").read_text())
+        manifest["checksums"]["units.jsonl"] = hashlib.sha256(units.read_bytes()).hexdigest()
+        (dirs[bad] / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert run(["retrieve", "--mode", "mc", "--index", *(str(d) for d in dirs.values()),
+                    "--question", "anything", "--k", "3"]) == 2
+        assert f"data error: {units}: line 2: no string 'unit_id'" in capsys.readouterr().err

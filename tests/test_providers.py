@@ -1,5 +1,11 @@
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -83,6 +89,75 @@ class TestHttpLlmClient:
         monkeypatch.delenv("MCIDX_LLM_URL", raising=False)
         with pytest.raises(ProviderError, match="MCIDX_LLM_URL"):
             HttpLlmClient.from_env(max_in_flight=1)
+
+    def test_dropped_connection_is_retried(self, stub, monkeypatch):
+        monkeypatch.setattr(providers, "MAX_RETRIES", 2)
+        stub.default = (None, None)  # close the socket without a reply
+        with pytest.raises(ProviderError, match="retries exhausted .*request failed"):
+            _client(stub).generate("p")
+        assert len(stub.requests) == 3
+
+    def test_other_success_status_fails_fast(self, stub):
+        stub.default = (201, {"text": "created"})
+        with pytest.raises(ProviderError, match="HTTP 201"):
+            _client(stub).generate("p")
+        assert len(stub.requests) == 1
+
+    def test_200_body_not_utf8_is_provider_error(self, stub):
+        stub.default = (200, b'{"text": "caf\xe9"}')
+        with pytest.raises(ProviderError, match="non-JSON response"):
+            _client(stub).generate("p")
+        assert len(stub.requests) == 1
+
+    def test_body_bytes_are_json_dumps(self, stub):
+        payload = {"prompt": 'naïve 🙂 "quoted"\n', "max_tokens": 5}
+        _client(stub).generate(payload["prompt"], max_tokens=5)
+        assert stub.bodies == [json.dumps(payload, allow_nan=False).encode()]
+        headers = {key.lower(): value for key, value in stub.requests[0][2].items()}
+        assert headers["content-type"] == "application/json"
+
+
+def _no_sleep(seconds):
+    raise AssertionError("a bad endpoint URL must fail before any request is retried")
+
+
+_BAD_URLS = ["localhost:8000", "ftp://h/", "file:///tmp", "http://", "data:,x", "http://h:port/",
+             "http://h:0/", "http://[::1/", "http://h/a b", "http://h/é"]
+
+
+@pytest.mark.parametrize("url", _BAD_URLS)
+@pytest.mark.parametrize("variable, make", [
+    ("MCIDX_LLM_URL", lambda: HttpLlmClient.from_env(max_in_flight=1)),
+    ("MCIDX_EMBED_URL", lambda: HttpEmbeddingProvider.from_env(name="stub")),
+], ids=["llm", "embedding"])
+def test_from_env_rejects_url_that_is_not_http(url, variable, make, monkeypatch):
+    monkeypatch.setattr(providers.time, "sleep", _no_sleep)
+    monkeypatch.setenv(variable, url)
+    with pytest.raises(ProviderError, match=variable):
+        make()
+
+
+@pytest.mark.parametrize("key", ["key\n", "k€y", "two words"], ids=["newline", "non-ascii", "space"])
+def test_from_env_rejects_api_key_that_http_cannot_send(key, stub, monkeypatch):
+    monkeypatch.setattr(providers.time, "sleep", _no_sleep)
+    monkeypatch.setenv("MCIDX_LLM_URL", stub.url)
+    monkeypatch.setenv("MCIDX_LLM_API_KEY", key)
+    with pytest.raises(ProviderError, match="MCIDX_LLM_API_KEY"):
+        HttpLlmClient.from_env(max_in_flight=1)
+
+
+@pytest.mark.parametrize("url", ["http://127.0.0.1:8000", "https://example.com/v1/", "http://[::1]:9/",
+                                 "HTTP://Host"])
+def test_http_urls_naming_a_host_are_accepted(url):
+    HttpLlmClient(url, max_in_flight=1)
+    HttpEmbeddingProvider(url, name="stub")
+
+
+def test_package_imports_without_requests():
+    src = Path(providers.__file__).resolve().parents[1]
+    code = 'import sys; sys.modules["requests"] = None; import mcidx.cli'
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestHttpEmbeddingProvider:
