@@ -79,19 +79,16 @@ def _load_views_arg(args):
     return read_views_jsonl(args.views) if args.views else None
 
 
-def _llm_from_env(jobs: int):
-    return HttpLlmClient.from_env(max_in_flight=jobs)
-
-
 def cmd_ingest(args) -> int:
     docs = []
-    for path in args.inputs:
-        path = Path(path)
+    for path in map(Path, args.inputs):
         try:
-            text = path.read_text(encoding="utf-8")
+            docs.append(parse_markdown(path.read_text(encoding="utf-8"), doc_id=path.stem))
         except UnicodeDecodeError as exc:
             raise DataError(f"{path} is not UTF-8 text: {exc.reason}") from exc
-        docs.append(parse_markdown(text, doc_id=path.stem))
+        except DataError as exc:
+            exc.path = path
+            raise
     write_corpus_jsonl(docs, args.output)
     logger.info("wrote %d documents to %s", len(docs), args.output)
     return EXIT_OK
@@ -108,7 +105,7 @@ def cmd_chunk(args) -> int:
 
 def cmd_views(args) -> int:
     docs = load_corpus_jsonl(args.corpus)
-    llm = _llm_from_env(args.jobs) if args.generator == LLM_GENERATOR else None
+    llm = HttpLlmClient.from_env(max_in_flight=args.jobs) if args.generator == LLM_GENERATOR else None
     views_by_doc = {
         doc.doc_id: build_views(doc, generator=args.generator, llm=llm, jobs=args.jobs)
         for doc in docs
@@ -174,19 +171,8 @@ def cmd_eval_recall(args) -> int:
     check_setup(scheme, args.retriever, args.mode, list(args.k))
     docs = load_corpus_jsonl(args.corpus)
     qa = load_and_filter_qa(args.qa, docs)
-    llm = _llm_from_env(args.jobs) if args.generator == LLM_GENERATOR else None
-    report = eval_recall(
-        docs,
-        qa,
-        scheme,
-        args.retriever,
-        args.mode,
-        list(args.k),
-        views=_load_views_arg(args),
-        generator=args.generator,
-        llm=llm,
-        invert_parity=args.invert_parity,
-    )
+    report = eval_recall(docs, qa, scheme, args.retriever, args.mode, list(args.k),
+                         views=_load_views_arg(args), invert_parity=args.invert_parity)
     csv_text = report.to_csv()
     if args.output:
         _write_text(args.output, csv_text)
@@ -222,11 +208,10 @@ def cmd_eval_answers(args) -> int:
     docs = load_corpus_jsonl(args.corpus)
     qa = load_and_filter_qa(args.qa, docs)
     by_id = {d.doc_id: d for d in docs}
-    llm = _llm_from_env(args.jobs)
+    llm = HttpLlmClient.from_env(max_in_flight=args.jobs)
 
     views_by_doc = _load_views_arg(args)
-    sides = [doc_contexts(scheme, args.retriever, mode, views_by_doc, args.generator, llm)
-             for scheme, mode in setups]
+    sides = [doc_contexts(scheme, args.retriever, mode, views_by_doc) for scheme, mode in setups]
 
     def answer(context_for, item, ordinal: int) -> str:
         doc = by_id[item.doc_id]
@@ -334,13 +319,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", required=True)
     p.add_argument("--k", type=parse_k_list, required=True, help="comma-separated budgets, e.g. 1.5,3,5,10")
     p.add_argument("--views", default=None, help="views.jsonl to reuse")
-    p.add_argument("--generator", choices=(LLM_GENERATOR, EXTRACTIVE_GENERATOR),
-                   default=EXTRACTIVE_GENERATOR)
     p.add_argument("--invert-parity", action="store_true",
                    help="give even ordinals the larger alternating budget")
     p.add_argument("--output", default=None, help="CSV path (default: stdout)")
     p.add_argument("--markdown", default=None, help="also write a markdown table here")
-    _add_jobs_flag(p)
     p.set_defaults(func=cmd_eval_recall)
 
     p = eval_sub.add_parser("chunking-error", help="fraction of split answer scopes")
@@ -359,9 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode-a", required=True)
     p.add_argument("--scheme-b", required=True)
     p.add_argument("--mode-b", required=True)
-    p.add_argument("--views", default=None)
-    p.add_argument("--generator", choices=(LLM_GENERATOR, EXTRACTIVE_GENERATOR),
-                   default=EXTRACTIVE_GENERATOR)
+    p.add_argument("--views", default=None, help="views.jsonl to reuse")
     p.add_argument("--output", required=True, help="transcripts JSONL")
     _add_jobs_flag(p)
     p.set_defaults(func=cmd_eval_answers)
@@ -386,8 +366,10 @@ def run(argv=None) -> int:
     except (ProviderError, ParseError) as exc:
         print(f"provider error: {exc}", file=sys.stderr)
         return EXIT_PROVIDER
-    except FileNotFoundError as exc:
-        print(f"missing file: {exc.filename or exc}", file=sys.stderr)
+    except OSError as exc:
+        # A failed os.replace names its source, then its target: the file the user named.
+        name = exc.filename2 or exc.filename
+        print(f"data error: {name}: {exc.strerror}" if name else f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except McIndexError as exc:
         print(f"data error: {exc}", file=sys.stderr)

@@ -17,7 +17,7 @@ from functools import cached_property
 from pathlib import Path
 
 from .errors import DuplicateId, EmptyDocument, SchemaError
-from .jsonio import iter_jsonl, require, write_jsonl
+from .jsonio import read_jsonl, require, write_jsonl
 from .text import token_count
 
 logger = logging.getLogger(__name__)
@@ -194,32 +194,22 @@ def load_corpus_jsonl(path: str | Path) -> list[Document]:
     """Load documents from corpus JSONL, recomputing spans from section texts."""
     docs: list[Document] = []
     seen: set[str] = set()
-    try:
-        for lineno, record in iter_jsonl(path):
-            doc_id = require(record, "doc_id", str, lineno)
-            title = require(record, "title", str, lineno)
-            raw_sections = require(record, "sections", list, lineno)
-            if not raw_sections:
-                raise SchemaError("document has no sections", line=lineno)
-            sections = []
-            for raw in raw_sections:
-                if not isinstance(raw, dict):
-                    raise SchemaError("section entry is not an object", line=lineno)
-                sections.append(
-                    (
-                        require(raw, "section_id", str, lineno),
-                        require(raw, "heading", str, lineno),
-                        require(raw, "level", int, lineno),
-                        require(raw, "text", str, lineno),
-                    )
-                )
-            if doc_id in seen:
-                raise DuplicateId(doc_id)
-            seen.add(doc_id)
-            docs.append(build_document(doc_id, title, sections))
-    except SchemaError as exc:
-        exc.path = path
-        raise
+
+    def parse(record: dict) -> None:
+        doc_id = require(record, "doc_id", str)
+        title = require(record, "title", str)
+        sections = []
+        for raw in require(record, "sections", list):
+            if not isinstance(raw, dict):
+                raise SchemaError("section entry is not an object")
+            sections.append((require(raw, "section_id", str), require(raw, "heading", str),
+                             require(raw, "level", int), require(raw, "text", str)))
+        if doc_id in seen:
+            raise DuplicateId(f"document id {doc_id!r} repeated")
+        seen.add(doc_id)
+        docs.append(build_document(doc_id, title, sections))
+
+    read_jsonl(path, parse)
     return docs
 
 
@@ -243,30 +233,26 @@ def write_corpus_jsonl(docs: list[Document], path: str | Path) -> None:
 def load_qa_jsonl(path: str | Path) -> list[QAItem]:
     """Load QA items without cross-checking them against a corpus."""
     items: list[QAItem] = []
-    try:
-        for lineno, record in iter_jsonl(path):
-            scope = require(record, "scope", dict, lineno)
-            try:
-                qtype = parse_question_type(require(record, "question_type", str, lineno))
-            except ValueError as exc:
-                raise SchemaError(str(exc), line=lineno) from exc
-            items.append(
-                QAItem(
-                    question_id=require(record, "question_id", str, lineno),
-                    doc_id=require(record, "doc_id", str, lineno),
-                    question=require(record, "question", str, lineno),
-                    answer=require(record, "answer", str, lineno),
-                    question_type=qtype,
-                    scope_section_id=require(scope, "section_id", str, lineno),
-                    scope_span=(
-                        require(scope, "char_start", int, lineno),
-                        require(scope, "char_end", int, lineno),
-                    ),
-                )
+
+    def parse(record: dict) -> None:
+        scope = require(record, "scope", dict)
+        try:
+            qtype = parse_question_type(require(record, "question_type", str))
+        except ValueError as exc:
+            raise SchemaError(str(exc)) from exc
+        items.append(
+            QAItem(
+                question_id=require(record, "question_id", str),
+                doc_id=require(record, "doc_id", str),
+                question=require(record, "question", str),
+                answer=require(record, "answer", str),
+                question_type=qtype,
+                scope_section_id=require(scope, "section_id", str),
+                scope_span=(require(scope, "char_start", int), require(scope, "char_end", int)),
             )
-    except SchemaError as exc:
-        exc.path = path
-        raise
+        )
+
+    read_jsonl(path, parse)
     return items
 
 

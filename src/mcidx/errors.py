@@ -15,14 +15,10 @@ class McIndexError(Exception):
 
 
 class DataError(McIndexError):
-    """Invalid or inconsistent input data."""
-
-
-class SchemaError(DataError):
-    """A JSONL record does not match the expected schema.
+    """Invalid or inconsistent input data.
 
     Reads ``<path>: line <line>: <message>``, leaving out a part while it is
-    None. A loader sets ``path`` on the errors raised for its file's records.
+    None. ``jsonio.read_jsonl`` sets both on the errors raised for a record.
     """
 
     def __init__(self, message: str, line: int | None = None, path: str | Path | None = None):
@@ -37,6 +33,10 @@ class SchemaError(DataError):
         if self.path is not None:
             text = f"{self.path}: {text}"
         return text
+
+
+class SchemaError(DataError):
+    """A JSONL record does not match the expected schema."""
 
 
 class DuplicateId(DataError):
@@ -68,7 +68,7 @@ class EmptyRetrieval(DataError):
 
 
 class CorruptIndex(DataError):
-    """A persisted index failed checksum verification."""
+    """A persisted index fails a checksum or a consistency check."""
 
 
 class VersionMismatch(DataError):

@@ -33,7 +33,7 @@ from .retrieval import (
     rank_units,
     resolve_provider,
 )
-from .views import EXTRACTIVE_GENERATOR, ViewEntry, ViewKind, build_views, view_texts
+from .views import ViewEntry, ViewKind, build_views, view_texts
 
 logger = logging.getLogger(__name__)
 
@@ -197,12 +197,9 @@ def doc_units(
     return [(s.section_id, s.doc_span, texts[s.section_id]) for s in doc.sections]
 
 
-def doc_views_for(
-    doc: Document, views: dict[str, list[ViewEntry]] | None,
-    generator: str = EXTRACTIVE_GENERATOR, llm: LlmClient | None = None,
-) -> list[ViewEntry] | None:
-    """The document's entries in ``views``, or views built for it when ``views`` is None."""
-    return views.get(doc.doc_id) if views is not None else build_views(doc, generator=generator, llm=llm)
+def doc_views_for(doc: Document, views: dict[str, list[ViewEntry]] | None) -> list[ViewEntry] | None:
+    """The document's entries in ``views``, or its extractive views when ``views`` is None."""
+    return views.get(doc.doc_id) if views is not None else build_views(doc)
 
 
 @dataclass
@@ -244,12 +241,11 @@ def build_doc_context(
 
 def doc_contexts(
     scheme: ChunkScheme, retriever: str, mode: str, views: dict[str, list[ViewEntry]] | None,
-    generator: str, llm: LlmClient | None,
 ) -> Callable[[Document], DocRetrievalContext]:
     """Context lookup for one (scheme, retriever, mode) setup; each is built on first use.
 
     Keyword and summary views come from ``views`` when given, else they are
-    built with ``generator``.
+    the extractive views built in process.
     """
     needs_views = any(v in (ViewKind.KEYWORDS, ViewKind.SUMMARY) for v in parse_mode(mode))
     retriever_kind, provider_name = parse_retriever(retriever)
@@ -258,7 +254,7 @@ def doc_contexts(
 
     def context_for(doc: Document) -> DocRetrievalContext:
         if doc.doc_id not in contexts:
-            doc_views = doc_views_for(doc, views, generator, llm) if needs_views else None
+            doc_views = doc_views_for(doc, views) if needs_views else None
             contexts[doc.doc_id] = build_doc_context(doc, scheme, mode, retriever_kind, provider, doc_views)
         return contexts[doc.doc_id]
 
@@ -274,8 +270,6 @@ def eval_recall(
     ks: list[float],
     *,
     views: dict[str, list[ViewEntry]] | None = None,
-    generator: str = EXTRACTIVE_GENERATOR,
-    llm: LlmClient | None = None,
     invert_parity: bool = False,
 ) -> RecallReport:
     """Mean recall per budget k for one (scheme, retriever, mode) setup.
@@ -288,7 +282,7 @@ def eval_recall(
     if isinstance(scheme, str):
         scheme = ChunkScheme.parse(scheme)
     check_setup(scheme, retriever, mode, ks)
-    context_for = doc_contexts(scheme, retriever, mode, views, generator, llm)
+    context_for = doc_contexts(scheme, retriever, mode, views)
     by_id = _docs_by_id(docs)
     per_k: dict[float, list[float]] = {float(k): [] for k in ks}
     for position, item in enumerate(qa):

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import json
 import os
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
 from pathlib import Path
 from typing import TextIO
 
-from .errors import DataError, SchemaError
+from .errors import DataError, ParseError, SchemaError
 
 _JSON_WHITESPACE = " \t\n\r"
 # ``json.loads`` without its per-call wrapper, which matches whitespace with
@@ -31,6 +31,20 @@ def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
         yield from iter_jsonl_lines(fh, path)
 
 
+def read_jsonl(path: str | Path, parse: Callable[[dict], object]) -> None:
+    """Call ``parse(record)`` on each record of a JSONL file, in file order.
+
+    This is the one loop over corpus, QA and views records: a DataError that
+    ``parse`` raises gets ``path`` and the record's line number.
+    """
+    for lineno, record in iter_jsonl(path):
+        try:
+            parse(record)
+        except DataError as exc:
+            exc.line, exc.path = lineno, path
+            raise
+
+
 def iter_jsonl_lines(lines: Iterable[str], path: str | Path) -> Iterator[tuple[int, dict]]:
     """``iter_jsonl`` over the lines of ``path`` already opened as UTF-8 text.
 
@@ -45,8 +59,9 @@ def iter_jsonl_lines(lines: Iterable[str], path: str | Path) -> Iterator[tuple[i
                 continue
             try:
                 record, end = _raw_decode(text)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"invalid JSON ({exc.msg})", lineno, path) from exc
+            # Besides a JSONDecodeError: a ValueError for an int of over 4300 digits, and nesting too deep.
+            except (ValueError, RecursionError) as exc:
+                raise SchemaError(f"invalid JSON ({getattr(exc, 'msg', exc)})", lineno, path) from exc
             if end != len(text):
                 raise SchemaError("invalid JSON (Extra data)", lineno, path)
             if not isinstance(record, dict):
@@ -56,16 +71,25 @@ def iter_jsonl_lines(lines: Iterable[str], path: str | Path) -> Iterator[tuple[i
         raise DataError(f"{path} is not UTF-8 text: {exc.reason}") from exc
 
 
-def require(record: dict, key: str, kind: type, lineno: int):
-    """``record[key]`` if it is present and of ``kind`` (an int is not a bool), else SchemaError."""
+def require(record: dict, key: str, kind: type):
+    """``record[key]`` if it is present and of ``kind``, else SchemaError.
+
+    An int is not a bool, and a str must encode as UTF-8: JSON can spell a
+    lone surrogate (``"\\ud800"``), which no output file could hold.
+    """
     if key not in record:
-        raise SchemaError(f"missing key {key!r}", line=lineno)
+        raise SchemaError(f"missing key {key!r}")
     value = record[key]
     if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
-            raise SchemaError(f"key {key!r} must be an integer", line=lineno)
+            raise SchemaError(f"key {key!r} must be an integer")
     elif not isinstance(value, kind):
-        raise SchemaError(f"key {key!r} must be {kind.__name__}", line=lineno)
+        raise SchemaError(f"key {key!r} must be {kind.__name__}")
+    elif kind is str and not value.isascii():
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise SchemaError(f"key {key!r} is not valid Unicode ({exc.reason})") from exc
     return value
 
 
@@ -105,19 +129,21 @@ def iter_json_objects(text: str) -> Iterator[dict]:
     """Extract every top-level JSON object embedded in free-form text.
 
     Generated text often wraps objects in prose or arrays; this scans for
-    ``{`` and decodes balanced objects, skipping anything malformed.
+    ``{`` and decodes balanced objects, skipping anything malformed. Text
+    nested too deeply to decode is a ParseError.
     """
-    decoder = json.JSONDecoder()
     pos = 0
     while True:
         start = text.find("{", pos)
         if start < 0:
             return
         try:
-            obj, end = decoder.raw_decode(text, start)
+            obj, end = _raw_decode(text, start)
         except ValueError:
             pos = start + 1
             continue
+        except RecursionError as exc:
+            raise ParseError("generated text nests JSON too deeply") from exc
         if isinstance(obj, dict):
             yield obj
         pos = end

@@ -112,7 +112,7 @@ def _post_json(url: str, payload: dict, headers: dict[str, str]) -> dict:
             if status == 200:
                 try:
                     data = json.loads(raw)
-                except ValueError as exc:
+                except (ValueError, RecursionError) as exc:
                     raise ProviderError(f"non-JSON response from {url}: {exc}") from exc
                 if not isinstance(data, dict):
                     raise ProviderError(f"response from {url} is not a JSON object")

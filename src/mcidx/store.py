@@ -114,19 +114,19 @@ def _read_units(path: Path, blob: bytes, n_units: int, with_lens: bool) -> tuple
     for lineno, record in iter_jsonl_lines(io.TextIOWrapper(io.BytesIO(blob), encoding="utf-8"), path):
         unit_id = record.get("unit_id")
         if not isinstance(unit_id, str):
-            raise CorruptIndex(f"{path}: line {lineno}: no string 'unit_id'")
+            raise CorruptIndex("no string 'unit_id'", lineno, path)
         unit_ids.append(unit_id)
         if with_lens:
             n_tokens = record.get("n_tokens")
             # JSON decodes to no int subclass but bool, which is not a count.
             if type(n_tokens) is not int or n_tokens < 0:
-                raise CorruptIndex(f"{path}: line {lineno}: 'n_tokens' is not an integer >= 0")
+                raise CorruptIndex("'n_tokens' is not an integer >= 0", lineno, path)
             unit_lens.append(n_tokens)
     if len(unit_ids) != n_units:
-        raise CorruptIndex(f"{path}: unit count does not match the manifest")
+        raise CorruptIndex(f"{path.name} holds {len(unit_ids)} unit ids; the manifest says {n_units}")
     if len(set(unit_ids)) != n_units:
         repeated = next(uid for uid, count in Counter(unit_ids).items() if count > 1)
-        raise CorruptIndex(f"{path} repeats unit id {repeated!r}")
+        raise CorruptIndex(f"{path.name} repeats unit id {repeated!r}")
     return unit_ids, unit_lens
 
 
@@ -172,16 +172,26 @@ def _read_verified(directory: Path, manifest: dict, data_files: tuple[str, str])
 
 
 def load_index(directory: str | Path) -> SparseIndex | DenseIndex:
+    """The index saved in ``directory``; every CorruptIndex or VersionMismatch names the directory."""
     directory = Path(directory)
+    try:
+        return _load(directory)
+    except (CorruptIndex, VersionMismatch) as exc:
+        if exc.path is None:
+            exc.path = directory
+        raise
+
+
+def _load(directory: Path) -> SparseIndex | DenseIndex:
     manifest_path = directory / MANIFEST
     if not manifest_path.exists():
-        raise CorruptIndex(f"no manifest at {manifest_path}")
+        raise CorruptIndex(f"no {MANIFEST}")
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise CorruptIndex(f"manifest {manifest_path} is not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise CorruptIndex(f"not valid JSON: {exc}", path=manifest_path) from exc
     if not isinstance(manifest, dict):
-        raise CorruptIndex(f"manifest {manifest_path} is not a JSON object")
+        raise CorruptIndex("not a JSON object", path=manifest_path)
     if manifest.get("format_version") != FORMAT_VERSION:
         raise VersionMismatch(
             f"index format version {manifest.get('format_version')!r} is not supported"

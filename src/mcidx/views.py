@@ -19,7 +19,7 @@ from pathlib import Path
 from .chunking import split_sentences
 from .corpus import Document, Section
 from .errors import ParseError, ProviderError, SchemaError
-from .jsonio import iter_jsonl, require, write_jsonl
+from .jsonio import read_jsonl, require, write_jsonl
 from .prompts import render_keywords_prompt, render_summary_prompt
 from .providers import DEFAULT_MAX_IN_FLIGHT, LlmClient
 from .retrieval import DENSE_TOKEN_LIMIT, smoothed_idf
@@ -90,6 +90,8 @@ def _parse_keyword_list(raw: str) -> list[str]:
         items = [str(x) for x in parsed] if isinstance(parsed, list) else []
     except ValueError:
         items = inner.split(",")
+    except RecursionError as exc:
+        raise ParseError("keyword output nests its list too deeply") from exc
     keywords: list[str] = []
     seen: set[str] = set()
     for item in items:
@@ -246,20 +248,18 @@ def write_views_jsonl(views_by_doc: dict[str, list[ViewEntry]], path: str | Path
 
 def read_views_jsonl(path: str | Path) -> dict[str, list[ViewEntry]]:
     views_by_doc: dict[str, list[ViewEntry]] = {}
-    try:
-        for lineno, record in iter_jsonl(path):
-            try:
-                entry = ViewEntry(
-                    section_id=require(record, "section_id", str, lineno),
-                    view_kind=ViewKind(record["view_kind"]),
-                    text=require(record, "text", str, lineno),
-                    provenance=Provenance(record["provenance"]),
-                )
-                doc_id = require(record, "doc_id", str, lineno)
-            except (KeyError, ValueError) as exc:
-                raise SchemaError(f"bad view record: {exc}", line=lineno) from exc
-            views_by_doc.setdefault(doc_id, []).append(entry)
-    except SchemaError as exc:
-        exc.path = path
-        raise
+
+    def parse(record: dict) -> None:
+        try:
+            entry = ViewEntry(
+                section_id=require(record, "section_id", str),
+                view_kind=ViewKind(record["view_kind"]),
+                text=require(record, "text", str),
+                provenance=Provenance(record["provenance"]),
+            )
+        except (KeyError, ValueError) as exc:
+            raise SchemaError(f"bad view record: {exc}") from exc
+        views_by_doc.setdefault(require(record, "doc_id", str), []).append(entry)
+
+    read_jsonl(path, parse)
     return views_by_doc

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
+import os
 
 import pytest
 
@@ -72,12 +74,12 @@ class TestExitCodes:
                     "--mode", "single:raw", "--k", "3"])
         assert code == 1
 
-    def test_llm_generator_without_env_is_provider_error(self, dataset, monkeypatch, capsys):
+    def test_llm_generator_without_env_is_provider_error(self, dataset, tmp_path, monkeypatch, capsys):
+        # LLM views are made only by `views`; `eval recall` and `eval answers` read them with --views.
         monkeypatch.delenv("MCIDX_LLM_URL", raising=False)
-        corpus, qa = dataset
-        code = run(["eval", "recall", "--corpus", str(corpus), "--qa", str(qa),
-                    "--scheme", "content", "--retriever", "bm25",
-                    "--mode", "mc", "--k", "3", "--generator", "llm"])
+        corpus, _ = dataset
+        code = run(["views", "--corpus", str(corpus), "--generator", "llm",
+                    "--output", str(tmp_path / "views.jsonl")])
         assert code == 3
         assert "MCIDX_LLM_URL" in capsys.readouterr().err
 
@@ -569,8 +571,11 @@ class TestNotUtf8:
 class TestBadRecordNamesTheFile:
     """A JSONL record that does not decode, or lacks a field, is a data error naming its file and line."""
 
-    @pytest.mark.parametrize("line", ["{not json}", '{"a": 1} x', "[1, 2]", "{}"],
-                             ids=["invalid-json", "extra-data", "not-an-object", "missing-key"])
+    @pytest.mark.parametrize("line", ["{not json}", '{"a": 1} x', "[1, 2]", "{}",
+                                      '{"a": ' + "[" * 100_000 + "]" * 100_000 + "}",
+                                      '{"a": ' + "9" * 5000 + "}"],
+                             ids=["invalid-json", "extra-data", "not-an-object", "missing-key",
+                                  "deep-nesting", "5000-digit-int"])
     @pytest.mark.parametrize("bad", ["corpus", "qa", "views"])
     def test_eval_recall(self, bad, line, dataset, tmp_path, capsys):
         corpus, qa = dataset
@@ -623,3 +628,113 @@ class TestBadRecordNamesTheFile:
         assert run(["retrieve", "--mode", "mc", "--index", *(str(d) for d in dirs.values()),
                     "--question", "anything", "--k", "3"]) == 2
         assert f"data error: {units}: line 2: no string 'unit_id'" in capsys.readouterr().err
+
+
+class TestFileSystemErrors:
+    """A path that cannot be read or written is a data error (exit 2) naming it, not a traceback."""
+
+    def test_corpus_that_is_a_directory(self, tmp_path, capsys):
+        assert run(["stats", "--corpus", str(tmp_path)]) == 2
+        assert f"data error: {tmp_path}: {os.strerror(errno.EISDIR)}" in capsys.readouterr().err
+
+    def test_ingest_input_that_is_a_directory(self, tmp_path, capsys):
+        source = tmp_path / "docs"
+        source.mkdir()
+        assert run(["ingest", str(source), "--output", str(tmp_path / "c.jsonl")]) == 2
+        assert f"data error: {source}: {os.strerror(errno.EISDIR)}" in capsys.readouterr().err
+
+    def test_index_output_that_is_a_file(self, dataset, tmp_path, capsys):
+        corpus, _ = dataset
+        output = tmp_path / "idx"
+        output.write_text("not a directory")
+        assert run(["index", "--corpus", str(corpus), "--scheme", "content", "--retriever", "bm25",
+                    "--output", str(output)]) == 2
+        assert f"data error: {output}: {os.strerror(errno.EEXIST)}" in capsys.readouterr().err
+
+    def test_eval_recall_output_under_a_file(self, dataset, tmp_path, capsys):
+        corpus, qa = dataset
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory")
+        assert run(["eval", "recall", "--corpus", str(corpus), "--qa", str(qa), "--scheme", "content",
+                    "--retriever", "bm25", "--mode", "single:raw", "--k", "3",
+                    "--output", str(blocker / "r.csv")]) == 2
+        assert f"data error: {blocker}: {os.strerror(errno.EEXIST)}" in capsys.readouterr().err
+
+    def test_ingest_markdown_with_no_content_names_the_file(self, tmp_path, capsys):
+        source = tmp_path / "refs.md"
+        source.write_text("## References\nOnly references here.\n")
+        assert run(["ingest", str(source), "--output", str(tmp_path / "c.jsonl")]) == 2
+        assert f"data error: {source}: no content survived" in capsys.readouterr().err
+
+
+DEEP_LIST = "[" * 100_000 + "]" * 100_000
+DEEP_OBJECT = '{"a": ' * 100_000 + "1" + "}" * 100_000
+
+
+class TestMalformedJson:
+    """JSON that does not decode is a data error in a file (exit 2) and a provider error in a reply (exit 3).
+
+    A JSONL record that does not decode is covered by ``TestBadRecordNamesTheFile``.
+    """
+
+    def test_manifest(self, dataset, tmp_path, capsys):
+        corpus, _ = dataset
+        index = tmp_path / "idx"
+        assert run(["index", "--corpus", str(corpus), "--scheme", "content", "--retriever", "bm25",
+                    "--output", str(index)]) == 0
+        (index / "manifest.json").write_text('{"kind": ' + DEEP_LIST + "}")
+        capsys.readouterr()
+        assert run(["retrieve", "--index", str(index), "--question", "anything"]) == 2
+        assert f"data error: {index / 'manifest.json'}: not valid JSON" in capsys.readouterr().err
+
+    def test_provider_reply(self, dataset, tmp_path, stub, monkeypatch, capsys):
+        monkeypatch.setenv("MCIDX_LLM_URL", stub.url)
+        stub.default = (200, '{"text": ' + DEEP_LIST + "}")
+        corpus, _ = dataset
+        assert run(["views", "--corpus", str(corpus), "--generator", "llm", "--jobs", "1",
+                    "--output", str(tmp_path / "views.jsonl")]) == 3
+        assert "non-JSON response" in capsys.readouterr().err
+
+    def test_keyword_list(self, dataset, tmp_path, stub, monkeypatch, capsys):
+        monkeypatch.setenv("MCIDX_LLM_URL", stub.url)
+        stub.default = (200, {"text": DEEP_LIST})
+        corpus, _ = dataset
+        assert run(["views", "--corpus", str(corpus), "--generator", "llm", "--jobs", "1",
+                    "--output", str(tmp_path / "views.jsonl")]) == 3
+        assert "keyword output nests its list too deeply" in capsys.readouterr().err
+
+    def test_judge_output(self, dataset, tmp_path, stub, monkeypatch, capsys):
+        monkeypatch.setenv("MCIDX_LLM_URL", stub.url)
+        stub.responder = lambda path, payload: (
+            200, {"text": DEEP_OBJECT if "evaluating answers" in payload["prompt"] else "an answer"})
+        corpus, qa = dataset
+        assert run(["eval", "answers", "--corpus", str(corpus), "--qa", str(qa), "--retriever", "bm25",
+                    "--k", "3", "--scheme-a", "content", "--mode-a", "single:raw",
+                    "--scheme-b", "flc:300", "--mode-b", "single:raw",
+                    "--output", str(tmp_path / "judge.jsonl")]) == 3
+        assert "nests JSON too deeply" in capsys.readouterr().err
+
+    def test_lone_surrogate_in_corpus_text(self, dataset, tmp_path, capsys):
+        corpus, _ = dataset
+        lines = corpus.read_text().splitlines()
+        lines[1] = lines[1].replace('"text": "', '"text": "\\ud800', 1)
+        corpus.write_text("".join(line + "\n" for line in lines))
+        assert run(["views", "--corpus", str(corpus), "--output", str(tmp_path / "views.jsonl")]) == 2
+        assert (f"data error: {corpus}: line 2: key 'text' is not valid Unicode"
+                in capsys.readouterr().err)
+
+
+def test_bad_view_index_checksum_names_its_directory(dataset, tmp_path, capsys):
+    corpus, _ = dataset
+    views = tmp_path / "views.jsonl"
+    assert run(["views", "--corpus", str(corpus), "--output", str(views)]) == 0
+    dirs = [tmp_path / f"idx_{view}" for view in ("raw", "keywords", "summary")]
+    for view, index in zip(("raw", "keywords", "summary"), dirs):
+        assert run(["index", "--corpus", str(corpus), "--scheme", "content", "--retriever", "bm25",
+                    "--view", view, "--views", str(views), "--output", str(index)]) == 0
+    terms = bytearray((dirs[1] / "terms.bin").read_bytes())
+    terms[len(terms) // 2] ^= 0xFF
+    (dirs[1] / "terms.bin").write_bytes(bytes(terms))
+    capsys.readouterr()
+    assert run(["retrieve", "--mode", "mc", "--index", *map(str, dirs), "--question", "anything"]) == 2
+    assert f"data error: {dirs[1]}: checksum mismatch for 'terms.bin'" in capsys.readouterr().err

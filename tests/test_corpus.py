@@ -98,8 +98,24 @@ class TestCorpusJsonl:
             {"section_id": "s0", "heading": "H", "level": 1, "text": "x"}]}
         path = tmp_path / "c.jsonl"
         path.write_text(json.dumps(record) + "\n" + json.dumps(record) + "\n")
-        with pytest.raises(DuplicateId, match="d1"):
+        with pytest.raises(DuplicateId) as err:
             load_corpus_jsonl(path)
+        assert str(err.value) == f"{path}: line 2: document id 'd1' repeated"
+
+    def test_duplicate_section_id_names_file_and_line(self, tmp_path):
+        section = {"section_id": "s0", "heading": "H", "level": 1, "text": "x"}
+        path = tmp_path / "c.jsonl"
+        path.write_text(json.dumps({"doc_id": "d1", "title": "t", "sections": [section, section]}) + "\n")
+        with pytest.raises(DuplicateId) as err:
+            load_corpus_jsonl(path)
+        assert str(err.value) == f"{path}: line 1: section id 's0' repeated in document 'd1'"
+
+    def test_document_without_sections_names_file_and_line(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text(json.dumps({"doc_id": "d1", "title": "t", "sections": []}) + "\n")
+        with pytest.raises(EmptyDocument) as err:
+            load_corpus_jsonl(path)
+        assert str(err.value) == f"{path}: line 1: document 'd1' has no sections"
 
     def test_invalid_json_reports_line(self, tmp_path):
         path = tmp_path / "c.jsonl"

@@ -172,6 +172,26 @@ class TestCorruptIndexRejected:
         save_index(build_dense_index(UNITS, MockEmbeddingProvider()), tmp_path)
         return tmp_path
 
+    @pytest.mark.parametrize("kind, damage", [
+        ("sparse", lambda d: (d / MANIFEST).unlink()),
+        ("sparse", lambda d: _edit_manifest(d, format_version=99)),
+        ("sparse", lambda d: _edit_manifest(d, kind="lsi")),
+        ("sparse", lambda d: _edit_manifest(d, n_units="4")),
+        ("sparse", lambda d: (d / TERMS_FILE).unlink()),
+        ("sparse", lambda d: (d / TERMS_FILE).write_bytes(b"MCIT")),
+        ("sparse", lambda d: _rewrite(d, TERMS_FILE, b"XXXX")),
+        ("sparse", lambda d: _rewrite(d, UNITS_FILE, b'{"unit_id": "u1", "n_tokens": 5}\n')),
+        ("dense", lambda d: _rewrite(d, EMBEDDINGS_FILE, b"\0" * 4)),
+    ], ids=["no-manifest", "version", "unknown-kind", "manifest-field", "missing-file", "checksum",
+            "terms-magic", "unit-count", "embeddings-size"])
+    def test_error_names_the_directory(self, request, kind, damage):
+        # retrieve --mode mc loads three directories; the message must say which one is bad.
+        directory = request.getfixturevalue(kind)
+        damage(directory)
+        with pytest.raises((CorruptIndex, VersionMismatch)) as info:
+            load_index(directory)
+        assert str(info.value).startswith(f"{directory}: ")
+
     def test_valid_handmade_terms_file_loads(self, sparse):
         units = "".join(f'{{"unit_id": "u{i}", "n_tokens": {n}}}\n' for i, n in enumerate([1, 3, 0, 0], 1))
         _rewrite(sparse, UNITS_FILE, units.encode())
