@@ -83,6 +83,12 @@ def cmd_ingest(args) -> int:
     docs = []
     for path in map(Path, args.inputs):
         try:
+            path.stem.encode("utf-8")
+        except UnicodeEncodeError:
+            # The stem becomes the document id. Show the name's raw bytes, escaped.
+            shown = os.fsencode(path).decode("utf-8", "backslashreplace")
+            raise DataError("file name is not valid UTF-8", path=shown) from None
+        try:
             docs.append(parse_markdown(path.read_text(encoding="utf-8"), doc_id=path.stem))
         except UnicodeDecodeError as exc:
             raise DataError(f"{path} is not UTF-8 text: {exc.reason}") from exc

@@ -4,7 +4,8 @@ Documents are flat ordered lists of sections. A section is the smallest
 heading-delimited division of the source text; its ``doc_span`` addresses the
 document ``full_text``, which is the section texts joined with a single
 newline. Questions carry an answer scope as a character span inside exactly
-one section.
+one section. A section counts its tokens on first use of ``token_count``;
+loading a corpus tokenizes nothing.
 """
 
 from __future__ import annotations
@@ -41,7 +42,11 @@ class Section:
     level: int
     text: str
     doc_span: tuple[int, int]
-    token_count: int
+
+    @cached_property
+    def token_count(self) -> int:
+        """Whitespace tokens in ``text``, counted on first use."""
+        return token_count(self.text)
 
 
 @dataclass(frozen=True)
@@ -153,7 +158,7 @@ def build_document(
         if i:
             pos += len(SECTION_SEPARATOR)
         span = (pos, pos + len(text))
-        built.append(Section(section_id, heading, level, text, span, token_count(text)))
+        built.append(Section(section_id, heading, level, text, span))
         pieces.append(text)
         pos = span[1]
     return Document(doc_id, title, tuple(built), SECTION_SEPARATOR.join(pieces))
@@ -327,7 +332,8 @@ def corpus_stats(docs: list[Document], qa_items: list[QAItem]) -> CorpusStats:
         n_documents=n_docs,
         n_questions=len(qa_items),
         mean_sections_per_doc=mean(len(d.sections) for d in docs),
-        mean_tokens_per_doc=mean(token_count(d.full_text) for d in docs),
+        # Sections are joined by a newline, so no token spans two of them.
+        mean_tokens_per_doc=mean(sum(s.token_count for s in d.sections) for d in docs),
         mean_tokens_per_section=mean(s.token_count for d in docs for s in d.sections),
         mean_tokens_per_answer_scope=mean(scope_tokens),
     )

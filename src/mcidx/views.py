@@ -5,6 +5,11 @@ either from an LLM endpoint or from deterministic extractive fallbacks, so
 the whole pipeline (and the test suite) can run offline. Short sections are
 their own summary; only sections above the token threshold are sent to the
 LLM.
+
+Extractive keywords analyze each section once: ``build_views`` tokenizes
+every section of a document one time, counts document frequencies over those
+term lists, and computes one idf value per possible frequency. All of it is
+scoped to the one ``build_views`` call.
 """
 
 from __future__ import annotations
@@ -12,8 +17,10 @@ from __future__ import annotations
 import enum
 import json
 import logging
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 from .chunking import split_sentences
@@ -125,28 +132,26 @@ def extractive_summary(section: Section) -> str:
     return section.text[:end].rstrip()
 
 
-def _doc_freq(doc: Document) -> dict[str, int]:
-    """Number of the document's sections that contain each index term."""
-    df: dict[str, int] = {}
-    for section in doc.sections:
-        for term in set(index_terms(section.text)):
-            df[term] = df.get(term, 0) + 1
-    return df
+def _doc_term_stats(doc: Document) -> tuple[list[list[str]], Counter, list[float]]:
+    """Each section's index terms, their document frequencies, and idf by df.
+
+    Every section is tokenized once; ``idf[d]`` is the smoothed idf of a
+    term found in ``d`` of the document's sections.
+    """
+    section_terms = [index_terms(s.text) for s in doc.sections]
+    df = Counter(chain.from_iterable(map(set, section_terms)))
+    m = len(section_terms)
+    return section_terms, df, [smoothed_idf(d, m) for d in range(m + 1)]
 
 
-def _top_keywords(section: Section, df: dict[str, int], n_sections: int, n: int = 20) -> list[str]:
-    counts: dict[str, int] = {}
-    first_pos: dict[str, int] = {}
-    for pos, term in enumerate(index_terms(section.text)):
-        if term in STOPWORDS:
-            continue
-        counts[term] = counts.get(term, 0) + 1
-        first_pos.setdefault(term, pos)
-    scored = sorted(
-        counts,
-        key=lambda t: (-counts[t] * smoothed_idf(df[t], n_sections), first_pos[t]),
-    )
-    return scored[:n]
+def _top_keywords(terms: list[str], df: Counter, idf: list[float], n: int = 20) -> list[str]:
+    counts = Counter(terms)
+    for stopword in STOPWORDS.intersection(counts):
+        counts.pop(stopword)
+    scores = {term: -count * idf[df[term]] for term, count in counts.items()}
+    # Counter keys keep first-occurrence order and the sort is stable, so
+    # equal scores stay in the order the terms first occur.
+    return sorted(scores, key=scores.__getitem__)[:n]
 
 
 def extractive_keywords(
@@ -161,7 +166,8 @@ def extractive_keywords(
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return _top_keywords(section, _doc_freq(doc), len(doc.sections), n)
+    _, df, idf = _doc_term_stats(doc)
+    return _top_keywords(index_terms(section.text), df, idf, n)
 
 
 def _llm_views_for_section(section: Section, llm: LlmClient) -> list[ViewEntry]:
@@ -210,10 +216,10 @@ def build_views(
     returned order is always the document's section order.
     """
     if generator == EXTRACTIVE_GENERATOR:
-        # One df table per document: keywords rank terms over all its sections.
-        df = _doc_freq(doc)
-        per_section = [_extractive_views_for_section(s, _top_keywords(s, df, len(doc.sections)))
-                       for s in doc.sections]
+        # One tokenization per section and one idf table per document.
+        section_terms, df, idf = _doc_term_stats(doc)
+        per_section = [_extractive_views_for_section(s, _top_keywords(terms, df, idf))
+                       for s, terms in zip(doc.sections, section_terms)]
     elif generator == LLM_GENERATOR:
         if llm is None:
             raise ValueError("generator 'llm' requires an LlmClient")

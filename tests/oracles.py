@@ -229,3 +229,26 @@ def oracle_jsonl(path) -> tuple[list[tuple[int, object]], int | None]:
                 return pairs, lineno
             pairs.append((lineno, record))
     return pairs, None
+
+
+def oracle_extractive_keywords(
+    section_texts: list[str], index: int, stopwords: frozenset[str], n: int = 20
+) -> list[str]:
+    """Top-n non-stopword terms of one section by tf * idf over the document's sections.
+
+    idf = ln((1+N)/(1+df)) + 1, computed per term; ties break by first position.
+    """
+    term_lists = [oracle_terms(text) for text in section_texts]
+    df: Counter[str] = Counter()
+    for terms in term_lists:
+        df.update(set(terms))
+    m = len(section_texts)
+    tf: dict[str, int] = {}
+    first: dict[str, int] = {}
+    for pos, term in enumerate(term_lists[index]):
+        if term in stopwords:
+            continue
+        tf[term] = tf.get(term, 0) + 1
+        first.setdefault(term, pos)
+    score = {t: tf[t] * (math.log((1 + m) / (1 + df[t])) + 1.0) for t in tf}
+    return sorted(tf, key=lambda t: (-score[t], first[t]))[:n]

@@ -660,6 +660,20 @@ class TestFileSystemErrors:
                     "--output", str(blocker / "r.csv")]) == 2
         assert f"data error: {blocker}: {os.strerror(errno.EEXIST)}" in capsys.readouterr().err
 
+    def test_ingest_file_name_that_is_not_utf8(self, tmp_path, capsys):
+        # The document id is the file stem, and corpus JSONL is UTF-8.
+        source = os.path.join(os.fsencode(tmp_path), b"\xffdoc.md")
+        try:
+            with open(source, "wb") as fh:
+                fh.write(b"# Guide\nSome text.\n")
+        except OSError:
+            pytest.skip("file system refuses a non-UTF-8 file name")
+        output = tmp_path / "c.jsonl"
+        assert run(["ingest", os.fsdecode(source), "--output", str(output)]) == 2
+        assert (f"data error: {tmp_path}/\\xffdoc.md: file name is not valid UTF-8"
+                in capsys.readouterr().err)
+        assert not output.exists()
+
     def test_ingest_markdown_with_no_content_names_the_file(self, tmp_path, capsys):
         source = tmp_path / "refs.md"
         source.write_text("## References\nOnly references here.\n")

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import make_doc
+from mcidx import corpus
 from mcidx.corpus import (
     QuestionType,
     build_document,
@@ -216,6 +217,13 @@ class TestCorpusStats:
                 make_doc([" ".join(["y"] * 20_000)], doc_id="b")]
         assert corpus_stats(docs, []).mean_tokens_per_doc == 15_000
 
+    @given(st.lists(st.text(alphabet="ab \n\t\u3000"), min_size=1, max_size=6))
+    def test_mean_tokens_per_doc_sums_section_counts(self, texts):
+        # Sections with leading or trailing whitespace, and empty ones, join without merging tokens.
+        doc = make_doc(texts)
+        assert sum(s.token_count for s in doc.sections) == token_count(doc.full_text)
+        assert corpus_stats([doc], []).mean_tokens_per_doc == token_count(doc.full_text)
+
     def test_empty_corpus_is_all_zero(self):
         stats = corpus_stats([], [])
         assert stats.n_documents == 0
@@ -240,3 +248,21 @@ class TestDocumentInvariants:
     def test_duplicate_section_id_rejected(self):
         with pytest.raises(DuplicateId):
             build_document("d", "t", [("s0", "H", 1, "x"), ("s0", "H", 1, "y")])
+
+
+def test_load_counts_no_tokens(tmp_path, monkeypatch):
+    """A section counts its tokens on first use, not when the corpus loads."""
+    path = tmp_path / "corpus.jsonl"
+    write_corpus_jsonl(synthetic_corpus(n_docs=3, seed=7)[0], path)
+    calls = []
+
+    def counting(text):
+        calls.append(text)
+        return token_count(text)
+
+    monkeypatch.setattr(corpus, "token_count", counting)
+    section = load_corpus_jsonl(path)[1].sections[2]
+    assert calls == []
+    assert section.token_count == token_count(section.text)
+    assert section.token_count == token_count(section.text)
+    assert calls == [section.text]

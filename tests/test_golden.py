@@ -2,10 +2,11 @@
 
 The recall-grid CSV of ``scripts/run_recall_grid.py --seed 7``, the stdout
 of ``scripts/run_chunking_error.py --seed 7`` and of
-``scripts/run_complementarity.py``, and ``mcidx retrieve`` stdout in ``mc``
-and ``single:raw`` mode over indexes that ``mcidx views`` and ``mcidx index``
-build from the ``scripts/make_dataset.py`` corpus. A changed digest means a
-changed chunk, ranking, score or recall figure.
+``scripts/run_complementarity.py``, the extractive ``views.jsonl`` that
+``mcidx views`` writes for the ``scripts/make_dataset.py`` corpus, and
+``mcidx retrieve`` stdout in ``mc`` and ``single:raw`` mode over indexes that
+``mcidx views`` and ``mcidx index`` build from that corpus. A changed digest
+means a changed chunk, view, ranking, score or recall figure.
 """
 
 from __future__ import annotations
@@ -54,6 +55,8 @@ single:summary   recall  33.3%
 mc               recall 100.0%
 """
 
+VIEWS_SHA256 = "0a7b2e53b5f29c3ceda74cf4de16ed2bdf439c02af93dcc80092629f76e57d4a"
+
 RETRIEVE_SHA256 = {
     "bm25": "ff44e02905c75f977aa85657fe484f6ed670ade338ba298c58ca2733e4c0161e",
     "dense:mock": "89ad1857069631cf43c9a9ab49135691563a0ea924ba10c63b1195a4b4356047",
@@ -83,6 +86,13 @@ def test_chunking_error_script():
 
 def test_complementarity_script():
     assert _script("run_complementarity.py") == COMPLEMENTARITY_STDOUT
+
+
+def test_views_output(tmp_path):
+    _script("make_dataset.py", "--out-dir", str(tmp_path))
+    views = tmp_path / "views.jsonl"
+    assert run(["views", "--corpus", str(tmp_path / "corpus.jsonl"), "--output", str(views)]) == 0
+    assert _sha256(views.read_bytes()) == VIEWS_SHA256
 
 
 @pytest.mark.parametrize("retriever", list(RETRIEVE_SHA256))

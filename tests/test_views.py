@@ -1,12 +1,17 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import RefusingLlm, ScriptedLlm, make_doc
+from oracles import oracle_extractive_keywords
 from mcidx.errors import ParseError, ProviderError
 from mcidx.providers import LlmClient
 from mcidx.text import token_count
 from mcidx.views import (
+    KEYWORD_SEPARATOR,
+    STOPWORDS,
     Provenance,
     ViewKind,
     build_views,
@@ -131,6 +136,30 @@ class TestExtractiveKeywords:
         doc = make_doc(["alpha."])
         with pytest.raises(ValueError):
             extractive_keywords(doc.sections[0], doc, n=0)
+
+
+# Repeated, cased, edge-punctuated and punctuation-only tokens plus stopwords,
+# from a small vocabulary so that scores tie often.
+_TOKENS = st.sampled_from(["alpha", "Alpha", "alpha.", "(alpha)", "beta", "beta,", '"beta"', "gamma",
+                           "gamma's", "delta", "the", "The", "and", "of", "--", "...", "—", "“x”", "x"])
+_SECTION = st.lists(st.tuples(_TOKENS, st.sampled_from([" ", "  ", "\n", "\t"])), max_size=12).map(
+    lambda pairs: "".join(token + space for token, space in pairs))
+
+
+class TestExtractiveKeywordsOracle:
+    """Keywords equal the per-term oracle: tf * idf per section, ties by first position."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(texts=st.lists(_SECTION, min_size=1, max_size=5), n=st.integers(1, 8))
+    @example(texts=["beta alpha the alpha beta gamma", "gamma delta"], n=1)
+    @example(texts=["alpha, alpha. -- beta"], n=20)
+    def test_matches_oracle(self, texts, n):
+        doc = make_doc(texts)
+        keyword_views = [v.text for v in build_views(doc) if v.view_kind is ViewKind.KEYWORDS]
+        assert keyword_views == [KEYWORD_SEPARATOR.join(oracle_extractive_keywords(texts, i, STOPWORDS))
+                                 for i in range(len(texts))]
+        for i, section in enumerate(doc.sections):
+            assert extractive_keywords(section, doc, n) == oracle_extractive_keywords(texts, i, STOPWORDS, n)
 
 
 class TestBuildViews:
