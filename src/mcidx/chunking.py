@@ -11,29 +11,27 @@ regions, either whole or by a greedy sentence merge:
   region, merged the same way, so chunks never cross section boundaries.
 
 Sentences are never split, so chunks can overshoot the target by at most one
-sentence.
+sentence. Each chunk carries its token range as well as its character span,
+so an index over chunks can take the chunk's terms from the document's text
+table (``corpus.TextTable``) instead of tokenizing the chunk again.
 """
 
 from __future__ import annotations
 
-import re
+from array import array
+from bisect import bisect_left
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
 from .corpus import Document, QAItem
 from .errors import DataError, EmptyCorpus, UnknownDoc
 from .jsonio import write_jsonl
-from .text import token_count
+from .text import split_sentences  # re-exported: callers import it from here
 
 CONTENT = "content"
 FLC = "flc"
 FLC_CONTENT = "flc-content"
-
-# Characters that may open a following sentence, besides uppercase and digits.
-_OPENERS = "\"'([{“‘«"
-# A terminal and the whitespace run after it; ``\s`` matches exactly the
-# characters for which ``str.isspace()`` is true.
-_TERMINAL_RUN = re.compile(r"[.!?]\s+")
 
 
 @dataclass(frozen=True)
@@ -77,6 +75,8 @@ class Chunk:
     doc_span: tuple[int, int]
     text: str
     scheme: ChunkScheme
+    # Token range [a, b) of the chunk in the document's text table.
+    token_span: tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -90,43 +90,20 @@ class ChunkingErrorReport:
         return self.n_split / self.n_scopes if self.n_scopes else 0.0
 
 
-def split_sentences(text: str) -> list[tuple[str, tuple[int, int]]]:
-    """Rule-based sentence split; spans partition the input exactly.
+def _greedy_runs(tokens: array, target_tokens: int) -> Iterator[tuple[int, int]]:
+    """Sentence index ranges ``[i, p)`` of the greedy merge over one run.
 
-    A boundary occurs after '.', '!' or '?' followed by whitespace and then an
-    uppercase letter, digit, or opening quote/bracket. The whitespace run
-    stays attached to the preceding sentence, so each returned text is the
-    verbatim slice ``text[start:end]``. No abbreviation dictionary: "Approx.
-    3 kg" splits after "Approx." by design, identically for every scheme.
+    A chunk starting at sentence i takes whole sentences until it holds at
+    least ``target_tokens`` tokens: ``tokens`` is non-decreasing, so it closes
+    before the first p > i with ``tokens[p] >= tokens[i] + target_tokens``.
+    The last chunk takes what is left, even when that is short.
     """
-    if not text:
-        return []
-    n = len(text)
-    bounds = []
-    for match in _TERMINAL_RUN.finditer(text):
-        k = match.end()
-        if k < n and (text[k].isupper() or text[k].isdigit() or text[k] in _OPENERS):
-            bounds.append(k)
-    starts = [0, *bounds]
-    ends = [*bounds, n]
-    return [(text[s:e], (s, e)) for s, e in zip(starts, ends)]
-
-
-def _greedy_spans(sentences: list[tuple[str, tuple[int, int]]], target_tokens: int) -> list[tuple[int, int]]:
-    """Merge consecutive sentence spans, closing a chunk once it reaches the target."""
-    spans: list[tuple[int, int]] = []
-    start: int | None = None
-    tokens = 0
-    for sentence_text, (s, e) in sentences:
-        if start is None:
-            start = s
-        tokens += token_count(sentence_text)
-        if tokens >= target_tokens:
-            spans.append((start, e))
-            start, tokens = None, 0
-    if start is not None:
-        spans.append((start, sentences[-1][1][1]))
-    return spans
+    last = len(tokens) - 1
+    i = 0
+    while i < last:
+        p = min(bisect_left(tokens, tokens[i] + target_tokens, i + 1), last)
+        yield i, p
+        i = p
 
 
 def _trim_span(text: str, span: tuple[int, int]) -> tuple[int, int]:
@@ -155,25 +132,24 @@ def chunk_document(doc: Document, scheme: ChunkScheme) -> list[Chunk]:
     ``flc`` cuts the full text as one region, so a chunk's section is the one
     containing it, or None when it crosses a section boundary. The other
     schemes cut each section as its own region and keep that section's id.
+    Sentences and token offsets come from the document's ``text_table``, so
+    only the first scheme over a document splits its text.
     """
-    text = doc.full_text
-    if scheme.kind == FLC:
-        regions = [(None, (0, len(text)))]
+    table = doc.text_table
+    pieces: list[tuple[str | None, tuple[int, int], tuple[int, int]]] = []
+    if scheme.kind == CONTENT:
+        starts = table.section_starts
+        pieces = [(s.section_id, s.doc_span, (starts[i], starts[i + 1])) for i, s in enumerate(doc.sections)]
     else:
-        regions = [(section.section_id, section.doc_span) for section in doc.sections]
-    chunks: list[Chunk] = []
-    for section_id, (start, end) in regions:
-        if scheme.kind == CONTENT:
-            spans = [(start, end)]
-        else:
-            sentences = split_sentences(text[start:end])
-            spans = [(start + s, start + e) for s, e in _greedy_spans(sentences, scheme.target_tokens)]
-        for span in spans:
-            chunk_section = _containing_section(doc, span) if scheme.kind == FLC else section_id
-            chunks.append(
-                Chunk(f"c{len(chunks):04d}", doc.doc_id, chunk_section, span, text[span[0]:span[1]], scheme)
-            )
-    return chunks
+        runs = table.text_sentences if scheme.kind == FLC else table.section_sentences
+        for section_id, starts, tokens in runs:
+            for i, p in _greedy_runs(tokens, scheme.target_tokens):
+                span = (starts[i], starts[p])
+                chunk_section = _containing_section(doc, span) if scheme.kind == FLC else section_id
+                pieces.append((chunk_section, span, (tokens[i], tokens[p])))
+    text = doc.full_text
+    return [Chunk(f"c{n:04d}", doc.doc_id, section_id, span, text[span[0]:span[1]], scheme, token_span)
+            for n, (section_id, span, token_span) in enumerate(pieces)]
 
 
 def scope_doc_span(doc: Document, item: QAItem) -> tuple[int, int]:

@@ -6,6 +6,11 @@ document ``full_text``, which is the section texts joined with a single
 newline. Questions carry an answer scope as a character span inside exactly
 one section. A section counts its tokens on first use of ``token_count``;
 loading a corpus tokenizes nothing.
+
+A document analyzes its text once for every chunking scheme and index built
+over it: ``Document.text_table`` is built on first use, each of its parts on
+its own first use, and it is freed with the document. No module-level table
+holds any of it.
 """
 
 from __future__ import annotations
@@ -13,13 +18,17 @@ from __future__ import annotations
 import enum
 import logging
 import re
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from pathlib import Path
+
+import numpy as np
 
 from .errors import DuplicateId, EmptyDocument, SchemaError
 from .jsonio import read_jsonl, require, write_jsonl
-from .text import token_count
+from .text import iter_sentences, token_count, token_terms
 
 logger = logging.getLogger(__name__)
 
@@ -49,6 +58,70 @@ class Section:
         return token_count(self.text)
 
 
+# One run of sentences: ``(section_id or None, starts, tokens)``. Sentence i
+# is ``full_text[starts[i]:starts[i + 1]]`` and holds the tokens
+# ``tokens[i]:tokens[i + 1]``; the last entry of each array is the run's end.
+SentenceRun = tuple[str | None, array, array]
+
+
+class TextTable:
+    """One document's text analyzed once, shared by every scheme and index over it.
+
+    Positions are in whitespace tokens of ``full_text``. No token crosses a
+    section, because sections are joined by a newline, nor a sentence
+    boundary, which always follows whitespace; so a section, a sentence and
+    any run of whole sentences are each a token range ``[a, b)``. Each part
+    is built on first use:
+
+    * ``terms``: the sorted vocabulary of the document's index terms, and an
+      int32 array with the vocabulary position of each token's term, -1 for a
+      token that is pure punctuation. The terms of tokens ``[a, b)`` are
+      ``ids[a:b]`` without the -1s, in text order.
+    * ``section_starts``: the token where each section starts, then the total.
+    * ``text_sentences`` (the full text as one run, as ``flc`` cuts it) and
+      ``section_sentences`` (one run per section, as ``flc-content`` cuts it).
+
+    The table keeps the text and sections, not the document, so it is freed
+    with its document by reference counting alone.
+    """
+
+    def __init__(self, doc: Document):
+        self._text = doc.full_text
+        self._sections = doc.sections
+        # Character and token offsets fit in 32 bits below 2**31 characters.
+        self._offset_type = "i" if len(self._text) < 2**31 else "q"
+
+    @cached_property
+    def terms(self) -> tuple[list[str], np.ndarray]:
+        token_term = list(token_terms(self._text))
+        vocabulary = sorted(set(token_term).difference(("",)))
+        position = dict(zip(vocabulary, range(len(vocabulary))))
+        position[""] = -1
+        return vocabulary, np.fromiter(map(position.__getitem__, token_term), np.int32, len(token_term))
+
+    @cached_property
+    def section_starts(self) -> array:
+        return array(self._offset_type, accumulate((s.token_count for s in self._sections), initial=0))
+
+    def _sentence_run(self, section_id: str | None, start: int, end: int, first_token: int) -> SentenceRun:
+        starts, counts = [], []
+        for sentence, (s, _) in iter_sentences(self._text[start:end]):
+            starts.append(start + s)
+            counts.append(token_count(sentence))
+        starts.append(end)
+        offsets = self._offset_type
+        return section_id, array(offsets, starts), array(offsets, accumulate(counts, initial=first_token))
+
+    @cached_property
+    def text_sentences(self) -> tuple[SentenceRun, ...]:
+        return (self._sentence_run(None, 0, len(self._text), 0),)
+
+    @cached_property
+    def section_sentences(self) -> tuple[SentenceRun, ...]:
+        return tuple(self._sentence_run(s.section_id, *s.doc_span, first)
+                     for s, first in zip(self._sections, self.section_starts))
+
+
 @dataclass(frozen=True)
 class Document:
     doc_id: str
@@ -59,6 +132,11 @@ class Document:
     @cached_property
     def sections_by_id(self) -> dict[str, Section]:
         return {s.section_id: s for s in self.sections}
+
+    @cached_property
+    def text_table(self) -> TextTable:
+        """The document's ``TextTable``, built on first use and freed with the document."""
+        return TextTable(self)
 
 
 class QuestionType(enum.Enum):

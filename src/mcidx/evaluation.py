@@ -3,8 +3,10 @@
 Recall of a question is the fraction of its answer scope's characters
 covered by the union of retrieved spans. Evaluation builds one context per
 document: its unit table (``doc_units``) and one index per view of the mode,
-so each question is scored only against its own document. Each question is
-ranked once per index; every budget k slices or fuses that one ranking.
+so each question is scored only against its own document. Sparse indexes
+over chunks and raw sections take their terms from the document's text table,
+which every setup over the document shares. Each question is ranked once per
+index; every budget k slices or fuses that one ranking.
 Pairwise judging scores two candidate answers in two position-swapped
 rounds; the score-based winner has the higher score total, the round-based
 winner must win both rounds outright.
@@ -173,6 +175,28 @@ def recall_of_set(retrieved, qa: QAItem, docs) -> float:
     return covered / (scope_end - scope_start)
 
 
+def _doc_units(
+    doc: Document, scheme: ChunkScheme, view: ViewKind | None, doc_views: list[ViewEntry] | None
+) -> list[tuple[str, tuple[int, int], str, tuple[int, int] | None]]:
+    """``doc_units`` with each unit's token range in the document's ``text_table`` added.
+
+    The range is None for keyword and summary units, whose text is not
+    document text.
+    """
+    if view is None:
+        return [(c.chunk_id, c.doc_span, c.text, c.token_span) for c in chunk_document(doc, scheme)]
+    if view is ViewKind.RAW_TEXT:
+        starts = doc.text_table.section_starts
+        return [(s.section_id, s.doc_span, s.text, (starts[i], starts[i + 1])) for i, s in enumerate(doc.sections)]
+    if doc_views is None:
+        raise UnknownDoc(f"no views supplied for document {doc.doc_id!r}")
+    entries = view_texts(doc_views, view)
+    texts = dict(entries)
+    if len(texts) != len(entries) or texts.keys() != {s.section_id for s in doc.sections}:
+        raise ViewMismatch(f"{view.value} views of document {doc.doc_id!r} do not cover exactly its sections")
+    return [(s.section_id, s.doc_span, texts[s.section_id], None) for s in doc.sections]
+
+
 def doc_units(
     doc: Document, scheme: ChunkScheme, view: ViewKind | None, doc_views: list[ViewEntry] | None
 ) -> list[tuple[str, tuple[int, int], str]]:
@@ -184,17 +208,7 @@ def doc_units(
     name each section exactly once. Callers check that a view comes with the
     content scheme (``check_views``).
     """
-    if view is None:
-        return [(c.chunk_id, c.doc_span, c.text) for c in chunk_document(doc, scheme)]
-    if view is ViewKind.RAW_TEXT:
-        return [(s.section_id, s.doc_span, s.text) for s in doc.sections]
-    if doc_views is None:
-        raise UnknownDoc(f"no views supplied for document {doc.doc_id!r}")
-    entries = view_texts(doc_views, view)
-    texts = dict(entries)
-    if len(texts) != len(entries) or texts.keys() != {s.section_id for s in doc.sections}:
-        raise ViewMismatch(f"{view.value} views of document {doc.doc_id!r} do not cover exactly its sections")
-    return [(s.section_id, s.doc_span, texts[s.section_id]) for s in doc.sections]
+    return [(uid, span, text) for uid, span, text, _ in _doc_units(doc, scheme, view, doc_views)]
 
 
 def doc_views_for(doc: Document, views: dict[str, list[ViewEntry]] | None) -> list[ViewEntry] | None:
@@ -233,9 +247,14 @@ def build_doc_context(
     indexes = {}
     for view in parse_mode(mode):
         # The views of a mode share one unit table: the document's sections.
-        units = doc_units(doc, scheme, view, doc_views)
-        span_by_unit = {uid: span for uid, span, _ in units}
-        indexes[view] = build_index([(uid, text) for uid, _, text in units], retriever_kind, provider)
+        units = _doc_units(doc, scheme, view, doc_views)
+        span_by_unit = {uid: span for uid, span, _, _ in units}
+        terms = None
+        if retriever_kind != DENSE and all(token_span is not None for *_, token_span in units):
+            # Chunk and section terms are slices of the document's one term table.
+            vocabulary, ids = doc.text_table.terms
+            terms = (vocabulary, [ids[a:b] for _, _, _, (a, b) in units])
+        indexes[view] = build_index([(uid, text) for uid, _, text, _ in units], retriever_kind, provider, terms)
     return DocRetrievalContext(span_by_unit, indexes, provider)
 
 

@@ -1,9 +1,11 @@
 """Sparse (TF-IDF, Okapi BM25) and dense scoring over retrieval units.
 
 Sparse indexes hold term postings, and a query touches only its own terms'
-postings. BM25 runs at its standard settings k1=1.5, b=0.75 (Robertson &
-Zaragoza, 2009), the constants ``BM25_K1`` and ``BM25_B`` that only
-``score_bm25`` reads. Rankings have scores non-increasing and ties broken by
+postings. One assembly builds them from a sorted vocabulary and each unit's
+term ids in it, which come from the unit texts or, for a document's chunks
+and sections, from the document's text table (``corpus.TextTable``). BM25
+runs at its standard settings k1=1.5, b=0.75 (Robertson & Zaragoza, 2009),
+the constants ``BM25_K1`` and ``BM25_B`` that only ``score_bm25`` reads. Rankings have scores non-increasing and ties broken by
 ascending corpus position, so results are reproducible across runs and thread
 counts; the top n is always a prefix of the full ranking. Evaluation builds one
 context per document and ranks each question once per index, to the largest
@@ -15,7 +17,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -126,20 +127,60 @@ def _check_units(units: list[tuple[str, str]]) -> None:
         seen.add(unit_id)
 
 
-def build_sparse_index(units: list[tuple[str, str]], kind: str) -> SparseIndex:
-    """Index ``(unit_id, text)`` pairs for TF-IDF or BM25 scoring."""
+def _text_terms(units: list[tuple[str, str]]) -> tuple[list[str], list[np.ndarray]]:
+    """The sorted vocabulary of the units' index terms and each unit's term ids in it.
+
+    The ids are one array, split into a view per unit.
+    """
+    terms: list[str] = []
+    ends = []
+    for _, text in units:
+        terms += index_terms(text)
+        ends.append(len(terms))
+    vocabulary = sorted(set(terms))
+    position = dict(zip(vocabulary, range(len(vocabulary))))
+    return vocabulary, np.split(np.fromiter(map(position.__getitem__, terms), np.int32, len(terms)), ends[:-1])
+
+
+def build_sparse_index(
+    units: list[tuple[str, str]], kind: str, terms: tuple[list[str], list[np.ndarray]] | None = None
+) -> SparseIndex:
+    """Index ``(unit_id, text)`` pairs for TF-IDF or BM25 scoring.
+
+    ``terms`` is a sorted vocabulary and one array per unit holding the
+    vocabulary positions of the unit's index terms in text order, where a -1
+    stands for no term; a document's ``TextTable`` gives them for its chunks
+    and sections. Without it they are made from the texts with
+    ``index_terms``. Either way one assembly builds the postings.
+    """
     units = list(units)
     _check_units(units)
-    counts = [Counter(index_terms(text)) for _, text in units]
-    terms = {term: row for row, term in enumerate(sorted(set().union(*counts)))}
-    rows = np.fromiter(chain.from_iterable(map(terms.__getitem__, c) for c in counts), np.int64)
-    tfs = np.fromiter(chain.from_iterable(c.values() for c in counts), np.int64)
-    unit_idx = np.repeat(np.arange(len(units)), [len(c) for c in counts])
-    # A stable sort by row keeps each row's units ascending.
-    order = np.argsort(rows, kind="stable")
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=len(terms)))))
-    unit_lens = np.array([sum(c.values()) for c in counts], dtype=np.int64)
-    return SparseIndex(kind, [uid for uid, _ in units], terms, indptr, unit_idx[order], tfs[order], unit_lens)
+    vocabulary, unit_term_ids = terms if terms is not None else _text_terms(units)
+    n = len(units)
+    # One (term, unit) key per token, built in place; the per-unit arrays are
+    # dropped before the sort, which bounds a corpus-wide build's peak memory.
+    keys = np.concatenate(unit_term_ids, dtype=np.int64)
+    keys *= n
+    keys += np.repeat(np.arange(n, dtype=np.int32), [len(ids) for ids in unit_term_ids])
+    del unit_term_ids
+    # Sorted in place, each run of equal keys is one posting and its length
+    # the tf; the distinct keys are in CSR order: term-major, units ascending
+    # within a term. Tokens with no term (-1) have negative keys, which sort
+    # first and are dropped.
+    keys.sort()
+    run_start = np.empty(len(keys), dtype=bool)
+    run_start[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=run_start[1:])
+    starts = np.flatnonzero(run_start)
+    keys, tfs = keys[starts], np.diff(starts, append=len(run_start))
+    first = np.searchsorted(keys, 0)
+    keys, tfs = keys[first:], tfs[first:]
+    used, df = np.unique(keys // n, return_counts=True)
+    rows = {vocabulary[t]: row for row, t in enumerate(used.tolist())}
+    indptr = np.concatenate(([0], np.cumsum(df)))
+    postings = keys % n
+    unit_lens = np.bincount(postings, weights=tfs, minlength=n).astype(np.int64)
+    return SparseIndex(kind, [uid for uid, _ in units], rows, indptr, postings, tfs, unit_lens)
 
 
 def _ranked(unit_ids: list[str], scores: np.ndarray, n: int | None) -> list[ScoredUnit]:
@@ -235,12 +276,19 @@ def build_dense_index(units: list[tuple[str, str]], provider: EmbeddingProvider)
 
 
 def build_index(
-    units: list[tuple[str, str]], kind: str, provider: EmbeddingProvider | None = None
+    units: list[tuple[str, str]],
+    kind: str,
+    provider: EmbeddingProvider | None = None,
+    terms: tuple[list[str], list[np.ndarray]] | None = None,
 ) -> SparseIndex | DenseIndex:
-    """Index ``(unit_id, text)`` pairs for any retriever kind; dense needs the provider."""
+    """Index ``(unit_id, text)`` pairs for any retriever kind.
+
+    Dense needs the provider and embeds the texts; the sparse kinds take the
+    units' ``terms`` when given (see ``build_sparse_index``).
+    """
     if kind == DENSE:
         return build_dense_index(units, provider)
-    return build_sparse_index(units, kind)
+    return build_sparse_index(units, kind, terms)
 
 
 def score_dense(

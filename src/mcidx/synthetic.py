@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import random
 
-from .chunking import split_sentences
 from .corpus import Document, QAItem, QuestionType, build_document
+from .text import split_sentences
 from .views import KEYWORD_SEPARATOR, Provenance, ViewEntry, ViewKind
 
 _CONSONANTS = "bcdfghjklmnprstvz"

@@ -1,9 +1,11 @@
-"""Tokenization primitives used by every module.
+"""Tokenization and sentence-splitting primitives used by every module.
 
 A "token" is a maximal run of non-whitespace characters (Unicode whitespace
 as separators). This whitespace definition is deterministic and model-free
 and is normative for every length threshold in the package. Index terms are
-tokens lowercased with punctuation stripped from both edges.
+tokens lowercased with punctuation stripped from both edges. Sentences come
+from one rule-based splitter (``split_sentences``) whose boundaries always
+follow whitespace, so a sentence is a whole run of tokens.
 
 A corpus repeats a small vocabulary, so ``index_terms`` strips each distinct
 lowercased token once per process and looks it up after that, in one
@@ -15,12 +17,19 @@ never changes a result; it only costs the strips again.
 
 from __future__ import annotations
 
+import re
 import string
 import threading
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 
 EDGE_PUNCT = string.punctuation + "‘’“”«»–—"
 TERM_MEMO_MAX = 1 << 16
+
+# Characters that may open a following sentence, besides uppercase and digits.
+_OPENERS = "\"'([{“‘«"
+# A terminal and the whitespace run after it; ``\s`` matches exactly the
+# characters for which ``str.isspace()`` is true.
+_TERMINAL_RUN = re.compile(r"[.!?]\s+")
 
 
 class TermMemo(dict):
@@ -63,9 +72,43 @@ def truncate_tokens(text: str, limit: int) -> str:
     return " ".join(tokens[:limit])
 
 
+def token_terms(text: str) -> Iterator[str]:
+    """The index term of each whitespace token of ``text``, in order.
+
+    A token that is pure punctuation gives the empty string.
+    """
+    return map(_TERMS.__getitem__, text.lower().split())
+
+
 def index_terms(text: str) -> list[str]:
     """Lowercased whitespace tokens with punctuation stripped from the edges.
 
     Tokens that are pure punctuation vanish.
     """
-    return list(filter(None, map(_TERMS.__getitem__, text.lower().split())))
+    return list(filter(None, token_terms(text)))
+
+
+def iter_sentences(text: str) -> Iterator[tuple[str, tuple[int, int]]]:
+    """``split_sentences`` one sentence at a time, splitting no further than the caller reads."""
+    n = len(text)
+    start = 0
+    for match in _TERMINAL_RUN.finditer(text):
+        k = match.end()
+        if k < n and (text[k].isupper() or text[k].isdigit() or text[k] in _OPENERS):
+            yield text[start:k], (start, k)
+            start = k
+    if text:
+        yield text[start:], (start, n)
+
+
+def split_sentences(text: str) -> list[tuple[str, tuple[int, int]]]:
+    """Rule-based sentence split; spans partition the input exactly.
+
+    A boundary occurs after '.', '!' or '?' followed by whitespace and then an
+    uppercase letter, digit, or opening quote/bracket. The whitespace run
+    stays attached to the preceding sentence, so each returned text is the
+    verbatim slice ``text[start:end]``, and no whitespace token crosses a
+    boundary. No abbreviation dictionary: "Approx. 3 kg" splits after
+    "Approx." by design, identically for every scheme.
+    """
+    return list(iter_sentences(text))

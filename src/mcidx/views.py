@@ -23,14 +23,13 @@ from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 
-from .chunking import split_sentences
 from .corpus import Document, Section
 from .errors import ParseError, ProviderError, SchemaError
 from .jsonio import read_jsonl, require, write_jsonl
 from .prompts import render_keywords_prompt, render_summary_prompt
 from .providers import DEFAULT_MAX_IN_FLIGHT, LlmClient
 from .retrieval import DENSE_TOKEN_LIMIT, smoothed_idf
-from .text import index_terms, token_count, truncate_tokens
+from .text import index_terms, iter_sentences, token_count, truncate_tokens
 
 logger = logging.getLogger(__name__)
 
@@ -117,18 +116,18 @@ def generate_keywords(section: Section, llm: LlmClient) -> list[str]:
 
 
 def extractive_summary(section: Section) -> str:
-    """Leading sentences up to the word budget; always at least one sentence."""
-    sentences = split_sentences(section.text)
-    if not sentences:
-        return ""
+    """Leading sentences up to the word budget; always at least one sentence.
+
+    The section is split only as far as the first sentence past the budget.
+    """
     total = 0
-    end = sentences[0][1][1]
-    for i, (sentence_text, span) in enumerate(sentences):
+    end = 0
+    for i, (sentence_text, (_, sentence_end)) in enumerate(iter_sentences(section.text)):
         words = token_count(sentence_text)
         if i and total + words > SUMMARY_WORD_BUDGET:
             break
         total += words
-        end = span[1]
+        end = sentence_end
     return section.text[:end].rstrip()
 
 

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import json
+import string
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import strategies as st
 
 from mcidx.corpus import build_document
 from mcidx.providers import LlmClient
@@ -116,3 +118,19 @@ def make_doc(section_texts, doc_id="doc", headings=None, levels=None):
 def words(n, stem="w"):
     """n distinct filler words."""
     return " ".join(f"{stem}{i}" for i in range(n))
+
+
+# Section texts for documents whose chunks and term tables are checked against
+# oracles. Tokens mix cased letters ("Σ" lowercases by context, "İ" to two
+# characters), a digit and every edge-punctuation character spelled out here,
+# so tokens strip, vanish (pure punctuation) and end or open sentences; ASCII
+# and Unicode whitespace (U+3000, \x1c, \x85, \xa0) separates them. Sections
+# may be empty, whitespace only, or carry edge whitespace.
+_TOKEN = st.text(alphabet="aZéÉßΣ日İ1" + string.punctuation + "‘’“”«»–—", min_size=1, max_size=5)
+_SPACE = st.text(alphabet=" \t\n\x1c\x85\u3000\xa0", min_size=1, max_size=2)
+_SECTION_TEXT = st.one_of(
+    st.builds(lambda lead, parts: lead + "".join(token + space for token, space in parts),
+              st.sampled_from(["", " ", "\n\u3000"]), st.lists(st.tuples(_TOKEN, _SPACE), max_size=12)),
+    st.sampled_from(["", " ", "\t\n", "\u3000\xa0"]),
+)
+SECTION_TEXTS = st.lists(st.one_of(_SECTION_TEXT, _SECTION_TEXT.map(str.strip)), min_size=1, max_size=5)

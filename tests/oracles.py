@@ -34,6 +34,16 @@ def oracle_mock_embed(texts: list[str], dim: int = 256) -> list[list[float]]:
     return rows
 
 
+def oracle_postings(units: list[tuple[str, str]]) -> tuple[dict[str, list[tuple[int, int]]], list[int]]:
+    """Each term's ``(unit position, tf)`` postings in sorted term order, units
+    ascending, and each unit's term count."""
+    term_lists = [oracle_terms(text) for _, text in units]
+    postings: dict[str, list[tuple[int, int]]] = {}
+    for term in sorted({t for terms in term_lists for t in terms}):
+        postings[term] = [(i, terms.count(term)) for i, terms in enumerate(term_lists) if term in terms]
+    return postings, [len(terms) for terms in term_lists]
+
+
 def oracle_tfidf_scores(units: list[tuple[str, str]], query: str) -> dict[str, float]:
     """Cosine of L2-normalized tf*idf vectors, idf = ln((1+N)/(1+df)) + 1."""
     n = len(units)
@@ -170,6 +180,53 @@ def oracle_split_sentences(text: str) -> list[tuple[str, tuple[int, int]]]:
         prev = bound
     sentences.append((text[prev:], (prev, n)))
     return sentences
+
+
+def oracle_chunks(
+    section_texts: list[str], kind: str, target: int
+) -> list[tuple[str, str | None, tuple[int, int], str]]:
+    """``(chunk_id, section_id, doc_span, text)`` of a greedy sentence merge.
+
+    ``flc`` merges the sentences of the newline-joined full text, ``flc-content``
+    those of each section (ids s0000, s0001, ...). A running token sum closes a
+    chunk at the first sentence that brings it to ``target``; what is left at
+    the end of a region is its last chunk. An ``flc`` chunk's section is the
+    first whose span holds the chunk with its edge whitespace removed.
+    """
+    full_text = "\n".join(section_texts)
+    section_spans = []
+    pos = 0
+    for text in section_texts:
+        section_spans.append((pos, pos + len(text)))
+        pos += len(text) + 1
+    if kind == "flc":
+        regions = [(None, 0, full_text)]
+    else:
+        regions = [(f"s{i:04d}", start, text) for i, ((start, _), text) in enumerate(zip(section_spans, section_texts))]
+    spans: list[tuple[str | None, tuple[int, int]]] = []
+    for section_id, offset, text in regions:
+        start = None
+        total = 0
+        sentences = oracle_split_sentences(text)
+        for sentence, (s, e) in sentences:
+            if start is None:
+                start = offset + s
+            total += len(sentence.split())
+            if total >= target:
+                spans.append((section_id, (start, offset + e)))
+                start, total = None, 0
+        if start is not None:
+            spans.append((section_id, (start, offset + sentences[-1][1][1])))
+    chunks = []
+    for n, (section_id, (s, e)) in enumerate(spans):
+        if kind == "flc":
+            piece = full_text[s:e]
+            lead = len(piece) - len(piece.lstrip())
+            body = (s + lead, s + lead + len(piece.strip())) if piece.strip() else (s, s)
+            section_id = next((f"s{i:04d}" for i, (cs, ce) in enumerate(section_spans)
+                               if cs <= body[0] and body[1] <= ce), None)
+        chunks.append((f"c{n:04d}", section_id, (s, e), full_text[s:e]))
+    return chunks
 
 
 def oracle_scope_split(chunk_spans: list[tuple[int, int]], scope: tuple[int, int]) -> bool:

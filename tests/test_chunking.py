@@ -1,16 +1,16 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_doc
+from conftest import SECTION_TEXTS, make_doc
 from mcidx.chunking import ChunkScheme, chunk_document, chunking_error, split_sentences
 from mcidx.corpus import QAItem, QuestionType
 from mcidx.errors import EmptyCorpus, UnknownDoc
 from mcidx.synthetic import synthetic_corpus
 from mcidx.text import token_count
-from oracles import oracle_scope_split, oracle_split_sentences
+from oracles import oracle_chunks, oracle_scope_split, oracle_split_sentences
 
 # Terminals, ASCII and Unicode whitespace, non-ASCII uppercase, Unicode digits
 # and every opener: the characters the sentence rule branches on.
@@ -155,6 +155,25 @@ class TestFlcContent:
 
 def _qa(doc_id, section_id, span, qid="q"):
     return QAItem(qid, doc_id, "?", "a", QuestionType.EXPLANATORY, section_id, span)
+
+
+class TestGreedyOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(SECTION_TEXTS)
+    @example(["A b. C d. E f."])  # every sentence reaches a target of 2 exactly
+    @example(["A b.", "  ", "", "C d! E."])
+    def test_matches_running_sum_oracle(self, texts):
+        doc = make_doc(texts)
+        total = token_count(doc.full_text)
+        for kind in ("flc", "flc-content"):
+            for target in range(1, total + 2):
+                chunks = chunk_document(doc, ChunkScheme(kind, target))
+                got = [(c.chunk_id, c.section_id, c.doc_span, c.text) for c in chunks]
+                assert got == oracle_chunks(texts, kind, target), (kind, target)
+                for chunk in chunks:
+                    start, end = chunk.token_span
+                    assert start == token_count(doc.full_text[:chunk.doc_span[0]])
+                    assert end - start == token_count(chunk.text)
 
 
 class TestChunkingError:

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import gc
 import json
+import weakref
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_doc
+from conftest import SECTION_TEXTS, make_doc
 from mcidx import corpus
+from mcidx.chunking import ChunkScheme
 from mcidx.corpus import (
     QuestionType,
     build_document,
@@ -21,8 +25,10 @@ from mcidx.corpus import (
     write_qa_jsonl,
 )
 from mcidx.errors import DuplicateId, EmptyDocument, SchemaError
+from mcidx.evaluation import _doc_units
 from mcidx.synthetic import synthetic_corpus
-from mcidx.text import token_count
+from mcidx.text import index_terms, token_count
+from mcidx.views import ViewKind
 
 
 class TestParseMarkdown:
@@ -266,3 +272,42 @@ def test_load_counts_no_tokens(tmp_path, monkeypatch):
     assert section.token_count == token_count(section.text)
     assert section.token_count == token_count(section.text)
     assert calls == [section.text]
+
+
+class TestTextTable:
+    @settings(max_examples=150, deadline=None)
+    @given(SECTION_TEXTS)
+    @example(["İSTANBUL -- “İzmir” ΑΣ. ΣΑ a\x1cb\x85c\xa0d\u3000e", "... «x» —y— ‘z’ ΟΔΟΣ."])
+    def test_unit_terms_equal_index_terms(self, texts):
+        doc = make_doc(texts)
+        vocabulary, ids = doc.text_table.terms
+        assert vocabulary == sorted(set(index_terms(doc.full_text)))
+        assert ids.dtype == np.int32 and len(ids) == token_count(doc.full_text)
+        content = ChunkScheme("content")
+        setups = [(content, ViewKind.RAW_TEXT), (content, None)] + [
+            (ChunkScheme(kind, target), None) for kind in ("flc", "flc-content") for target in range(1, len(ids) + 2)]
+        for scheme, view in setups:
+            for _, _, text, (start, end) in _doc_units(doc, scheme, view, None):
+                assert [vocabulary[i] for i in ids[start:end] if i >= 0] == index_terms(text)
+
+    def test_load_builds_no_text_table(self, tmp_path, monkeypatch):
+        path = tmp_path / "corpus.jsonl"
+        write_corpus_jsonl(synthetic_corpus(n_docs=3, seed=7)[0], path)
+        built = []
+        monkeypatch.setattr(corpus, "TextTable", lambda doc: built.append(doc.doc_id) or object())
+        docs = load_corpus_jsonl(path)
+        assert built == []
+        assert not any("text_table" in vars(doc) for doc in docs)
+        assert docs[1].text_table is docs[1].text_table
+        assert built == [docs[1].doc_id]
+
+    def test_table_is_freed_with_its_document(self):
+        doc = make_doc(["Alpha beta. Gamma delta.", "Epsilon zeta!"])
+        table = doc.text_table
+        _ = table.terms, table.section_starts, table.text_sentences, table.section_sentences
+        for spec in ("content", "flc:2", "flc-content:2"):
+            _doc_units(doc, ChunkScheme.parse(spec), None, None)
+        freed = weakref.ref(table)
+        del doc, table
+        gc.collect()
+        assert freed() is None

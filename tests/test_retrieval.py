@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import SECTION_TEXTS, make_doc
+from mcidx.chunking import ChunkScheme
 from mcidx.errors import (
     DimensionMismatch,
     DuplicateId,
@@ -15,6 +17,7 @@ from mcidx.errors import (
     ProviderError,
     ProviderMismatch,
 )
+from mcidx.evaluation import _doc_units
 from mcidx.providers import EmbeddingProvider, MockEmbeddingProvider
 from mcidx.retrieval import (
     build_dense_index,
@@ -27,9 +30,11 @@ from mcidx.retrieval import (
     score_dense,
     score_tfidf,
 )
+from mcidx.views import ViewKind
 from oracles import (
     oracle_bm25_scores,
     oracle_cosine_scores,
+    oracle_postings,
     oracle_rank,
     oracle_terms,
     oracle_tfidf_scores,
@@ -312,3 +317,40 @@ class TestRetrieverSpec:
     def test_bad_specs(self, spec):
         with pytest.raises(ValueError):
             parse_retriever(spec)
+
+
+class TestTableTermsBuild:
+    """A build from a document's term table equals the build from the unit texts."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(SECTION_TEXTS, st.integers(1, 12))
+    def test_equals_text_build_field_by_field(self, texts, target):
+        doc = make_doc(texts)
+        vocabulary, ids = doc.text_table.terms
+        content = ChunkScheme("content")
+        setups = [(content, ViewKind.RAW_TEXT), (content, None),
+                  (ChunkScheme("flc", target), None), (ChunkScheme("flc-content", target), None)]
+        for scheme, view in setups:
+            units = _doc_units(doc, scheme, view, None)
+            if not units:
+                continue
+            pairs = [(uid, text) for uid, _, text, _ in units]
+            terms = (vocabulary, [ids[a:b] for *_, (a, b) in units])
+            for kind in ("tfidf", "bm25"):
+                got, want = build_sparse_index(pairs, kind, terms=terms), build_sparse_index(pairs, kind)
+                assert got.unit_ids == want.unit_ids
+                assert list(got.terms.items()) == list(want.terms.items())
+                for name in ("indptr", "postings", "tfs", "unit_lens", "idf"):
+                    a, b = getattr(got, name), getattr(want, name)
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+                assert np.float64(got.avgdl).tobytes() == np.float64(want.avgdl).tobytes()
+                if kind == "tfidf":
+                    assert got.unit_norms.tobytes() == want.unit_norms.tobytes()
+                else:
+                    assert got.unit_norms is None and want.unit_norms is None
+            postings, lens = oracle_postings(pairs)
+            assert list(want.terms) == list(postings)
+            for term, row in want.terms.items():
+                start, end = want.indptr[row], want.indptr[row + 1]
+                assert list(zip(want.postings[start:end].tolist(), want.tfs[start:end].tolist())) == postings[term]
+            assert want.unit_lens.tolist() == lens

@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 
 from conftest import RefusingLlm, ScriptedLlm, make_doc
 from oracles import oracle_extractive_keywords
+from mcidx import views
 from mcidx.errors import ParseError, ProviderError
 from mcidx.providers import LlmClient
-from mcidx.text import token_count
+from mcidx.text import split_sentences, token_count
 from mcidx.views import (
     KEYWORD_SEPARATOR,
     STOPWORDS,
@@ -107,6 +108,21 @@ class TestExtractiveSummary:
         text = words_sentence(100, "a") + " " + words_sentence(100, "b")
         doc = make_doc([text])
         assert token_count(extractive_summary(doc.sections[0])) == 200
+
+    def test_splits_no_further_than_the_budget(self, monkeypatch):
+        # Three 60-word sentences fit; the fourth is read and dropped, the rest never split.
+        text = " ".join(words_sentence(60, f"s{i}") for i in range(50))
+        doc = make_doc([text])
+        read = []
+
+        def counting(section_text):
+            for sentence in split_sentences(section_text):
+                read.append(sentence)
+                yield sentence
+
+        monkeypatch.setattr(views, "iter_sentences", counting)
+        assert token_count(extractive_summary(doc.sections[0])) == 180
+        assert len(read) == 4
 
 
 class TestExtractiveKeywords:
