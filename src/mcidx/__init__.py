@@ -59,7 +59,6 @@ from .views import (
     ViewEntry,
     ViewKind,
     build_views,
-    extractive_keywords,
     extractive_summary,
     generate_keywords,
     generate_summary,

@@ -19,7 +19,7 @@ table (``corpus.TextTable``) instead of tokenizing the chunk again.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
@@ -106,24 +106,18 @@ def _greedy_runs(tokens: array, target_tokens: int) -> Iterator[tuple[int, int]]
         i = p
 
 
-def _trim_span(text: str, span: tuple[int, int]) -> tuple[int, int]:
-    s, e = span
-    segment = text[s:e]
-    stripped = segment.strip()
-    if not stripped:
-        return (s, s)
-    lead = len(segment) - len(segment.lstrip())
-    return (s + lead, s + lead + len(stripped))
+def _flc_section(doc: Document, token_span: tuple[int, int]) -> str | None:
+    """The section holding every token of an ``flc`` chunk; None when the chunk crosses a boundary.
 
-
-def _containing_section(doc: Document, span: tuple[int, int]) -> str | None:
-    """Section holding the span's non-whitespace content, if any single one does."""
-    s, e = _trim_span(doc.full_text, span)
-    for section in doc.sections:
-        cs, ce = section.doc_span
-        if cs <= s and e <= ce:
-            return section.section_id
-    return None
+    The one candidate is the last section starting at or before the chunk's
+    first token: a section with no tokens starts where the next one does. A
+    chunk with no tokens, which only a document of whitespace has, gets the
+    first section.
+    """
+    a, b = token_span
+    starts = doc.text_table.section_starts
+    i = bisect_right(starts, a) - 1 if a < b else 0
+    return doc.sections[i].section_id if b <= starts[i + 1] else None
 
 
 def chunk_document(doc: Document, scheme: ChunkScheme) -> list[Chunk]:
@@ -144,9 +138,9 @@ def chunk_document(doc: Document, scheme: ChunkScheme) -> list[Chunk]:
         runs = table.text_sentences if scheme.kind == FLC else table.section_sentences
         for section_id, starts, tokens in runs:
             for i, p in _greedy_runs(tokens, scheme.target_tokens):
-                span = (starts[i], starts[p])
-                chunk_section = _containing_section(doc, span) if scheme.kind == FLC else section_id
-                pieces.append((chunk_section, span, (tokens[i], tokens[p])))
+                token_span = (tokens[i], tokens[p])
+                chunk_section = _flc_section(doc, token_span) if scheme.kind == FLC else section_id
+                pieces.append((chunk_section, (starts[i], starts[p]), token_span))
     text = doc.full_text
     return [Chunk(f"c{n:04d}", doc.doc_id, section_id, span, text[span[0]:span[1]], scheme, token_span)
             for n, (section_id, span, token_span) in enumerate(pieces)]

@@ -28,13 +28,13 @@ from .evaluation import (
     check_budgets,
     check_setup,
     check_views,
-    doc_contexts,
     doc_units,
     doc_views_for,
     eval_recall,
     generate_answer,
     judge_pairwise,
     parse_mode,
+    retrieved_spans,
 )
 from .fusion import _validate_k, retrieve_mc, retrieve_single
 from .jsonio import atomic_text_writer, write_jsonl
@@ -133,7 +133,7 @@ def cmd_index(args) -> int:
     for doc in docs:
         doc_views = doc_views_for(doc, views_by_doc) if needs_views else None
         # Unit ids are doc-qualified so one index can hold the whole corpus.
-        units.extend((f"{doc.doc_id}#{uid}", text) for uid, _, text in doc_units(doc, scheme, view, doc_views))
+        units.extend((f"{doc.doc_id}#{uid}", text) for uid, _, text, _ in doc_units(doc, scheme, view, doc_views))
     index = build_index(units, kind, resolve_provider(provider_name) if kind == DENSE else None)
     save_index(index, args.output)
     logger.info("saved %s index of %d units to %s", args.retriever, len(units), args.output)
@@ -213,23 +213,15 @@ def cmd_eval_answers(args) -> int:
         check_setup(scheme, args.retriever, mode, [args.k])
     docs = load_corpus_jsonl(args.corpus)
     qa = load_and_filter_qa(args.qa, docs)
-    by_id = {d.doc_id: d for d in docs}
     llm = HttpLlmClient.from_env(max_in_flight=args.jobs)
-
     views_by_doc = _load_views_arg(args)
-    sides = [doc_contexts(scheme, args.retriever, mode, views_by_doc) for scheme, mode in setups]
-
-    def answer(context_for, item, ordinal: int) -> str:
-        doc = by_id[item.doc_id]
-        ctx = context_for(doc)
-        (unit_ids,) = ctx.retrieve(item.question, [args.k], ordinal)
-        texts = [doc.full_text[slice(*ctx.span_by_unit[uid])] for uid in unit_ids]
-        return generate_answer(item.question, texts, llm)
-
+    side_a, side_b = (retrieved_spans(docs, qa, scheme, args.retriever, mode, [args.k], views_by_doc)
+                      for scheme, mode in setups)
     records = []
     tallies = {"score_based": {"a": 0, "b": 0, "tie": 0}, "round_based": {"a": 0, "b": 0, "tie": 0}}
-    for ordinal, item in enumerate(qa):
-        answer_a, answer_b = (answer(side, item, ordinal) for side in sides)
+    for (item, doc, (spans_a,)), (_, _, (spans_b,)) in zip(side_a, side_b):
+        answer_a, answer_b = (generate_answer(item.question, [doc.full_text[slice(*span)] for span in spans], llm)
+                              for spans in (spans_a, spans_b))
         outcome = judge_pairwise(item.question, item.answer, answer_a, answer_b, llm)
         tallies["score_based"][outcome.score_based.value] += 1
         tallies["round_based"][outcome.round_based.value] += 1

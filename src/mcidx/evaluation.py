@@ -1,12 +1,14 @@
 """Answer-scope recall, the evaluation grid, and pairwise answer judging.
 
 Recall of a question is the fraction of its answer scope's characters
-covered by the union of retrieved spans. Evaluation builds one context per
-document: its unit table (``doc_units``) and one index per view of the mode,
-so each question is scored only against its own document. Sparse indexes
-over chunks and raw sections take their terms from the document's text table,
-which every setup over the document shares. Each question is ranked once per
-index; every budget k slices or fuses that one ranking.
+covered by the union of retrieved spans. Both harnesses, ``eval_recall`` and
+``mcidx eval answers``, reach their spans through one loop,
+``retrieved_spans``. It builds one context per document: its unit table
+(``doc_units``) and one index per view of the mode, so each question is
+scored only against its own document. Sparse indexes over chunks and raw
+sections take their terms from the document's text table, which every setup
+over the document shares. Each question is ranked once per index; every
+budget k slices or fuses that one ranking.
 Pairwise judging scores two candidate answers in two position-swapped
 rounds; the score-based winner has the higher score total, the round-based
 winner must win both rounds outright.
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import enum
 import logging
-from collections.abc import Callable
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .chunking import ChunkScheme, chunk_document, scope_doc_span
@@ -131,39 +133,20 @@ class RecallReport:
         return "\n".join(lines) + "\n"
 
 
-def _docs_by_id(docs) -> dict[str, Document]:
-    if isinstance(docs, dict):
-        return docs
-    return {d.doc_id: d for d in docs}
+def recall_of_set(spans: list[tuple[int, int]], scope: tuple[int, int]) -> float:
+    """Character-level coverage of the answer ``scope`` by retrieved ``(start, end)`` spans.
 
-
-def _as_span(unit) -> tuple[int, int]:
-    if hasattr(unit, "doc_span"):
-        return unit.doc_span
-    start, end = unit
-    return (start, end)
-
-
-def recall_of_set(retrieved, qa: QAItem, docs) -> float:
-    """Character-level coverage of the answer scope by retrieved spans.
-
-    ``retrieved`` holds chunks/sections or bare ``(start, end)`` document
-    spans. Overlapping retrieved spans are unioned before measuring, so
-    nothing is double counted; for disjoint spans this equals the sum of
-    per-span overlaps.
+    Both are in document coordinates. Overlapping retrieved spans are unioned
+    before measuring, so nothing is double counted; for disjoint spans this
+    equals the sum of per-span overlaps.
     """
-    by_id = _docs_by_id(docs)
-    doc = by_id.get(qa.doc_id)
-    if doc is None:
-        raise UnknownDoc(f"question {qa.question_id!r} references unknown document {qa.doc_id!r}")
-    scope_start, scope_end = scope_doc_span(doc, qa)
+    scope_start, scope_end = scope
     if scope_end <= scope_start:
-        raise EmptyScope(f"question {qa.question_id!r} has a zero-length scope")
-    spans = sorted(_as_span(u) for u in retrieved)
+        raise EmptyScope(f"answer scope {scope} has zero length")
     covered = 0
     merged_start: int | None = None
     merged_end = 0
-    for start, end in spans:
+    for start, end in sorted(spans):
         if merged_start is None or start > merged_end:
             if merged_start is not None:
                 covered += max(0, min(merged_end, scope_end) - max(merged_start, scope_start))
@@ -175,13 +158,18 @@ def recall_of_set(retrieved, qa: QAItem, docs) -> float:
     return covered / (scope_end - scope_start)
 
 
-def _doc_units(
+def doc_units(
     doc: Document, scheme: ChunkScheme, view: ViewKind | None, doc_views: list[ViewEntry] | None
 ) -> list[tuple[str, tuple[int, int], str, tuple[int, int] | None]]:
-    """``doc_units`` with each unit's token range in the document's ``text_table`` added.
+    """``(unit_id, doc_span, text, token_span)`` of what a (scheme, view) pair indexes, in section order.
 
-    The range is None for keyword and summary units, whose text is not
-    document text.
+    With no view the units are the scheme's chunks. A view indexes the
+    document's sections: the raw view with the corpus section text, the
+    keyword and summary views with their entries in ``doc_views``, which must
+    name each section exactly once. ``token_span`` is the unit's token range
+    in the document's ``text_table``, None for keyword and summary units,
+    whose text is not document text. Callers check that a view comes with the
+    content scheme (``check_views``).
     """
     if view is None:
         return [(c.chunk_id, c.doc_span, c.text, c.token_span) for c in chunk_document(doc, scheme)]
@@ -197,57 +185,24 @@ def _doc_units(
     return [(s.section_id, s.doc_span, texts[s.section_id], None) for s in doc.sections]
 
 
-def doc_units(
-    doc: Document, scheme: ChunkScheme, view: ViewKind | None, doc_views: list[ViewEntry] | None
-) -> list[tuple[str, tuple[int, int], str]]:
-    """``(unit_id, doc_span, text)`` of what a (scheme, view) pair indexes, in section order.
-
-    With no view the units are the scheme's chunks. A view indexes the
-    document's sections: the raw view with the corpus section text, the
-    keyword and summary views with their entries in ``doc_views``, which must
-    name each section exactly once. Callers check that a view comes with the
-    content scheme (``check_views``).
-    """
-    return [(uid, span, text) for uid, span, text, _ in _doc_units(doc, scheme, view, doc_views)]
-
-
 def doc_views_for(doc: Document, views: dict[str, list[ViewEntry]] | None) -> list[ViewEntry] | None:
     """The document's entries in ``views``, or its extractive views when ``views`` is None."""
     return views.get(doc.doc_id) if views is not None else build_views(doc)
 
 
-@dataclass
-class DocRetrievalContext:
-    """One document's unit spans and one index per view of a mode, in fusion order."""
-
-    span_by_unit: dict[str, tuple[int, int]]
-    indexes: dict[ViewKind | None, SparseIndex | DenseIndex]
-    provider: EmbeddingProvider | None
-
-    def retrieve(self, question: str, ks: list[float], ordinal: int) -> list[list[str]]:
-        """Retrieved unit ids per budget k, all from one ranking per index to the largest budget."""
-        fused = len(self.indexes) > 1
-        budgets = [(per_view_budget if fused else single_budget)(k, ordinal) for k in ks]
-        rankings = {view: rank_units(index, question, self.provider, n=max(budgets, default=0))
-                    for view, index in self.indexes.items()}
-        if fused:
-            return [fuse(rankings, budget).unit_ids for budget in budgets]
-        (ranking,) = rankings.values()
-        return [[s.unit_id for s in ranking[:budget]] for budget in budgets]
-
-
 def build_doc_context(
     doc: Document,
     scheme: ChunkScheme,
-    mode: str,
+    views: tuple[ViewKind | None, ...],
     retriever_kind: str,
     provider: EmbeddingProvider | None,
     doc_views: list[ViewEntry] | None,
-) -> DocRetrievalContext:
+) -> tuple[dict[str, tuple[int, int]], dict[ViewKind | None, SparseIndex | DenseIndex]]:
+    """One document's unit spans and one index per view, in fusion order."""
     indexes = {}
-    for view in parse_mode(mode):
+    for view in views:
         # The views of a mode share one unit table: the document's sections.
-        units = _doc_units(doc, scheme, view, doc_views)
+        units = doc_units(doc, scheme, view, doc_views)
         span_by_unit = {uid: span for uid, span, _, _ in units}
         terms = None
         if retriever_kind != DENSE and all(token_span is not None for *_, token_span in units):
@@ -255,33 +210,58 @@ def build_doc_context(
             vocabulary, ids = doc.text_table.terms
             terms = (vocabulary, [ids[a:b] for _, _, _, (a, b) in units])
         indexes[view] = build_index([(uid, text) for uid, _, text, _ in units], retriever_kind, provider, terms)
-    return DocRetrievalContext(span_by_unit, indexes, provider)
+    return span_by_unit, indexes
 
 
-def doc_contexts(
-    scheme: ChunkScheme, retriever: str, mode: str, views: dict[str, list[ViewEntry]] | None,
-) -> Callable[[Document], DocRetrievalContext]:
-    """Context lookup for one (scheme, retriever, mode) setup; each is built on first use.
+def retrieved_spans(
+    docs: list[Document],
+    qa: list[QAItem],
+    scheme: ChunkScheme,
+    retriever: str,
+    mode: str,
+    ks: list[float],
+    views: dict[str, list[ViewEntry]] | None,
+    invert_parity: bool = False,
+) -> Iterator[tuple[QAItem, Document, list[list[tuple[int, int]]]]]:
+    """Each question's item, document and retrieved document spans per budget k, in dataset order.
 
+    Each document gets one context (``build_doc_context``) on first use.
     Keyword and summary views come from ``views`` when given, else they are
-    the extractive views built in process.
+    the extractive views built in process. Each question is ranked once per
+    index, to the largest budget of its dataset-order ordinal (shifted by one
+    with ``invert_parity``); every k fuses (``mc``) or cuts that ranking.
+    Questions whose document is absent are skipped with a warning.
     """
-    needs_views = any(v in (ViewKind.KEYWORDS, ViewKind.SUMMARY) for v in parse_mode(mode))
+    view_kinds = parse_mode(mode)
+    needs_views = any(v in (ViewKind.KEYWORDS, ViewKind.SUMMARY) for v in view_kinds)
+    fused = len(view_kinds) > 1
+    budget = per_view_budget if fused else single_budget
     retriever_kind, provider_name = parse_retriever(retriever)
     provider = resolve_provider(provider_name) if retriever_kind == DENSE else None
-    contexts: dict[str, DocRetrievalContext] = {}
-
-    def context_for(doc: Document) -> DocRetrievalContext:
+    by_id = {d.doc_id: d for d in docs}
+    contexts = {}
+    for position, item in enumerate(qa):
+        doc = by_id.get(item.doc_id)
+        if doc is None:
+            logger.warning("skipping %s: document %r not ingested", item.question_id, item.doc_id)
+            continue
         if doc.doc_id not in contexts:
             doc_views = doc_views_for(doc, views) if needs_views else None
-            contexts[doc.doc_id] = build_doc_context(doc, scheme, mode, retriever_kind, provider, doc_views)
-        return contexts[doc.doc_id]
-
-    return context_for
+            contexts[doc.doc_id] = build_doc_context(doc, scheme, view_kinds, retriever_kind, provider, doc_views)
+        span_by_unit, indexes = contexts[doc.doc_id]
+        budgets = [budget(k, position + 1 if invert_parity else position) for k in ks]
+        rankings = {view: rank_units(index, item.question, provider, n=max(budgets, default=0))
+                    for view, index in indexes.items()}
+        if fused:
+            unit_ids = [fuse(rankings, b).unit_ids for b in budgets]
+        else:
+            (ranking,) = rankings.values()
+            unit_ids = [[s.unit_id for s in ranking[:b]] for b in budgets]
+        yield item, doc, [[span_by_unit[uid] for uid in ids] for ids in unit_ids]
 
 
 def eval_recall(
-    docs,
+    docs: list[Document],
     qa: list[QAItem],
     scheme: ChunkScheme | str,
     retriever: str,
@@ -293,31 +273,21 @@ def eval_recall(
 ) -> RecallReport:
     """Mean recall per budget k for one (scheme, retriever, mode) setup.
 
-    Each document gets one context (see ``doc_contexts``), each question one
-    ranking per index, and questions keep their dataset-order ordinal for
-    budget alternation. Questions whose document is absent are skipped with a
-    warning. The setup is checked (``check_setup``) before any document is.
+    Questions come from ``retrieved_spans`` and keep their dataset-order
+    ordinal for budget alternation; each answer scope is mapped to document
+    coordinates once. The setup is checked (``check_setup``) before any
+    document is.
     """
     if isinstance(scheme, str):
         scheme = ChunkScheme.parse(scheme)
     check_setup(scheme, retriever, mode, ks)
-    context_for = doc_contexts(scheme, retriever, mode, views)
-    by_id = _docs_by_id(docs)
-    per_k: dict[float, list[float]] = {float(k): [] for k in ks}
-    for position, item in enumerate(qa):
-        doc = by_id.get(item.doc_id)
-        if doc is None:
-            logger.warning("skipping %s: document %r not ingested", item.question_id, item.doc_id)
-            continue
-        ctx = context_for(doc)
-        ordinal = position + 1 if invert_parity else position
-        for k, unit_ids in zip(ks, ctx.retrieve(item.question, ks, ordinal)):
-            spans = [ctx.span_by_unit[uid] for uid in unit_ids]
-            per_k[float(k)].append(recall_of_set(spans, item, by_id))
-
+    per_k: list[list[float]] = [[] for _ in ks]
+    for item, doc, spans_per_k in retrieved_spans(docs, qa, scheme, retriever, mode, ks, views, invert_parity):
+        scope = scope_doc_span(doc, item)
+        for recalls, spans in zip(per_k, spans_per_k):
+            recalls.append(recall_of_set(spans, scope))
     rows = []
-    for k in ks:
-        recalls = per_k[float(k)]
+    for k, recalls in zip(ks, per_k):
         mean = sum(recalls) / len(recalls) if recalls else 0.0
         rows.append(RecallRow(scheme.spec(), retriever, mode, float(k), len(recalls), mean, tuple(recalls)))
     return RecallReport(tuple(rows))

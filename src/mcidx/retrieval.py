@@ -80,8 +80,9 @@ class SparseIndex:
         if self.kind not in (TFIDF, BM25):
             raise ValueError(f"unknown sparse index kind {self.kind!r}")
         idf_fn = smoothed_idf if self.kind == TFIDF else bm25_idf
-        # math.log per term: np.log may differ from it in the last bit.
-        self.idf = np.array([idf_fn(df, self.n) for df in np.diff(self.indptr).tolist()], dtype=np.float64)
+        # math.log once per distinct df: np.log may differ from it in the last bit.
+        dfs, df_of_term = np.unique(np.diff(self.indptr), return_inverse=True)
+        self.idf = np.array([idf_fn(df, self.n) for df in dfs.tolist()], dtype=np.float64)[df_of_term]
         self.avgdl = int(self.unit_lens.sum()) / self.n
         if self.kind == TFIDF:
             # float_power calls the C pow() that Python's ** does, and bincount

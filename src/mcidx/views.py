@@ -143,30 +143,19 @@ def _doc_term_stats(doc: Document) -> tuple[list[list[str]], Counter, list[float
     return section_terms, df, [smoothed_idf(d, m) for d in range(m + 1)]
 
 
-def _top_keywords(terms: list[str], df: Counter, idf: list[float], n: int = 20) -> list[str]:
+def _top_keywords(terms: list[str], df: Counter, idf: list[float]) -> list[str]:
+    """The top 20 non-stopword terms by tf * idf over the document's sections.
+
+    The idf is the sparse retriever's smoothed idf; ties break by first
+    occurrence in the section.
+    """
     counts = Counter(terms)
     for stopword in STOPWORDS.intersection(counts):
         counts.pop(stopword)
     scores = {term: -count * idf[df[term]] for term, count in counts.items()}
     # Counter keys keep first-occurrence order and the sort is stable, so
     # equal scores stay in the order the terms first occur.
-    return sorted(scores, key=scores.__getitem__)[:n]
-
-
-def extractive_keywords(
-    section: Section,
-    doc: Document,
-    n: int = 20,
-) -> list[str]:
-    """Top-n section terms by TF-IDF over the document's sections.
-
-    Uses the same smoothed idf as the sparse retriever; ties break by first
-    occurrence in the section.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    _, df, idf = _doc_term_stats(doc)
-    return _top_keywords(index_terms(section.text), df, idf, n)
+    return sorted(scores, key=scores.__getitem__)[:20]
 
 
 def _llm_views_for_section(section: Section, llm: LlmClient) -> list[ViewEntry]:

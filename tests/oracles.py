@@ -190,8 +190,8 @@ def oracle_chunks(
     ``flc`` merges the sentences of the newline-joined full text, ``flc-content``
     those of each section (ids s0000, s0001, ...). A running token sum closes a
     chunk at the first sentence that brings it to ``target``; what is left at
-    the end of a region is its last chunk. An ``flc`` chunk's section is the
-    first whose span holds the chunk with its edge whitespace removed.
+    the end of a region is its last chunk. An ``flc`` chunk's section is
+    ``oracle_chunk_section`` of its span.
     """
     full_text = "\n".join(section_texts)
     section_spans = []
@@ -220,13 +220,29 @@ def oracle_chunks(
     chunks = []
     for n, (section_id, (s, e)) in enumerate(spans):
         if kind == "flc":
-            piece = full_text[s:e]
-            lead = len(piece) - len(piece.lstrip())
-            body = (s + lead, s + lead + len(piece.strip())) if piece.strip() else (s, s)
-            section_id = next((f"s{i:04d}" for i, (cs, ce) in enumerate(section_spans)
-                               if cs <= body[0] and body[1] <= ce), None)
+            section_id = oracle_chunk_section(section_texts, (s, e))
         chunks.append((f"c{n:04d}", section_id, (s, e), full_text[s:e]))
     return chunks
+
+
+def oracle_chunk_section(section_texts: list[str], span: tuple[int, int]) -> str | None:
+    """The section of a span of the newline-joined sections, by characters.
+
+    The span is trimmed of its edge whitespace (to an empty span at its start
+    when nothing is left), and its section is the first (ids s0000, s0001,
+    ...) whose character span holds the trimmed span, else None.
+    """
+    full_text = "\n".join(section_texts)
+    s, e = span
+    piece = full_text[s:e]
+    lead = len(piece) - len(piece.lstrip())
+    body = (s + lead, s + lead + len(piece.strip())) if piece.strip() else (s, s)
+    pos = 0
+    for i, text in enumerate(section_texts):
+        if pos <= body[0] and body[1] <= pos + len(text):
+            return f"s{i:04d}"
+        pos += len(text) + 1
+    return None
 
 
 def oracle_scope_split(chunk_spans: list[tuple[int, int]], scope: tuple[int, int]) -> bool:

@@ -157,11 +157,16 @@ def _qa(doc_id, section_id, span, qid="q"):
     return QAItem(qid, doc_id, "?", "a", QuestionType.EXPLANATORY, section_id, span)
 
 
+# Documents of whitespace only: their one flc chunk has no tokens.
+_WHITESPACE_TEXTS = st.lists(st.sampled_from(["", " ", "\n", "\t\n", "\u3000\xa0"]), min_size=1, max_size=5)
+
+
 class TestGreedyOracle:
-    @settings(max_examples=150, deadline=None)
-    @given(SECTION_TEXTS)
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(SECTION_TEXTS, _WHITESPACE_TEXTS))
     @example(["A b. C d. E f."])  # every sentence reaches a target of 2 exactly
     @example(["A b.", "  ", "", "C d! E."])
+    @example(["", ""])  # the full text is "\n"
     def test_matches_running_sum_oracle(self, texts):
         doc = make_doc(texts)
         total = token_count(doc.full_text)

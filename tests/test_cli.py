@@ -9,7 +9,12 @@ import pytest
 
 from mcidx import cli, providers
 from mcidx.cli import build_parser, parse_k_list, run
-from mcidx.corpus import write_corpus_jsonl, write_qa_jsonl
+from mcidx.chunking import ChunkScheme
+from mcidx.corpus import load_and_filter_qa, load_corpus_jsonl, write_corpus_jsonl, write_qa_jsonl
+from mcidx.evaluation import build_doc_context, parse_mode
+from mcidx.fusion import retrieve_mc, retrieve_single
+from mcidx.prompts import render_answer_prompt
+from mcidx.views import build_views
 from mcidx.synthetic import synthetic_corpus
 
 MARKDOWN = """# Guide
@@ -222,6 +227,50 @@ class TestPipeline:
         assert len(records) == 4
         assert all(r["scores"] == [7.0, 4.0, 4.0, 7.0] for r in records)
         assert all(r["score_based"] == "tie" for r in records)
+
+
+    def test_eval_answers_prompt_order_and_texts(self, dataset, tmp_path, stub, monkeypatch):
+        # Per question: answer a, answer b, then the two judge rounds; each answer
+        # prompt holds exactly its own side's retrieved texts, in rank order.
+        corpus, qa_path = dataset
+        monkeypatch.setenv("MCIDX_LLM_URL", stub.url)
+
+        def responder(path, payload):
+            if "evaluating answers" in payload["prompt"]:
+                return (200, {"text": '{"answer_1_score": 6, "answer_2_score": 3}'})
+            return (200, {"text": f"answer-{len(stub.requests):03d}"})
+
+        stub.responder = responder
+        assert run(["eval", "answers", "--corpus", str(corpus), "--qa", str(qa_path),
+                    "--retriever", "bm25", "--k", "3",
+                    "--scheme-a", "content", "--mode-a", "mc",
+                    "--scheme-b", "flc:40", "--mode-b", "single:raw",
+                    "--output", str(tmp_path / "judge.jsonl")]) == 0
+        docs = {doc.doc_id: doc for doc in load_corpus_jsonl(corpus)}
+        qa = load_and_filter_qa(qa_path, list(docs.values()))
+        prompts = [payload["prompt"] for _, payload, _ in stub.requests]
+        assert len(prompts) == 4 * len(qa)
+        differ = 0
+        for ordinal, item in enumerate(qa):
+            doc = docs[item.doc_id]
+            texts = []
+            for scheme, mode in (("content", "mc"), ("flc:40", "single:raw")):
+                views = parse_mode(mode)
+                units, indexes = build_doc_context(doc, ChunkScheme.parse(scheme), views, "bm25", None,
+                                                   build_views(doc))
+                if mode == "mc":
+                    unit_ids = retrieve_mc(indexes, item.question, 3, ordinal).unit_ids
+                else:
+                    unit_ids = [s.unit_id for s in retrieve_single(indexes[None], item.question, 3, ordinal)]
+                texts.append([doc.full_text[slice(*units[uid])] for uid in unit_ids])
+            differ += texts[0] != texts[1]
+            answer_a, answer_b, judge1, judge2 = prompts[4 * ordinal:4 * ordinal + 4]
+            assert answer_a == render_answer_prompt("\n\n".join(texts[0]), item.question)
+            assert answer_b == render_answer_prompt("\n\n".join(texts[1]), item.question)
+            reply_a, reply_b = f"answer-{4 * ordinal + 1:03d}", f"answer-{4 * ordinal + 2:03d}"
+            assert judge1.index(reply_a) < judge1.index(reply_b)
+            assert judge2.index(reply_b) < judge2.index(reply_a)
+        assert differ  # the two sides retrieve different texts for some question
 
 
 class TestParseKList:

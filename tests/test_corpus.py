@@ -25,7 +25,7 @@ from mcidx.corpus import (
     write_qa_jsonl,
 )
 from mcidx.errors import DuplicateId, EmptyDocument, SchemaError
-from mcidx.evaluation import _doc_units
+from mcidx.evaluation import doc_units
 from mcidx.synthetic import synthetic_corpus
 from mcidx.text import index_terms, token_count
 from mcidx.views import ViewKind
@@ -287,7 +287,7 @@ class TestTextTable:
         setups = [(content, ViewKind.RAW_TEXT), (content, None)] + [
             (ChunkScheme(kind, target), None) for kind in ("flc", "flc-content") for target in range(1, len(ids) + 2)]
         for scheme, view in setups:
-            for _, _, text, (start, end) in _doc_units(doc, scheme, view, None):
+            for _, _, text, (start, end) in doc_units(doc, scheme, view, None):
                 assert [vocabulary[i] for i in ids[start:end] if i >= 0] == index_terms(text)
 
     def test_load_builds_no_text_table(self, tmp_path, monkeypatch):
@@ -306,7 +306,7 @@ class TestTextTable:
         table = doc.text_table
         _ = table.terms, table.section_starts, table.text_sentences, table.section_sentences
         for spec in ("content", "flc:2", "flc-content:2"):
-            _doc_units(doc, ChunkScheme.parse(spec), None, None)
+            doc_units(doc, ChunkScheme.parse(spec), None, None)
         freed = weakref.ref(table)
         del doc, table
         gc.collect()

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import ScriptedLlm, make_doc
 import mcidx.evaluation as evaluation
-from mcidx.chunking import ChunkScheme, chunk_document
+from mcidx.chunking import ChunkScheme, chunk_document, scope_doc_span
 from mcidx.corpus import QAItem, QuestionType
 from mcidx.errors import EmptyRetrieval, EmptyScope, ParseError, UnknownDoc, ViewMismatch
 from mcidx.evaluation import (
@@ -23,6 +23,7 @@ from mcidx.evaluation import (
     judge_pairwise,
     parse_mode,
     recall_of_set,
+    retrieved_spans,
 )
 from mcidx.fusion import retrieve_mc, retrieve_single
 from mcidx.synthetic import complementarity_fixture, synthetic_corpus
@@ -35,56 +36,39 @@ def _qa(doc_id, section_id, span, qid="q1"):
 
 
 class TestRecallOfSet:
-    def _doc(self):
-        return make_doc(["a" * 250])
+    SCOPE = (0, 100)
 
     def test_worked_example_point_six(self):
-        doc = self._doc()
-        item = _qa(doc.doc_id, "s0000", (0, 100))
         spans = [(90, 120), (20, 70), (120, 200)]  # 10%, 50%, 0% overlap, disjoint
-        assert recall_of_set(spans, item, [doc]) == 0.6
+        assert recall_of_set(spans, self.SCOPE) == 0.6
 
     def test_full_containment(self):
-        doc = self._doc()
-        item = _qa(doc.doc_id, "s0000", (10, 60))
-        assert recall_of_set([(0, 250)], item, [doc]) == 1.0
+        assert recall_of_set([(0, 250)], (10, 60)) == 1.0
 
     def test_empty_retrieved_set(self):
-        doc = self._doc()
-        assert recall_of_set([], _qa(doc.doc_id, "s0000", (0, 100)), [doc]) == 0.0
+        assert recall_of_set([], self.SCOPE) == 0.0
 
     def test_zero_length_scope_rejected(self):
-        doc = self._doc()
         with pytest.raises(EmptyScope):
-            recall_of_set([(0, 10)], _qa(doc.doc_id, "s0000", (5, 5)), [doc])
-
-    def test_unknown_document(self):
-        with pytest.raises(UnknownDoc):
-            recall_of_set([(0, 10)], _qa("ghost", "s0000", (0, 5)), [self._doc()])
+            recall_of_set([(0, 10)], (5, 5))
 
     def test_order_invariance(self):
-        doc = self._doc()
-        item = _qa(doc.doc_id, "s0000", (0, 100))
         spans = [(90, 120), (20, 70), (120, 200)]
         for _ in range(5):
             random.Random(1).shuffle(spans)
-            assert recall_of_set(spans, item, [doc]) == 0.6
+            assert recall_of_set(spans, self.SCOPE) == 0.6
 
     def test_overlapping_spans_not_double_counted(self):
-        doc = self._doc()
-        item = _qa(doc.doc_id, "s0000", (0, 100))
-        assert recall_of_set([(0, 60), (40, 80)], item, [doc]) == 0.8
+        assert recall_of_set([(0, 60), (40, 80)], self.SCOPE) == 0.8
 
     def test_monotone_under_added_span(self):
-        doc = self._doc()
-        item = _qa(doc.doc_id, "s0000", (0, 100))
         rng = random.Random(11)
         for _ in range(50):
             spans = [(rng.randint(0, 200), rng.randint(0, 250)) for _ in range(3)]
             spans = [(min(s, e), max(s, e) + 1) for s, e in spans]
-            base = recall_of_set(spans, item, [doc])
+            base = recall_of_set(spans, self.SCOPE)
             extra = (rng.randint(0, 200), rng.randint(201, 250))
-            assert recall_of_set(spans + [extra], item, [doc]) >= base
+            assert recall_of_set(spans + [extra], self.SCOPE) >= base
 
     def test_union_equals_sum_for_disjoint_flc_chunks(self):
         docs, qa = synthetic_corpus(n_docs=2)
@@ -93,19 +77,14 @@ class TestRecallOfSet:
             for item in [q for q in qa if q.doc_id == doc.doc_id]:
                 rng = random.Random(item.question_id)
                 subset = rng.sample(chunks, min(4, len(chunks)))
-                got = recall_of_set([c.doc_span for c in subset], item, docs)
                 section = doc.sections_by_id[item.scope_section_id]
                 scope = (section.doc_span[0] + item.scope_span[0],
                          section.doc_span[0] + item.scope_span[1])
+                assert scope_doc_span(doc, item) == scope
+                got = recall_of_set([c.doc_span for c in subset], scope)
                 assert got == pytest.approx(
                     oracle_recall_sum([c.doc_span for c in subset], scope), abs=1e-12
                 )
-
-    def test_accepts_chunk_objects(self):
-        doc = self._doc()
-        chunks = chunk_document(doc, ChunkScheme("flc", 10))
-        item = _qa(doc.doc_id, "s0000", (0, 100))
-        assert recall_of_set(chunks, item, [doc]) == 1.0
 
 
 class TestEvalRecall:
@@ -158,6 +137,11 @@ class TestEvalRecall:
         docs, _ = synthetic_corpus(n_docs=1)
         with pytest.raises(ValueError, match="content scheme"):
             eval_recall(docs, qa, "flc:100", "bm25", mode, [3])
+
+    def test_unknown_scope_section(self):
+        doc = make_doc(["alpha beta.", "gamma delta."])
+        with pytest.raises(UnknownDoc):
+            eval_recall([doc], [_qa(doc.doc_id, "s9999", (0, 5))], "content", "bm25", "single:raw", [3])
 
     def test_unknown_documents_skipped_not_fatal(self):
         docs, qa = synthetic_corpus(n_docs=2)
@@ -225,10 +209,12 @@ class TestDocUnits:
         doc = self._doc()
         views = [replace(v, text=f"{v.view_kind.value} {v.section_id}") for v in reversed(build_views(doc))]
         spans = [(s.section_id, s.doc_span) for s in doc.sections]
+        starts = doc.text_table.section_starts
         raw = doc_units(doc, self.CONTENT, ViewKind.RAW_TEXT, views)
-        assert raw == [(sid, span, s.text) for (sid, span), s in zip(spans, doc.sections)]
+        assert raw == [(sid, span, s.text, (starts[i], starts[i + 1]))
+                       for i, ((sid, span), s) in enumerate(zip(spans, doc.sections))]
         summary = doc_units(doc, self.CONTENT, ViewKind.SUMMARY, views)
-        assert summary == [(sid, span, f"summary {sid}") for sid, span in spans]
+        assert summary == [(sid, span, f"summary {sid}", None) for sid, span in spans]
 
     def test_missing_views_and_wrong_scheme_rejected(self):
         doc = self._doc()
@@ -263,17 +249,22 @@ class TestOneRankingPerQuestion:
 
     @pytest.mark.parametrize("scheme,mode", [("flc-content:100", "single:raw"), ("content", "mc")])
     def test_every_k_equals_its_own_retrieval(self, scheme, mode):
-        docs, qa = synthetic_corpus(n_docs=1)
-        ctx = build_doc_context(docs[0], ChunkScheme.parse(scheme), mode, "tfidf", None,
-                                build_views(docs[0]))
-        for ordinal, item in enumerate(qa):
-            if mode == "mc":
-                expected = [retrieve_mc(ctx.indexes, item.question, k, ordinal).unit_ids
-                            for k in self.KS]
-            else:
-                expected = [[s.unit_id for s in retrieve_single(ctx.indexes[None], item.question, k, ordinal)]
-                            for k in self.KS]
-            assert ctx.retrieve(item.question, self.KS, ordinal) == expected
+        docs, qa = synthetic_corpus(n_docs=2)
+        parsed = ChunkScheme.parse(scheme)
+        for invert_parity in (False, True):
+            got = list(retrieved_spans(docs, qa, parsed, "tfidf", mode, self.KS, None, invert_parity))
+            assert [item for item, _, _ in got] == qa
+            for position, (item, doc, spans_per_k) in enumerate(got):
+                assert doc.doc_id == item.doc_id
+                span_by_unit, indexes = build_doc_context(doc, parsed, parse_mode(mode), "tfidf", None,
+                                                          build_views(doc))
+                ordinal = position + 1 if invert_parity else position
+                if mode == "mc":
+                    expected = [retrieve_mc(indexes, item.question, k, ordinal).unit_ids for k in self.KS]
+                else:
+                    expected = [[s.unit_id for s in retrieve_single(indexes[None], item.question, k, ordinal)]
+                                for k in self.KS]
+                assert spans_per_k == [[span_by_unit[uid] for uid in ids] for ids in expected]
 
 
 class TestModeSpec:

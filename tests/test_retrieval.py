@@ -17,11 +17,12 @@ from mcidx.errors import (
     ProviderError,
     ProviderMismatch,
 )
-from mcidx.evaluation import _doc_units
+from mcidx.evaluation import doc_units
 from mcidx.providers import EmbeddingProvider, MockEmbeddingProvider
 from mcidx.retrieval import (
     build_dense_index,
     build_index,
+    bm25_idf,
     build_sparse_index,
     embed,
     parse_retriever,
@@ -29,6 +30,7 @@ from mcidx.retrieval import (
     score_bm25,
     score_dense,
     score_tfidf,
+    smoothed_idf,
 )
 from mcidx.views import ViewKind
 from oracles import (
@@ -82,6 +84,19 @@ class TestBuildSparseIndex:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             build_sparse_index([("a", "x")], "lsi")
+
+    @pytest.mark.parametrize("kind,idf_fn", [("tfidf", smoothed_idf), ("bm25", bm25_idf)])
+    def test_idf_equals_per_term_log(self, kind, idf_fn):
+        rng = random.Random(5)
+        # Document-sized indexes, one with no terms, and one with far more units than terms.
+        corpora = [random_units(rng) for _ in range(50)] + [[("a", ""), ("b", "--")]]
+        corpora.append([(f"u{i}", " ".join(rng.choice("abcdefgh") for _ in range(rng.randint(0, 6))))
+                        for i in range(3000)])
+        for units in corpora:
+            index = build_sparse_index(units, kind)
+            per_term = [idf_fn(int(index.indptr[r + 1] - index.indptr[r]), index.n) for r in range(len(index.terms))]
+            assert index.idf.dtype == np.float64
+            assert index.idf.tobytes() == np.array(per_term, dtype=np.float64).tobytes()
 
 
 class TestScoreTfidf:
@@ -331,7 +346,7 @@ class TestTableTermsBuild:
         setups = [(content, ViewKind.RAW_TEXT), (content, None),
                   (ChunkScheme("flc", target), None), (ChunkScheme("flc-content", target), None)]
         for scheme, view in setups:
-            units = _doc_units(doc, scheme, view, None)
+            units = doc_units(doc, scheme, view, None)
             if not units:
                 continue
             pairs = [(uid, text) for uid, _, text, _ in units]
