@@ -9,6 +9,7 @@ byte-for-byte reproducible.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -39,7 +40,7 @@ from .evaluation import (
 from .fusion import _validate_k, retrieve_mc, retrieve_single
 from .jsonio import atomic_text_writer, write_jsonl
 from .providers import HttpLlmClient
-from .retrieval import DENSE, DenseIndex, build_index, parse_retriever, resolve_provider
+from .retrieval import DENSE, DenseIndex, build_dense_index, build_sparse_index, parse_retriever, resolve_provider
 from .store import load_index, save_index
 from .views import (
     EXTRACTIVE_GENERATOR,
@@ -134,7 +135,10 @@ def cmd_index(args) -> int:
         doc_views = doc_views_for(doc, views_by_doc) if needs_views else None
         # Unit ids are doc-qualified so one index can hold the whole corpus.
         units.extend((f"{doc.doc_id}#{uid}", text) for uid, _, text, _ in doc_units(doc, scheme, view, doc_views))
-    index = build_index(units, kind, resolve_provider(provider_name) if kind == DENSE else None)
+    if kind == DENSE:
+        index = build_dense_index(units, resolve_provider(provider_name))
+    else:
+        index = build_sparse_index(units, kind)
     save_index(index, args.output)
     logger.info("saved %s index of %d units to %s", args.retriever, len(units), args.output)
     return EXIT_OK
@@ -245,7 +249,7 @@ def cmd_eval_answers(args) -> int:
 def cmd_stats(args) -> int:
     docs = load_corpus_jsonl(args.corpus)
     qa = load_and_filter_qa(args.qa, docs) if args.qa else []
-    print(json.dumps(corpus_stats(docs, qa).to_dict()))
+    print(json.dumps(dataclasses.asdict(corpus_stats(docs, qa))))
     return EXIT_OK
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DuplicateId, EmptyDocument, SchemaError
 from .jsonio import read_jsonl, require, write_jsonl
-from .text import iter_sentences, token_count, token_terms
+from .text import iter_sentences, term_ids, token_count
 
 logger = logging.getLogger(__name__)
 
@@ -73,10 +73,9 @@ class TextTable:
     any run of whole sentences are each a token range ``[a, b)``. Each part
     is built on first use:
 
-    * ``terms``: the sorted vocabulary of the document's index terms, and an
-      int32 array with the vocabulary position of each token's term, -1 for a
-      token that is pure punctuation. The terms of tokens ``[a, b)`` are
-      ``ids[a:b]`` without the -1s, in text order.
+    * ``terms``: ``text.term_ids`` of the full text, one vocabulary and one
+      id array. The terms of tokens ``[a, b)`` are ``ids[a:b]`` without the
+      -1s, in text order.
     * ``section_starts``: the token where each section starts, then the total.
     * ``text_sentences`` (the full text as one run, as ``flc`` cuts it) and
       ``section_sentences`` (one run per section, as ``flc-content`` cuts it).
@@ -93,11 +92,8 @@ class TextTable:
 
     @cached_property
     def terms(self) -> tuple[list[str], np.ndarray]:
-        token_term = list(token_terms(self._text))
-        vocabulary = sorted(set(token_term).difference(("",)))
-        position = dict(zip(vocabulary, range(len(vocabulary))))
-        position[""] = -1
-        return vocabulary, np.fromiter(map(position.__getitem__, token_term), np.int32, len(token_term))
+        vocabulary, (ids,) = term_ids([self._text])
+        return vocabulary, ids
 
     @cached_property
     def section_starts(self) -> array:
@@ -200,16 +196,6 @@ class CorpusStats:
     mean_tokens_per_doc: float
     mean_tokens_per_section: float
     mean_tokens_per_answer_scope: float
-
-    def to_dict(self) -> dict:
-        return {
-            "n_documents": self.n_documents,
-            "n_questions": self.n_questions,
-            "mean_sections_per_doc": self.mean_sections_per_doc,
-            "mean_tokens_per_doc": self.mean_tokens_per_doc,
-            "mean_tokens_per_section": self.mean_tokens_per_section,
-            "mean_tokens_per_answer_scope": self.mean_tokens_per_answer_scope,
-        }
 
 
 def build_document(

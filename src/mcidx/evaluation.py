@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import logging
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -32,7 +33,8 @@ from .retrieval import (
     DENSE,
     DenseIndex,
     SparseIndex,
-    build_index,
+    build_dense_index,
+    build_sparse_index,
     parse_retriever,
     rank_units,
     resolve_provider,
@@ -204,12 +206,16 @@ def build_doc_context(
         # The views of a mode share one unit table: the document's sections.
         units = doc_units(doc, scheme, view, doc_views)
         span_by_unit = {uid: span for uid, span, _, _ in units}
+        pairs = [(uid, text) for uid, _, text, _ in units]
+        if retriever_kind == DENSE:
+            indexes[view] = build_dense_index(pairs, provider)
+            continue
         terms = None
-        if retriever_kind != DENSE and all(token_span is not None for *_, token_span in units):
+        if all(token_span is not None for *_, token_span in units):
             # Chunk and section terms are slices of the document's one term table.
             vocabulary, ids = doc.text_table.terms
             terms = (vocabulary, [ids[a:b] for _, _, _, (a, b) in units])
-        indexes[view] = build_index([(uid, text) for uid, _, text, _ in units], retriever_kind, provider, terms)
+        indexes[view] = build_sparse_index(pairs, retriever_kind, terms)
     return span_by_unit, indexes
 
 
@@ -225,7 +231,8 @@ def retrieved_spans(
 ) -> Iterator[tuple[QAItem, Document, list[list[tuple[int, int]]]]]:
     """Each question's item, document and retrieved document spans per budget k, in dataset order.
 
-    Each document gets one context (``build_doc_context``) on first use.
+    Each document gets one context (``build_doc_context``) on first use,
+    dropped after the document's last question.
     Keyword and summary views come from ``views`` when given, else they are
     the extractive views built in process. Each question is ranked once per
     index, to the largest budget of its dataset-order ordinal (shifted by one
@@ -240,6 +247,7 @@ def retrieved_spans(
     provider = resolve_provider(provider_name) if retriever_kind == DENSE else None
     by_id = {d.doc_id: d for d in docs}
     contexts = {}
+    questions_left = Counter(item.doc_id for item in qa)
     for position, item in enumerate(qa):
         doc = by_id.get(item.doc_id)
         if doc is None:
@@ -248,7 +256,8 @@ def retrieved_spans(
         if doc.doc_id not in contexts:
             doc_views = doc_views_for(doc, views) if needs_views else None
             contexts[doc.doc_id] = build_doc_context(doc, scheme, view_kinds, retriever_kind, provider, doc_views)
-        span_by_unit, indexes = contexts[doc.doc_id]
+        questions_left[doc.doc_id] -= 1
+        span_by_unit, indexes = contexts[doc.doc_id] if questions_left[doc.doc_id] else contexts.pop(doc.doc_id)
         budgets = [budget(k, position + 1 if invert_parity else position) for k in ks]
         rankings = {view: rank_units(index, item.question, provider, n=max(budgets, default=0))
                     for view, index in indexes.items()}

@@ -1,9 +1,9 @@
 """Sparse (TF-IDF, Okapi BM25) and dense scoring over retrieval units.
 
 Sparse indexes hold term postings, and a query touches only its own terms'
-postings. One assembly builds them from a sorted vocabulary and each unit's
-term ids in it, which come from the unit texts or, for a document's chunks
-and sections, from the document's text table (``corpus.TextTable``). BM25
+postings. One assembly builds them from ``text.term_ids`` of the unit texts
+or, for a document's chunks and sections, from slices of the document's text
+table (``corpus.TextTable``). One function builds each index kind. BM25
 runs at its standard settings k1=1.5, b=0.75 (Robertson & Zaragoza, 2009),
 the constants ``BM25_K1`` and ``BM25_B`` that only ``score_bm25`` reads. Rankings have scores non-increasing and ties broken by
 ascending corpus position, so results are reproducible across runs and thread
@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, DuplicateId, EmptyCorpus, ProviderError, ProviderMismatch
 from .providers import EmbeddingProvider, HttpEmbeddingProvider, MockEmbeddingProvider
-from .text import index_terms, truncate_tokens
+from .text import index_terms, term_ids, truncate_tokens
 
 TFIDF = "tfidf"
 BM25 = "bm25"
@@ -60,9 +60,9 @@ class SparseIndex:
 
     Rows are in sorted term order; ``postings[indptr[r]:indptr[r + 1]]`` are
     the ascending unit indexes containing the row's term and ``tfs`` their
-    term counts. ``avgdl``, ``idf`` and (TF-IDF only) the units' tf*idf
-    lengths ``unit_norms`` are derived here, whether the postings were built
-    from text or loaded from disk, so the floats are bit-identical either way.
+    term counts. ``unit_lens``, ``avgdl``, ``idf`` and (TF-IDF only) the
+    units' tf*idf lengths ``unit_norms`` are derived here, whether the postings
+    were built from text or loaded from disk, so they are bit-identical either way.
     """
 
     kind: str
@@ -71,7 +71,7 @@ class SparseIndex:
     indptr: np.ndarray
     postings: np.ndarray
     tfs: np.ndarray
-    unit_lens: np.ndarray
+    unit_lens: np.ndarray = field(init=False)
     avgdl: float = field(init=False)
     idf: np.ndarray = field(init=False)
     unit_norms: np.ndarray | None = field(init=False, default=None)
@@ -83,6 +83,7 @@ class SparseIndex:
         # math.log once per distinct df: np.log may differ from it in the last bit.
         dfs, df_of_term = np.unique(np.diff(self.indptr), return_inverse=True)
         self.idf = np.array([idf_fn(df, self.n) for df in dfs.tolist()], dtype=np.float64)[df_of_term]
+        self.unit_lens = np.bincount(self.postings, weights=self.tfs, minlength=self.n).astype(np.int64)
         self.avgdl = int(self.unit_lens.sum()) / self.n
         if self.kind == TFIDF:
             # float_power calls the C pow() that Python's ** does, and bincount
@@ -128,35 +129,17 @@ def _check_units(units: list[tuple[str, str]]) -> None:
         seen.add(unit_id)
 
 
-def _text_terms(units: list[tuple[str, str]]) -> tuple[list[str], list[np.ndarray]]:
-    """The sorted vocabulary of the units' index terms and each unit's term ids in it.
-
-    The ids are one array, split into a view per unit.
-    """
-    terms: list[str] = []
-    ends = []
-    for _, text in units:
-        terms += index_terms(text)
-        ends.append(len(terms))
-    vocabulary = sorted(set(terms))
-    position = dict(zip(vocabulary, range(len(vocabulary))))
-    return vocabulary, np.split(np.fromiter(map(position.__getitem__, terms), np.int32, len(terms)), ends[:-1])
-
-
 def build_sparse_index(
     units: list[tuple[str, str]], kind: str, terms: tuple[list[str], list[np.ndarray]] | None = None
 ) -> SparseIndex:
     """Index ``(unit_id, text)`` pairs for TF-IDF or BM25 scoring.
 
-    ``terms`` is a sorted vocabulary and one array per unit holding the
-    vocabulary positions of the unit's index terms in text order, where a -1
-    stands for no term; a document's ``TextTable`` gives them for its chunks
-    and sections. Without it they are made from the texts with
-    ``index_terms``. Either way one assembly builds the postings.
+    ``terms`` is ``text.term_ids`` of the unit texts, made here when not
+    given; a document's ``TextTable`` gives it for its chunks and sections.
     """
     units = list(units)
     _check_units(units)
-    vocabulary, unit_term_ids = terms if terms is not None else _text_terms(units)
+    vocabulary, unit_term_ids = terms if terms is not None else term_ids([text for _, text in units])
     n = len(units)
     # One (term, unit) key per token, built in place; the per-unit arrays are
     # dropped before the sort, which bounds a corpus-wide build's peak memory.
@@ -179,9 +162,7 @@ def build_sparse_index(
     used, df = np.unique(keys // n, return_counts=True)
     rows = {vocabulary[t]: row for row, t in enumerate(used.tolist())}
     indptr = np.concatenate(([0], np.cumsum(df)))
-    postings = keys % n
-    unit_lens = np.bincount(postings, weights=tfs, minlength=n).astype(np.int64)
-    return SparseIndex(kind, [uid for uid, _ in units], rows, indptr, postings, tfs, unit_lens)
+    return SparseIndex(kind, [uid for uid, _ in units], rows, indptr, keys % n, tfs)
 
 
 def _ranked(unit_ids: list[str], scores: np.ndarray, n: int | None) -> list[ScoredUnit]:
@@ -274,22 +255,6 @@ def build_dense_index(units: list[tuple[str, str]], provider: EmbeddingProvider)
     _check_units(units)
     texts = [truncate_tokens(text, DENSE_TOKEN_LIMIT) for _, text in units]
     return DenseIndex([uid for uid, _ in units], embed(texts, provider), provider.name)
-
-
-def build_index(
-    units: list[tuple[str, str]],
-    kind: str,
-    provider: EmbeddingProvider | None = None,
-    terms: tuple[list[str], list[np.ndarray]] | None = None,
-) -> SparseIndex | DenseIndex:
-    """Index ``(unit_id, text)`` pairs for any retriever kind.
-
-    Dense needs the provider and embeds the texts; the sparse kinds take the
-    units' ``terms`` when given (see ``build_sparse_index``).
-    """
-    if kind == DENSE:
-        return build_dense_index(units, provider)
-    return build_sparse_index(units, kind, terms)
 
 
 def score_dense(

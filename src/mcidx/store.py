@@ -10,14 +10,15 @@ Directory layout:
   little-endian float32 matrix).
 
 Saving hashes each data file's bytes before it writes them, so nothing is
-read back. Loading reads each data file once and checks its checksum on the
-bytes that are then parsed. It parses the postings straight into the index arrays and
-checks them (terms sorted and unique, unit indexes in range and strictly
-ascending per term, term counts positive and summing to each unit's token
-count), the unit ids (one per row, none repeated) and the embeddings (every
-value finite); any defect is ``CorruptIndex``. Derived statistics (idf,
-norms, avgdl) are recomputed from the stored integers, so a save/load round
-trip reproduces rankings bit-exactly.
+read back, and replaces a directory as a whole (``save_index``). Loading
+reads each data file once and checks its checksum on the bytes that are then
+parsed. It parses the postings straight into the index arrays and checks
+them (terms sorted and unique, unit indexes in range and strictly ascending
+per term, term counts positive), the unit ids (one per row, none repeated)
+and the embeddings (every value finite); any defect is ``CorruptIndex``.
+``SparseIndex`` derives its statistics (unit term counts, idf, norms, avgdl)
+from the stored integers, so a save/load round trip reproduces rankings
+bit-exactly; the stored ``n_tokens`` must equal the derived counts.
 """
 
 from __future__ import annotations
@@ -25,13 +26,15 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import shutil
 import struct
+import tempfile
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
-from .errors import CorruptIndex, VersionMismatch
+from .errors import CorruptIndex, DataError, VersionMismatch
 from .jsonio import iter_jsonl_lines, jsonl_bytes
 from .retrieval import BM25, DENSE, TFIDF, DenseIndex, SparseIndex
 
@@ -131,8 +134,21 @@ def _read_units(path: Path, blob: bytes, n_units: int, with_lens: bool) -> tuple
 
 
 def save_index(index: SparseIndex | DenseIndex, directory: str | Path) -> None:
+    """Write ``index`` to ``directory``, replacing any index there as a whole.
+
+    The files go to a temporary sibling directory, which is renamed into
+    place once complete; an old index is moved aside first and removed after
+    the swap, and stays as it was if the save fails. A non-empty directory
+    without a manifest is not an index, and the working directory cannot be
+    renamed: either is a DataError, left untouched.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    if any(directory.iterdir()) and not (directory / MANIFEST).is_file():
+        raise DataError(f"not an index (no {MANIFEST}) and not empty; refusing to replace it", path=directory)
+    if directory.samefile(Path.cwd()):
+        raise DataError("is the working directory, which cannot be replaced; write the index elsewhere",
+                        path=directory)
     if isinstance(index, DenseIndex):
         kind = DENSE
         blobs = (jsonl_bytes({"unit_id": uid} for uid in index.unit_ids),
@@ -144,12 +160,26 @@ def save_index(index: SparseIndex | DenseIndex, directory: str | Path) -> None:
                              for uid, n in zip(index.unit_ids, index.unit_lens.tolist())),
                  _pack_terms(index))
         extra = {"provider": None, "n_units": index.n}
-    checksums = {}
-    for name, blob in zip(_data_files(kind), blobs):
-        (directory / name).write_bytes(blob)
-        checksums[name] = hashlib.sha256(blob).hexdigest()
-    manifest = {"format_version": FORMAT_VERSION, "kind": kind, "checksums": checksums, **extra}
-    (directory / MANIFEST).write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+    work = Path(tempfile.mkdtemp(prefix=f".{directory.name}.", dir=directory.parent))
+    staged, aside = work / "new", work / "old"
+    try:
+        staged.mkdir()
+        checksums = {}
+        for name, blob in zip(_data_files(kind), blobs):
+            (staged / name).write_bytes(blob)
+            checksums[name] = hashlib.sha256(blob).hexdigest()
+        manifest = {"format_version": FORMAT_VERSION, "kind": kind, "checksums": checksums, **extra}
+        (staged / MANIFEST).write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+        directory.rename(aside)
+        try:
+            staged.rename(directory)
+        except OSError:
+            aside.rename(directory)
+            raise
+    finally:
+        # An old index that could not be put back stays in ``work``, not deleted.
+        if directory.exists():
+            shutil.rmtree(work, ignore_errors=True)
 
 
 def _read_verified(directory: Path, manifest: dict, data_files: tuple[str, str]) -> tuple[bytes, bytes]:
@@ -213,7 +243,7 @@ def _load(directory: Path) -> SparseIndex | DenseIndex:
             raise CorruptIndex("embeddings file has a non-finite value")
         return DenseIndex(unit_ids, matrix, manifest["provider"])
     unit_ids, unit_lens = _read_units(directory / UNITS_FILE, units_blob, n_units, with_lens=True)
-    terms, indptr, postings, tfs = _unpack_terms(data_blob, n_units)
-    if not np.array_equal(np.bincount(postings, weights=tfs, minlength=n_units), unit_lens):
+    index = SparseIndex(kind, unit_ids, *_unpack_terms(data_blob, n_units))
+    if not np.array_equal(index.unit_lens, unit_lens):
         raise CorruptIndex(f"{UNITS_FILE} token counts do not match the term counts in {TERMS_FILE}")
-    return SparseIndex(kind, unit_ids, terms, indptr, postings, tfs, np.array(unit_lens, dtype=np.int64))
+    return index

@@ -24,6 +24,12 @@ _FUNCTION_WORDS = (
 )
 _QUESTION_TYPES = tuple(QuestionType)
 
+# A planted answer scope's token target is drawn uniformly from this range.
+_MIN_SCOPE_TOKENS = 20
+_MAX_SCOPE_TOKENS = 300
+# The complementarity fixture's decoy sections, and its gold sections per view.
+_N_DECOYS = 3
+_PER_GROUP = 10
 
 def _make_vocabulary(rng: random.Random, size: int) -> list[str]:
     words: dict[str, None] = {}
@@ -80,8 +86,6 @@ def synthetic_corpus(
     n_docs: int = 10,
     questions_per_doc: int = 3,
     seed: int = 7,
-    min_scope_tokens: int = 20,
-    max_scope_tokens: int = 300,
 ) -> tuple[list[Document], list[QAItem]]:
     """Documents plus question items with single-section answer scopes."""
     rng = random.Random(seed)
@@ -104,7 +108,7 @@ def synthetic_corpus(
         docs.append(doc)
         for q in range(questions_per_doc):
             section = doc.sections[rng.randrange(len(doc.sections))]
-            target = rng.randint(min_scope_tokens, max_scope_tokens)
+            target = rng.randint(_MIN_SCOPE_TOKENS, _MAX_SCOPE_TOKENS)
             span = _plant_scope(rng, section.text, target)
             if span is None:
                 continue
@@ -127,11 +131,7 @@ def synthetic_corpus(
     return docs, qa
 
 
-def complementarity_fixture(
-    per_group: int = 10,
-    n_decoys: int = 3,
-    seed: int = 23,
-) -> tuple[list[Document], list[QAItem], dict[str, list[ViewEntry]]]:
+def complementarity_fixture(seed: int = 23) -> tuple[list[Document], list[QAItem], dict[str, list[ViewEntry]]]:
     """One document whose questions each resolve through exactly one view.
 
     Sections are grouped in three: each group's marker term occurs only in
@@ -159,7 +159,7 @@ def complementarity_fixture(
 
     # Question templates use English words; fixture text stays purely
     # synthetic (no function words) so only the marker term can match.
-    for i in range(n_decoys):
+    for i in range(_N_DECOYS):
         sid = f"decoy{i:02d}"
         sections.append((sid, f"Decoy {i}", 1, _section_text(rng, vocab, rng.randint(4, 7), 0.0)))
         keyword_views[sid] = KEYWORD_SEPARATOR.join(filler_terms(5))
@@ -171,7 +171,7 @@ def complementarity_fixture(
         (ViewKind.SUMMARY, "summark"),
     )
     for g, (view, stem) in enumerate(groups):
-        for i in range(per_group):
+        for i in range(_PER_GROUP):
             sid = f"gold{g}{i:02d}"
             marker = f"{stem}{i:02d}"
             body = _section_text(rng, vocab, rng.randint(4, 7), 0.0)

@@ -5,7 +5,8 @@ as separators). This whitespace definition is deterministic and model-free
 and is normative for every length threshold in the package. Index terms are
 tokens lowercased with punctuation stripped from both edges. Sentences come
 from one rule-based splitter (``split_sentences``) whose boundaries always
-follow whitespace, so a sentence is a whole run of tokens.
+follow whitespace, so a sentence is a whole run of tokens. Texts become term
+ids only in ``term_ids``, for text tables and sparse indexes alike.
 
 A corpus repeats a small vocabulary, so ``index_terms`` strips each distinct
 lowercased token once per process and looks it up after that, in one
@@ -21,6 +22,8 @@ import re
 import string
 import threading
 from collections.abc import Callable, Iterator
+
+import numpy as np
 
 EDGE_PUNCT = string.punctuation + "‘’“”«»–—"
 TERM_MEMO_MAX = 1 << 16
@@ -86,6 +89,24 @@ def index_terms(text: str) -> list[str]:
     Tokens that are pure punctuation vanish.
     """
     return list(filter(None, token_terms(text)))
+
+
+def term_ids(texts: list[str]) -> tuple[list[str], list[np.ndarray]]:
+    """The sorted vocabulary of the texts' index terms, and each text's term ids in it.
+
+    A text's ids, a slice of one int32 array, hold for each whitespace token
+    the vocabulary position of its term, or -1 for a pure-punctuation token.
+    """
+    token_term: list[str] = []
+    ends = [0]
+    for text in texts:
+        token_term += token_terms(text)
+        ends.append(len(token_term))
+    vocabulary = sorted(set(token_term).difference(("",)))
+    position = dict(zip(vocabulary, range(len(vocabulary))))
+    position[""] = -1
+    ids = np.fromiter(map(position.__getitem__, token_term), np.int32, len(token_term))
+    return vocabulary, [ids[start:end] for start, end in zip(ends, ends[1:])]
 
 
 def iter_sentences(text: str) -> Iterator[tuple[str, tuple[int, int]]]:

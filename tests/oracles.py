@@ -6,11 +6,13 @@ arithmetic, position sets) and share no scoring code with the package.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
 import string
 from collections import Counter
+from fractions import Fraction
 
 
 def oracle_terms(text: str) -> list[str]:
@@ -325,3 +327,108 @@ def oracle_extractive_keywords(
         first.setdefault(term, pos)
     score = {t: tf[t] * (math.log((1 + m) / (1 + df[t])) + 1.0) for t in tf}
     return sorted(tf, key=lambda t: (-score[t], first[t]))[:n]
+
+
+def oracle_recall(docs, qa, scheme: str, retriever: str, mode: str, ks: list[float], views, invert_parity: bool):
+    """``(question_id, spans per k, recall per k)`` of each answered question, in dataset order.
+
+    Composed from the oracles above: units are ``oracle_chunks`` (a content
+    chunk is its section) or a view of the sections (raw text, or the
+    keywords and summary texts in ``views``); ``oracle_rank`` orders them and
+    ``oracle_recall_sum`` measures the (disjoint) spans. Sparse retrievers
+    score with ``reference_loop_scores``. ``dense:mock`` ranks by the exact
+    cosine of ``oracle_mock_embed`` rows of texts cut to 512 tokens, as the
+    rational dot**2 / |row|**2; a question where units with different rows
+    tie at a nonzero cosine within the budgets gets None for its spans and
+    recalls, because float rounding, not position, orders such a tie. A
+    question keeps its dataset position as ordinal (plus one with
+    ``invert_parity``) even when its document is absent and it is skipped. A
+    multi-view budget k gives every view k' units, and the union is taken
+    round-robin in the order raw, keywords, summary.
+    """
+    view_order = {"mc": ("raw", "keywords", "summary"), "single:raw": (None,),
+                  "single:keywords": ("keywords",), "single:summary": ("summary",)}[mode]
+    kind, _, target = scheme.partition(":")
+
+    def budget(k: float, odd: bool) -> int:
+        if len(view_order) == 1:
+            return (2 if odd else 1) if k == 1.5 else int(k)
+        if k == 1.5:
+            return 1
+        if k == 3:
+            return 2 if odd else 1
+        if k == 5:
+            return 3
+        return math.ceil(2 * k / 3) if odd else math.floor(2 * k / 3)
+
+    def cut(text: str) -> str:
+        return " ".join(text.split()[:512])
+
+    @functools.cache
+    def units_of(doc, view) -> list[tuple[str, tuple[int, int], str]]:
+        texts = [s.text for s in doc.sections]
+        spans, pos = [], 0
+        for text in texts:
+            spans.append((pos, pos + len(text)))
+            pos += len(text) + 1
+        if view is None and kind != "content":
+            return [(cid, span, text) for cid, _, span, text in oracle_chunks(texts, kind, int(target))]
+        if view is None:
+            return [(f"c{i:04d}", span, text) for i, (span, text) in enumerate(zip(spans, texts))]
+        if view == "raw":
+            return [(s.section_id, span, s.text) for s, span in zip(doc.sections, spans)]
+        by_section = {v.section_id: v.text for v in views[doc.doc_id] if v.view_kind.value == view}
+        return [(s.section_id, span, by_section[s.section_id]) for s, span in zip(doc.sections, spans)]
+
+    @functools.cache
+    def rows_of(doc, view) -> list[tuple[int, ...]]:
+        return [tuple(map(int, row)) for row in oracle_mock_embed([cut(text) for _, _, text in units_of(doc, view)])]
+
+    def ranking(doc, view, query: str, n: int) -> list[str] | None:
+        """Unit ids best first, or None if a tie float rounding orders reaches the top n."""
+        units = units_of(doc, view)
+        uids = [uid for uid, _, _ in units]
+        if retriever != "dense:mock":
+            return oracle_rank(reference_loop_scores([(uid, text) for uid, _, text in units], query, retriever),
+                               uids)
+        rows = rows_of(doc, view)
+        q = tuple(map(int, oracle_mock_embed([cut(query)])[0]))
+        keys = {}
+        for uid, row in zip(uids, rows):
+            dot, norm = sum(a * b for a, b in zip(row, q)), sum(a * a for a in row)
+            keys[uid] = Fraction(dot * dot, norm) if norm else Fraction(0)
+        order = oracle_rank(keys, uids)
+        row_of = dict(zip(uids, rows))
+        for uid in order[:n]:
+            if keys[uid] and any(keys[other] == keys[uid] and row_of[other] != row_of[uid] for other in uids):
+                return None
+        return order
+
+    docs_by_id = {doc.doc_id: doc for doc in docs}
+    results = []
+    for position, item in enumerate(qa):
+        doc = docs_by_id.get(item.doc_id)
+        if doc is None:
+            continue
+        odd = (position + invert_parity) % 2 == 1
+        budgets = [budget(k, odd) for k in ks]
+        ranked = {view: ranking(doc, view, item.question, max(budgets)) for view in view_order}
+        if None in ranked.values():
+            results.append((item.question_id, None, None))
+            continue
+        span_of = {uid: span for uid, span, _ in units_of(doc, view_order[0])}
+        offset = {sid: span[0] for sid, span, _ in units_of(doc, "raw")}[item.scope_section_id]
+        scope = (offset + item.scope_span[0], offset + item.scope_span[1])
+        spans_per_k = []
+        for b in budgets:
+            if len(view_order) == 1:
+                chosen = ranked[view_order[0]][:b]
+            else:
+                chosen = []
+                for r in range(b):
+                    for view in view_order:
+                        if r < len(ranked[view]) and ranked[view][r] not in chosen:
+                            chosen.append(ranked[view][r])
+            spans_per_k.append([span_of[uid] for uid in chosen])
+        results.append((item.question_id, spans_per_k, [oracle_recall_sum(spans, scope) for spans in spans_per_k]))
+    return results

@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import json
 import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import ScriptedLlm, make_doc
+from conftest import SECTION_TEXTS, ScriptedLlm, make_doc
 import mcidx.evaluation as evaluation
 from mcidx.chunking import ChunkScheme, chunk_document, scope_doc_span
 from mcidx.corpus import QAItem, QuestionType
@@ -27,8 +30,8 @@ from mcidx.evaluation import (
 )
 from mcidx.fusion import retrieve_mc, retrieve_single
 from mcidx.synthetic import complementarity_fixture, synthetic_corpus
-from mcidx.views import ViewKind, build_views
-from oracles import oracle_judge, oracle_recall_sum
+from mcidx.views import Provenance, ViewEntry, ViewKind, build_views
+from oracles import oracle_judge, oracle_recall, oracle_recall_sum
 
 
 def _qa(doc_id, section_id, span, qid="q1"):
@@ -116,6 +119,23 @@ class TestEvalRecall:
             single = eval_recall(docs, qa, "content", "bm25", mode, [3], views=views)
             assert single.rows[0].mean_recall <= 0.45
             assert mc.rows[0].mean_recall > single.rows[0].mean_recall
+
+    def test_peak_memory_does_not_grow_with_documents(self):
+        # A document's context (unit spans, one index per view) is dropped
+        # after its last question, so only what the documents own, such as
+        # their text tables, grows with the corpus: about 3 kB a document.
+        # Keeping every context to the end grows it by about 39 kB.
+        def peak(n_docs):
+            docs, qa = synthetic_corpus(n_docs=n_docs, seed=7)
+            tracemalloc.start()
+            try:
+                eval_recall(docs, qa, "content", "dense:mock", "mc", [1.5, 3, 5, 10])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(10)  # fills the process-wide term memos first
+        assert (peak(100) - peak(10)) / 90 < 10_000
 
     @pytest.mark.parametrize("ks", [[3, 3], [1.5, 3, 3.0]])
     def test_repeated_budget_rejected(self, ks):
@@ -265,6 +285,80 @@ class TestOneRankingPerQuestion:
                     expected = [[s.unit_id for s in retrieve_single(indexes[None], item.question, k, ordinal)]
                                 for k in self.KS]
                 assert spans_per_k == [[span_by_unit[uid] for uid in ids] for ids in expected]
+
+
+GRID_SETUPS = [(scheme, retriever, "single:raw")
+               for scheme in ("flc:100", "flc:200", "flc:300", "flc-content:100", "flc-content:200",
+                              "flc-content:300")
+               for retriever in ("tfidf", "bm25", "dense:mock")] + [
+    ("content", retriever, mode)
+    for mode in ("single:raw", "single:keywords", "single:summary", "mc")
+    for retriever in ("tfidf", "bm25", "dense:mock")]
+
+
+@st.composite
+def recall_inputs(draw):
+    """A corpus, its questions and its keyword and summary views (None for the extractive ones).
+
+    Corpora are ``synthetic_corpus`` or documents of ``SECTION_TEXTS``; one
+    question may name a document that is absent, which still takes an ordinal.
+    """
+    if draw(st.booleans()):
+        docs, qa = synthetic_corpus(n_docs=draw(st.integers(1, 4)), seed=draw(st.integers(0, 2**16)))
+    else:
+        docs = [make_doc(draw(SECTION_TEXTS), doc_id=f"d{i}") for i in range(draw(st.integers(1, 3)))]
+        qa = []
+        for doc in docs:
+            answerable = [s for s in doc.sections if s.text]
+            for _ in range(draw(st.integers(0, 3)) if answerable else 0):
+                section = draw(st.sampled_from(answerable))
+                start = draw(st.integers(0, len(section.text) - 1))
+                end = draw(st.integers(start + 1, len(section.text)))
+                question = draw(st.one_of(st.sampled_from([s.text for s in doc.sections]),
+                                          SECTION_TEXTS.map(" ".join)))
+                qa.append(QAItem(f"{doc.doc_id}:q{len(qa)}", doc.doc_id, question, "a",
+                                 QuestionType.EXPLANATORY, section.section_id, (start, end)))
+    if draw(st.booleans()):
+        qa.insert(draw(st.integers(0, len(qa))), _qa("absent", "s0000", (0, 1), qid="absent:q"))
+    views = None
+    if draw(st.booleans()):
+        texts = draw(SECTION_TEXTS)
+        views = {doc.doc_id: [ViewEntry(s.section_id, kind, texts[(i + j) % len(texts)], Provenance.LLM_GENERATED)
+                              for i, s in enumerate(doc.sections)
+                              for j, kind in enumerate((ViewKind.KEYWORDS, ViewKind.SUMMARY))]
+                 for doc in docs}
+    return docs, qa, views
+
+
+class TestRecallOracle:
+    """The whole question-to-recall composition against ``oracle_recall``, for every grid setup.
+
+    Sparse retrievers rank by ``reference_loop_scores``, which repeats the
+    scorers' float operations, so equal scores tie exactly and both sides
+    break them by corpus position. ``dense:mock`` scores are float32 dot
+    products: a question where units with different rows tie exactly is
+    left out (the oracle gives it None), the rest must match exactly.
+    """
+
+    KS = [1.5, 3, 5, 10]
+
+    @pytest.mark.parametrize("scheme,retriever,mode", GRID_SETUPS)
+    @settings(max_examples=4, deadline=None)
+    @given(inputs=recall_inputs(), invert_parity=st.booleans())
+    def test_matches_oracle(self, scheme, retriever, mode, inputs, invert_parity):
+        docs, qa, views = inputs
+        # None means the extractive views, which test_views pins to their own oracle.
+        oracle_views = views if views is not None else {doc.doc_id: build_views(doc) for doc in docs}
+        want = oracle_recall(docs, qa, scheme, retriever, mode, self.KS, oracle_views, invert_parity)
+        got = list(retrieved_spans(docs, qa, ChunkScheme.parse(scheme), retriever, mode, self.KS, views,
+                                   invert_parity))
+        assert [item.question_id for item, _, _ in got] == [qid for qid, _, _ in want]
+        compared = [i for i, (_, spans, _) in enumerate(want) if spans is not None]
+        assert [got[i][2] for i in compared] == [want[i][1] for i in compared]
+        report = eval_recall(docs, qa, scheme, retriever, mode, self.KS, views=views, invert_parity=invert_parity)
+        for k_index, row in enumerate(report.rows):
+            assert [row.per_question[i] for i in compared] == pytest.approx(
+                [want[i][2][k_index] for i in compared], abs=1e-12)
 
 
 class TestModeSpec:

@@ -21,7 +21,6 @@ from mcidx.evaluation import doc_units
 from mcidx.providers import EmbeddingProvider, MockEmbeddingProvider
 from mcidx.retrieval import (
     build_dense_index,
-    build_index,
     bm25_idf,
     build_sparse_index,
     embed,
@@ -224,8 +223,9 @@ class TestTopN:
     def test_top_n_is_prefix_of_full_ranking(self, texts, query):
         units = [(f"u{i}", text) for i, text in enumerate(texts)]
         provider = MockEmbeddingProvider()
-        for kind in ("tfidf", "bm25", "dense"):
-            index = build_index(units, kind, provider)
+        indexes = {"tfidf": build_sparse_index(units, "tfidf"), "bm25": build_sparse_index(units, "bm25"),
+                   "dense": build_dense_index(units, provider)}
+        for kind, index in indexes.items():
             full = rank_units(index, query, provider)
             assert len(full) == len(units)
             for n in range(1, len(units) + 2):

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcidx.cli import run
-from mcidx.errors import CorruptIndex, McIndexError, VersionMismatch
+from mcidx.errors import CorruptIndex, DataError, McIndexError, VersionMismatch
 from mcidx.providers import MockEmbeddingProvider
 from mcidx.retrieval import (
     build_dense_index,
@@ -128,6 +128,60 @@ class TestCorruption:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(CorruptIndex):
             load_index(tmp_path)
+
+
+class TestReplaceAsAWhole:
+    def test_failed_save_keeps_the_old_index(self, tmp_path, monkeypatch):
+        directory = tmp_path / "idx"
+        save_index(build_sparse_index(UNITS, "bm25"), directory)
+        before = {path.name: path.read_bytes() for path in directory.iterdir()}
+        write_bytes = Path.write_bytes
+
+        def failing(path, data):
+            if path.name == TERMS_FILE:
+                raise OSError("disk full")
+            return write_bytes(path, data)
+
+        monkeypatch.setattr(Path, "write_bytes", failing)
+        with pytest.raises(OSError, match="disk full"):
+            save_index(build_sparse_index(UNITS[:2], "bm25"), directory)
+        assert {path.name: path.read_bytes() for path in directory.iterdir()} == before
+        assert load_index(directory).unit_ids == [uid for uid, _ in UNITS]
+        assert [path.name for path in tmp_path.iterdir()] == ["idx"]
+
+    @pytest.mark.parametrize("kind", ["bm25", "dense"])
+    def test_save_replaces_every_file(self, tmp_path, kind):
+        directory = _saved("tfidf" if kind == "dense" else "dense", tmp_path / "idx")
+        _saved(kind, directory)
+        expected = {MANIFEST, *((IDS_FILE, EMBEDDINGS_FILE) if kind == "dense" else (UNITS_FILE, TERMS_FILE))}
+        assert {path.name for path in directory.iterdir()} == expected
+        assert [path.name for path in tmp_path.iterdir()] == ["idx"]
+        load_index(directory)
+
+    def test_refuses_to_replace_what_is_not_an_index(self, tmp_path):
+        (tmp_path / "idx").mkdir()
+        (tmp_path / "idx" / "notes.txt").write_text("keep")
+        with pytest.raises(DataError, match="not an index"):
+            save_index(build_sparse_index(UNITS, "bm25"), tmp_path / "idx")
+        assert [str(path.relative_to(tmp_path)) for path in tmp_path.rglob("*")] == ["idx", "idx/notes.txt"]
+
+    def test_refuses_to_replace_the_working_directory(self, tmp_path, monkeypatch):
+        save_index(build_sparse_index(UNITS, "bm25"), tmp_path / "idx")
+        before = {path.name: path.read_bytes() for path in (tmp_path / "idx").iterdir()}
+        monkeypatch.chdir(tmp_path / "idx")
+        with pytest.raises(DataError, match="working directory"):
+            save_index(build_sparse_index(UNITS[:2], "bm25"), ".")
+        assert {path.name: path.read_bytes() for path in (tmp_path / "idx").iterdir()} == before
+
+    def test_cli_refusal_exits_2(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(json.dumps({"doc_id": "d", "title": "t", "sections": [
+            {"section_id": "s0", "heading": "h", "level": 1, "text": "cat sat."}]}) + "\n")
+        code = run(["index", "--corpus", str(corpus), "--scheme", "content", "--retriever", "bm25",
+                    "--output", str(tmp_path)])
+        assert code == 2
+        assert "not an index" in capsys.readouterr().err
+        assert [path.name for path in tmp_path.iterdir()] == ["corpus.jsonl"]
 
 
 def _rewrite(directory, name, data: bytes):

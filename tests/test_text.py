@@ -2,12 +2,13 @@ from __future__ import annotations
 
 import string
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from mcidx import text as text_module
-from mcidx.text import index_terms, token_count, truncate_tokens
+from mcidx.text import index_terms, term_ids, token_count, truncate_tokens
 from oracles import oracle_terms
 
 # Letters (cased and not, and "İ", whose lowercase form is longer), every
@@ -66,3 +67,15 @@ def test_index_terms_equals_oracle(text):
             for _ in range(2):
                 assert index_terms(text) == oracle_terms(text)
                 assert len(text_module._TERMS) <= bound
+
+
+@given(st.lists(st.text(alphabet=_TERM_ALPHABET, max_size=30), max_size=4))
+@example([])
+def test_term_ids_equal_oracle_terms(texts):
+    vocabulary, ids = term_ids(texts)
+    assert vocabulary == sorted({term for text in texts for term in oracle_terms(text)})
+    assert len(ids) == len(texts)
+    for text, text_ids in zip(texts, ids):
+        assert text_ids.dtype == np.int32 and len(text_ids) == token_count(text)
+        assert [vocabulary[i] for i in text_ids if i >= 0] == oracle_terms(text)
+        assert (text_ids >= 0).tolist() == [bool(oracle_terms(token)) for token in text.split()]
