@@ -47,9 +47,6 @@ from .retrieval import (
     build_dense_index,
     build_sparse_index,
     embed,
-    score_bm25,
-    score_dense,
-    score_tfidf,
 )
 from .store import load_index, save_index
 from .synthetic import complementarity_fixture, synthetic_corpus

@@ -62,6 +62,8 @@ class Section:
 # is ``full_text[starts[i]:starts[i + 1]]`` and holds the tokens
 # ``tokens[i]:tokens[i + 1]``; the last entry of each array is the run's end.
 SentenceRun = tuple[str | None, array, array]
+# Character and token offsets are 64-bit, which holds any document.
+_OFFSET = "q"
 
 
 class TextTable:
@@ -87,8 +89,6 @@ class TextTable:
     def __init__(self, doc: Document):
         self._text = doc.full_text
         self._sections = doc.sections
-        # Character and token offsets fit in 32 bits below 2**31 characters.
-        self._offset_type = "i" if len(self._text) < 2**31 else "q"
 
     @cached_property
     def terms(self) -> tuple[list[str], np.ndarray]:
@@ -97,7 +97,7 @@ class TextTable:
 
     @cached_property
     def section_starts(self) -> array:
-        return array(self._offset_type, accumulate((s.token_count for s in self._sections), initial=0))
+        return array(_OFFSET, accumulate((s.token_count for s in self._sections), initial=0))
 
     def _sentence_run(self, section_id: str | None, start: int, end: int, first_token: int) -> SentenceRun:
         starts, counts = [], []
@@ -105,8 +105,7 @@ class TextTable:
             starts.append(start + s)
             counts.append(token_count(sentence))
         starts.append(end)
-        offsets = self._offset_type
-        return section_id, array(offsets, starts), array(offsets, accumulate(counts, initial=first_token))
+        return section_id, array(_OFFSET, starts), array(_OFFSET, accumulate(counts, initial=first_token))
 
     @cached_property
     def text_sentences(self) -> tuple[SentenceRun, ...]:

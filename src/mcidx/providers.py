@@ -32,7 +32,8 @@ import urllib.request
 
 import numpy as np
 
-from .errors import ProviderError
+from .errors import ProviderError, SchemaError
+from .jsonio import require
 from .text import TermMemo, index_terms
 
 logger = logging.getLogger(__name__)
@@ -142,10 +143,10 @@ class HttpLlmClient(LlmClient):
     def generate(self, prompt: str, max_tokens: int = 1024) -> str:
         with self._slots:
             data = _post_json(self._url, {"prompt": prompt, "max_tokens": max_tokens}, self._headers)
-        text = data.get("text")
-        if not isinstance(text, str):
-            raise ProviderError(f"response from {self._url} lacks a 'text' string")
-        return text
+        try:  # a string, and one that an output file can hold: JSON can spell a lone surrogate
+            return require(data, "text", str)
+        except SchemaError as exc:
+            raise ProviderError(f"response from {self._url}: {exc}") from exc
 
 
 class HttpEmbeddingProvider(EmbeddingProvider):

@@ -5,11 +5,16 @@ postings. One assembly builds them from ``text.term_ids`` of the unit texts
 or, for a document's chunks and sections, from slices of the document's text
 table (``corpus.TextTable``). One function builds each index kind. BM25
 runs at its standard settings k1=1.5, b=0.75 (Robertson & Zaragoza, 2009),
-the constants ``BM25_K1`` and ``BM25_B`` that only ``score_bm25`` reads. Rankings have scores non-increasing and ties broken by
-ascending corpus position, so results are reproducible across runs and thread
-counts; the top n is always a prefix of the full ranking. Evaluation builds one
-context per document and ranks each question once per index, to the largest
-budget: every budget k is a prefix of that ranking.
+the constants ``BM25_K1`` and ``BM25_B``. One function, ``rank_units``, ranks
+a query against an index: it cuts the top n of the index kind's score vector.
+Rankings have scores non-increasing, and units with bit-equal scores (such as
+identical texts under any retriever, or a zero-score tail) keep ascending
+corpus position, so results are reproducible across runs and thread counts;
+the top n is always a prefix of the full ranking. Dense scores are float32 dot
+products, so two different rows whose exact cosines tie can differ in the last
+bit and rank by that rounding. Evaluation builds one context per document and
+ranks each question once per index, to the largest budget: every budget k is
+a prefix of that ranking.
 """
 
 from __future__ import annotations
@@ -179,14 +184,8 @@ def _ranked(unit_ids: list[str], scores: np.ndarray, n: int | None) -> list[Scor
             for rank, (i, s) in enumerate(zip(order.tolist(), scores[order].tolist()), 1)]
 
 
-def score_tfidf(index: SparseIndex, query: str, n: int | None = None) -> list[ScoredUnit]:
-    """Cosine similarity between L2-normalized tf*idf vectors, top n.
-
-    Query terms unseen at index time get weight zero; a query with no known
-    terms yields an all-zero ranking in corpus order.
-    """
-    if index.kind != TFIDF:
-        raise ValueError(f"score_tfidf needs a {TFIDF!r} index, got {index.kind!r}")
+def _tfidf_scores(index: SparseIndex, query: str) -> np.ndarray:
+    """Cosine similarity between L2-normalized tf*idf vectors; unseen query terms weigh zero."""
     weighted = [(count * found[0], found) for term, count in Counter(index_terms(query)).items()
                 if (found := index.term_postings(term)) is not None]
     query_norm = math.sqrt(sum(weight * weight for weight, _ in weighted))
@@ -194,24 +193,22 @@ def score_tfidf(index: SparseIndex, query: str, n: int | None = None) -> list[Sc
     for weight, (idf, unit_idx, tfs) in weighted:
         dots[unit_idx] += weight * tfs * idf
     denom = query_norm * index.unit_norms
-    return _ranked(index.unit_ids, np.divide(dots, denom, out=np.zeros(index.n), where=denom != 0), n)
+    return np.divide(dots, denom, out=np.zeros(index.n), where=denom != 0)
 
 
-def score_bm25(index: SparseIndex, query: str, n: int | None = None) -> list[ScoredUnit]:
-    """Okapi BM25 with saturation ``BM25_K1`` and length normalization ``BM25_B``, top n.
+def _bm25_scores(index: SparseIndex, query: str) -> np.ndarray:
+    """Okapi BM25 with saturation ``BM25_K1`` and length normalization ``BM25_B``.
 
     Contributions sum over query token occurrences, so repeated query terms
     scale their contribution.
     """
-    if index.kind != BM25:
-        raise ValueError(f"score_bm25 needs a {BM25!r} index, got {index.kind!r}")
     found = [postings for term in index_terms(query) if (postings := index.term_postings(term)) is not None]
     scores = np.zeros(index.n)
     if found:  # then some unit has terms, so avgdl > 0
         denom_norm = BM25_K1 * (1.0 - BM25_B + BM25_B * (index.unit_lens / index.avgdl))
     for idf, unit_idx, tfs in found:
         scores[unit_idx] += idf * tfs * (BM25_K1 + 1.0) / (tfs + denom_norm[unit_idx])
-    return _ranked(index.unit_ids, scores, n)
+    return scores
 
 
 def embed(texts: list[str], provider: EmbeddingProvider) -> np.ndarray:
@@ -257,16 +254,14 @@ def build_dense_index(units: list[tuple[str, str]], provider: EmbeddingProvider)
     return DenseIndex([uid for uid, _ in units], embed(texts, provider), provider.name)
 
 
-def score_dense(
-    index: DenseIndex, query: str, provider: EmbeddingProvider, n: int | None = None
-) -> list[ScoredUnit]:
-    """Cosine (dot product of normalized vectors) between query and rows, top n."""
+def _dense_scores(index: DenseIndex, query: str, provider: EmbeddingProvider) -> np.ndarray:
+    """Cosine (float32 dot product of normalized vectors) between query and rows."""
     if provider.name != index.provider:
         raise ProviderMismatch(
             f"index built with provider {index.provider!r}, scoring with {provider.name!r}"
         )
     query_vec = embed([truncate_tokens(query, DENSE_TOKEN_LIMIT)], provider)[0]
-    return _ranked(index.unit_ids, index.matrix @ query_vec, n)
+    return index.matrix @ query_vec
 
 
 def rank_units(
@@ -275,14 +270,16 @@ def rank_units(
     provider: EmbeddingProvider | None = None,
     n: int | None = None,
 ) -> list[ScoredUnit]:
-    """Score a query against any index kind, returning the top n (all when None)."""
+    """Rank a query against any index kind, returning the top n (all when None)."""
     if isinstance(index, DenseIndex):
         if provider is None:
             raise ValueError("dense scoring needs the embedding provider")
-        return score_dense(index, query, provider, n)
-    if index.kind == TFIDF:
-        return score_tfidf(index, query, n)
-    return score_bm25(index, query, n)
+        scores = _dense_scores(index, query, provider)
+    elif index.kind == TFIDF:
+        scores = _tfidf_scores(index, query)
+    else:
+        scores = _bm25_scores(index, query)
+    return _ranked(index.unit_ids, scores, n)
 
 
 def parse_retriever(spec: str) -> tuple[str, str | None]:

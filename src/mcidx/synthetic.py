@@ -5,7 +5,7 @@ of varying token lengths, sized so the fixed-length chunkers sometimes do
 and sometimes do not split a scope. ``complementarity_fixture`` builds a
 corpus whose questions are answerable through exactly one view each, which
 separates multi-view retrieval from every single view at matched budgets.
-Both are pure functions of their seed.
+The corpus is a pure function of its seed; the fixture is one fixed corpus.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ _QUESTION_TYPES = tuple(QuestionType)
 # A planted answer scope's token target is drawn uniformly from this range.
 _MIN_SCOPE_TOKENS = 20
 _MAX_SCOPE_TOKENS = 300
-# The complementarity fixture's decoy sections, and its gold sections per view.
+# The complementarity fixture's seed, its decoy sections, and its gold sections per view.
+_COMPLEMENTARITY_SEED = 23
 _N_DECOYS = 3
 _PER_GROUP = 10
 
@@ -131,7 +132,7 @@ def synthetic_corpus(
     return docs, qa
 
 
-def complementarity_fixture(seed: int = 23) -> tuple[list[Document], list[QAItem], dict[str, list[ViewEntry]]]:
+def complementarity_fixture() -> tuple[list[Document], list[QAItem], dict[str, list[ViewEntry]]]:
     """One document whose questions each resolve through exactly one view.
 
     Sections are grouped in three: each group's marker term occurs only in
@@ -141,7 +142,7 @@ def complementarity_fixture(seed: int = 23) -> tuple[list[Document], list[QAItem
     templates over an otherwise synthetic vocabulary, so only the marker
     term can match.
     """
-    rng = random.Random(seed)
+    rng = random.Random(_COMPLEMENTARITY_SEED)
     vocab = _make_vocabulary(rng, 200)
     doc_id = "viewdoc"
 

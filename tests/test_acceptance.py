@@ -20,9 +20,7 @@ from mcidx.providers import MockEmbeddingProvider
 from mcidx.retrieval import (
     build_dense_index,
     build_sparse_index,
-    score_bm25,
-    score_dense,
-    score_tfidf,
+    rank_units,
 )
 from mcidx.store import load_index, save_index
 from mcidx.synthetic import complementarity_fixture, synthetic_corpus
@@ -86,8 +84,8 @@ def test_criterion_3_sparse_oracle_equivalence():
             expected_tfidf = oracle_tfidf_scores(units, query)
             expected_bm25 = oracle_bm25_scores(units, query)
             order = [uid for uid, _ in units]
-            tfidf_ranked = score_tfidf(build_sparse_index(units, "tfidf"), query)
-            bm25_ranked = score_bm25(build_sparse_index(units, "bm25"), query)
+            tfidf_ranked = rank_units(build_sparse_index(units, "tfidf"), query)
+            bm25_ranked = rank_units(build_sparse_index(units, "bm25"), query)
             for scored in tfidf_ranked:
                 assert abs(scored.score - expected_tfidf[scored.unit_id]) < 1e-9
             for scored in bm25_ranked:
@@ -248,17 +246,12 @@ def test_criterion_9_round_trip_and_determinism(tmp_path):
         queries = ["term0 word3", "word11 extra1", "nothing here", "shared shared term2"]
         provider = MockEmbeddingProvider()
         for kind in ("tfidf", "bm25", "dense"):
-            if kind == "dense":
-                index = build_dense_index(units, provider)
-                scorer = lambda idx, q: score_dense(idx, q, provider)
-            else:
-                index = build_sparse_index(units, kind)
-                scorer = score_tfidf if kind == "tfidf" else score_bm25
+            index = build_dense_index(units, provider) if kind == "dense" else build_sparse_index(units, kind)
             save_index(index, tmp_path / kind)
             reloaded = load_index(tmp_path / kind)
             for query in queries:
-                before = [(u.unit_id, u.score, u.rank) for u in scorer(index, query)]
-                after = [(u.unit_id, u.score, u.rank) for u in scorer(reloaded, query)]
+                before = [(u.unit_id, u.score, u.rank) for u in rank_units(index, query, provider)]
+                after = [(u.unit_id, u.score, u.rank) for u in rank_units(reloaded, query, provider)]
                 assert before == after
 
         docs, qa = synthetic_corpus()

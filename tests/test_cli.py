@@ -786,6 +786,32 @@ class TestMalformedJson:
         assert (f"data error: {corpus}: line 2: key 'text' is not valid Unicode"
                 in capsys.readouterr().err)
 
+    def test_lone_surrogate_in_llm_reply(self, dataset, tmp_path, stub, monkeypatch, capsys):
+        # Valid JSON can spell a reply text that no output file could hold;
+        # keyword lists and judge scores still parse, so only the write would fail.
+        monkeypatch.setenv("MCIDX_LLM_URL", stub.url)
+
+        def responder(path, payload):
+            if "evaluating answers" in payload["prompt"]:
+                return (200, {"text": '{"answer_1_score": 5, "answer_2_score": 5}'})
+            if "keyword extractor" in payload["prompt"]:
+                return (200, r'{"text": "[\"alpha\", \"beta\"] \ud800"}')
+            return (200, r'{"text": "a reply \ud800"}')
+
+        stub.responder = responder
+        corpus, qa = dataset
+        views, transcripts = tmp_path / "views.jsonl", tmp_path / "judge.jsonl"
+        assert run(["views", "--corpus", str(corpus), "--generator", "llm", "--jobs", "1",
+                    "--output", str(views)]) == 3
+        assert run(["eval", "answers", "--corpus", str(corpus), "--qa", str(qa), "--retriever", "bm25",
+                    "--k", "3", "--scheme-a", "content", "--mode-a", "single:raw",
+                    "--scheme-b", "flc:300", "--mode-b", "single:raw",
+                    "--output", str(transcripts)]) == 3
+        err = capsys.readouterr().err
+        assert err.count(f"response from {stub.url}/generate: key 'text' is not valid Unicode") == 2
+        assert "provider error: section 's0000': response from" in err
+        assert not views.exists() and not transcripts.exists()
+
 
 def test_bad_view_index_checksum_names_its_directory(dataset, tmp_path, capsys):
     corpus, _ = dataset

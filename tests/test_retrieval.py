@@ -26,9 +26,6 @@ from mcidx.retrieval import (
     embed,
     parse_retriever,
     rank_units,
-    score_bm25,
-    score_dense,
-    score_tfidf,
     smoothed_idf,
 )
 from mcidx.views import ViewKind
@@ -101,14 +98,14 @@ class TestBuildSparseIndex:
 class TestScoreTfidf:
     def test_unknown_query_term_scores_zero_in_corpus_order(self):
         index = build_sparse_index(THREE_UNITS, "tfidf")
-        ranked = score_tfidf(index, "xyzzy")
+        ranked = rank_units(index, "xyzzy")
         assert [u.score for u in ranked] == [0.0, 0.0, 0.0]
         assert [u.unit_id for u in ranked] == ["d1", "d2", "d3"]
         assert [u.rank for u in ranked] == [1, 2, 3]
 
     def test_frozen_example(self):
         index = build_sparse_index(THREE_UNITS, "tfidf")
-        ranked = score_tfidf(index, "cat")
+        ranked = rank_units(index, "cat")
         assert [u.unit_id for u in ranked] == ["d2", "d1", "d3"]
         by_id = {u.unit_id: u.score for u in ranked}
         for uid, expected in TFIDF_CAT.items():
@@ -116,24 +113,24 @@ class TestScoreTfidf:
 
     def test_self_similarity_is_one(self):
         index = build_sparse_index([("only", "alpha beta gamma")], "tfidf")
-        ranked = score_tfidf(index, "alpha beta gamma")
+        ranked = rank_units(index, "alpha beta gamma")
         assert ranked[0].score == pytest.approx(1.0, abs=1e-12)
 
     def test_query_order_invariance(self):
         index = build_sparse_index(THREE_UNITS, "tfidf")
-        forward = [(u.unit_id, u.score) for u in score_tfidf(index, "cat dog fish")]
-        backward = [(u.unit_id, u.score) for u in score_tfidf(index, "fish dog cat")]
+        forward = [(u.unit_id, u.score) for u in rank_units(index, "cat dog fish")]
+        backward = [(u.unit_id, u.score) for u in rank_units(index, "fish dog cat")]
         assert forward == backward
 
 
 class TestScoreBm25:
     def test_absent_terms_contribute_zero(self):
         index = build_sparse_index(THREE_UNITS, "bm25")
-        assert all(u.score == 0.0 for u in score_bm25(index, "xyzzy quux"))
+        assert all(u.score == 0.0 for u in rank_units(index, "xyzzy quux"))
 
     def test_frozen_example(self):
         index = build_sparse_index(THREE_UNITS, "bm25")
-        ranked = score_bm25(index, "cat")
+        ranked = rank_units(index, "cat")
         assert [u.unit_id for u in ranked] == ["d2", "d1", "d3"]
         by_id = {u.unit_id: u.score for u in ranked}
         for uid, expected in BM25_CAT.items():
@@ -141,16 +138,16 @@ class TestScoreBm25:
 
     def test_duplicate_query_terms_double_score(self):
         index = build_sparse_index(THREE_UNITS, "bm25")
-        single = {u.unit_id: u.score for u in score_bm25(index, "cat")}
-        double = {u.unit_id: u.score for u in score_bm25(index, "cat cat")}
+        single = {u.unit_id: u.score for u in rank_units(index, "cat")}
+        double = {u.unit_id: u.score for u in rank_units(index, "cat cat")}
         for uid in single:
             assert double[uid] == pytest.approx(2 * single[uid], abs=1e-12)
 
     def test_additivity_over_query_terms(self):
         index = build_sparse_index(THREE_UNITS, "bm25")
-        cat = {u.unit_id: u.score for u in score_bm25(index, "cat")}
-        dog = {u.unit_id: u.score for u in score_bm25(index, "dog")}
-        both = {u.unit_id: u.score for u in score_bm25(index, "cat dog")}
+        cat = {u.unit_id: u.score for u in rank_units(index, "cat")}
+        dog = {u.unit_id: u.score for u in rank_units(index, "dog")}
+        both = {u.unit_id: u.score for u in rank_units(index, "cat dog")}
         for uid in cat:
             assert both[uid] == pytest.approx(cat[uid] + dog[uid], abs=1e-12)
 
@@ -174,13 +171,13 @@ class TestOracleEquivalence:
             bm25_index = build_sparse_index(units, "bm25")
             expected_tfidf = oracle_tfidf_scores(units, query)
             expected_bm25 = oracle_bm25_scores(units, query)
-            for scored in score_tfidf(tfidf_index, query):
+            for scored in rank_units(tfidf_index, query):
                 assert abs(scored.score - expected_tfidf[scored.unit_id]) < 1e-9
-            for scored in score_bm25(bm25_index, query):
+            for scored in rank_units(bm25_index, query):
                 assert abs(scored.score - expected_bm25[scored.unit_id]) < 1e-9
             order = [uid for uid, _ in units]
-            assert [u.unit_id for u in score_tfidf(tfidf_index, query)] == oracle_rank(expected_tfidf, order)
-            assert [u.unit_id for u in score_bm25(bm25_index, query)] == oracle_rank(expected_bm25, order)
+            assert [u.unit_id for u in rank_units(tfidf_index, query)] == oracle_rank(expected_tfidf, order)
+            assert [u.unit_id for u in rank_units(bm25_index, query)] == oracle_rank(expected_bm25, order)
             checked += 1
         assert checked == 100
 
@@ -207,9 +204,9 @@ class TestOracleEquivalence:
         rng = random.Random(9)
         for _ in range(20):
             units = random_units(rng)
-            for kind, scorer in (("tfidf", score_tfidf), ("bm25", score_bm25)):
+            for kind in ("tfidf", "bm25"):
                 index = build_sparse_index(units, kind)
-                for scored in scorer(index, "t0 t1 t2"):
+                for scored in rank_units(index, "t0 t1 t2"):
                     assert math.isfinite(scored.score)
 
 
@@ -230,6 +227,20 @@ class TestTopN:
             assert len(full) == len(units)
             for n in range(1, len(units) + 2):
                 assert rank_units(index, query, provider, n=n) == full[:n], (kind, n)
+
+    @pytest.mark.parametrize("kind", ["tfidf", "bm25", "dense"])
+    def test_equal_scores_rank_by_corpus_position(self, kind):
+        # Ids descend as positions ascend, so only the position can order a tie.
+        units = [("u5", "fish"), ("u4", "cat dog"), ("u3", "bird song"), ("u2", "cat dog"),
+                 ("u1", "fish"), ("u0", "cat dog")]
+        provider = MockEmbeddingProvider()
+        index = build_dense_index(units, provider) if kind == "dense" else build_sparse_index(units, kind)
+        full = rank_units(index, "cat dog", provider)
+        assert [u.unit_id for u in full] == ["u4", "u2", "u0", "u5", "u3", "u1"]
+        assert full[0].score == full[1].score == full[2].score > 0.0
+        assert [u.score for u in full[3:]] == [0.0, 0.0, 0.0]
+        for n in (2, 4):  # a cut inside the top tie and one inside the zero-score tail
+            assert rank_units(index, "cat dog", provider, n=n) == full[:n]
 
 
 class TestEmbed:
@@ -291,7 +302,7 @@ class TestScoreDense:
         units = [("u1", "alpha beta"), ("u2", "gamma delta"), ("u3", "epsilon zeta")]
         provider = MockEmbeddingProvider()
         index = build_dense_index(units, provider)
-        ranked = score_dense(index, "gamma delta", provider)
+        ranked = rank_units(index, "gamma delta", provider)
         assert ranked[0].unit_id == "u2"
         assert ranked[0].score == pytest.approx(1.0, abs=1e-6)
 
@@ -307,10 +318,10 @@ class TestScoreDense:
         (query_row,) = provider.embed([query])
         expected = oracle_cosine_scores(raw_rows, query_row)
         expected_by_id = {uid: s for (uid, _), s in zip(units, expected)}
-        for scored in score_dense(index, query, provider):
+        for scored in rank_units(index, query, provider):
             assert abs(scored.score - expected_by_id[scored.unit_id]) < 1e-5
         order = [uid for uid, _ in units]
-        assert [u.unit_id for u in score_dense(index, query, provider)] == oracle_rank(
+        assert [u.unit_id for u in rank_units(index, query, provider)] == oracle_rank(
             expected_by_id, order
         )
 
@@ -319,7 +330,9 @@ class TestScoreDense:
         index = build_dense_index([("u", "text")], provider)
         other = MockEmbeddingProvider(name="other")
         with pytest.raises(ProviderMismatch):
-            score_dense(index, "q", other)
+            rank_units(index, "q", other)
+        with pytest.raises(ValueError, match="needs the embedding provider"):
+            rank_units(index, "q")
 
 
 class TestRetrieverSpec:

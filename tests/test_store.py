@@ -21,9 +21,7 @@ from mcidx.providers import MockEmbeddingProvider
 from mcidx.retrieval import (
     build_dense_index,
     build_sparse_index,
-    score_bm25,
-    score_dense,
-    score_tfidf,
+    rank_units,
 )
 from mcidx.store import EMBEDDINGS_FILE, IDS_FILE, MANIFEST, TERMS_FILE, UNITS_FILE, load_index, save_index
 
@@ -37,10 +35,7 @@ QUERIES = ["cat dog", "fish", "nothing matches", "cat cat fish dog"]
 
 
 def ranking(index, query, provider=None):
-    if provider is not None:
-        return [(u.unit_id, u.score, u.rank) for u in score_dense(index, query, provider)]
-    scorer = score_tfidf if index.kind == "tfidf" else score_bm25
-    return [(u.unit_id, u.score, u.rank) for u in scorer(index, query)]
+    return [(u.unit_id, u.score, u.rank) for u in rank_units(index, query, provider)]
 
 
 class TestSparseRoundTrip:
