@@ -24,7 +24,7 @@ from .corpus import (
     parse_markdown,
     write_corpus_jsonl,
 )
-from .errors import DataError, McIndexError, ParseError, ProviderError, ViewMismatch
+from .errors import DataError, DuplicateId, McIndexError, ParseError, ProviderError, ViewMismatch
 from .evaluation import (
     check_budgets,
     check_setup,
@@ -37,7 +37,7 @@ from .evaluation import (
     parse_mode,
     retrieved_spans,
 )
-from .fusion import _validate_k, retrieve_mc, retrieve_single
+from .fusion import retrieve_mc, retrieve_single
 from .jsonio import atomic_text_writer, write_jsonl
 from .providers import HttpLlmClient
 from .retrieval import DENSE, DenseIndex, build_dense_index, build_sparse_index, parse_retriever, resolve_provider
@@ -60,8 +60,8 @@ EXIT_PROVIDER = 3
 
 
 def parse_k_list(spec: str) -> tuple[float, ...]:
-    """Budgets of a comma-separated ``--k`` value; a bad one is a usage error."""
-    return tuple(_validate_k(piece, minimum=1) for piece in spec.split(","))
+    """The numbers of a comma-separated ``--k`` value; ``check_budgets`` says which budgets are valid."""
+    return tuple(map(float, spec.split(",")))
 
 
 def parse_k(spec: str) -> float:
@@ -81,7 +81,7 @@ def _load_views_arg(args):
 
 
 def cmd_ingest(args) -> int:
-    docs = []
+    docs = {}
     for path in map(Path, args.inputs):
         try:
             path.stem.encode("utf-8")
@@ -89,14 +89,16 @@ def cmd_ingest(args) -> int:
             # The stem becomes the document id. Show the name's raw bytes, escaped.
             shown = os.fsencode(path).decode("utf-8", "backslashreplace")
             raise DataError("file name is not valid UTF-8", path=shown) from None
+        if path.stem in docs:
+            raise DuplicateId(f"document id {path.stem!r} repeated", path=path)
         try:
-            docs.append(parse_markdown(path.read_text(encoding="utf-8"), doc_id=path.stem))
+            docs[path.stem] = parse_markdown(path.read_text(encoding="utf-8"), doc_id=path.stem)
         except UnicodeDecodeError as exc:
             raise DataError(f"{path} is not UTF-8 text: {exc.reason}") from exc
         except DataError as exc:
             exc.path = path
             raise
-    write_corpus_jsonl(docs, args.output)
+    write_corpus_jsonl(list(docs.values()), args.output)
     logger.info("wrote %d documents to %s", len(docs), args.output)
     return EXIT_OK
 
@@ -112,7 +114,7 @@ def cmd_chunk(args) -> int:
 
 def cmd_views(args) -> int:
     docs = load_corpus_jsonl(args.corpus)
-    llm = HttpLlmClient.from_env(max_in_flight=args.jobs) if args.generator == LLM_GENERATOR else None
+    llm = HttpLlmClient.from_env() if args.generator == LLM_GENERATOR else None
     views_by_doc = {
         doc.doc_id: build_views(doc, generator=args.generator, llm=llm, jobs=args.jobs)
         for doc in docs
@@ -217,7 +219,7 @@ def cmd_eval_answers(args) -> int:
         check_setup(scheme, args.retriever, mode, [args.k])
     docs = load_corpus_jsonl(args.corpus)
     qa = load_and_filter_qa(args.qa, docs)
-    llm = HttpLlmClient.from_env(max_in_flight=args.jobs)
+    llm = HttpLlmClient.from_env()
     views_by_doc = _load_views_arg(args)
     side_a, side_b = (retrieved_spans(docs, qa, scheme, args.retriever, mode, [args.k], views_by_doc)
                       for scheme, mode in setups)

@@ -27,7 +27,7 @@ from .corpus import Document, QAItem
 from .errors import EmptyRetrieval, EmptyScope, ParseError, UnknownDoc, ViewMismatch
 from .fusion import VIEW_ORDER, fuse, per_view_budget, single_budget
 from .jsonio import iter_json_objects
-from .prompts import render_answer_prompt, render_judge_prompt
+from .prompts import ANSWER, JUDGE
 from .providers import EmbeddingProvider, LlmClient
 from .retrieval import (
     DENSE,
@@ -307,7 +307,7 @@ def generate_answer(question: str, retrieved_texts: list[str], llm: LlmClient) -
     texts = list(retrieved_texts)
     if not texts:
         raise EmptyRetrieval("cannot generate an answer from zero retrieved texts")
-    return llm.generate(render_answer_prompt("\n\n".join(texts), question), max_tokens=512)
+    return llm.generate(ANSWER.substitute(quotes="\n\n".join(texts), question=question), max_tokens=512)
 
 
 class Winner(enum.Enum):
@@ -377,9 +377,10 @@ def judge_pairwise(
     Round 1 shows answer A first; round 2 swaps, so positional bias cancels.
     Raw judge text is kept on the outcome for audit.
     """
-    raw1 = llm.generate(render_judge_prompt(question, gold_answer, answer_a, answer_b), max_tokens=1024)
+    asked = {"question": question, "ground_truth_answer": gold_answer}
+    raw1 = llm.generate(JUDGE.substitute(asked, answer_1=answer_a, answer_2=answer_b), max_tokens=1024)
     a1, b1 = _parse_judge_scores(raw1)
-    raw2 = llm.generate(render_judge_prompt(question, gold_answer, answer_b, answer_a), max_tokens=1024)
+    raw2 = llm.generate(JUDGE.substitute(asked, answer_1=answer_b, answer_2=answer_a), max_tokens=1024)
     b2, a2 = _parse_judge_scores(raw2)
     score_based, round_based = judge_outcome(a1, b1, a2, b2)
     return JudgeOutcome(score_based, round_based, (a1, b1, a2, b2), raw1, raw2)

@@ -69,23 +69,3 @@ following json format:
 {"answer_1_score":"...", "answer_2_score":"..."}
 """)
 
-
-def render_summary_prompt(section_name: str, section_text: str) -> str:
-    return SUMMARY.substitute(section_name=section_name, section_text=section_text)
-
-
-def render_keywords_prompt(section_name: str, section_text: str) -> str:
-    return KEYWORDS.substitute(section_name=section_name, section_text=section_text)
-
-
-def render_answer_prompt(quotes: str, question: str) -> str:
-    return ANSWER.substitute(quotes=quotes, question=question)
-
-
-def render_judge_prompt(question: str, ground_truth_answer: str, answer_1: str, answer_2: str) -> str:
-    return JUDGE.substitute(
-        question=question,
-        ground_truth_answer=ground_truth_answer,
-        answer_1=answer_1,
-        answer_2=answer_2,
-    )

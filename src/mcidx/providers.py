@@ -13,8 +13,8 @@ fixed policy: each request may take ``TIMEOUT_S``; transient failures
 (connection errors, 429, 5xx) are retried ``MAX_RETRIES`` times after the
 first try, waiting ``BACKOFF_S`` and doubling the wait each time; anything
 else, including a 200 whose body is not a JSON object, is a ProviderError.
-A semaphore bounds in-flight calls per client, held across retries, so
-parallel view generation stays polite.
+A client keeps no state between calls and may be shared across threads; its
+callers bound their concurrency (``build_views`` by its ``jobs`` workers).
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import http.client
 import json
 import logging
 import os
-import threading
 import time
 import urllib.error
 import urllib.parse
@@ -46,7 +45,6 @@ _RETRYABLE_STATUS = {429, 500, 502, 503, 504}
 TIMEOUT_S = 60.0
 MAX_RETRIES = 3
 BACKOFF_S = 0.5
-DEFAULT_MAX_IN_FLIGHT = 4
 
 MOCK_EMBED_DIM = 256
 
@@ -126,23 +124,21 @@ def _post_json(url: str, payload: dict, headers: dict[str, str]) -> dict:
 
 
 class HttpLlmClient(LlmClient):
-    def __init__(self, base_url: str, api_key: str | None = None, *, max_in_flight: int):
+    def __init__(self, base_url: str, api_key: str | None = None):
         self._url = _endpoint(base_url, "/generate", LLM_URL_ENV)
         if api_key and not _visible_ascii(api_key):
             raise ProviderError(f"{LLM_API_KEY_ENV} must be printable ASCII without spaces")
         self._headers = {"Authorization": f"Bearer {api_key}"} if api_key else {}
-        self._slots = threading.Semaphore(max_in_flight)
 
     @classmethod
-    def from_env(cls, max_in_flight: int) -> "HttpLlmClient":
+    def from_env(cls) -> "HttpLlmClient":
         url = os.environ.get(LLM_URL_ENV)
         if not url:
             raise ProviderError(f"{LLM_URL_ENV} is not set")
-        return cls(url, api_key=os.environ.get(LLM_API_KEY_ENV), max_in_flight=max_in_flight)
+        return cls(url, api_key=os.environ.get(LLM_API_KEY_ENV))
 
     def generate(self, prompt: str, max_tokens: int = 1024) -> str:
-        with self._slots:
-            data = _post_json(self._url, {"prompt": prompt, "max_tokens": max_tokens}, self._headers)
+        data = _post_json(self._url, {"prompt": prompt, "max_tokens": max_tokens}, self._headers)
         try:  # a string, and one that an output file can hold: JSON can spell a lone surrogate
             return require(data, "text", str)
         except SchemaError as exc:
@@ -153,7 +149,6 @@ class HttpEmbeddingProvider(EmbeddingProvider):
     def __init__(self, base_url: str, *, name: str):
         self.name = name
         self._url = _endpoint(base_url, "/embed", EMBED_URL_ENV)
-        self._slots = threading.Semaphore(DEFAULT_MAX_IN_FLIGHT)
 
     @classmethod
     def from_env(cls, name: str) -> "HttpEmbeddingProvider":
@@ -163,8 +158,7 @@ class HttpEmbeddingProvider(EmbeddingProvider):
         return cls(url, name=name)
 
     def embed(self, texts: list[str]) -> list[list[float]]:
-        with self._slots:
-            data = _post_json(self._url, {"texts": list(texts)}, {})
+        data = _post_json(self._url, {"texts": list(texts)}, {})
         vectors = data.get("vectors")
         if not isinstance(vectors, list) or len(vectors) != len(texts):
             raise ProviderError(f"response from {self._url} lacks one vector per input text")

@@ -261,6 +261,9 @@ def _dense_scores(index: DenseIndex, query: str, provider: EmbeddingProvider) ->
             f"index built with provider {index.provider!r}, scoring with {provider.name!r}"
         )
     query_vec = embed([truncate_tokens(query, DENSE_TOKEN_LIMIT)], provider)[0]
+    if len(query_vec) != index.dim:
+        raise DimensionMismatch(f"provider {provider.name!r} returned a query vector of width "
+                                f"{len(query_vec)} for an index of width {index.dim}")
     return index.matrix @ query_vec
 
 

@@ -26,8 +26,8 @@ from pathlib import Path
 from .corpus import Document, Section
 from .errors import ParseError, ProviderError, SchemaError
 from .jsonio import read_jsonl, require, write_jsonl
-from .prompts import render_keywords_prompt, render_summary_prompt
-from .providers import DEFAULT_MAX_IN_FLIGHT, LlmClient
+from .prompts import KEYWORDS, SUMMARY
+from .providers import LlmClient
 from .retrieval import DENSE_TOKEN_LIMIT, smoothed_idf
 from .text import index_terms, iter_sentences, token_count, truncate_tokens
 
@@ -42,6 +42,7 @@ SUMMARY_WORD_BUDGET = 200
 
 LLM_GENERATOR = "llm"
 EXTRACTIVE_GENERATOR = "extractive"
+DEFAULT_JOBS = 4
 
 STOPWORDS = frozenset("""
 a about above after again against all am an and any are aren't as at be because
@@ -81,7 +82,7 @@ def generate_summary(section: Section, llm: LlmClient) -> str:
     """LLM summary for long sections; short sections are returned unchanged."""
     if section.token_count <= SUMMARY_TOKEN_THRESHOLD:
         return section.text
-    return llm.generate(render_summary_prompt(section.heading, section.text), max_tokens=512)
+    return llm.generate(SUMMARY.substitute(section_name=section.heading, section_text=section.text), max_tokens=512)
 
 
 def _parse_keyword_list(raw: str) -> list[str]:
@@ -111,7 +112,7 @@ def _parse_keyword_list(raw: str) -> list[str]:
 
 def generate_keywords(section: Section, llm: LlmClient) -> list[str]:
     """LLM keyword list, deduplicated case-insensitively, order preserved."""
-    raw = llm.generate(render_keywords_prompt(section.heading, section.text), max_tokens=512)
+    raw = llm.generate(KEYWORDS.substitute(section_name=section.heading, section_text=section.text), max_tokens=512)
     return _parse_keyword_list(raw)
 
 
@@ -158,60 +159,55 @@ def _top_keywords(terms: list[str], df: Counter, idf: list[float]) -> list[str]:
     return sorted(scores, key=scores.__getitem__)[:20]
 
 
+def _section_views(section: Section, keywords: list[str], provenance: Provenance,
+                   summary: str, summary_provenance: Provenance) -> list[ViewEntry]:
+    """A section's raw, keywords and summary entries; the raw text is always its own identity."""
+    return [
+        ViewEntry(section.section_id, ViewKind.RAW_TEXT, section.text, Provenance.IDENTITY),
+        ViewEntry(section.section_id, ViewKind.KEYWORDS, KEYWORD_SEPARATOR.join(keywords), provenance),
+        ViewEntry(section.section_id, ViewKind.SUMMARY, summary, summary_provenance),
+    ]
+
+
 def _llm_views_for_section(section: Section, llm: LlmClient) -> list[ViewEntry]:
     try:
         keywords = generate_keywords(section, llm)
         summary = generate_summary(section, llm)
-    except ProviderError as exc:
-        raise ProviderError(f"section {section.section_id!r}: {exc}") from exc
-    except ParseError as exc:
-        raise ParseError(f"section {section.section_id!r}: {exc}") from exc
-    summary_provenance = (
-        Provenance.LLM_GENERATED
-        if section.token_count > SUMMARY_TOKEN_THRESHOLD
-        else Provenance.IDENTITY
-    )
+    except (ProviderError, ParseError) as exc:
+        raise type(exc)(f"section {section.section_id!r}: {exc}") from exc
+    generated = section.token_count > SUMMARY_TOKEN_THRESHOLD
     truncated = truncate_tokens(summary, DENSE_TOKEN_LIMIT)
     if truncated != summary:
         logger.warning(
             "summary for section %s truncated from %d to %d tokens before indexing",
             section.section_id, token_count(summary), DENSE_TOKEN_LIMIT,
         )
-    return [
-        ViewEntry(section.section_id, ViewKind.RAW_TEXT, section.text, Provenance.IDENTITY),
-        ViewEntry(section.section_id, ViewKind.KEYWORDS, KEYWORD_SEPARATOR.join(keywords), Provenance.LLM_GENERATED),
-        ViewEntry(section.section_id, ViewKind.SUMMARY, truncated, summary_provenance),
-    ]
-
-
-def _extractive_views_for_section(section: Section, keywords: list[str]) -> list[ViewEntry]:
-    return [
-        ViewEntry(section.section_id, ViewKind.RAW_TEXT, section.text, Provenance.IDENTITY),
-        ViewEntry(section.section_id, ViewKind.KEYWORDS, KEYWORD_SEPARATOR.join(keywords), Provenance.EXTRACTIVE_FALLBACK),
-        ViewEntry(section.section_id, ViewKind.SUMMARY, extractive_summary(section), Provenance.EXTRACTIVE_FALLBACK),
-    ]
+    return _section_views(section, keywords, Provenance.LLM_GENERATED,
+                          truncated, Provenance.LLM_GENERATED if generated else Provenance.IDENTITY)
 
 
 def build_views(
     doc: Document,
     generator: str = EXTRACTIVE_GENERATOR,
     llm: LlmClient | None = None,
-    jobs: int = DEFAULT_MAX_IN_FLIGHT,
+    jobs: int = DEFAULT_JOBS,
 ) -> list[ViewEntry]:
     """Emit exactly three ViewEntries per section, in section order.
 
-    LLM calls run in parallel across sections (bounded by ``jobs``) but the
-    returned order is always the document's section order.
+    LLM calls run in parallel across sections, in a pool of ``jobs`` workers
+    (ValueError below 1), which bounds the requests in flight; the returned
+    order is always the document's section order.
     """
     if generator == EXTRACTIVE_GENERATOR:
         # One tokenization per section and one idf table per document.
         section_terms, df, idf = _doc_term_stats(doc)
-        per_section = [_extractive_views_for_section(s, _top_keywords(terms, df, idf))
+        per_section = [_section_views(s, _top_keywords(terms, df, idf), Provenance.EXTRACTIVE_FALLBACK,
+                                      extractive_summary(s), Provenance.EXTRACTIVE_FALLBACK)
                        for s, terms in zip(doc.sections, section_terms)]
     elif generator == LLM_GENERATOR:
         if llm is None:
             raise ValueError("generator 'llm' requires an LlmClient")
-        with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
             per_section = list(pool.map(lambda s: _llm_views_for_section(s, llm), doc.sections))
     else:
         raise ValueError(f"unknown view generator {generator!r}")

@@ -13,7 +13,7 @@ from mcidx.chunking import ChunkScheme
 from mcidx.corpus import load_and_filter_qa, load_corpus_jsonl, write_corpus_jsonl, write_qa_jsonl
 from mcidx.evaluation import build_doc_context, parse_mode
 from mcidx.fusion import retrieve_mc, retrieve_single
-from mcidx.prompts import render_answer_prompt
+from mcidx.prompts import ANSWER
 from mcidx.views import build_views
 from mcidx.synthetic import synthetic_corpus
 
@@ -265,8 +265,8 @@ class TestPipeline:
                 texts.append([doc.full_text[slice(*units[uid])] for uid in unit_ids])
             differ += texts[0] != texts[1]
             answer_a, answer_b, judge1, judge2 = prompts[4 * ordinal:4 * ordinal + 4]
-            assert answer_a == render_answer_prompt("\n\n".join(texts[0]), item.question)
-            assert answer_b == render_answer_prompt("\n\n".join(texts[1]), item.question)
+            assert answer_a == ANSWER.substitute(quotes="\n\n".join(texts[0]), question=item.question)
+            assert answer_b == ANSWER.substitute(quotes="\n\n".join(texts[1]), question=item.question)
             reply_a, reply_b = f"answer-{4 * ordinal + 1:03d}", f"answer-{4 * ordinal + 2:03d}"
             assert judge1.index(reply_a) < judge1.index(reply_b)
             assert judge2.index(reply_b) < judge2.index(reply_a)
@@ -274,11 +274,6 @@ class TestPipeline:
 
 
 class TestParseKList:
-    def test_bad_k_rejected(self):
-        for spec in ("2.5", "3,0.5", "nan", "inf", "0", "-3", "3,0"):
-            with pytest.raises(ValueError):
-                parse_k_list(spec)
-
     def test_parse_k_list(self):
         assert parse_k_list("1.5,3,5,10") == (1.5, 3.0, 5.0, 10.0)
         with pytest.raises(ValueError):
@@ -356,6 +351,17 @@ class TestViewsCoverSections:
         assert "no views supplied for document 'doc001'" in capsys.readouterr().err
 
 
+# A command that takes --k, with every other argument it needs.
+_BUDGET_COMMANDS = {
+    "retrieve": ["retrieve", "--index", "missing-idx", "--question", "anything"],
+    "eval-recall": ["eval", "recall", "--corpus", "missing.jsonl", "--qa", "missing.jsonl",
+                    "--scheme", "content", "--retriever", "bm25", "--mode", "single:raw"],
+    "eval-answers": ["eval", "answers", "--corpus", "missing.jsonl", "--qa", "missing.jsonl",
+                     "--retriever", "bm25", "--scheme-a", "content", "--mode-a", "single:raw",
+                     "--scheme-b", "flc:300", "--mode-b", "single:raw", "--output", "unused.jsonl"],
+}
+
+
 class TestUsageChecks:
     def test_eval_answers_view_mode_needs_content_scheme(self, dataset, tmp_path, stub,
                                                           monkeypatch, capsys):
@@ -425,6 +431,19 @@ class TestUsageChecks:
                     "--scheme", "content", "--retriever", "bm25", "--mode", mode, "--k", k])
         assert code == 1
         assert "--k" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,k,bad", [
+        *((command, k, bad) for command in _BUDGET_COMMANDS
+          for k, bad in [("2.5", "2.5"), ("nan", "nan"), ("inf", "inf"), ("0", "0"), ("-3", "-3")]),
+        # Only eval recall takes a list of budgets.
+        ("eval-recall", "3,0.5", "0.5"), ("eval-recall", "3,0", "0"),
+    ])
+    def test_bad_k_states_the_budget_rule(self, command, k, bad, monkeypatch, capsys):
+        # Checked before any file is read or client built: the inputs are
+        # missing (exit 2) and no LLM endpoint is set (exit 3).
+        monkeypatch.delenv("MCIDX_LLM_URL", raising=False)
+        assert run([*_BUDGET_COMMANDS[command], "--k", k]) == 1
+        assert f"usage error: --k {bad}: budget must be 1.5 or an integer >= 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("mode,n_dirs", [("mc", 2), ("mc", 4), ("single:raw", 2)])
     def test_retrieve_wrong_index_count_loads_nothing(self, mode, n_dirs, tmp_path, monkeypatch, capsys):
@@ -508,6 +527,20 @@ class TestMalformedEmbeddings:
         assert code == 3
         assert "provider error" in capsys.readouterr().err
         assert not output.exists()
+
+
+    def test_retrieve_at_a_new_width_is_provider_error(self, dataset, tmp_path, stub, monkeypatch, capsys):
+        monkeypatch.setenv("MCIDX_EMBED_URL", stub.url)
+        width = {"now": 4}
+        stub.responder = lambda path, payload: (200, {"vectors": [[1.0] * width["now"]] * len(payload["texts"])})
+        corpus, _ = dataset
+        index = tmp_path / "idx"
+        assert run(["index", "--corpus", str(corpus), "--scheme", "content",
+                    "--retriever", "dense:stub", "--output", str(index)]) == 0
+        width["now"] = 5
+        assert run(["retrieve", "--index", str(index), "--question", "anything"]) == 3
+        err = capsys.readouterr().err
+        assert "provider error" in err and "width 5" in err
 
 
 class TestNonObjectReply:
@@ -721,6 +754,17 @@ class TestFileSystemErrors:
         assert run(["ingest", os.fsdecode(source), "--output", str(output)]) == 2
         assert (f"data error: {tmp_path}/\\xffdoc.md: file name is not valid UTF-8"
                 in capsys.readouterr().err)
+        assert not output.exists()
+
+    def test_ingest_two_files_with_one_stem_names_the_second(self, tmp_path, capsys):
+        # The stem is the document id; a corpus with it twice is unreadable.
+        first, second = tmp_path / "a" / "doc.md", tmp_path / "b" / "doc.md"
+        for source in (first, second):
+            source.parent.mkdir()
+            source.write_text(MARKDOWN)
+        output = tmp_path / "c.jsonl"
+        assert run(["ingest", str(first), str(second), "--output", str(output)]) == 2
+        assert f"data error: {second}: document id 'doc' repeated" in capsys.readouterr().err
         assert not output.exists()
 
     def test_ingest_markdown_with_no_content_names_the_file(self, tmp_path, capsys):

@@ -41,7 +41,7 @@ def _short_backoff(monkeypatch):
 
 
 def _client(stub):
-    return HttpLlmClient(stub.url, api_key="sekrit", max_in_flight=1)
+    return HttpLlmClient(stub.url, api_key="sekrit")
 
 
 class TestHttpLlmClient:
@@ -82,13 +82,13 @@ class TestHttpLlmClient:
         monkeypatch.setenv("MCIDX_LLM_URL", stub.url)
         monkeypatch.setenv("MCIDX_LLM_API_KEY", "envkey")
         stub.default = (200, {"text": "enviro"})
-        assert HttpLlmClient.from_env(max_in_flight=1).generate("p") == "enviro"
+        assert HttpLlmClient.from_env().generate("p") == "enviro"
         assert stub.requests[0][2]["Authorization"] == "Bearer envkey"
 
     def test_from_env_requires_url(self, monkeypatch):
         monkeypatch.delenv("MCIDX_LLM_URL", raising=False)
         with pytest.raises(ProviderError, match="MCIDX_LLM_URL"):
-            HttpLlmClient.from_env(max_in_flight=1)
+            HttpLlmClient.from_env()
 
     def test_dropped_connection_is_retried(self, stub, monkeypatch):
         monkeypatch.setattr(providers, "MAX_RETRIES", 2)
@@ -127,7 +127,7 @@ _BAD_URLS = ["localhost:8000", "ftp://h/", "file:///tmp", "http://", "data:,x", 
 
 @pytest.mark.parametrize("url", _BAD_URLS)
 @pytest.mark.parametrize("variable, make", [
-    ("MCIDX_LLM_URL", lambda: HttpLlmClient.from_env(max_in_flight=1)),
+    ("MCIDX_LLM_URL", HttpLlmClient.from_env),
     ("MCIDX_EMBED_URL", lambda: HttpEmbeddingProvider.from_env(name="stub")),
 ], ids=["llm", "embedding"])
 def test_from_env_rejects_url_that_is_not_http(url, variable, make, monkeypatch):
@@ -143,13 +143,13 @@ def test_from_env_rejects_api_key_that_http_cannot_send(key, stub, monkeypatch):
     monkeypatch.setenv("MCIDX_LLM_URL", stub.url)
     monkeypatch.setenv("MCIDX_LLM_API_KEY", key)
     with pytest.raises(ProviderError, match="MCIDX_LLM_API_KEY"):
-        HttpLlmClient.from_env(max_in_flight=1)
+        HttpLlmClient.from_env()
 
 
 @pytest.mark.parametrize("url", ["http://127.0.0.1:8000", "https://example.com/v1/", "http://[::1]:9/",
                                  "HTTP://Host"])
 def test_http_urls_naming_a_host_are_accepted(url):
-    HttpLlmClient(url, max_in_flight=1)
+    HttpLlmClient(url)
     HttpEmbeddingProvider(url, name="stub")
 
 
@@ -200,7 +200,7 @@ class TestHttpEmbeddingProvider:
 
 
 @pytest.mark.parametrize("call", [
-    lambda url: HttpLlmClient(url, max_in_flight=1).generate("p"),
+    lambda url: HttpLlmClient(url).generate("p"),
     lambda url: HttpEmbeddingProvider(url, name="stub").embed(["a", "b"]),
 ], ids=["llm", "embedding"])
 def test_non_object_json_is_provider_error(call, stub):

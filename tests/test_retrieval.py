@@ -298,6 +298,22 @@ class TestEmbed:
 
 
 class TestScoreDense:
+    def test_query_width_other_than_the_index_is_dimension_mismatch(self):
+        class ResizedProvider(EmbeddingProvider):
+            name = "resized"
+
+            def __init__(self):
+                self.width = 4
+
+            def embed(self, texts):
+                return [[1.0] * self.width for _ in texts]
+
+        provider = ResizedProvider()
+        index = build_dense_index([("u1", "alpha"), ("u2", "beta")], provider)
+        provider.width = 5
+        with pytest.raises(DimensionMismatch, match="width 5.*4"):
+            rank_units(index, "alpha", provider)
+
     def test_identical_text_ranks_first_with_unit_score(self):
         units = [("u1", "alpha beta"), ("u2", "gamma delta"), ("u3", "epsilon zeta")]
         provider = MockEmbeddingProvider()

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import threading
+import time
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -7,6 +10,8 @@ from hypothesis import strategies as st
 from conftest import RefusingLlm, ScriptedLlm, make_doc
 from oracles import oracle_extractive_keywords
 from mcidx import views
+from mcidx.cli import run
+from mcidx.corpus import write_corpus_jsonl
 from mcidx.errors import ParseError, ProviderError
 from mcidx.providers import LlmClient
 from mcidx.text import split_sentences, token_count
@@ -236,9 +241,6 @@ class TestBuildViews:
             build_views(make_doc(["x."]), generator="llm")
 
     def test_parallel_llm_calls_keep_section_order(self):
-        import threading
-        import time
-
         doc = make_doc([words_sentence(300, f"sec{i}x") for i in range(6)])
         lock = threading.Lock()
         in_flight = {"now": 0, "peak": 0}
@@ -264,6 +266,38 @@ class TestBuildViews:
             s.section_id for s in doc.sections
         ]
         assert in_flight["peak"] > 1  # calls actually overlapped
+
+
+class TestInFlightBound:
+    """The ``build_views`` pool of ``jobs`` workers is the one bound on LLM requests in flight."""
+
+    def test_views_jobs_is_the_peak_of_concurrent_requests(self, stub, tmp_path, monkeypatch):
+        lock = threading.Lock()
+        in_flight = {"now": 0, "peak": 0}
+
+        def responder(path, payload):
+            with lock:
+                in_flight["now"] += 1
+                in_flight["peak"] = max(in_flight["peak"], in_flight["now"])
+            time.sleep(0.05)
+            with lock:
+                in_flight["now"] -= 1
+            return (200, {"text": "[kw]" if "keyword extractor" in payload["prompt"] else "SUMMARY"})
+
+        stub.responder = responder
+        monkeypatch.setenv("MCIDX_LLM_URL", stub.url)
+        doc = make_doc([words_sentence(300, f"sec{i}x") for i in range(4)])
+        assert all(s.token_count > views.SUMMARY_TOKEN_THRESHOLD for s in doc.sections)
+        corpus = tmp_path / "corpus.jsonl"
+        write_corpus_jsonl([doc], corpus)
+        assert run(["views", "--corpus", str(corpus), "--generator", "llm", "--jobs", "2",
+                    "--output", str(tmp_path / "views.jsonl")]) == 0
+        assert len(stub.requests) == 8  # keywords and a summary per section
+        assert in_flight["peak"] == 2  # no more than --jobs, and the calls overlapped
+
+    def test_zero_jobs_is_rejected(self):
+        with pytest.raises(ValueError):
+            build_views(make_doc(["x."]), generator="llm", llm=RefusingLlm(), jobs=0)
 
 
 class TestViewsJsonl:
