@@ -33,7 +33,7 @@ def main() -> None:
         for spec in SCHEMES:
             scheme = ChunkScheme.parse(spec)
             chunks = [c for doc in docs for c in chunk_document(doc, scheme)]
-            report = chunking_error(chunks, qa, docs)
+            report = chunking_error(docs, qa, scheme)
             print(f"{spec:<18} {report.n_split:>5} {report.n_scopes:>6} {100 * report.error_rate:>8.1f}")
             path = Path(tmp) / "chunks.jsonl"
             write_chunks_jsonl(chunks, path)

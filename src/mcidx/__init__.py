@@ -13,7 +13,6 @@ from .chunking import (
     ChunkingErrorReport,
     chunk_document,
     chunking_error,
-    split_sentences,
 )
 from .corpus import (
     CorpusStats,

@@ -1,4 +1,4 @@
-"""Chunking schemes and the chunking-error metric.
+"""Chunking schemes and the chunking-error metric, ``chunking_error(docs, qa, scheme)``.
 
 Three schemes produce retrieval units from a document. Each cuts a list of
 regions, either whole or by a greedy sentence merge:
@@ -25,9 +25,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .corpus import Document, QAItem
-from .errors import DataError, EmptyCorpus, UnknownDoc
+from .errors import EmptyCorpus, UnknownDoc
 from .jsonio import write_jsonl
-from .text import split_sentences  # re-exported: callers import it from here
 
 CONTENT = "content"
 FLC = "flc"
@@ -155,21 +154,15 @@ def scope_doc_span(doc: Document, item: QAItem) -> tuple[int, int]:
     return (offset + item.scope_span[0], offset + item.scope_span[1])
 
 
-def chunking_error(chunks: list[Chunk], qa: list[QAItem], docs: list[Document]) -> ChunkingErrorReport:
-    """Fraction of answer scopes not fully contained in any single chunk."""
-    if not chunks:
-        raise EmptyCorpus("chunking_error needs at least one chunk")
-    schemes = {c.scheme for c in chunks}
-    if len(schemes) > 1:
-        raise DataError(f"chunks mix schemes: {sorted(s.spec() for s in schemes)}")
-    scheme = next(iter(schemes))
-    spans_by_doc: dict[str, list[tuple[int, int]]] = {}
-    for chunk in chunks:
-        spans_by_doc.setdefault(chunk.doc_id, []).append(chunk.doc_span)
+def chunking_error(docs: list[Document], qa: list[QAItem], scheme: ChunkScheme) -> ChunkingErrorReport:
+    """Fraction of answer scopes not fully contained in any single chunk of ``docs`` under ``scheme``."""
+    if not docs:
+        raise EmptyCorpus("chunking_error needs at least one document")
+    spans_by_doc = {d.doc_id: [c.doc_span for c in chunk_document(d, scheme)] for d in docs}
     docs_by_id = {d.doc_id: d for d in docs}
     n_split = 0
     for item in qa:
-        if item.doc_id not in spans_by_doc or item.doc_id not in docs_by_id:
+        if item.doc_id not in docs_by_id:
             raise UnknownDoc(f"question {item.question_id!r} references unknown document {item.doc_id!r}")
         s, e = scope_doc_span(docs_by_id[item.doc_id], item)
         if not any(cs <= s and e <= ce for cs, ce in spans_by_doc[item.doc_id]):

@@ -61,13 +61,18 @@ EXIT_PROVIDER = 3
 
 def parse_k_list(spec: str) -> tuple[float, ...]:
     """The numbers of a comma-separated ``--k`` value; ``check_budgets`` says which budgets are valid."""
-    return tuple(map(float, spec.split(",")))
+    try:
+        return tuple(map(float, spec.split(",")))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{spec!r} is not a comma-separated list of numbers") from None
 
 
 def parse_k(spec: str) -> float:
-    """The budget of a ``--k`` value that takes exactly one (ValueError otherwise)."""
-    (k,) = parse_k_list(spec)
-    return k
+    """The budget of a ``--k`` value that takes exactly one."""
+    ks = parse_k_list(spec)
+    if len(ks) != 1:
+        raise argparse.ArgumentTypeError(f"{spec!r} lists {len(ks)} budgets; this command takes one")
+    return ks[0]
 
 
 def _write_text(path: str, text: str) -> None:
@@ -201,8 +206,7 @@ def cmd_eval_chunking_error(args) -> int:
     qa = load_and_filter_qa(args.qa, docs)
     lines = ["scheme,n_scopes,n_split,error_rate"]
     for spec, scheme in schemes:
-        chunks = [c for doc in docs for c in chunk_document(doc, scheme)]
-        report = chunking_error(chunks, qa, docs)
+        report = chunking_error(docs, qa, scheme)
         lines.append(f"{spec},{report.n_scopes},{report.n_split},{report.error_rate:.6f}")
     text = "\n".join(lines) + "\n"
     if args.output:

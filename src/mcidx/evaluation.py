@@ -348,13 +348,14 @@ def judge_outcome(a1: float, b1: float, a2: float, b2: float) -> tuple[Winner, W
 
 
 def _parse_judge_scores(raw: str) -> tuple[float, float]:
-    """Scores from the last JSON object in the judge's output."""
+    """Scores from the last JSON object in the judge's output with both scores numeric (a boolean is not)."""
     found: tuple[float, float] | None = None
     for obj in iter_json_objects(raw):
-        if "answer_1_score" not in obj or "answer_2_score" not in obj:
+        pair = (obj.get("answer_1_score"), obj.get("answer_2_score"))
+        if any(isinstance(s, bool) for s in pair):  # ``float(True)`` would be 1.0
             continue
         try:
-            scores = (float(obj["answer_1_score"]), float(obj["answer_2_score"]))
+            scores = (float(pair[0]), float(pair[1]))
         except (TypeError, ValueError):
             continue
         found = scores

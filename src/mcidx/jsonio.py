@@ -1,4 +1,5 @@
-"""JSONL file helpers, typed record fields, atomic text writes and tolerant JSON extraction from generated text."""
+"""JSONL files read through one loop (``read_jsonl``), typed record fields, atomic text
+writes and tolerant JSON extraction from generated text."""
 
 from __future__ import annotations
 
@@ -20,37 +21,28 @@ _raw_decode = json.JSONDecoder().raw_decode
 _encode = json.JSONEncoder(ensure_ascii=False).encode
 
 
-def iter_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
-    """Yield ``(line_number, record)`` for every non-blank line of a JSONL file.
-
-    Raises SchemaError naming ``path`` and the line on invalid JSON or on
-    records that are not objects, and DataError naming ``path`` if it is not
-    UTF-8.
-    """
-    with open(path, encoding="utf-8") as fh:
-        yield from iter_jsonl_lines(fh, path)
-
-
 def read_jsonl(path: str | Path, parse: Callable[[dict], object]) -> None:
     """Call ``parse(record)`` on each record of a JSONL file, in file order.
 
     This is the one loop over corpus, QA and views records: a DataError that
     ``parse`` raises gets ``path`` and the record's line number.
     """
-    for lineno, record in iter_jsonl(path):
-        try:
-            parse(record)
-        except DataError as exc:
-            exc.line, exc.path = lineno, path
-            raise
+    with open(path, encoding="utf-8") as fh:
+        for lineno, record in iter_jsonl_lines(fh, path):
+            try:
+                parse(record)
+            except DataError as exc:
+                exc.line, exc.path = lineno, path
+                raise
 
 
 def iter_jsonl_lines(lines: Iterable[str], path: str | Path) -> Iterator[tuple[int, dict]]:
-    """``iter_jsonl`` over the lines of ``path`` already opened as UTF-8 text.
+    """Yield ``(line_number, record)`` for every non-blank line of ``lines``, the UTF-8 text of ``path``.
 
     Each line is decoded as ``json.loads`` would: a line that is empty or
     whitespace (in the ``str.isspace`` sense) is skipped; otherwise JSON
-    whitespace around one value is allowed and anything else is an error.
+    whitespace around one value is allowed and anything else is a SchemaError
+    naming ``path`` and the line. Text that is not UTF-8 is a DataError.
     """
     try:
         for lineno, line in enumerate(lines, start=1):

@@ -5,7 +5,8 @@ Both HTTP contracts are tiny JSON-over-POST surfaces:
 * ``POST {MCIDX_LLM_URL}/generate`` with ``{"prompt": str, "max_tokens": int}``
   returns ``{"text": str}``; authenticated with a bearer token.
 * ``POST {MCIDX_EMBED_URL}/embed`` with ``{"texts": [str]}`` returns
-  ``{"vectors": [[float]], "model": str}``.
+  ``{"vectors": [[float]], "model": str}``; ``HttpEmbeddingProvider.embed``
+  returns those vectors as they came, and ``retrieval.embed`` checks them.
 
 Both clients check their endpoint URL when they are built and send through
 one ``_post_json``, on the standard library's ``urllib.request``, with one
@@ -157,12 +158,8 @@ class HttpEmbeddingProvider(EmbeddingProvider):
             raise ProviderError(f"{EMBED_URL_ENV} is not set")
         return cls(url, name=name)
 
-    def embed(self, texts: list[str]) -> list[list[float]]:
-        data = _post_json(self._url, {"texts": list(texts)}, {})
-        vectors = data.get("vectors")
-        if not isinstance(vectors, list) or len(vectors) != len(texts):
-            raise ProviderError(f"response from {self._url} lacks one vector per input text")
-        return vectors
+    def embed(self, texts: list[str]):
+        return _post_json(self._url, {"texts": list(texts)}, {}).get("vectors")
 
 
 def _bucket(term: str) -> int:

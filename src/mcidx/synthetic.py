@@ -13,8 +13,8 @@ from __future__ import annotations
 import random
 
 from .corpus import Document, QAItem, QuestionType, build_document
-from .text import split_sentences
-from .views import KEYWORD_SEPARATOR, Provenance, ViewEntry, ViewKind
+from .text import iter_sentences
+from .views import Provenance, ViewEntry, ViewKind, section_views
 
 _CONSONANTS = "bcdfghjklmnprstvz"
 _VOWELS = "aeiou"
@@ -57,17 +57,13 @@ def _section_text(
     return " ".join(_sentence(rng, vocab, function_word_rate) for _ in range(n_sentences))
 
 
-def _plant_scope(
-    rng: random.Random, text: str, target_tokens: int
-) -> tuple[int, int] | None:
+def _plant_scope(rng: random.Random, text: str, target_tokens: int) -> tuple[int, int]:
     """Span of a sentence run totalling at least ``target_tokens`` tokens.
 
     Half the scopes start at the section head, mirroring how lead sentences
     carry answers in encyclopedic text.
     """
-    sentences = split_sentences(text)
-    if not sentences:
-        return None
+    sentences = list(iter_sentences(text))
     start_idx = 0 if rng.random() < 0.5 else rng.randrange(len(sentences))
     tokens = 0
     end_idx = start_idx
@@ -111,13 +107,11 @@ def synthetic_corpus(
             section = doc.sections[rng.randrange(len(doc.sections))]
             target = rng.randint(_MIN_SCOPE_TOKENS, _MAX_SCOPE_TOKENS)
             span = _plant_scope(rng, section.text, target)
-            if span is None:
-                continue
             scope_text = section.text[span[0]:span[1]]
             content_words = [w for w in scope_text.split() if w.strip(".").lower() not in _FUNCTION_WORDS]
             picks = rng.sample(content_words, min(4, len(content_words)))
             terms = ", ".join(p.strip(".").lower() for p in picks)
-            first_sentence = split_sentences(scope_text)[0][0].strip()
+            first_sentence = next(iter_sentences(scope_text))[0].strip()
             qa.append(
                 QAItem(
                     question_id=f"{doc_id}:q{q}",
@@ -147,7 +141,7 @@ def complementarity_fixture() -> tuple[list[Document], list[QAItem], dict[str, l
     doc_id = "viewdoc"
 
     sections: list[tuple[str, str, int, str]] = []
-    keyword_views: dict[str, str] = {}
+    keyword_views: dict[str, list[str]] = {}
     summary_views: dict[str, str] = {}
     markers: list[tuple[str, ViewKind, str]] = []  # (section_id, view, marker)
 
@@ -163,7 +157,7 @@ def complementarity_fixture() -> tuple[list[Document], list[QAItem], dict[str, l
     for i in range(_N_DECOYS):
         sid = f"decoy{i:02d}"
         sections.append((sid, f"Decoy {i}", 1, _section_text(rng, vocab, rng.randint(4, 7), 0.0)))
-        keyword_views[sid] = KEYWORD_SEPARATOR.join(filler_terms(5))
+        keyword_views[sid] = filler_terms(5)
         summary_views[sid] = _sentence(rng, vocab, 0.0)
 
     groups = (
@@ -185,21 +179,15 @@ def complementarity_fixture() -> tuple[list[Document], list[QAItem], dict[str, l
             else:
                 summary = f"{summary} {marker_sentence(marker)}"
             sections.append((sid, f"Gold {g}-{i}", 1, body))
-            keyword_views[sid] = KEYWORD_SEPARATOR.join(keywords)
+            keyword_views[sid] = keywords
             summary_views[sid] = summary
             markers.append((sid, view, marker))
 
     doc = build_document(doc_id, "View complementarity fixture", sections)
 
-    views: list[ViewEntry] = []
-    for section in doc.sections:
-        views.extend(
-            [
-                ViewEntry(section.section_id, ViewKind.RAW_TEXT, section.text, Provenance.IDENTITY),
-                ViewEntry(section.section_id, ViewKind.KEYWORDS, keyword_views[section.section_id], Provenance.LLM_GENERATED),
-                ViewEntry(section.section_id, ViewKind.SUMMARY, summary_views[section.section_id], Provenance.LLM_GENERATED),
-            ]
-        )
+    views = [entry for section in doc.sections
+             for entry in section_views(section, keyword_views[section.section_id], Provenance.LLM_GENERATED,
+                                        summary_views[section.section_id], Provenance.LLM_GENERATED)]
 
     rng.shuffle(markers)
     qa = []

@@ -4,7 +4,7 @@ A "token" is a maximal run of non-whitespace characters (Unicode whitespace
 as separators). This whitespace definition is deterministic and model-free
 and is normative for every length threshold in the package. Index terms are
 tokens lowercased with punctuation stripped from both edges. Sentences come
-from one rule-based splitter (``split_sentences``) whose boundaries always
+from one rule-based splitter (``iter_sentences``) whose boundaries always
 follow whitespace, so a sentence is a whole run of tokens. Texts become term
 ids only in ``term_ids``, for text tables and sparse indexes alike.
 
@@ -110,7 +110,16 @@ def term_ids(texts: list[str]) -> tuple[list[str], list[np.ndarray]]:
 
 
 def iter_sentences(text: str) -> Iterator[tuple[str, tuple[int, int]]]:
-    """``split_sentences`` one sentence at a time, splitting no further than the caller reads."""
+    """Rule-based sentence split, one sentence at a time; spans partition the input exactly.
+
+    A boundary occurs after '.', '!' or '?' followed by whitespace and then an
+    uppercase letter, digit, or opening quote/bracket. The whitespace run
+    stays attached to the preceding sentence, so each yielded text is the
+    verbatim slice ``text[start:end]``, and no whitespace token crosses a
+    boundary. No abbreviation dictionary: "Approx. 3 kg" splits after
+    "Approx." by design, identically for every scheme. The text is split no
+    further than the caller reads.
+    """
     n = len(text)
     start = 0
     for match in _TERMINAL_RUN.finditer(text):
@@ -120,16 +129,3 @@ def iter_sentences(text: str) -> Iterator[tuple[str, tuple[int, int]]]:
             start = k
     if text:
         yield text[start:], (start, n)
-
-
-def split_sentences(text: str) -> list[tuple[str, tuple[int, int]]]:
-    """Rule-based sentence split; spans partition the input exactly.
-
-    A boundary occurs after '.', '!' or '?' followed by whitespace and then an
-    uppercase letter, digit, or opening quote/bracket. The whitespace run
-    stays attached to the preceding sentence, so each returned text is the
-    verbatim slice ``text[start:end]``, and no whitespace token crosses a
-    boundary. No abbreviation dictionary: "Approx. 3 kg" splits after
-    "Approx." by design, identically for every scheme.
-    """
-    return list(iter_sentences(text))

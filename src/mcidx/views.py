@@ -159,8 +159,8 @@ def _top_keywords(terms: list[str], df: Counter, idf: list[float]) -> list[str]:
     return sorted(scores, key=scores.__getitem__)[:20]
 
 
-def _section_views(section: Section, keywords: list[str], provenance: Provenance,
-                   summary: str, summary_provenance: Provenance) -> list[ViewEntry]:
+def section_views(section: Section, keywords: list[str], provenance: Provenance,
+                  summary: str, summary_provenance: Provenance) -> list[ViewEntry]:
     """A section's raw, keywords and summary entries; the raw text is always its own identity."""
     return [
         ViewEntry(section.section_id, ViewKind.RAW_TEXT, section.text, Provenance.IDENTITY),
@@ -182,8 +182,8 @@ def _llm_views_for_section(section: Section, llm: LlmClient) -> list[ViewEntry]:
             "summary for section %s truncated from %d to %d tokens before indexing",
             section.section_id, token_count(summary), DENSE_TOKEN_LIMIT,
         )
-    return _section_views(section, keywords, Provenance.LLM_GENERATED,
-                          truncated, Provenance.LLM_GENERATED if generated else Provenance.IDENTITY)
+    return section_views(section, keywords, Provenance.LLM_GENERATED,
+                         truncated, Provenance.LLM_GENERATED if generated else Provenance.IDENTITY)
 
 
 def build_views(
@@ -201,8 +201,8 @@ def build_views(
     if generator == EXTRACTIVE_GENERATOR:
         # One tokenization per section and one idf table per document.
         section_terms, df, idf = _doc_term_stats(doc)
-        per_section = [_section_views(s, _top_keywords(terms, df, idf), Provenance.EXTRACTIVE_FALLBACK,
-                                      extractive_summary(s), Provenance.EXTRACTIVE_FALLBACK)
+        per_section = [section_views(s, _top_keywords(terms, df, idf), Provenance.EXTRACTIVE_FALLBACK,
+                                     extractive_summary(s), Provenance.EXTRACTIVE_FALLBACK)
                        for s, terms in zip(doc.sections, section_terms)]
     elif generator == LLM_GENERATOR:
         if llm is None:

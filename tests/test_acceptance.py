@@ -60,12 +60,10 @@ def test_criterion_1_recall_worked_example():
 def test_criterion_2_content_aware_error_is_zero():
     with criterion(2, "content-aware chunking error is 0.0 on bundled and 50 random corpora", 5.0):
         docs, qa = synthetic_corpus()
-        chunks = [c for d in docs for c in chunk_document(d, ChunkScheme("content"))]
-        assert chunking_error(chunks, qa, docs).error_rate == 0.0
+        assert chunking_error(docs, qa, ChunkScheme("content")).error_rate == 0.0
         for seed in range(50):
             docs, qa = synthetic_corpus(n_docs=2, questions_per_doc=4, seed=1000 + seed)
-            chunks = [c for d in docs for c in chunk_document(d, ChunkScheme("content"))]
-            report = chunking_error(chunks, qa, docs)
+            report = chunking_error(docs, qa, ChunkScheme("content"))
             assert report.error_rate == 0.0
             assert report.n_scopes == len(qa)
 
@@ -222,7 +220,7 @@ def test_criterion_8_chunking_error_trend():
                      "flc-content:100", "flc-content:200", "flc-content:300"):
             scheme = ChunkScheme.parse(spec)
             chunks = [c for d in docs for c in chunk_document(d, scheme)]
-            report = chunking_error(chunks, qa, docs)
+            report = chunking_error(docs, qa, scheme)
             spans_by_doc = {}
             for chunk in chunks:
                 spans_by_doc.setdefault(chunk.doc_id, []).append(chunk.doc_span)

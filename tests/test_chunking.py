@@ -5,11 +5,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import SECTION_TEXTS, make_doc
-from mcidx.chunking import ChunkScheme, chunk_document, chunking_error, split_sentences
+from mcidx.chunking import ChunkScheme, chunk_document, chunking_error
 from mcidx.corpus import QAItem, QuestionType
 from mcidx.errors import EmptyCorpus, UnknownDoc
 from mcidx.synthetic import synthetic_corpus
-from mcidx.text import token_count
+from mcidx.text import iter_sentences, token_count
 from oracles import oracle_chunks, oracle_scope_split, oracle_split_sentences
 
 # Terminals, ASCII and Unicode whitespace, non-ASCII uppercase, Unicode digits
@@ -26,35 +26,35 @@ def sent(n_tokens, stem="w"):
 
 class TestSplitSentences:
     def test_two_simple_sentences(self):
-        result = split_sentences("A cat. A dog.")
+        result = list(iter_sentences("A cat. A dog."))
         assert len(result) == 2
         assert [text.strip() for text, _ in result] == ["A cat.", "A dog."]
 
     def test_digit_after_period_splits(self):
-        result = split_sentences("Approx. 3 kg total.")
+        result = list(iter_sentences("Approx. 3 kg total."))
         assert [text.strip() for text, _ in result] == ["Approx.", "3 kg total."]
 
     def test_no_terminal_punctuation_is_one_sentence(self):
         text = "no terminal punctuation"
-        assert split_sentences(text) == [(text, (0, len(text)))]
+        assert list(iter_sentences(text)) == [(text, (0, len(text)))]
 
     def test_lowercase_continuation_does_not_split(self):
-        assert len(split_sentences("e.g. something here. More.")) == 2
+        assert len(list(iter_sentences("e.g. something here. More."))) == 2
 
     def test_opening_quote_splits(self):
-        result = split_sentences('He left. "Stay," she said.')
+        result = list(iter_sentences('He left. "Stay," she said.'))
         assert len(result) == 2
 
     def test_empty_text(self):
-        assert split_sentences("") == []
+        assert list(iter_sentences("")) == []
 
     @given(st.text(alphabet=_SENTENCE_ALPHABET, max_size=80))
     def test_equals_per_character_oracle(self, text):
-        assert split_sentences(text) == oracle_split_sentences(text)
+        assert list(iter_sentences(text)) == oracle_split_sentences(text)
 
     @given(st.text(max_size=300))
     def test_spans_partition_input(self, text):
-        result = split_sentences(text)
+        result = list(iter_sentences(text))
         if not text:
             assert result == []
             return
@@ -184,8 +184,7 @@ class TestGreedyOracle:
 class TestChunkingError:
     def test_content_aware_is_zero(self):
         docs, qa = synthetic_corpus(n_docs=3)
-        chunks = [c for d in docs for c in chunk_document(d, ChunkScheme("content"))]
-        report = chunking_error(chunks, qa, docs)
+        report = chunking_error(docs, qa, ChunkScheme("content"))
         assert report.error_rate == 0.0
         assert report.n_scopes == len(qa)
 
@@ -194,29 +193,27 @@ class TestChunkingError:
         chunks = chunk_document(doc, ChunkScheme("flc", 25))  # one chunk per sentence
         boundary = chunks[0].doc_span[1]
         item = _qa(doc.doc_id, "s0000", (boundary - 10, boundary + 10))
-        report = chunking_error(chunks, [item], [doc])
+        report = chunking_error([doc], [item], ChunkScheme("flc", 25))
         assert report.n_split == 1
         assert oracle_scope_split([c.doc_span for c in chunks], (boundary - 10, boundary + 10))
 
     def test_scope_inside_one_chunk_not_split(self):
         doc = make_doc([" ".join(sent(25, f"s{i}") for i in range(4))])
-        chunks = chunk_document(doc, ChunkScheme("flc", 100))
         item = _qa(doc.doc_id, "s0000", (10, 40))
-        assert chunking_error(chunks, [item], [doc]).n_split == 0
+        assert chunking_error([doc], [item], ChunkScheme("flc", 100)).n_split == 0
 
     def test_unknown_doc_raises(self):
         doc = make_doc(["alpha beta."])
-        chunks = chunk_document(doc, ChunkScheme("content"))
         with pytest.raises(UnknownDoc):
-            chunking_error(chunks, [_qa("ghost", "s0000", (0, 3))], [doc])
+            chunking_error([doc], [_qa("ghost", "s0000", (0, 3))], ChunkScheme("content"))
 
     def test_empty_chunks_raise(self):
         with pytest.raises(EmptyCorpus):
-            chunking_error([], [], [])
+            chunking_error([], [], ChunkScheme("content"))
 
     def test_error_rate_zero_when_no_scopes(self):
         doc = make_doc(["alpha beta."])
-        report = chunking_error(chunk_document(doc, ChunkScheme("content")), [], [doc])
+        report = chunking_error([doc], [], ChunkScheme("content"))
         assert report.error_rate == 0.0
 
 
@@ -252,7 +249,7 @@ class TestPartitionInvariants:
     def test_flc_chunk_token_bounds(self, target):
         docs, _ = synthetic_corpus(n_docs=3)
         for doc in docs:
-            max_sentence = max(token_count(s) for s, _ in split_sentences(doc.full_text))
+            max_sentence = max(token_count(s) for s, _ in iter_sentences(doc.full_text))
             chunks = chunk_document(doc, ChunkScheme("flc", target))
             for chunk in chunks[:-1]:
                 assert token_count(chunk.text) >= target

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import errno
 import hashlib
 import json
@@ -276,9 +277,9 @@ class TestPipeline:
 class TestParseKList:
     def test_parse_k_list(self):
         assert parse_k_list("1.5,3,5,10") == (1.5, 3.0, 5.0, 10.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(argparse.ArgumentTypeError, match="'three' is not a comma-separated list"):
             parse_k_list("three")
-        with pytest.raises(ValueError):
+        with pytest.raises(argparse.ArgumentTypeError, match="'' is not a comma-separated list"):
             parse_k_list("")
 
 
@@ -445,6 +446,20 @@ class TestUsageChecks:
         assert run([*_BUDGET_COMMANDS[command], "--k", k]) == 1
         assert f"usage error: --k {bad}: budget must be 1.5 or an integer >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,k,message", [
+        ("retrieve", "3,5", "argument --k: '3,5' lists 2 budgets; this command takes one"),
+        ("eval-answers", "3,5", "argument --k: '3,5' lists 2 budgets; this command takes one"),
+        ("retrieve", "", "argument --k: '' is not a comma-separated list of numbers"),
+        ("eval-answers", "three", "argument --k: 'three' is not a comma-separated list of numbers"),
+        ("eval-recall", "", "argument --k: '' is not a comma-separated list of numbers"),
+        ("eval-recall", "3,,5", "argument --k: '3,,5' is not a comma-separated list of numbers"),
+    ], ids=["retrieve-list", "eval-answers-list", "retrieve-empty", "eval-answers-word",
+            "eval-recall-empty", "eval-recall-gap"])
+    def test_k_that_is_not_a_budget_names_the_value(self, command, k, message, monkeypatch, capsys):
+        monkeypatch.delenv("MCIDX_LLM_URL", raising=False)
+        assert run([*_BUDGET_COMMANDS[command], "--k", k]) == 1
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("mode,n_dirs", [("mc", 2), ("mc", 4), ("single:raw", 2)])
     def test_retrieve_wrong_index_count_loads_nothing(self, mode, n_dirs, tmp_path, monkeypatch, capsys):
         loaded = []
@@ -514,20 +529,36 @@ class TestUsageChecks:
 
 
 class TestMalformedEmbeddings:
-    @pytest.mark.parametrize("row", [[1.0, "a"], 1.0, [1.0, None]],
-                             ids=["string-value", "flat-number", "null-value"])
-    def test_index_with_malformed_vectors_is_provider_error(self, row, dataset, tmp_path, stub,
+    # The provider hands each reply's vectors to retrieval.embed unchecked; a
+    # reply of n texts' vectors is ``reply(n)``.
+    @pytest.mark.parametrize("reply", [
+        lambda n: {"vectors": [[1.0, "a"]] * n},
+        lambda n: {"vectors": [1.0] * n},
+        lambda n: {"vectors": [[1.0, None]] * n},
+        lambda n: {"model": "stub"},
+        lambda n: {"vectors": {"a": [1.0]}},
+        lambda n: {"vectors": [[1.0, 0.0]] * (n - 1)},
+        lambda n: {"vectors": [[1.0, 0.0]] * (n - 1) + [[1.0]]},
+    ], ids=["string-value", "flat-number", "null-value", "missing", "object", "wrong-count", "ragged"])
+    def test_index_with_malformed_vectors_is_provider_error(self, reply, dataset, tmp_path, stub,
                                                            monkeypatch, capsys):
         monkeypatch.setenv("MCIDX_EMBED_URL", stub.url)
-        stub.responder = lambda path, payload: (200, {"vectors": [row] * len(payload["texts"])})
+        stub.responder = lambda path, payload: (200, reply(len(payload["texts"])))
         corpus, _ = dataset
         output = tmp_path / "idx"
         code = run(["index", "--corpus", str(corpus), "--scheme", "content",
                     "--retriever", "dense:stub", "--output", str(output)])
         assert code == 3
-        assert "provider error" in capsys.readouterr().err
+        assert "provider error: provider 'stub' returned" in capsys.readouterr().err
         assert not output.exists()
 
+    def test_remote_embedder_without_url_exits_3(self, dataset, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("MCIDX_EMBED_URL", raising=False)
+        corpus, _ = dataset
+        code = run(["index", "--corpus", str(corpus), "--scheme", "content",
+                    "--retriever", "dense:remote", "--output", str(tmp_path / "idx")])
+        assert code == 3
+        assert "MCIDX_EMBED_URL is not set" in capsys.readouterr().err
 
     def test_retrieve_at_a_new_width_is_provider_error(self, dataset, tmp_path, stub, monkeypatch, capsys):
         monkeypatch.setenv("MCIDX_EMBED_URL", stub.url)

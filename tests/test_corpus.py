@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 from conftest import SECTION_TEXTS, make_doc
 from mcidx import corpus
 from mcidx.chunking import ChunkScheme
+from mcidx.cli import run
 from mcidx.corpus import (
+    QAItem,
     QuestionType,
     build_document,
     corpus_stats,
@@ -92,6 +94,15 @@ class TestCorpusJsonl:
         docs = load_corpus_jsonl(path)
         assert len(docs) == 1
         assert docs[0].full_text == "hello world"
+
+    def test_section_entry_that_is_not_an_object_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "c.jsonl"
+        path.write_text(json.dumps({"doc_id": "d1", "title": "t", "sections": ["just text"]}) + "\n")
+        with pytest.raises(SchemaError) as err:
+            load_corpus_jsonl(path)
+        assert str(err.value) == f"{path}: line 1: section entry is not an object"
+        assert run(["stats", "--corpus", str(path)]) == 2
+        assert f"{path}: line 1: section entry is not an object" in capsys.readouterr().err
 
     def test_missing_sections_is_schema_error_with_line(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -229,6 +240,15 @@ class TestCorpusStats:
         doc = make_doc(texts)
         assert sum(s.token_count for s in doc.sections) == token_count(doc.full_text)
         assert corpus_stats([doc], []).mean_tokens_per_doc == token_count(doc.full_text)
+
+    def test_questions_outside_the_corpus_are_skipped(self):
+        doc = make_doc(["one two three four"], doc_id="d1")
+        items = [QAItem(qid, doc_id, "?", "a", QuestionType.EXPLANATORY, section_id, (0, 7))
+                 for qid, doc_id, section_id in [("q1", "d1", "s0000"), ("q2", "d1", "missing"),
+                                                 ("q3", "nope", "s0000")]]
+        stats = corpus_stats([doc], items)
+        assert stats.n_questions == 3
+        assert stats.mean_tokens_per_answer_scope == 2  # "one two" alone
 
     def test_empty_corpus_is_all_zero(self):
         stats = corpus_stats([], [])

@@ -442,6 +442,21 @@ class TestJudge:
         with pytest.raises(ParseError):
             judge_pairwise("q", "gold", "a", "b", llm)
 
+    @pytest.mark.parametrize("score", [True, False])
+    def test_boolean_score_is_not_a_score(self, score):
+        raw = json.dumps({"answer_1_score": score, "answer_2_score": 3})
+        with pytest.raises(ParseError, match="no parseable score object"):
+            evaluation._parse_judge_scores(raw)
+
+    @pytest.mark.parametrize("later", [
+        '{"answer_1_score": true, "answer_2_score": 3}',
+        '{"answer_1_score": 9}',
+        '{"answer_1_score": "x", "answer_2_score": 1}',
+    ], ids=["boolean", "one-key", "not-a-number"])
+    def test_last_valid_score_object_wins(self, later):
+        raw = f'{{"answer_1_score": 4, "answer_2_score": "7"}} {later}'
+        assert evaluation._parse_judge_scores(raw) == (4.0, 7.0)
+
     def test_outcomes_match_oracle_on_grid(self):
         for a1 in (0, 5, 10):
             for b1 in (0, 5, 10):

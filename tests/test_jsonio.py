@@ -7,14 +7,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcidx.errors import DataError, SchemaError
-from mcidx.jsonio import iter_jsonl, write_jsonl
+from mcidx.jsonio import iter_json_objects, iter_jsonl_lines, read_jsonl, write_jsonl
 from oracles import oracle_jsonl
 
 
 def test_write_jsonl_round_trip(tmp_path):
     path = tmp_path / "out" / "records.jsonl"
     write_jsonl(path, [{"a": 1}, {"b": "ü"}])
-    assert [record for _, record in iter_jsonl(path)] == [{"a": 1}, {"b": "ü"}]
+    records = []
+    read_jsonl(path, records.append)
+    assert records == [{"a": 1}, {"b": "ü"}]
     assert sorted(p.name for p in path.parent.iterdir()) == ["records.jsonl"]
 
 
@@ -67,12 +69,13 @@ def test_iter_jsonl_matches_per_line_json_loads(tmp_path_factory, lines):
     path.write_bytes("".join("".join(parts) for parts in lines).encode("utf-8"))
     expected, bad_line = oracle_jsonl(path)
     got = []
-    if bad_line is None:
-        got.extend(iter_jsonl(path))
-    else:
-        with pytest.raises(SchemaError) as info:
-            got.extend(iter_jsonl(path))
-        assert info.value.line == bad_line
+    with open(path, encoding="utf-8") as fh:
+        if bad_line is None:
+            got.extend(iter_jsonl_lines(fh, path))
+        else:
+            with pytest.raises(SchemaError) as info:
+                got.extend(iter_jsonl_lines(fh, path))
+            assert info.value.line == bad_line
     # repr, because NaN != NaN.
     assert repr(got) == repr(expected)
 
@@ -81,4 +84,8 @@ def test_not_utf8_names_the_file(tmp_path):
     path = tmp_path / "records.jsonl"
     path.write_bytes(b'{"a": 1}\n{"b": "\xff"}\n')
     with pytest.raises(DataError, match="records.jsonl is not UTF-8 text"):
-        list(iter_jsonl(path))
+        read_jsonl(path, lambda record: None)
+
+
+def test_json_objects_skip_a_malformed_one():
+    assert list(iter_json_objects('{bad {"a": 1}')) == [{"a": 1}]

@@ -12,13 +12,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcidx import providers
-from mcidx.errors import ProviderError
+from mcidx.errors import DimensionMismatch, ProviderError
 from mcidx.providers import (
     MOCK_EMBED_DIM,
     HttpEmbeddingProvider,
     HttpLlmClient,
     MockEmbeddingProvider,
 )
+from mcidx.retrieval import embed
 from oracles import oracle_mock_embed
 
 # Repeated, Unicode, edge-punctuated and punctuation-only tokens.
@@ -193,10 +194,12 @@ class TestHttpEmbeddingProvider:
         assert payload == {"texts": ["a", "b"]}
 
     def test_wrong_vector_count(self, stub):
+        # The provider returns the reply's vectors unchecked; retrieval.embed,
+        # its one caller, rejects them (tests/test_cli.py has each malformed reply).
         stub.default = (200, {"vectors": [[1.0]], "model": "stub"})
         provider = HttpEmbeddingProvider(stub.url, name="stub")
-        with pytest.raises(ProviderError, match="one vector per input"):
-            provider.embed(["a", "b"])
+        with pytest.raises(DimensionMismatch, match=r"shape \(1, 1\) for 2 texts"):
+            embed(["a", "b"], provider)
 
 
 @pytest.mark.parametrize("call", [

@@ -144,6 +144,24 @@ class TestReplaceAsAWhole:
         assert load_index(directory).unit_ids == [uid for uid, _ in UNITS]
         assert [path.name for path in tmp_path.iterdir()] == ["idx"]
 
+    def test_failed_swap_puts_the_old_index_back(self, tmp_path, monkeypatch):
+        directory = tmp_path / "idx"
+        save_index(build_sparse_index(UNITS, "bm25"), directory)
+        before = {path.name: path.read_bytes() for path in directory.iterdir()}
+        rename = Path.rename
+
+        def failing(path, target):
+            if path.name == "new":  # the staged index, moved aside the old one
+                raise OSError("rename refused")
+            return rename(path, target)
+
+        monkeypatch.setattr(Path, "rename", failing)
+        with pytest.raises(OSError, match="rename refused"):
+            save_index(build_sparse_index(UNITS[:2], "bm25"), directory)
+        assert {path.name: path.read_bytes() for path in directory.iterdir()} == before
+        assert load_index(directory).unit_ids == [uid for uid, _ in UNITS]
+        assert [path.name for path in tmp_path.iterdir()] == ["idx"]
+
     @pytest.mark.parametrize("kind", ["bm25", "dense"])
     def test_save_replaces_every_file(self, tmp_path, kind):
         directory = _saved("tfidf" if kind == "dense" else "dense", tmp_path / "idx")

@@ -14,7 +14,7 @@ from mcidx.cli import run
 from mcidx.corpus import write_corpus_jsonl
 from mcidx.errors import ParseError, ProviderError
 from mcidx.providers import LlmClient
-from mcidx.text import split_sentences, token_count
+from mcidx.text import iter_sentences, token_count
 from mcidx.views import (
     KEYWORD_SEPARATOR,
     STOPWORDS,
@@ -120,7 +120,7 @@ class TestExtractiveSummary:
         read = []
 
         def counting(section_text):
-            for sentence in split_sentences(section_text):
+            for sentence in iter_sentences(section_text):
                 read.append(sentence)
                 yield sentence
 
