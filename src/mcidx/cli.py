@@ -161,12 +161,7 @@ def cmd_retrieve(args) -> int:
     # Checked once where the view indexes meet; fusion relies on it.
     if len({frozenset(index.unit_ids) for index in indexes}) > 1:
         raise ViewMismatch("view indexes cover different unit id sets")
-    providers = {
-        index.provider: resolve_provider(index.provider)
-        for index in indexes
-        if isinstance(index, DenseIndex)
-    }
-    provider = next(iter(providers.values()), None)
+    provider = next((resolve_provider(index.provider) for index in indexes if isinstance(index, DenseIndex)), None)
     if len(views) > 1:
         fused = retrieve_mc(dict(zip(views, indexes)), args.question, args.k, args.ordinal, provider)
         for pos, unit in enumerate(fused.units, start=1):

@@ -7,8 +7,9 @@ covered by the union of retrieved spans. Both harnesses, ``eval_recall`` and
 (``doc_units``) and one index per view of the mode, so each question is
 scored only against its own document. Sparse indexes over chunks and raw
 sections take their terms from the document's text table, which every setup
-over the document shares. Each question is ranked once per index; every
-budget k slices or fuses that one ranking.
+over the document shares. Each question makes one ``retrieve_mc`` or
+``retrieve_single`` call at the largest budget, which ranks it once per index;
+each budget k keeps the units whose best rank is within its k'.
 Pairwise judging scores two candidate answers in two position-swapped
 rounds; the score-based winner has the higher score total, the round-based
 winner must win both rounds outright.
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import enum
 import logging
+import re
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 from .chunking import ChunkScheme, chunk_document, scope_doc_span
 from .corpus import Document, QAItem
 from .errors import EmptyRetrieval, EmptyScope, ParseError, UnknownDoc, ViewMismatch
-from .fusion import VIEW_ORDER, fuse, per_view_budget, single_budget
+from .fusion import VIEW_ORDER, per_view_budget, retrieve_mc, retrieve_single, single_budget
 from .jsonio import iter_json_objects
 from .prompts import ANSWER, JUDGE
 from .providers import EmbeddingProvider, LlmClient
@@ -36,7 +38,6 @@ from .retrieval import (
     build_dense_index,
     build_sparse_index,
     parse_retriever,
-    rank_units,
     resolve_provider,
 )
 from .views import ViewEntry, ViewKind, build_views, view_texts
@@ -68,7 +69,9 @@ def check_views(scheme: ChunkScheme, views: tuple[ViewKind | None, ...]) -> None
 
 
 def check_budgets(views: tuple[ViewKind | None, ...], ks: list[float]) -> None:
-    """Reject (ValueError) a repeated budget or one the rule of a mode with these views does not take."""
+    """Reject (ValueError) no budget, a repeated one or one the rule of a mode with these views does not take."""
+    if not ks:
+        raise ValueError("no budget given: each setup needs at least one k")
     rule = per_view_budget if len(views) > 1 else single_budget
     for k in ks:
         rule(k, 0)
@@ -145,18 +148,13 @@ def recall_of_set(spans: list[tuple[int, int]], scope: tuple[int, int]) -> float
     scope_start, scope_end = scope
     if scope_end <= scope_start:
         raise EmptyScope(f"answer scope {scope} has zero length")
-    covered = 0
-    merged_start: int | None = None
-    merged_end = 0
+    # In start order, each span adds the part of the scope it covers past ``reach``.
+    covered, reach = 0, scope_start
     for start, end in sorted(spans):
-        if merged_start is None or start > merged_end:
-            if merged_start is not None:
-                covered += max(0, min(merged_end, scope_end) - max(merged_start, scope_start))
-            merged_start, merged_end = start, end
-        else:
-            merged_end = max(merged_end, end)
-    if merged_start is not None:
-        covered += max(0, min(merged_end, scope_end) - max(merged_start, scope_start))
+        start, end = max(start, reach), min(end, scope_end)
+        if end > start:
+            covered += end - start
+            reach = end
     return covered / (scope_end - scope_start)
 
 
@@ -234,10 +232,10 @@ def retrieved_spans(
     Each document gets one context (``build_doc_context``) on first use,
     dropped after the document's last question.
     Keyword and summary views come from ``views`` when given, else they are
-    the extractive views built in process. Each question is ranked once per
-    index, to the largest budget of its dataset-order ordinal (shifted by one
-    with ``invert_parity``); every k fuses (``mc``) or cuts that ranking.
-    Questions whose document is absent are skipped with a warning.
+    the extractive views built in process. Each question is retrieved once,
+    at the largest k and its dataset-order ordinal (shifted by one with
+    ``invert_parity``); each k keeps the units whose best rank is within its
+    budget. Questions whose document is absent are skipped with a warning.
     """
     view_kinds = parse_mode(mode)
     needs_views = any(v in (ViewKind.KEYWORDS, ViewKind.SUMMARY) for v in view_kinds)
@@ -248,7 +246,7 @@ def retrieved_spans(
     by_id = {d.doc_id: d for d in docs}
     contexts = {}
     questions_left = Counter(item.doc_id for item in qa)
-    for position, item in enumerate(qa):
+    for ordinal, item in enumerate(qa, start=int(invert_parity)):
         doc = by_id.get(item.doc_id)
         if doc is None:
             logger.warning("skipping %s: document %r not ingested", item.question_id, item.doc_id)
@@ -258,15 +256,14 @@ def retrieved_spans(
             contexts[doc.doc_id] = build_doc_context(doc, scheme, view_kinds, retriever_kind, provider, doc_views)
         questions_left[doc.doc_id] -= 1
         span_by_unit, indexes = contexts[doc.doc_id] if questions_left[doc.doc_id] else contexts.pop(doc.doc_id)
-        budgets = [budget(k, position + 1 if invert_parity else position) for k in ks]
-        rankings = {view: rank_units(index, item.question, provider, n=max(budgets, default=0))
-                    for view, index in indexes.items()}
         if fused:
-            unit_ids = [fuse(rankings, b).unit_ids for b in budgets]
+            ranked = [(u.unit_id, min(u.view_ranks.values()))
+                      for u in retrieve_mc(indexes, item.question, max(ks), ordinal, provider).units]
         else:
-            (ranking,) = rankings.values()
-            unit_ids = [[s.unit_id for s in ranking[:b]] for b in budgets]
-        yield item, doc, [[span_by_unit[uid] for uid in ids] for ids in unit_ids]
+            (index,) = indexes.values()
+            ranked = [(s.unit_id, s.rank) for s in retrieve_single(index, item.question, max(ks), ordinal, provider)]
+        budgets = [budget(k, ordinal) for k in ks]
+        yield item, doc, [[span_by_unit[uid] for uid, rank in ranked if rank <= b] for b in budgets]
 
 
 def eval_recall(
@@ -347,18 +344,18 @@ def judge_outcome(a1: float, b1: float, a2: float, b2: float) -> tuple[Winner, W
     return score_based, round_based
 
 
+_JSON_NUMBER = re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
+
+
 def _parse_judge_scores(raw: str) -> tuple[float, float]:
-    """Scores from the last JSON object in the judge's output with both scores numeric (a boolean is not)."""
+    """Scores from the last JSON object in the judge's output whose two scores are JSON numbers or spell one."""
     found: tuple[float, float] | None = None
     for obj in iter_json_objects(raw):
         pair = (obj.get("answer_1_score"), obj.get("answer_2_score"))
-        if any(isinstance(s, bool) for s in pair):  # ``float(True)`` would be 1.0
-            continue
-        try:
-            scores = (float(pair[0]), float(pair[1]))
-        except (TypeError, ValueError):
-            continue
-        found = scores
+        # A score is read from its JSON spelling, so a boolean, "1_0" or "\u0663" is not one.
+        texts = [s if type(s) is str else repr(s) if type(s) in (int, float) else "" for s in pair]
+        if all(_JSON_NUMBER.fullmatch(t) for t in texts):
+            found = (float(texts[0]), float(texts[1]))
     if found is None:
         raise ParseError("judge output has no parseable score object")
     if not all(0.0 <= s <= 10.0 for s in found):

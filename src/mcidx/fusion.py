@@ -7,7 +7,10 @@ approximately k units. Fractional budgets (k=1.5, and the odd/even split of
 fused union is never truncated to k: comparisons happen at matched budgets,
 not matched output sizes. A multi-view budget is 1.5 or an integer >= 2, a
 single-view one 1.5 or a positive integer; anything else is a ValueError.
-Every view is ranked by ``rank_units`` with its retriever's fixed settings.
+Every view is ranked by ``rank_units`` with its retriever's fixed settings,
+only through ``retrieve_mc`` or ``retrieve_single``. Fusing top-b rankings keeps
+the units whose best view rank is at most b, in order, so evaluation retrieves
+once at its largest budget and each k keeps the units within its k'.
 Fusion trusts its view indexes to cover the same unit ids: evaluation builds
 them from one unit table, and ``mcidx retrieve`` checks them once, at load.
 """

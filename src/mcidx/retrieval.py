@@ -12,9 +12,8 @@ identical texts under any retriever, or a zero-score tail) keep ascending
 corpus position, so results are reproducible across runs and thread counts;
 the top n is always a prefix of the full ranking. Dense scores are float32 dot
 products, so two different rows whose exact cosines tie can differ in the last
-bit and rank by that rounding. Evaluation builds one context per document and
-ranks each question once per index, to the largest budget: every budget k is
-a prefix of that ranking.
+bit and rank by that rounding. Evaluation ranks each question once per index
+(``fusion.retrieve_mc`` or ``retrieve_single``); a budget keeps the top k' ranks.
 """
 
 from __future__ import annotations
@@ -214,10 +213,10 @@ def _bm25_scores(index: SparseIndex, query: str) -> np.ndarray:
 def embed(texts: list[str], provider: EmbeddingProvider) -> np.ndarray:
     """Embed texts in batches of ``EMBED_BATCH_SIZE`` and L2-normalize the rows (float32).
 
-    Each batch must come back as one finite row per text, every row of one
-    width across batches; anything else is a ProviderError (DimensionMismatch
-    for a wrong shape). Zero vectors (texts with no terms under a sparse-featured
-    provider) are left unnormalized rather than divided by zero.
+    Each batch must come back as one finite row of ints and floats per text,
+    every row of one width across batches; anything else is a ProviderError
+    (DimensionMismatch for a wrong shape or value). Zero vectors (texts with no
+    terms under a sparse-featured provider) are left unnormalized, not divided by zero.
     """
     texts = list(texts)
     if not texts:
@@ -237,6 +236,10 @@ def embed(texts: list[str], provider: EmbeddingProvider) -> np.ndarray:
             raise DimensionMismatch(
                 f"provider {provider.name!r} returned shape {block.shape} for {len(batch)} texts{after}"
             )
+        # An array is checked by its dtype; float64 would turn True and "1.5" into numbers.
+        if not (out.dtype.kind in "iuf" if isinstance(out, np.ndarray)
+                else all(type(v) in (int, float) for row in out for v in row)):
+            raise DimensionMismatch(f"provider {provider.name!r} returned a vector value that is not a number")
         if not np.isfinite(block).all():
             raise ProviderError(f"provider {provider.name!r} returned a non-finite vector value")
         blocks.append(block)

@@ -265,6 +265,14 @@ def oracle_recall_sum(spans: list[tuple[int, int]], scope: tuple[int, int]) -> f
     return total / length
 
 
+def oracle_recall_chars(spans: list[tuple[int, int]], scope: tuple[int, int]) -> float:
+    """Share of the scope's character positions that some span covers, counted one by one."""
+    covered = set()
+    for start, end in spans:
+        covered.update(range(start, end))
+    return len(covered & set(range(*scope))) / (scope[1] - scope[0])
+
+
 def oracle_judge(a1: float, b1: float, a2: float, b2: float) -> tuple[str, str]:
     """Table-driven restatement of the two judging rules."""
     if a1 + a2 > b1 + b2:

@@ -539,7 +539,12 @@ class TestMalformedEmbeddings:
         lambda n: {"vectors": {"a": [1.0]}},
         lambda n: {"vectors": [[1.0, 0.0]] * (n - 1)},
         lambda n: {"vectors": [[1.0, 0.0]] * (n - 1) + [[1.0]]},
-    ], ids=["string-value", "flat-number", "null-value", "missing", "object", "wrong-count", "ragged"])
+        lambda n: {"vectors": [[True, False]] * n},
+        lambda n: {"vectors": [["1.5", "2"]] * n},
+        lambda n: {"vectors": [[1, "\u0663"]] * n},
+        lambda n: {"vectors": [[1.0, 0.0]] * (n - 1) + [[1.0, True]]},
+    ], ids=["string-value", "flat-number", "null-value", "missing", "object", "wrong-count", "ragged",
+            "boolean-value", "numeric-string", "non-ascii-digit", "boolean-in-last-row"])
     def test_index_with_malformed_vectors_is_provider_error(self, reply, dataset, tmp_path, stub,
                                                            monkeypatch, capsys):
         monkeypatch.setenv("MCIDX_EMBED_URL", stub.url)

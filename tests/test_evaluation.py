@@ -6,11 +6,12 @@ import tracemalloc
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import SECTION_TEXTS, ScriptedLlm, make_doc
 import mcidx.evaluation as evaluation
+import mcidx.fusion as fusion
 from mcidx.chunking import ChunkScheme, chunk_document, scope_doc_span
 from mcidx.corpus import QAItem, QuestionType
 from mcidx.errors import EmptyRetrieval, EmptyScope, ParseError, UnknownDoc, ViewMismatch
@@ -18,6 +19,7 @@ from mcidx.evaluation import (
     RecallReport,
     Winner,
     build_doc_context,
+    check_budgets,
     check_views,
     doc_units,
     eval_recall,
@@ -31,7 +33,7 @@ from mcidx.evaluation import (
 from mcidx.fusion import retrieve_mc, retrieve_single
 from mcidx.synthetic import complementarity_fixture, synthetic_corpus
 from mcidx.views import Provenance, ViewEntry, ViewKind, build_views
-from oracles import oracle_judge, oracle_recall, oracle_recall_sum
+from oracles import oracle_judge, oracle_recall, oracle_recall_chars, oracle_recall_sum
 
 
 def _qa(doc_id, section_id, span, qid="q1"):
@@ -72,6 +74,18 @@ class TestRecallOfSet:
             base = recall_of_set(spans, self.SCOPE)
             extra = (rng.randint(0, 200), rng.randint(201, 250))
             assert recall_of_set(spans + [extra], self.SCOPE) >= base
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(spans=st.lists(st.tuples(st.integers(0, 60), st.integers(0, 20)).map(lambda s: (s[0], s[0] + s[1])),
+                          max_size=6),
+           scope=st.tuples(st.integers(0, 60), st.integers(1, 30)).map(lambda s: (s[0], s[0] + s[1])))
+    @example(spans=[(10, 90), (20, 30), (40, 50)], scope=SCOPE)  # nested
+    @example(spans=[(0, 50), (0, 50), (50, 50)], scope=SCOPE)  # repeated, then empty at the edge
+    @example(spans=[(30, 30), (70, 120), (60, 80)], scope=SCOPE)  # empty, then overlapping past the scope
+    @example(spans=[(5, 5)], scope=SCOPE)  # only an empty span
+    def test_matches_character_set_oracle(self, spans, scope):
+        # Spans may overlap, nest, repeat or be empty (start == end).
+        assert recall_of_set(spans, scope) == oracle_recall_chars(spans, scope)
 
     def test_union_equals_sum_for_disjoint_flc_chunks(self):
         docs, qa = synthetic_corpus(n_docs=2)
@@ -142,6 +156,19 @@ class TestEvalRecall:
         docs, qa = synthetic_corpus(n_docs=2)
         with pytest.raises(ValueError, match="repeated budget"):
             eval_recall(docs, qa, "content", "bm25", "single:raw", ks)
+
+    @pytest.mark.parametrize("mode", ["mc", "single:raw"])
+    def test_empty_budget_list_rejected(self, mode, monkeypatch):
+        # Rejected up front: no document is touched and no ranking is made.
+        def untouched(*args):
+            raise AssertionError("a document was touched")
+
+        monkeypatch.setattr(evaluation, "build_doc_context", untouched)
+        docs, qa = synthetic_corpus(n_docs=1)
+        with pytest.raises(ValueError, match="no budget"):
+            eval_recall(docs, qa, "content", "bm25", mode, [])
+        with pytest.raises(ValueError, match="no budget"):
+            check_budgets(parse_mode(mode), [])
 
     def test_mc_requires_content_scheme(self):
         docs, qa = synthetic_corpus(n_docs=1)
@@ -255,14 +282,15 @@ class TestOneRankingPerQuestion:
         ("content", "mc", 3),
     ])
     def test_rank_calls_per_question(self, monkeypatch, scheme, mode, per_question):
+        # Evaluation reaches its indexes only through fusion, which ranks with rank_units.
         calls = []
-        rank_units = evaluation.rank_units
+        rank_units = fusion.rank_units
 
         def counting(*args, **kwargs):
             calls.append(args)
             return rank_units(*args, **kwargs)
 
-        monkeypatch.setattr(evaluation, "rank_units", counting)
+        monkeypatch.setattr(fusion, "rank_units", counting)
         docs, qa = synthetic_corpus(n_docs=2)
         eval_recall(docs, qa, scheme, "bm25", mode, self.KS)
         assert len(calls) == per_question * len(qa)
@@ -452,10 +480,31 @@ class TestJudge:
         '{"answer_1_score": true, "answer_2_score": 3}',
         '{"answer_1_score": 9}',
         '{"answer_1_score": "x", "answer_2_score": 1}',
-    ], ids=["boolean", "one-key", "not-a-number"])
+        '{"answer_1_score": "1_0", "answer_2_score": 1}',
+    ], ids=["boolean", "one-key", "not-a-number", "underscore-digits"])
     def test_last_valid_score_object_wins(self, later):
         raw = f'{{"answer_1_score": 4, "answer_2_score": "7"}} {later}'
         assert evaluation._parse_judge_scores(raw) == (4.0, 7.0)
+
+    @pytest.mark.parametrize("score", ["1_0", "\u0663", " 7 ", "7 ", "+7", "7.", ".5", "0x7", "inf", "NaN"])
+    def test_string_score_outside_json_number_spelling_is_not_a_score(self, score):
+        raw = json.dumps({"answer_1_score": score, "answer_2_score": 3})
+        with pytest.raises(ParseError, match="no parseable score object"):
+            evaluation._parse_judge_scores(raw)
+
+    @pytest.mark.parametrize("score,value", [("7", 7.0), ("2.5", 2.5), ("1e1", 10.0), ("0", 0.0), ("-0", 0.0)])
+    def test_string_score_in_json_number_spelling_is_a_score(self, score, value):
+        raw = json.dumps({"answer_1_score": score, "answer_2_score": 3})
+        assert evaluation._parse_judge_scores(raw) == (value, 3.0)
+
+    def test_integer_beyond_float_range_is_out_of_range(self):
+        raw = '{"answer_1_score": 1' + "0" * 400 + ', "answer_2_score": 3}'
+        with pytest.raises(ParseError, match="outside"):
+            evaluation._parse_judge_scores(raw)
+
+    def test_skipped_string_score_falls_through_to_a_later_valid_object(self):
+        raw = '{"answer_1_score": "\u0663", "answer_2_score": 1} {"answer_1_score": 2, "answer_2_score": "5"}'
+        assert evaluation._parse_judge_scores(raw) == (2.0, 5.0)
 
     def test_outcomes_match_oracle_on_grid(self):
         for a1 in (0, 5, 10):

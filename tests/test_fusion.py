@@ -3,9 +3,11 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcidx.fusion import fuse, per_view_budget, retrieve_mc, retrieve_single
-from mcidx.retrieval import build_sparse_index, rank_units
+from mcidx.retrieval import ScoredUnit, build_sparse_index, rank_units
 from mcidx.views import ViewKind
 
 VIEWS = (ViewKind.RAW_TEXT, ViewKind.KEYWORDS, ViewKind.SUMMARY)
@@ -172,3 +174,34 @@ class TestFusionLaws:
         first = retrieve_mc(indexes, "q", 5, 0)
         second = retrieve_mc(indexes, "q", 5, 0)
         assert first.unit_ids == second.unit_ids
+
+
+def _ranking(unit_ids):
+    return [ScoredUnit(uid, float(-rank), rank) for rank, uid in enumerate(unit_ids, 1)]
+
+
+# Each view ranks distinct units out of a shared pool of eight, so a unit can
+# sit in several views at different ranks, and a view can be shorter than k'.
+view_rankings = st.lists(st.sampled_from([f"u{i}" for i in range(8)]), unique=True, max_size=8).map(_ranking)
+
+
+class TestBudgetIsABestRankCut:
+    """Evaluation ranks once at the largest budget and cuts every smaller one by best rank."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(rankings=st.fixed_dictionaries({view: view_rankings for view in VIEWS}),
+           top=st.integers(min_value=1, max_value=9))
+    def test_fused_prefix_is_the_units_within_the_budget(self, rankings, top):
+        full = fuse(rankings, top)
+        for b in range(1, top + 1):
+            kept = [u.unit_id for u in full.units if min(u.view_ranks.values()) <= b]
+            assert fuse(rankings, b).unit_ids == kept
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(counts=st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=8),
+           top=st.integers(min_value=1, max_value=9))
+    def test_single_view_prefix_is_the_units_within_the_budget(self, counts, top):
+        index = indexes_with_counts({view: dict(enumerate(counts)) for view in VIEWS}, len(counts))[VIEWS[0]]
+        ranking = retrieve_single(index, "q", top, 0)
+        for b in range(1, top + 1):
+            assert retrieve_single(index, "q", b, 0) == [s for s in ranking if s.rank <= b]
