@@ -8,9 +8,12 @@ fused union is never truncated to k: comparisons happen at matched budgets,
 not matched output sizes. A multi-view budget is 1.5 or an integer >= 2, a
 single-view one 1.5 or a positive integer; anything else is a ValueError.
 Every view is ranked by ``rank_units`` with its retriever's fixed settings,
-only through ``retrieve_mc`` or ``retrieve_single``. Fusing top-b rankings keeps
-the units whose best view rank is at most b, in order, so evaluation retrieves
-once at its largest budget and each k keeps the units within its k'.
+only through ``retrieve_mc`` or ``retrieve_single``. Each call analyzes its
+question once, as one ``retrieval.Query`` shared by every view, so an ``mc``
+retrieval tokenizes and embeds the question once, not once per view. Fusing
+top-b rankings keeps the units whose best view rank is at most b, in order, so
+evaluation retrieves once at its largest budget and each k keeps the units
+within its k'.
 Fusion trusts its view indexes to cover the same unit ids: evaluation builds
 them from one unit table, and ``mcidx retrieve`` checks them once, at load.
 """
@@ -21,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 from .providers import EmbeddingProvider
-from .retrieval import DenseIndex, ScoredUnit, SparseIndex, rank_units
+from .retrieval import DenseIndex, Query, ScoredUnit, SparseIndex, rank_units
 from .views import ViewKind
 
 # Fixed merge order; recall over the returned set is order-insensitive, this
@@ -90,7 +93,7 @@ def retrieve_single(
     provider: EmbeddingProvider | None = None,
 ) -> list[ScoredUnit]:
     """Top-k single-view retrieval; k=1.5 alternates between 1 and 2."""
-    return rank_units(index, query, provider, n=single_budget(k, question_ordinal))
+    return rank_units(index, Query(query), provider, n=single_budget(k, question_ordinal))
 
 
 def fuse(rankings: dict[ViewKind, list[ScoredUnit]], k_prime: int) -> FusedResult:
@@ -117,12 +120,13 @@ def retrieve_mc(
     question_ordinal: int,
     provider: EmbeddingProvider | None = None,
 ) -> FusedResult:
-    """Rank the query in each view index and ``fuse`` the per-view top-k'.
+    """Rank the query, analyzed once, in each view index and ``fuse`` the per-view top-k'.
 
     ``view_indexes`` must hold every view of ``VIEW_ORDER`` over the same unit
     ids; callers check that where the indexes are built or loaded.
     """
     k_prime = per_view_budget(k, question_ordinal)
-    rankings = {view: rank_units(view_indexes[view], query, provider, n=k_prime)
+    prepared = Query(query)
+    rankings = {view: rank_units(view_indexes[view], prepared, provider, n=k_prime)
                 for view in VIEW_ORDER}
     return fuse(rankings, k_prime)

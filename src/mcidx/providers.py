@@ -14,8 +14,16 @@ fixed policy: each request may take ``TIMEOUT_S``; transient failures
 (connection errors, 429, 5xx) are retried ``MAX_RETRIES`` times after the
 first try, waiting ``BACKOFF_S`` and doubling the wait each time; anything
 else, including a 200 whose body is not a JSON object, is a ProviderError.
+A reply body may hold at most ``MAX_REPLY_BYTES``: a larger declared
+``Content-Length`` fails before the body is read, and a body without one is
+read no further than one byte past the cap; either is a ProviderError, not
+retried.
 A client keeps no state between calls and may be shared across threads; its
 callers bound their concurrency (``build_views`` by its ``jobs`` workers).
+
+``MockEmbeddingProvider`` is the offline embedder. It keeps the bucket of
+each lowercased whitespace token in one module-level memo, bounded by
+``text.TERM_MEMO_MAX``, and builds a batch's rows with one ``np.bincount``.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ import numpy as np
 
 from .errors import ProviderError, SchemaError
 from .jsonio import require
-from .text import TermMemo, index_terms
+from .text import TermMemo, token_term
 
 logger = logging.getLogger(__name__)
 
@@ -46,6 +54,8 @@ _RETRYABLE_STATUS = {429, 500, 502, 503, 504}
 TIMEOUT_S = 60.0
 MAX_RETRIES = 3
 BACKOFF_S = 0.5
+# An embed reply for 32 texts at 4,096 dimensions is about 3 MB.
+MAX_REPLY_BYTES = 64 << 20
 
 MOCK_EMBED_DIM = 256
 
@@ -91,6 +101,18 @@ def _endpoint(base_url: str, path: str, variable: str) -> str:
     return base_url.rstrip("/") + path
 
 
+def _read_capped(response, url: str) -> bytes:
+    """The body of ``response``, or a ProviderError once it is known to exceed ``MAX_REPLY_BYTES``."""
+    declared = response.headers.get("Content-Length", "")
+    if declared.isascii() and declared.isdigit() and int(declared) > MAX_REPLY_BYTES:
+        raise ProviderError(f"reply from {url} declares {declared} bytes, "
+                            f"larger than {MAX_REPLY_BYTES} bytes")
+    raw = response.read(MAX_REPLY_BYTES + 1)
+    if len(raw) > MAX_REPLY_BYTES:
+        raise ProviderError(f"reply from {url} is larger than {MAX_REPLY_BYTES} bytes")
+    return raw
+
+
 def _post_json(url: str, payload: dict, headers: dict[str, str]) -> dict:
     """POST ``payload`` and return the JSON object of a 200 reply, retrying transient failures."""
     request = urllib.request.Request(
@@ -105,7 +127,7 @@ def _post_json(url: str, payload: dict, headers: dict[str, str]) -> dict:
             except urllib.error.HTTPError as exc:  # any status outside 2xx
                 response = exc
             with response:
-                status, raw = response.status, response.read()
+                status, raw = response.status, _read_capped(response, url)
         except (OSError, http.client.HTTPException) as exc:
             last_error = f"request failed: {exc}"
         else:
@@ -162,13 +184,21 @@ class HttpEmbeddingProvider(EmbeddingProvider):
         return _post_json(self._url, {"texts": list(texts)}, {}).get("vectors")
 
 
-def _bucket(term: str) -> int:
+# The bucket of a token with no term: one column past the vector, cut off.
+_NO_TERM = MOCK_EMBED_DIM
+
+
+def _token_bucket(token: str) -> int:
+    term = token_term(token)
+    if not term:
+        return _NO_TERM
     digest = hashlib.blake2b(term.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "little") % MOCK_EMBED_DIM
 
 
-# ``term -> bucket``, shared by every MockEmbeddingProvider in the process.
-_BUCKETS = TermMemo(_bucket)
+# ``lowercased token -> bucket of its term`` (or ``_NO_TERM``), shared by
+# every MockEmbeddingProvider in the process and bounded by ``TERM_MEMO_MAX``.
+_BUCKETS = TermMemo(_token_bucket)
 
 
 class MockEmbeddingProvider(EmbeddingProvider):
@@ -176,8 +206,9 @@ class MockEmbeddingProvider(EmbeddingProvider):
 
     Each term is hashed into one of ``MOCK_EMBED_DIM`` buckets; a text's
     vector is its bucket-count histogram (normalization happens index-side).
-    The module hashes each distinct term once and keeps its bucket, so a row
-    does not depend on which texts any instance embedded before.
+    The module keeps the bucket of each distinct lowercased token in one
+    memo, bounded by ``TERM_MEMO_MAX``, so a token costs one lookup after its
+    first, and a row does not depend on which texts any instance embedded before.
     Identical texts always map to identical vectors, so rankings are
     reproducible and checkable against a brute-force cosine oracle.
     """
@@ -186,10 +217,16 @@ class MockEmbeddingProvider(EmbeddingProvider):
         self.name = name
 
     def embed(self, texts: list[str]) -> np.ndarray:
-        # Row by row: one ``fromiter`` over the whole batch is faster for
-        # large batches but about doubles the cost of a one-text query embed.
-        matrix = np.zeros((len(texts), MOCK_EMBED_DIM))
-        for row, text in enumerate(texts):
-            buckets = np.fromiter(map(_BUCKETS.__getitem__, index_terms(text)), np.intp)
-            matrix[row] = np.bincount(buckets, minlength=MOCK_EMBED_DIM)
-        return matrix
+        # One bincount over the batch, each row MOCK_EMBED_DIM + 1 wide so that
+        # the tokens with no term land in a last column that is cut off.
+        width = MOCK_EMBED_DIM + 1
+        tokens: list[str] = []
+        lengths = []
+        for text in texts:
+            row_tokens = text.lower().split()
+            tokens += row_tokens
+            lengths.append(len(row_tokens))
+        keys = np.fromiter(map(_BUCKETS.__getitem__, tokens), np.intp, len(tokens))
+        keys += np.repeat(np.arange(0, len(lengths) * width, width), lengths)
+        counts = np.bincount(keys, minlength=len(lengths) * width).reshape(len(lengths), width)
+        return counts[:, :MOCK_EMBED_DIM].astype(np.float64)

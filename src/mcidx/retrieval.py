@@ -12,8 +12,11 @@ identical texts under any retriever, or a zero-score tail) keep ascending
 corpus position, so results are reproducible across runs and thread counts;
 the top n is always a prefix of the full ranking. Dense scores are float32 dot
 products, so two different rows whose exact cosines tie can differ in the last
-bit and rank by that rounding. Evaluation ranks each question once per index
-(``fusion.retrieve_mc`` or ``retrieve_single``); a budget keeps the top k' ranks.
+bit and rank by that rounding. A question is analyzed once per retrieval, as
+a ``Query`` that every index it is ranked against shares: its index terms and
+term counts are made once, and its vector once per provider. Evaluation ranks
+each question once per index (``fusion.retrieve_mc`` or ``retrieve_single``);
+a budget keeps the top k' ranks.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -123,6 +127,33 @@ class DenseIndex:
         return int(self.matrix.shape[1])
 
 
+class Query:
+    """A question prepared for ranking against any number of indexes.
+
+    Each part is made on first use and kept: the index terms in token order
+    (BM25 sums per query token in that order), their counts in first-occurrence
+    order (TF-IDF sums in that order) and the vector of each provider, by name.
+    """
+
+    def __init__(self, text: str):
+        self.text = text
+        self._vectors: dict[str, np.ndarray] = {}
+
+    @cached_property
+    def terms(self) -> list[str]:
+        return index_terms(self.text)
+
+    @cached_property
+    def term_counts(self) -> Counter[str]:
+        return Counter(self.terms)
+
+    def vector(self, provider: EmbeddingProvider) -> np.ndarray:
+        """The normalized embedding of the text cut to ``DENSE_TOKEN_LIMIT`` tokens, made once per provider."""
+        if provider.name not in self._vectors:
+            self._vectors[provider.name] = embed([truncate_tokens(self.text, DENSE_TOKEN_LIMIT)], provider)[0]
+        return self._vectors[provider.name]
+
+
 def _check_units(units: list[tuple[str, str]]) -> None:
     if not units:
         raise EmptyCorpus("cannot index zero units")
@@ -183,9 +214,9 @@ def _ranked(unit_ids: list[str], scores: np.ndarray, n: int | None) -> list[Scor
             for rank, (i, s) in enumerate(zip(order.tolist(), scores[order].tolist()), 1)]
 
 
-def _tfidf_scores(index: SparseIndex, query: str) -> np.ndarray:
+def _tfidf_scores(index: SparseIndex, query: Query) -> np.ndarray:
     """Cosine similarity between L2-normalized tf*idf vectors; unseen query terms weigh zero."""
-    weighted = [(count * found[0], found) for term, count in Counter(index_terms(query)).items()
+    weighted = [(count * found[0], found) for term, count in query.term_counts.items()
                 if (found := index.term_postings(term)) is not None]
     query_norm = math.sqrt(sum(weight * weight for weight, _ in weighted))
     dots = np.zeros(index.n)
@@ -195,13 +226,13 @@ def _tfidf_scores(index: SparseIndex, query: str) -> np.ndarray:
     return np.divide(dots, denom, out=np.zeros(index.n), where=denom != 0)
 
 
-def _bm25_scores(index: SparseIndex, query: str) -> np.ndarray:
+def _bm25_scores(index: SparseIndex, query: Query) -> np.ndarray:
     """Okapi BM25 with saturation ``BM25_K1`` and length normalization ``BM25_B``.
 
     Contributions sum over query token occurrences, so repeated query terms
     scale their contribution.
     """
-    found = [postings for term in index_terms(query) if (postings := index.term_postings(term)) is not None]
+    found = [postings for term in query.terms if (postings := index.term_postings(term)) is not None]
     scores = np.zeros(index.n)
     if found:  # then some unit has terms, so avgdl > 0
         denom_norm = BM25_K1 * (1.0 - BM25_B + BM25_B * (index.unit_lens / index.avgdl))
@@ -257,13 +288,13 @@ def build_dense_index(units: list[tuple[str, str]], provider: EmbeddingProvider)
     return DenseIndex([uid for uid, _ in units], embed(texts, provider), provider.name)
 
 
-def _dense_scores(index: DenseIndex, query: str, provider: EmbeddingProvider) -> np.ndarray:
+def _dense_scores(index: DenseIndex, query: Query, provider: EmbeddingProvider) -> np.ndarray:
     """Cosine (float32 dot product of normalized vectors) between query and rows."""
     if provider.name != index.provider:
         raise ProviderMismatch(
             f"index built with provider {index.provider!r}, scoring with {provider.name!r}"
         )
-    query_vec = embed([truncate_tokens(query, DENSE_TOKEN_LIMIT)], provider)[0]
+    query_vec = query.vector(provider)
     if len(query_vec) != index.dim:
         raise DimensionMismatch(f"provider {provider.name!r} returned a query vector of width "
                                 f"{len(query_vec)} for an index of width {index.dim}")
@@ -272,11 +303,11 @@ def _dense_scores(index: DenseIndex, query: str, provider: EmbeddingProvider) ->
 
 def rank_units(
     index: SparseIndex | DenseIndex,
-    query: str,
+    query: Query,
     provider: EmbeddingProvider | None = None,
     n: int | None = None,
 ) -> list[ScoredUnit]:
-    """Rank a query against any index kind, returning the top n (all when None)."""
+    """Rank a prepared query against any index kind, returning the top n (all when None)."""
     if isinstance(index, DenseIndex):
         if provider is None:
             raise ValueError("dense scoring needs the embedding provider")

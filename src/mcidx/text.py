@@ -55,7 +55,12 @@ class TermMemo(dict):
         return value
 
 
-_TERMS = TermMemo(lambda token: token.strip(EDGE_PUNCT))
+def token_term(token: str) -> str:
+    """The index term of a lowercased token: its edges stripped of punctuation, empty if nothing is left."""
+    return token.strip(EDGE_PUNCT)
+
+
+_TERMS = TermMemo(token_term)
 
 
 def token_count(text: str) -> int:
@@ -69,6 +74,8 @@ def truncate_tokens(text: str, limit: int) -> str:
     Returns ``text`` unchanged when it is short enough; otherwise the kept
     tokens re-joined with single spaces.
     """
+    if len(text) <= 2 * limit:  # each token but the last takes a whitespace character after it
+        return text
     tokens = text.split()
     if len(tokens) <= limit:
         return text

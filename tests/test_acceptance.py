@@ -18,6 +18,7 @@ from mcidx.evaluation import eval_recall, judge_outcome, recall_of_set
 from mcidx.fusion import per_view_budget, retrieve_mc, retrieve_single
 from mcidx.providers import MockEmbeddingProvider
 from mcidx.retrieval import (
+    Query,
     build_dense_index,
     build_sparse_index,
     rank_units,
@@ -82,8 +83,8 @@ def test_criterion_3_sparse_oracle_equivalence():
             expected_tfidf = oracle_tfidf_scores(units, query)
             expected_bm25 = oracle_bm25_scores(units, query)
             order = [uid for uid, _ in units]
-            tfidf_ranked = rank_units(build_sparse_index(units, "tfidf"), query)
-            bm25_ranked = rank_units(build_sparse_index(units, "bm25"), query)
+            tfidf_ranked = rank_units(build_sparse_index(units, "tfidf"), Query(query))
+            bm25_ranked = rank_units(build_sparse_index(units, "bm25"), Query(query))
             for scored in tfidf_ranked:
                 assert abs(scored.score - expected_tfidf[scored.unit_id]) < 1e-9
             for scored in bm25_ranked:
@@ -248,8 +249,8 @@ def test_criterion_9_round_trip_and_determinism(tmp_path):
             save_index(index, tmp_path / kind)
             reloaded = load_index(tmp_path / kind)
             for query in queries:
-                before = [(u.unit_id, u.score, u.rank) for u in rank_units(index, query, provider)]
-                after = [(u.unit_id, u.score, u.rank) for u in rank_units(reloaded, query, provider)]
+                before = [(u.unit_id, u.score, u.rank) for u in rank_units(index, Query(query), provider)]
+                after = [(u.unit_id, u.score, u.rank) for u in rank_units(reloaded, Query(query), provider)]
                 assert before == after
 
         docs, qa = synthetic_corpus()

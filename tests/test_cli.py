@@ -5,6 +5,8 @@ import errno
 import hashlib
 import json
 import os
+import socket
+import threading
 
 import pytest
 
@@ -141,6 +143,23 @@ class TestPipeline:
         lines = capsys.readouterr().out.strip().splitlines()
         records = [json.loads(line) for line in lines]
         assert records and all("unit_id" in r and "views" in r for r in records)
+
+    def test_retrieve_embeds_its_question_once(self, dataset, tmp_path, stub, monkeypatch):
+        monkeypatch.setenv("MCIDX_EMBED_URL", stub.url)
+        stub.responder = lambda path, payload: (
+            200, {"vectors": [[1.0 + len(t) % 7, 1.0 + t.count("a"), 1.0] for t in payload["texts"]]})
+        corpus, _ = dataset
+        views = tmp_path / "views.jsonl"
+        assert run(["views", "--corpus", str(corpus), "--output", str(views)]) == 0
+        dirs = []
+        for view in ("raw", "keywords", "summary"):
+            dirs.append(str(tmp_path / f"idx_{view}"))
+            assert run(["index", "--corpus", str(corpus), "--scheme", "content", "--retriever", "dense:stub",
+                        "--view", view, "--views", str(views), "--output", dirs[-1]]) == 0
+        for mode, indexes in (("mc", dirs), ("single:raw", dirs[:1])):
+            before = len(stub.requests)
+            assert run(["retrieve", "--mode", mode, "--index", *indexes, "--question", "anything"]) == 0
+            assert [path for path, _, _ in stub.requests[before:]] == ["/embed"], mode
 
     def test_single_retrieve_ranks(self, dataset, tmp_path, capsys):
         corpus, _ = dataset
@@ -595,6 +614,77 @@ class TestNonObjectReply:
         code = run([*command, "--corpus", str(corpus), *qa_args, "--output", str(tmp_path / "out")])
         assert code == 3
         assert "not a JSON object" in capsys.readouterr().err
+
+
+def _serve_unsized_replies(listener, requests, sent, total):
+    """Answer each embed request with a valid reply of about ``total`` bytes, sent without a Content-Length.
+
+    The body ends only when the connection closes, so only the client's own
+    cap stops it from reading all of it. ``sent`` gets the bytes sent before
+    the client hung up, or ``total``.
+    """
+    piece = b"x" * 65536
+    while True:
+        try:
+            conn, _ = listener.accept()
+        except OSError:  # the listener was closed
+            return
+        with conn, conn.makefile("rb") as reader:
+            headers = {}
+            while (line := reader.readline()) not in (b"\r\n", b""):
+                name, _, value = line.decode("latin-1").partition(":")
+                headers[name.strip().lower()] = value.strip()
+            payload = json.loads(reader.read(int(headers.get("content-length", 0))))
+            requests.append(payload)
+            head = json.dumps({"vectors": [[1.0, 0.0]] * len(payload["texts"])})[:-1] + ', "pad": "'
+            done = 0
+            try:
+                conn.sendall(b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nConnection: close\r\n\r\n"
+                             + head.encode())
+                while done < total:
+                    conn.sendall(piece)
+                    done += len(piece)
+                conn.sendall(b'"}')
+            except OSError:  # the client hung up after its cap
+                pass
+            sent.append(done)
+
+
+class TestReplySizeCap:
+    """A reply over ``providers.MAX_REPLY_BYTES`` is a provider error (exit 3), never retried."""
+
+    @pytest.fixture(autouse=True)
+    def _small_cap(self, monkeypatch):
+        monkeypatch.setattr(providers, "MAX_REPLY_BYTES", 1024)
+        monkeypatch.setattr(providers, "BACKOFF_S", 0.01)
+
+    def _index(self, dataset, tmp_path, monkeypatch, url):
+        monkeypatch.setenv("MCIDX_EMBED_URL", url)
+        corpus, _ = dataset
+        return run(["index", "--corpus", str(corpus), "--scheme", "content",
+                    "--retriever", "dense:stub", "--output", str(tmp_path / "idx")])
+
+    def test_declared_length_over_the_cap(self, dataset, tmp_path, stub, monkeypatch, capsys):
+        stub.responder = lambda path, payload: (
+            200, {"vectors": [[1.0, 0.0]] * len(payload["texts"]), "pad": "x" * 2048})
+        assert self._index(dataset, tmp_path, monkeypatch, stub.url) == 3
+        assert len(stub.requests) == 1
+        assert "declares 2" in capsys.readouterr().err  # rejected before the body is read
+
+    def test_unsized_body_over_the_cap(self, dataset, tmp_path, monkeypatch, capsys):
+        listener = socket.create_server(("127.0.0.1", 0))
+        requests, sent, total = [], [], 64 << 20
+        server = threading.Thread(target=_serve_unsized_replies, args=(listener, requests, sent, total),
+                                  daemon=True)
+        server.start()
+        try:
+            host, port = listener.getsockname()
+            assert self._index(dataset, tmp_path, monkeypatch, f"http://{host}:{port}") == 3
+        finally:
+            listener.close()
+            server.join(timeout=5)
+        assert len(requests) == 1 and sent[0] < total  # the client stopped reading at its cap
+        assert "is larger than 1024 bytes" in capsys.readouterr().err
 
 
 def test_llm_url_that_is_not_http_fails_before_any_request(dataset, tmp_path, monkeypatch, capsys):

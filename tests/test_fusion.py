@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcidx.fusion import fuse, per_view_budget, retrieve_mc, retrieve_single
-from mcidx.retrieval import ScoredUnit, build_sparse_index, rank_units
+from mcidx.providers import MockEmbeddingProvider
+from mcidx.retrieval import Query, ScoredUnit, build_dense_index, build_sparse_index, rank_units
 from mcidx.views import ViewKind
 
 VIEWS = (ViewKind.RAW_TEXT, ViewKind.KEYWORDS, ViewKind.SUMMARY)
@@ -129,6 +130,23 @@ class TestRetrieveMc:
         u3 = next(u for u in fused.units if u.unit_id == "u3")
         assert u3.view_ranks == {ViewKind.RAW_TEXT: 1, ViewKind.KEYWORDS: 2}
 
+    def test_embeds_the_question_once(self):
+        class Counting(MockEmbeddingProvider):
+            def embed(self, texts):
+                calls.append(list(texts))
+                return super().embed(texts)
+
+        calls = []
+        provider = Counting()
+        indexes = {view: build_dense_index([(f"u{i}", f"{view.value} term{i} shared") for i in range(5)],
+                                           provider) for view in VIEWS}
+        for ordinal, question in enumerate(["shared term1", "term2 raw", "nothing known"]):
+            calls.clear()
+            fused = retrieve_mc(indexes, question, 3, ordinal, provider)
+            assert calls == [[question]]
+            rankings = {view: rank_units(index, Query(question), provider) for view, index in indexes.items()}
+            assert fused == fuse(rankings, per_view_budget(3, ordinal))
+
 
 class TestFusionLaws:
     def _random_indexes(self, rng, n_units=10):
@@ -165,7 +183,7 @@ class TestFusionLaws:
         rng = random.Random(11)
         for _ in range(20):
             indexes = self._random_indexes(rng)
-            rankings = {view: rank_units(index, "q") for view, index in indexes.items()}
+            rankings = {view: rank_units(index, Query("q")) for view, index in indexes.items()}
             assert fuse(rankings, per_view_budget(k, ordinal)) == retrieve_mc(indexes, "q", k, ordinal)
 
     def test_deterministic(self):

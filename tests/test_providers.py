@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mcidx import providers
+from mcidx import providers, text
 from mcidx.errors import DimensionMismatch, ProviderError
 from mcidx.providers import (
     MOCK_EMBED_DIM,
@@ -19,7 +19,7 @@ from mcidx.providers import (
     HttpLlmClient,
     MockEmbeddingProvider,
 )
-from mcidx.retrieval import embed
+from mcidx.retrieval import DENSE_TOKEN_LIMIT, build_dense_index, embed
 from oracles import oracle_mock_embed
 
 # Repeated, Unicode, edge-punctuated and punctuation-only tokens.
@@ -232,6 +232,8 @@ class TestMockEmbeddingProvider:
     @given(st.lists(_TEXTS, max_size=8), st.lists(_TEXTS, max_size=8))
     @example([], [])
     @example(["cat cat"], ["", "  ", "... —"])  # texts without a single term are zero rows
+    # Lowercasing that depends on context ("Σ") or lengthens a token ("İ"), and mixed case.
+    @example(["ΑΣ ΣΑΣ.", "İstanbul", "Cat CAT cAt"], ["“” naïve, (Naïve) NAÏVE!"])
     def test_equals_per_occurrence_oracle(self, first, second):
         # Rows depend on neither the instance nor what any instance embedded before.
         warm = MockEmbeddingProvider()
@@ -241,3 +243,43 @@ class TestMockEmbeddingProvider:
             assert rows.dtype == np.float64
             assert rows.shape == (len(texts), MOCK_EMBED_DIM)
             assert _row_bytes(rows) == _row_bytes(oracle_mock_embed(texts))
+
+    @pytest.mark.parametrize("size", [1, 2, 31, 32, 33, 65])
+    def test_batches_through_retrieval_embed(self, size):
+        # retrieval.embed sends EMBED_BATCH_SIZE texts a call; every row of every batch is the oracle's.
+        provider = _Recording()
+        texts = [" ".join(_TOKENS[(i + j) % len(_TOKENS)] for j in range(i % 9)) for i in range(size)]
+        embed(texts, provider)
+        assert [len(batch) for batch, _ in provider.calls] == [min(32, size - s) for s in range(0, size, 32)]
+        for batch, rows in provider.calls:
+            assert _row_bytes(rows) == _row_bytes(oracle_mock_embed(batch))
+
+    def test_long_text_is_truncated_before_embedding(self):
+        provider = _Recording()
+        words = [f"w{i % 700}" for i in range(DENSE_TOKEN_LIMIT + 100)]
+        build_dense_index([("u0", " ".join(words)), ("u1", "short text")], provider)
+        ((batch, rows),) = provider.calls
+        assert batch[0].split() == words[:DENSE_TOKEN_LIMIT]
+        assert _row_bytes(rows) == _row_bytes(oracle_mock_embed([" ".join(batch[0].split()), "short text"]))
+
+    def test_memo_cleared_within_a_batch(self, monkeypatch):
+        # Four entries at most: the token memo clears several times inside this one batch.
+        monkeypatch.setattr(text, "TERM_MEMO_MAX", 4)
+        providers._BUCKETS.clear()
+        texts = ["alpha Beta gamma, delta", "epsilon zeta alpha ALPHA", "eta theta iota kappa lambda"]
+        rows = MockEmbeddingProvider().embed(texts)
+        assert _row_bytes(rows) == _row_bytes(oracle_mock_embed(texts))
+        assert len(providers._BUCKETS) <= 4
+
+
+class _Recording(MockEmbeddingProvider):
+    """A mock provider that keeps each batch it was sent with the rows it returned."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def embed(self, texts):
+        rows = super().embed(texts)
+        self.calls.append((list(texts), rows))
+        return rows

@@ -20,6 +20,7 @@ from mcidx.errors import (
 from mcidx.evaluation import doc_units
 from mcidx.providers import EmbeddingProvider, MockEmbeddingProvider
 from mcidx.retrieval import (
+    Query,
     build_dense_index,
     bm25_idf,
     build_sparse_index,
@@ -98,14 +99,14 @@ class TestBuildSparseIndex:
 class TestScoreTfidf:
     def test_unknown_query_term_scores_zero_in_corpus_order(self):
         index = build_sparse_index(THREE_UNITS, "tfidf")
-        ranked = rank_units(index, "xyzzy")
+        ranked = rank_units(index, Query("xyzzy"))
         assert [u.score for u in ranked] == [0.0, 0.0, 0.0]
         assert [u.unit_id for u in ranked] == ["d1", "d2", "d3"]
         assert [u.rank for u in ranked] == [1, 2, 3]
 
     def test_frozen_example(self):
         index = build_sparse_index(THREE_UNITS, "tfidf")
-        ranked = rank_units(index, "cat")
+        ranked = rank_units(index, Query("cat"))
         assert [u.unit_id for u in ranked] == ["d2", "d1", "d3"]
         by_id = {u.unit_id: u.score for u in ranked}
         for uid, expected in TFIDF_CAT.items():
@@ -113,24 +114,24 @@ class TestScoreTfidf:
 
     def test_self_similarity_is_one(self):
         index = build_sparse_index([("only", "alpha beta gamma")], "tfidf")
-        ranked = rank_units(index, "alpha beta gamma")
+        ranked = rank_units(index, Query("alpha beta gamma"))
         assert ranked[0].score == pytest.approx(1.0, abs=1e-12)
 
     def test_query_order_invariance(self):
         index = build_sparse_index(THREE_UNITS, "tfidf")
-        forward = [(u.unit_id, u.score) for u in rank_units(index, "cat dog fish")]
-        backward = [(u.unit_id, u.score) for u in rank_units(index, "fish dog cat")]
+        forward = [(u.unit_id, u.score) for u in rank_units(index, Query("cat dog fish"))]
+        backward = [(u.unit_id, u.score) for u in rank_units(index, Query("fish dog cat"))]
         assert forward == backward
 
 
 class TestScoreBm25:
     def test_absent_terms_contribute_zero(self):
         index = build_sparse_index(THREE_UNITS, "bm25")
-        assert all(u.score == 0.0 for u in rank_units(index, "xyzzy quux"))
+        assert all(u.score == 0.0 for u in rank_units(index, Query("xyzzy quux")))
 
     def test_frozen_example(self):
         index = build_sparse_index(THREE_UNITS, "bm25")
-        ranked = rank_units(index, "cat")
+        ranked = rank_units(index, Query("cat"))
         assert [u.unit_id for u in ranked] == ["d2", "d1", "d3"]
         by_id = {u.unit_id: u.score for u in ranked}
         for uid, expected in BM25_CAT.items():
@@ -138,16 +139,16 @@ class TestScoreBm25:
 
     def test_duplicate_query_terms_double_score(self):
         index = build_sparse_index(THREE_UNITS, "bm25")
-        single = {u.unit_id: u.score for u in rank_units(index, "cat")}
-        double = {u.unit_id: u.score for u in rank_units(index, "cat cat")}
+        single = {u.unit_id: u.score for u in rank_units(index, Query("cat"))}
+        double = {u.unit_id: u.score for u in rank_units(index, Query("cat cat"))}
         for uid in single:
             assert double[uid] == pytest.approx(2 * single[uid], abs=1e-12)
 
     def test_additivity_over_query_terms(self):
         index = build_sparse_index(THREE_UNITS, "bm25")
-        cat = {u.unit_id: u.score for u in rank_units(index, "cat")}
-        dog = {u.unit_id: u.score for u in rank_units(index, "dog")}
-        both = {u.unit_id: u.score for u in rank_units(index, "cat dog")}
+        cat = {u.unit_id: u.score for u in rank_units(index, Query("cat"))}
+        dog = {u.unit_id: u.score for u in rank_units(index, Query("dog"))}
+        both = {u.unit_id: u.score for u in rank_units(index, Query("cat dog"))}
         for uid in cat:
             assert both[uid] == pytest.approx(cat[uid] + dog[uid], abs=1e-12)
 
@@ -171,13 +172,13 @@ class TestOracleEquivalence:
             bm25_index = build_sparse_index(units, "bm25")
             expected_tfidf = oracle_tfidf_scores(units, query)
             expected_bm25 = oracle_bm25_scores(units, query)
-            for scored in rank_units(tfidf_index, query):
+            for scored in rank_units(tfidf_index, Query(query)):
                 assert abs(scored.score - expected_tfidf[scored.unit_id]) < 1e-9
-            for scored in rank_units(bm25_index, query):
+            for scored in rank_units(bm25_index, Query(query)):
                 assert abs(scored.score - expected_bm25[scored.unit_id]) < 1e-9
             order = [uid for uid, _ in units]
-            assert [u.unit_id for u in rank_units(tfidf_index, query)] == oracle_rank(expected_tfidf, order)
-            assert [u.unit_id for u in rank_units(bm25_index, query)] == oracle_rank(expected_bm25, order)
+            for index, expected in ((tfidf_index, expected_tfidf), (bm25_index, expected_bm25)):
+                assert [u.unit_id for u in rank_units(index, Query(query))] == oracle_rank(expected, order)
             checked += 1
         assert checked == 100
 
@@ -198,7 +199,7 @@ class TestOracleEquivalence:
         for units, query in cases:
             expected = reference_loop_scores(units, query, kind)
             index = build_sparse_index(units, kind)
-            assert {u.unit_id: u.score for u in rank_units(index, query)} == expected
+            assert {u.unit_id: u.score for u in rank_units(index, Query(query))} == expected
 
     def test_scores_always_finite(self):
         rng = random.Random(9)
@@ -206,7 +207,7 @@ class TestOracleEquivalence:
             units = random_units(rng)
             for kind in ("tfidf", "bm25"):
                 index = build_sparse_index(units, kind)
-                for scored in rank_units(index, "t0 t1 t2"):
+                for scored in rank_units(index, Query("t0 t1 t2")):
                     assert math.isfinite(scored.score)
 
 
@@ -223,10 +224,10 @@ class TestTopN:
         indexes = {"tfidf": build_sparse_index(units, "tfidf"), "bm25": build_sparse_index(units, "bm25"),
                    "dense": build_dense_index(units, provider)}
         for kind, index in indexes.items():
-            full = rank_units(index, query, provider)
+            full = rank_units(index, Query(query), provider)
             assert len(full) == len(units)
             for n in range(1, len(units) + 2):
-                assert rank_units(index, query, provider, n=n) == full[:n], (kind, n)
+                assert rank_units(index, Query(query), provider, n=n) == full[:n], (kind, n)
 
     @pytest.mark.parametrize("kind", ["tfidf", "bm25", "dense"])
     def test_equal_scores_rank_by_corpus_position(self, kind):
@@ -235,12 +236,12 @@ class TestTopN:
                  ("u1", "fish"), ("u0", "cat dog")]
         provider = MockEmbeddingProvider()
         index = build_dense_index(units, provider) if kind == "dense" else build_sparse_index(units, kind)
-        full = rank_units(index, "cat dog", provider)
+        full = rank_units(index, Query("cat dog"), provider)
         assert [u.unit_id for u in full] == ["u4", "u2", "u0", "u5", "u3", "u1"]
         assert full[0].score == full[1].score == full[2].score > 0.0
         assert [u.score for u in full[3:]] == [0.0, 0.0, 0.0]
         for n in (2, 4):  # a cut inside the top tie and one inside the zero-score tail
-            assert rank_units(index, "cat dog", provider, n=n) == full[:n]
+            assert rank_units(index, Query("cat dog"), provider, n=n) == full[:n]
 
 
 class TestEmbed:
@@ -312,13 +313,13 @@ class TestScoreDense:
         index = build_dense_index([("u1", "alpha"), ("u2", "beta")], provider)
         provider.width = 5
         with pytest.raises(DimensionMismatch, match="width 5.*4"):
-            rank_units(index, "alpha", provider)
+            rank_units(index, Query("alpha"), provider)
 
     def test_identical_text_ranks_first_with_unit_score(self):
         units = [("u1", "alpha beta"), ("u2", "gamma delta"), ("u3", "epsilon zeta")]
         provider = MockEmbeddingProvider()
         index = build_dense_index(units, provider)
-        ranked = rank_units(index, "gamma delta", provider)
+        ranked = rank_units(index, Query("gamma delta"), provider)
         assert ranked[0].unit_id == "u2"
         assert ranked[0].score == pytest.approx(1.0, abs=1e-6)
 
@@ -334,10 +335,10 @@ class TestScoreDense:
         (query_row,) = provider.embed([query])
         expected = oracle_cosine_scores(raw_rows, query_row)
         expected_by_id = {uid: s for (uid, _), s in zip(units, expected)}
-        for scored in rank_units(index, query, provider):
+        for scored in rank_units(index, Query(query), provider):
             assert abs(scored.score - expected_by_id[scored.unit_id]) < 1e-5
         order = [uid for uid, _ in units]
-        assert [u.unit_id for u in rank_units(index, query, provider)] == oracle_rank(
+        assert [u.unit_id for u in rank_units(index, Query(query), provider)] == oracle_rank(
             expected_by_id, order
         )
 
@@ -346,9 +347,9 @@ class TestScoreDense:
         index = build_dense_index([("u", "text")], provider)
         other = MockEmbeddingProvider(name="other")
         with pytest.raises(ProviderMismatch):
-            rank_units(index, "q", other)
+            rank_units(index, Query("q"), other)
         with pytest.raises(ValueError, match="needs the embedding provider"):
-            rank_units(index, "q")
+            rank_units(index, Query("q"))
 
 
 class TestRetrieverSpec:

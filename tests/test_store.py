@@ -19,6 +19,7 @@ from mcidx.cli import run
 from mcidx.errors import CorruptIndex, DataError, McIndexError, VersionMismatch
 from mcidx.providers import MockEmbeddingProvider
 from mcidx.retrieval import (
+    Query,
     build_dense_index,
     build_sparse_index,
     rank_units,
@@ -35,7 +36,7 @@ QUERIES = ["cat dog", "fish", "nothing matches", "cat cat fish dog"]
 
 
 def ranking(index, query, provider=None):
-    return [(u.unit_id, u.score, u.rank) for u in rank_units(index, query, provider)]
+    return [(u.unit_id, u.score, u.rank) for u in rank_units(index, Query(query), provider)]
 
 
 class TestSparseRoundTrip:

@@ -47,6 +47,13 @@ def test_truncate_cuts_to_limit():
     assert token_count(truncate_tokens("a b c d e", 3)) == 3
 
 
+@given(st.text(alphabet="ab \n\u3000", max_size=24), st.integers(0, 12))
+@example("a b c", 2)  # the shortest text with more than ``limit`` tokens
+def test_truncate_equals_split_and_join(text, limit):
+    tokens = text.split()
+    assert truncate_tokens(text, limit) == (text if len(tokens) <= limit else " ".join(tokens[:limit]))
+
+
 def test_index_terms_lowercase_and_edge_punctuation():
     assert index_terms('The "Dell XPS-13", fast!') == ["the", "dell", "xps-13", "fast"]
 
