@@ -12,8 +12,8 @@ regions, either whole or by a greedy sentence merge:
 
 Sentences are never split, so chunks can overshoot the target by at most one
 sentence. Each chunk carries its token range as well as its character span,
-so an index over chunks can take the chunk's terms from the document's text
-table (``corpus.TextTable``) instead of tokenizing the chunk again.
+so an index over chunks can take the chunk's terms from the document's
+``terms`` instead of tokenizing the chunk again.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ class Chunk:
     doc_span: tuple[int, int]
     text: str
     scheme: ChunkScheme
-    # Token range [a, b) of the chunk in the document's text table.
+    # Token range [a, b) of the chunk in the document's tokens.
     token_span: tuple[int, int]
 
 
@@ -114,7 +114,7 @@ def _flc_section(doc: Document, token_span: tuple[int, int]) -> str | None:
     first section.
     """
     a, b = token_span
-    starts = doc.text_table.section_starts
+    starts = doc.section_starts
     i = bisect_right(starts, a) - 1 if a < b else 0
     return doc.sections[i].section_id if b <= starts[i + 1] else None
 
@@ -125,16 +125,15 @@ def chunk_document(doc: Document, scheme: ChunkScheme) -> list[Chunk]:
     ``flc`` cuts the full text as one region, so a chunk's section is the one
     containing it, or None when it crosses a section boundary. The other
     schemes cut each section as its own region and keep that section's id.
-    Sentences and token offsets come from the document's ``text_table``, so
-    only the first scheme over a document splits its text.
+    Sentences and token offsets come from the document's analysis, so only
+    the first scheme over a document splits its text.
     """
-    table = doc.text_table
     pieces: list[tuple[str | None, tuple[int, int], tuple[int, int]]] = []
     if scheme.kind == CONTENT:
-        starts = table.section_starts
+        starts = doc.section_starts
         pieces = [(s.section_id, s.doc_span, (starts[i], starts[i + 1])) for i, s in enumerate(doc.sections)]
     else:
-        runs = table.text_sentences if scheme.kind == FLC else table.section_sentences
+        runs = doc.text_sentences if scheme.kind == FLC else doc.section_sentences
         for section_id, starts, tokens in runs:
             for i, p in _greedy_runs(tokens, scheme.target_tokens):
                 token_span = (tokens[i], tokens[p])

@@ -261,11 +261,6 @@ def _at_least_one(text: str) -> int:
     return value
 
 
-def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--jobs", type=_at_least_one, default=os.cpu_count() or 1,
-                        help="worker pool size for provider calls")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mcidx",
@@ -289,7 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--generator", choices=(LLM_GENERATOR, EXTRACTIVE_GENERATOR),
                    default=EXTRACTIVE_GENERATOR)
     p.add_argument("--output", required=True)
-    _add_jobs_flag(p)
+    p.add_argument("--jobs", type=_at_least_one, default=os.cpu_count() or 1,
+                   help="worker pool size for provider calls")
     p.set_defaults(func=cmd_views)
 
     p = sub.add_parser("index", help="build and save one index over the corpus")
@@ -346,7 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode-b", required=True)
     p.add_argument("--views", default=None, help="views.jsonl to reuse")
     p.add_argument("--output", required=True, help="transcripts JSONL")
-    _add_jobs_flag(p)
+    p.add_argument("--jobs", type=_at_least_one, default=os.cpu_count() or 1,
+                   help="accepted and unused: requests are sent one at a time")
     p.set_defaults(func=cmd_eval_answers)
 
     p = sub.add_parser("stats", help="corpus statistics as JSON")

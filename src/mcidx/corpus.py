@@ -8,9 +8,9 @@ one section. A section counts its tokens on first use of ``token_count``;
 loading a corpus tokenizes nothing.
 
 A document analyzes its text once for every chunking scheme and index built
-over it: ``Document.text_table`` is built on first use, each of its parts on
-its own first use, and it is freed with the document. No module-level table
-holds any of it.
+over it: each part of the analysis (``Document.terms``, ``section_starts``,
+``text_sentences``, ``section_sentences``) is built on its own first use and
+freed with the document. No module-level table holds any of it.
 """
 
 from __future__ import annotations
@@ -66,14 +66,25 @@ SentenceRun = tuple[str | None, array, array]
 _OFFSET = "q"
 
 
-class TextTable:
-    """One document's text analyzed once, shared by every scheme and index over it.
+def _sentence_run(text: str, section_id: str | None, start: int, end: int, first_token: int) -> SentenceRun:
+    """The sentences of ``text[start:end]``, whose first token is ``first_token``."""
+    starts, counts = [], []
+    for sentence, (s, _) in iter_sentences(text[start:end]):
+        starts.append(start + s)
+        counts.append(token_count(sentence))
+    starts.append(end)
+    return section_id, array(_OFFSET, starts), array(_OFFSET, accumulate(counts, initial=first_token))
+
+
+@dataclass(frozen=True)
+class Document:
+    """A document and its text analysis, shared by every scheme and index over it.
 
     Positions are in whitespace tokens of ``full_text``. No token crosses a
     section, because sections are joined by a newline, nor a sentence
     boundary, which always follows whitespace; so a section, a sentence and
     any run of whole sentences are each a token range ``[a, b)``. Each part
-    is built on first use:
+    of the analysis is built on first use:
 
     * ``terms``: ``text.term_ids`` of the full text, one vocabulary and one
       id array. The terms of tokens ``[a, b)`` are ``ids[a:b]`` without the
@@ -81,44 +92,8 @@ class TextTable:
     * ``section_starts``: the token where each section starts, then the total.
     * ``text_sentences`` (the full text as one run, as ``flc`` cuts it) and
       ``section_sentences`` (one run per section, as ``flc-content`` cuts it).
-
-    The table keeps the text and sections, not the document, so it is freed
-    with its document by reference counting alone.
     """
 
-    def __init__(self, doc: Document):
-        self._text = doc.full_text
-        self._sections = doc.sections
-
-    @cached_property
-    def terms(self) -> tuple[list[str], np.ndarray]:
-        vocabulary, (ids,) = term_ids([self._text])
-        return vocabulary, ids
-
-    @cached_property
-    def section_starts(self) -> array:
-        return array(_OFFSET, accumulate((s.token_count for s in self._sections), initial=0))
-
-    def _sentence_run(self, section_id: str | None, start: int, end: int, first_token: int) -> SentenceRun:
-        starts, counts = [], []
-        for sentence, (s, _) in iter_sentences(self._text[start:end]):
-            starts.append(start + s)
-            counts.append(token_count(sentence))
-        starts.append(end)
-        return section_id, array(_OFFSET, starts), array(_OFFSET, accumulate(counts, initial=first_token))
-
-    @cached_property
-    def text_sentences(self) -> tuple[SentenceRun, ...]:
-        return (self._sentence_run(None, 0, len(self._text), 0),)
-
-    @cached_property
-    def section_sentences(self) -> tuple[SentenceRun, ...]:
-        return tuple(self._sentence_run(s.section_id, *s.doc_span, first)
-                     for s, first in zip(self._sections, self.section_starts))
-
-
-@dataclass(frozen=True)
-class Document:
     doc_id: str
     title: str
     sections: tuple[Section, ...]
@@ -129,9 +104,22 @@ class Document:
         return {s.section_id: s for s in self.sections}
 
     @cached_property
-    def text_table(self) -> TextTable:
-        """The document's ``TextTable``, built on first use and freed with the document."""
-        return TextTable(self)
+    def terms(self) -> tuple[list[str], np.ndarray]:
+        vocabulary, (ids,) = term_ids([self.full_text])
+        return vocabulary, ids
+
+    @cached_property
+    def section_starts(self) -> array:
+        return array(_OFFSET, accumulate((s.token_count for s in self.sections), initial=0))
+
+    @cached_property
+    def text_sentences(self) -> tuple[SentenceRun, ...]:
+        return (_sentence_run(self.full_text, None, 0, len(self.full_text), 0),)
+
+    @cached_property
+    def section_sentences(self) -> tuple[SentenceRun, ...]:
+        return tuple(_sentence_run(self.full_text, s.section_id, *s.doc_span, first)
+                     for s, first in zip(self.sections, self.section_starts))
 
 
 class QuestionType(enum.Enum):

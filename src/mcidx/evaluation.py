@@ -6,7 +6,7 @@ covered by the union of retrieved spans. Both harnesses, ``eval_recall`` and
 ``retrieved_spans``. It builds one context per document: its unit table
 (``doc_units``) and one index per view of the mode, so each question is
 scored only against its own document. Sparse indexes over chunks and raw
-sections take their terms from the document's text table, which every setup
+sections take their terms from the document's ``terms``, which every setup
 over the document shares. Each question makes one ``retrieve_mc`` or
 ``retrieve_single`` call at the largest budget, which ranks it once per index;
 each budget k keeps the units whose best rank is within its k'.
@@ -167,14 +167,14 @@ def doc_units(
     document's sections: the raw view with the corpus section text, the
     keyword and summary views with their entries in ``doc_views``, which must
     name each section exactly once. ``token_span`` is the unit's token range
-    in the document's ``text_table``, None for keyword and summary units,
-    whose text is not document text. Callers check that a view comes with the
+    in the document's ``terms``, None for keyword and summary units, whose
+    text is not document text. Callers check that a view comes with the
     content scheme (``check_views``).
     """
     if view is None:
         return [(c.chunk_id, c.doc_span, c.text, c.token_span) for c in chunk_document(doc, scheme)]
     if view is ViewKind.RAW_TEXT:
-        starts = doc.text_table.section_starts
+        starts = doc.section_starts
         return [(s.section_id, s.doc_span, s.text, (starts[i], starts[i + 1])) for i, s in enumerate(doc.sections)]
     if doc_views is None:
         raise UnknownDoc(f"no views supplied for document {doc.doc_id!r}")
@@ -210,8 +210,8 @@ def build_doc_context(
             continue
         terms = None
         if all(token_span is not None for *_, token_span in units):
-            # Chunk and section terms are slices of the document's one term table.
-            vocabulary, ids = doc.text_table.terms
+            # Chunk and section terms are slices of the document's terms.
+            vocabulary, ids = doc.terms
             terms = (vocabulary, [ids[a:b] for _, _, _, (a, b) in units])
         indexes[view] = build_sparse_index(pairs, retriever_kind, terms)
     return span_by_unit, indexes

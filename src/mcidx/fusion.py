@@ -93,7 +93,7 @@ def retrieve_single(
     provider: EmbeddingProvider | None = None,
 ) -> list[ScoredUnit]:
     """Top-k single-view retrieval; k=1.5 alternates between 1 and 2."""
-    return rank_units(index, Query(query), provider, n=single_budget(k, question_ordinal))
+    return rank_units(index, Query(query, provider), n=single_budget(k, question_ordinal))
 
 
 def fuse(rankings: dict[ViewKind, list[ScoredUnit]], k_prime: int) -> FusedResult:
@@ -126,7 +126,6 @@ def retrieve_mc(
     ids; callers check that where the indexes are built or loaded.
     """
     k_prime = per_view_budget(k, question_ordinal)
-    prepared = Query(query)
-    rankings = {view: rank_units(view_indexes[view], prepared, provider, n=k_prime)
-                for view in VIEW_ORDER}
+    prepared = Query(query, provider)
+    rankings = {view: rank_units(view_indexes[view], prepared, n=k_prime) for view in VIEW_ORDER}
     return fuse(rankings, k_prime)

@@ -2,10 +2,10 @@
 
 Sparse indexes hold term postings, and a query touches only its own terms'
 postings. One assembly builds them from ``text.term_ids`` of the unit texts
-or, for a document's chunks and sections, from slices of the document's text
-table (``corpus.TextTable``). One function builds each index kind. BM25
-runs at its standard settings k1=1.5, b=0.75 (Robertson & Zaragoza, 2009),
-the constants ``BM25_K1`` and ``BM25_B``. One function, ``rank_units``, ranks
+or, for a document's chunks and sections, from slices of the document's
+``terms``. One function builds each index kind. BM25 runs at its standard
+settings k1=1.5, b=0.75 (Robertson & Zaragoza, 2009), the constants
+``BM25_K1`` and ``BM25_B``. One function, ``rank_units``, ranks
 a query against an index: it cuts the top n of the index kind's score vector.
 Rankings have scores non-increasing, and units with bit-equal scores (such as
 identical texts under any retriever, or a zero-score tail) keep ascending
@@ -13,10 +13,10 @@ corpus position, so results are reproducible across runs and thread counts;
 the top n is always a prefix of the full ranking. Dense scores are float32 dot
 products, so two different rows whose exact cosines tie can differ in the last
 bit and rank by that rounding. A question is analyzed once per retrieval, as
-a ``Query`` that every index it is ranked against shares: its index terms and
-term counts are made once, and its vector once per provider. Evaluation ranks
-each question once per index (``fusion.retrieve_mc`` or ``retrieve_single``);
-a budget keeps the top k' ranks.
+a ``Query`` that every index it is ranked against shares: its index terms,
+term counts and vector (embedded by the retrieval's provider) are each made
+once. Evaluation ranks each question once per index (``fusion.retrieve_mc``
+or ``retrieve_single``); a budget keeps the top k' ranks.
 """
 
 from __future__ import annotations
@@ -132,12 +132,13 @@ class Query:
 
     Each part is made on first use and kept: the index terms in token order
     (BM25 sums per query token in that order), their counts in first-occurrence
-    order (TF-IDF sums in that order) and the vector of each provider, by name.
+    order (TF-IDF sums in that order) and the vector. ``provider`` embeds the
+    vector; a query ranked only against sparse indexes needs none.
     """
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, provider: EmbeddingProvider | None = None):
         self.text = text
-        self._vectors: dict[str, np.ndarray] = {}
+        self.provider = provider
 
     @cached_property
     def terms(self) -> list[str]:
@@ -147,11 +148,10 @@ class Query:
     def term_counts(self) -> Counter[str]:
         return Counter(self.terms)
 
-    def vector(self, provider: EmbeddingProvider) -> np.ndarray:
-        """The normalized embedding of the text cut to ``DENSE_TOKEN_LIMIT`` tokens, made once per provider."""
-        if provider.name not in self._vectors:
-            self._vectors[provider.name] = embed([truncate_tokens(self.text, DENSE_TOKEN_LIMIT)], provider)[0]
-        return self._vectors[provider.name]
+    @cached_property
+    def vector(self) -> np.ndarray:
+        """The normalized embedding of the text cut to ``DENSE_TOKEN_LIMIT`` tokens."""
+        return embed([truncate_tokens(self.text, DENSE_TOKEN_LIMIT)], self.provider)[0]
 
 
 def _check_units(units: list[tuple[str, str]]) -> None:
@@ -170,7 +170,7 @@ def build_sparse_index(
     """Index ``(unit_id, text)`` pairs for TF-IDF or BM25 scoring.
 
     ``terms`` is ``text.term_ids`` of the unit texts, made here when not
-    given; a document's ``TextTable`` gives it for its chunks and sections.
+    given; a document's ``terms`` give it for its chunks and sections.
     """
     units = list(units)
     _check_units(units)
@@ -288,13 +288,14 @@ def build_dense_index(units: list[tuple[str, str]], provider: EmbeddingProvider)
     return DenseIndex([uid for uid, _ in units], embed(texts, provider), provider.name)
 
 
-def _dense_scores(index: DenseIndex, query: Query, provider: EmbeddingProvider) -> np.ndarray:
+def _dense_scores(index: DenseIndex, query: Query) -> np.ndarray:
     """Cosine (float32 dot product of normalized vectors) between query and rows."""
+    provider = query.provider
     if provider.name != index.provider:
         raise ProviderMismatch(
             f"index built with provider {index.provider!r}, scoring with {provider.name!r}"
         )
-    query_vec = query.vector(provider)
+    query_vec = query.vector
     if len(query_vec) != index.dim:
         raise DimensionMismatch(f"provider {provider.name!r} returned a query vector of width "
                                 f"{len(query_vec)} for an index of width {index.dim}")
@@ -304,14 +305,13 @@ def _dense_scores(index: DenseIndex, query: Query, provider: EmbeddingProvider) 
 def rank_units(
     index: SparseIndex | DenseIndex,
     query: Query,
-    provider: EmbeddingProvider | None = None,
     n: int | None = None,
 ) -> list[ScoredUnit]:
     """Rank a prepared query against any index kind, returning the top n (all when None)."""
     if isinstance(index, DenseIndex):
-        if provider is None:
+        if query.provider is None:
             raise ValueError("dense scoring needs the embedding provider")
-        scores = _dense_scores(index, query, provider)
+        scores = _dense_scores(index, query)
     elif index.kind == TFIDF:
         scores = _tfidf_scores(index, query)
     else:

@@ -6,7 +6,7 @@ and is normative for every length threshold in the package. Index terms are
 tokens lowercased with punctuation stripped from both edges. Sentences come
 from one rule-based splitter (``iter_sentences``) whose boundaries always
 follow whitespace, so a sentence is a whole run of tokens. Texts become term
-ids only in ``term_ids``, for text tables and sparse indexes alike.
+ids only in ``term_ids``, for documents' analysis and sparse indexes alike.
 
 A corpus repeats a small vocabulary, so ``index_terms`` strips each distinct
 lowercased token once per process and looks it up after that, in one

@@ -249,8 +249,8 @@ def test_criterion_9_round_trip_and_determinism(tmp_path):
             save_index(index, tmp_path / kind)
             reloaded = load_index(tmp_path / kind)
             for query in queries:
-                before = [(u.unit_id, u.score, u.rank) for u in rank_units(index, Query(query), provider)]
-                after = [(u.unit_id, u.score, u.rank) for u in rank_units(reloaded, Query(query), provider)]
+                before = [(u.unit_id, u.score, u.rank) for u in rank_units(index, Query(query, provider))]
+                after = [(u.unit_id, u.score, u.rank) for u in rank_units(reloaded, Query(query, provider))]
                 assert before == after
 
         docs, qa = synthetic_corpus()

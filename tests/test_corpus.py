@@ -29,7 +29,7 @@ from mcidx.corpus import (
 from mcidx.errors import DuplicateId, EmptyDocument, SchemaError
 from mcidx.evaluation import doc_units
 from mcidx.synthetic import synthetic_corpus
-from mcidx.text import index_terms, token_count
+from mcidx.text import index_terms, term_ids, token_count
 from mcidx.views import ViewKind
 
 
@@ -294,13 +294,15 @@ def test_load_counts_no_tokens(tmp_path, monkeypatch):
     assert calls == [section.text]
 
 
-class TestTextTable:
+class TestDocumentAnalysis:
+    PARTS = ("terms", "section_starts", "text_sentences", "section_sentences")
+
     @settings(max_examples=150, deadline=None)
     @given(SECTION_TEXTS)
     @example(["İSTANBUL -- “İzmir” ΑΣ. ΣΑ a\x1cb\x85c\xa0d\u3000e", "... «x» —y— ‘z’ ΟΔΟΣ."])
     def test_unit_terms_equal_index_terms(self, texts):
         doc = make_doc(texts)
-        vocabulary, ids = doc.text_table.terms
+        vocabulary, ids = doc.terms
         assert vocabulary == sorted(set(index_terms(doc.full_text)))
         assert ids.dtype == np.int32 and len(ids) == token_count(doc.full_text)
         content = ChunkScheme("content")
@@ -310,24 +312,30 @@ class TestTextTable:
             for _, _, text, (start, end) in doc_units(doc, scheme, view, None):
                 assert [vocabulary[i] for i in ids[start:end] if i >= 0] == index_terms(text)
 
-    def test_load_builds_no_text_table(self, tmp_path, monkeypatch):
+    def test_load_builds_no_analysis(self, tmp_path, monkeypatch):
         path = tmp_path / "corpus.jsonl"
         write_corpus_jsonl(synthetic_corpus(n_docs=3, seed=7)[0], path)
-        built = []
-        monkeypatch.setattr(corpus, "TextTable", lambda doc: built.append(doc.doc_id) or object())
+        analyzed = []
+        monkeypatch.setattr(corpus, "term_ids", lambda texts: analyzed.append(texts) or term_ids(texts))
         docs = load_corpus_jsonl(path)
-        assert built == []
-        assert not any("text_table" in vars(doc) for doc in docs)
-        assert docs[1].text_table is docs[1].text_table
-        assert built == [docs[1].doc_id]
+        assert analyzed == []
+        assert not any(part in vars(doc) for doc in docs for part in self.PARTS)
+        assert docs[1].terms is docs[1].terms
+        assert analyzed == [[docs[1].full_text]]
+        assert [(doc.doc_id, part) for doc in docs for part in self.PARTS if part in vars(doc)] == [
+            (docs[1].doc_id, "terms")]
 
-    def test_table_is_freed_with_its_document(self):
-        doc = make_doc(["Alpha beta. Gamma delta.", "Epsilon zeta!"])
-        table = doc.text_table
-        _ = table.terms, table.section_starts, table.text_sentences, table.section_sentences
-        for spec in ("content", "flc:2", "flc-content:2"):
-            doc_units(doc, ChunkScheme.parse(spec), None, None)
-        freed = weakref.ref(table)
-        del doc, table
-        gc.collect()
-        assert freed() is None
+    def test_analysis_is_freed_with_its_document(self):
+        # With the collector off, only reference counting frees the document:
+        # a reference cycle through any part would keep it alive.
+        gc.disable()
+        try:
+            doc = make_doc(["Alpha beta. Gamma delta.", "Epsilon zeta!"])
+            _ = doc.terms, doc.section_starts, doc.text_sentences, doc.section_sentences
+            for spec in ("content", "flc:2", "flc-content:2"):
+                doc_units(doc, ChunkScheme.parse(spec), None, None)
+            freed = weakref.ref(doc)
+            del doc
+            assert freed() is None
+        finally:
+            gc.enable()

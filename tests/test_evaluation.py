@@ -134,22 +134,40 @@ class TestEvalRecall:
             assert single.rows[0].mean_recall <= 0.45
             assert mc.rows[0].mean_recall > single.rows[0].mean_recall
 
-    def test_peak_memory_does_not_grow_with_documents(self):
-        # A document's context (unit spans, one index per view) is dropped
-        # after its last question, so only what the documents own, such as
-        # their text tables, grows with the corpus: about 3 kB a document.
-        # Keeping every context to the end grows it by about 39 kB.
+    @staticmethod
+    def _peak_bytes_per_doc(scheme, retriever, mode, analyzed):
+        """Growth of eval_recall's traced peak per document from 10 to 100 documents.
+
+        With ``analyzed``, each document's analysis is built before tracing
+        starts, so the peak holds the per-question contexts alone.
+        """
         def peak(n_docs):
             docs, qa = synthetic_corpus(n_docs=n_docs, seed=7)
+            if analyzed:
+                for doc in docs:
+                    _ = doc.terms, doc.section_starts, doc.text_sentences, doc.section_sentences
             tracemalloc.start()
             try:
-                eval_recall(docs, qa, "content", "dense:mock", "mc", [1.5, 3, 5, 10])
+                eval_recall(docs, qa, scheme, retriever, mode, [1.5, 3, 5, 10])
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
         peak(10)  # fills the process-wide term memos first
-        assert (peak(100) - peak(10)) / 90 < 10_000
+        return (peak(100) - peak(10)) / 90
+
+    def test_peak_memory_does_not_grow_with_documents(self):
+        # A document's context (unit spans, one index per view) is dropped
+        # after its last question, so only what the documents own, such as
+        # their analysis, grows with the corpus: about 4 kB a document.
+        # Keeping every context to the end grows it by about 39 kB.
+        assert self._peak_bytes_per_doc("content", "dense:mock", "mc", analyzed=False) < 10_000
+
+    @pytest.mark.parametrize("scheme,retriever,mode", [("content", "bm25", "mc"), ("flc:100", "tfidf", "single:raw")])
+    def test_peak_memory_of_contexts_does_not_grow_with_documents(self, scheme, retriever, mode):
+        # Sparse contexts are dropped like dense ones: about 1-2 kB a document.
+        # Cold, the documents' own term analysis adds 14-20 kB a document.
+        assert self._peak_bytes_per_doc(scheme, retriever, mode, analyzed=True) < 10_000
 
     @pytest.mark.parametrize("ks", [[3, 3], [1.5, 3, 3.0]])
     def test_repeated_budget_rejected(self, ks):
@@ -256,7 +274,7 @@ class TestDocUnits:
         doc = self._doc()
         views = [replace(v, text=f"{v.view_kind.value} {v.section_id}") for v in reversed(build_views(doc))]
         spans = [(s.section_id, s.doc_span) for s in doc.sections]
-        starts = doc.text_table.section_starts
+        starts = doc.section_starts
         raw = doc_units(doc, self.CONTENT, ViewKind.RAW_TEXT, views)
         assert raw == [(sid, span, s.text, (starts[i], starts[i + 1]))
                        for i, ((sid, span), s) in enumerate(zip(spans, doc.sections))]

@@ -144,7 +144,7 @@ class TestRetrieveMc:
             calls.clear()
             fused = retrieve_mc(indexes, question, 3, ordinal, provider)
             assert calls == [[question]]
-            rankings = {view: rank_units(index, Query(question), provider) for view, index in indexes.items()}
+            rankings = {view: rank_units(index, Query(question, provider)) for view, index in indexes.items()}
             assert fused == fuse(rankings, per_view_budget(3, ordinal))
 
 

@@ -224,10 +224,10 @@ class TestTopN:
         indexes = {"tfidf": build_sparse_index(units, "tfidf"), "bm25": build_sparse_index(units, "bm25"),
                    "dense": build_dense_index(units, provider)}
         for kind, index in indexes.items():
-            full = rank_units(index, Query(query), provider)
+            full = rank_units(index, Query(query, provider))
             assert len(full) == len(units)
             for n in range(1, len(units) + 2):
-                assert rank_units(index, Query(query), provider, n=n) == full[:n], (kind, n)
+                assert rank_units(index, Query(query, provider), n=n) == full[:n], (kind, n)
 
     @pytest.mark.parametrize("kind", ["tfidf", "bm25", "dense"])
     def test_equal_scores_rank_by_corpus_position(self, kind):
@@ -236,12 +236,12 @@ class TestTopN:
                  ("u1", "fish"), ("u0", "cat dog")]
         provider = MockEmbeddingProvider()
         index = build_dense_index(units, provider) if kind == "dense" else build_sparse_index(units, kind)
-        full = rank_units(index, Query("cat dog"), provider)
+        full = rank_units(index, Query("cat dog", provider))
         assert [u.unit_id for u in full] == ["u4", "u2", "u0", "u5", "u3", "u1"]
         assert full[0].score == full[1].score == full[2].score > 0.0
         assert [u.score for u in full[3:]] == [0.0, 0.0, 0.0]
         for n in (2, 4):  # a cut inside the top tie and one inside the zero-score tail
-            assert rank_units(index, Query("cat dog"), provider, n=n) == full[:n]
+            assert rank_units(index, Query("cat dog", provider), n=n) == full[:n]
 
 
 class TestEmbed:
@@ -313,13 +313,13 @@ class TestScoreDense:
         index = build_dense_index([("u1", "alpha"), ("u2", "beta")], provider)
         provider.width = 5
         with pytest.raises(DimensionMismatch, match="width 5.*4"):
-            rank_units(index, Query("alpha"), provider)
+            rank_units(index, Query("alpha", provider))
 
     def test_identical_text_ranks_first_with_unit_score(self):
         units = [("u1", "alpha beta"), ("u2", "gamma delta"), ("u3", "epsilon zeta")]
         provider = MockEmbeddingProvider()
         index = build_dense_index(units, provider)
-        ranked = rank_units(index, Query("gamma delta"), provider)
+        ranked = rank_units(index, Query("gamma delta", provider))
         assert ranked[0].unit_id == "u2"
         assert ranked[0].score == pytest.approx(1.0, abs=1e-6)
 
@@ -335,10 +335,10 @@ class TestScoreDense:
         (query_row,) = provider.embed([query])
         expected = oracle_cosine_scores(raw_rows, query_row)
         expected_by_id = {uid: s for (uid, _), s in zip(units, expected)}
-        for scored in rank_units(index, Query(query), provider):
+        for scored in rank_units(index, Query(query, provider)):
             assert abs(scored.score - expected_by_id[scored.unit_id]) < 1e-5
         order = [uid for uid, _ in units]
-        assert [u.unit_id for u in rank_units(index, Query(query), provider)] == oracle_rank(
+        assert [u.unit_id for u in rank_units(index, Query(query, provider))] == oracle_rank(
             expected_by_id, order
         )
 
@@ -347,7 +347,7 @@ class TestScoreDense:
         index = build_dense_index([("u", "text")], provider)
         other = MockEmbeddingProvider(name="other")
         with pytest.raises(ProviderMismatch):
-            rank_units(index, Query("q"), other)
+            rank_units(index, Query("q", other))
         with pytest.raises(ValueError, match="needs the embedding provider"):
             rank_units(index, Query("q"))
 
@@ -365,13 +365,13 @@ class TestRetrieverSpec:
 
 
 class TestTableTermsBuild:
-    """A build from a document's term table equals the build from the unit texts."""
+    """A build from slices of a document's terms equals the build from the unit texts."""
 
     @settings(max_examples=100, deadline=None)
     @given(SECTION_TEXTS, st.integers(1, 12))
     def test_equals_text_build_field_by_field(self, texts, target):
         doc = make_doc(texts)
-        vocabulary, ids = doc.text_table.terms
+        vocabulary, ids = doc.terms
         content = ChunkScheme("content")
         setups = [(content, ViewKind.RAW_TEXT), (content, None),
                   (ChunkScheme("flc", target), None), (ChunkScheme("flc-content", target), None)]

@@ -36,7 +36,7 @@ QUERIES = ["cat dog", "fish", "nothing matches", "cat cat fish dog"]
 
 
 def ranking(index, query, provider=None):
-    return [(u.unit_id, u.score, u.rank) for u in rank_units(index, Query(query), provider)]
+    return [(u.unit_id, u.score, u.rank) for u in rank_units(index, Query(query, provider))]
 
 
 class TestSparseRoundTrip:
