@@ -40,9 +40,10 @@ from .evaluation import (
 from .fusion import retrieve_mc, retrieve_single
 from .jsonio import atomic_text_writer, write_jsonl
 from .providers import HttpLlmClient
-from .retrieval import DENSE, DenseIndex, build_dense_index, build_sparse_index, parse_retriever, resolve_provider
+from .retrieval import DENSE, build_dense_index, build_sparse_index, parse_retriever, resolve_provider
 from .store import load_index, save_index
 from .views import (
+    DEFAULT_JOBS,
     EXTRACTIVE_GENERATOR,
     LLM_GENERATOR,
     ViewKind,
@@ -161,7 +162,7 @@ def cmd_retrieve(args) -> int:
     # Checked once where the view indexes meet; fusion relies on it.
     if len({frozenset(index.unit_ids) for index in indexes}) > 1:
         raise ViewMismatch("view indexes cover different unit id sets")
-    provider = next((resolve_provider(index.provider) for index in indexes if isinstance(index, DenseIndex)), None)
+    provider = next((resolve_provider(index.provider) for index in indexes if index.kind == DENSE), None)
     if len(views) > 1:
         fused = retrieve_mc(dict(zip(views, indexes)), args.question, args.k, args.ordinal, provider)
         for pos, unit in enumerate(fused.units, start=1):
@@ -284,8 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--generator", choices=(LLM_GENERATOR, EXTRACTIVE_GENERATOR),
                    default=EXTRACTIVE_GENERATOR)
     p.add_argument("--output", required=True)
-    p.add_argument("--jobs", type=_at_least_one, default=os.cpu_count() or 1,
-                   help="worker pool size for provider calls")
+    p.add_argument("--jobs", type=_at_least_one, default=DEFAULT_JOBS,
+                   help="worker pool size for provider calls (default: %(default)s)")
     p.set_defaults(func=cmd_views)
 
     p = sub.add_parser("index", help="build and save one index over the corpus")
@@ -342,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode-b", required=True)
     p.add_argument("--views", default=None, help="views.jsonl to reuse")
     p.add_argument("--output", required=True, help="transcripts JSONL")
-    p.add_argument("--jobs", type=_at_least_one, default=os.cpu_count() or 1,
+    p.add_argument("--jobs", type=_at_least_one, default=DEFAULT_JOBS,
                    help="accepted and unused: requests are sent one at a time")
     p.set_defaults(func=cmd_eval_answers)
 

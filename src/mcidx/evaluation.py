@@ -24,7 +24,7 @@ from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .chunking import ChunkScheme, chunk_document, scope_doc_span
+from .chunking import CONTENT, ChunkScheme, chunk_document, scope_doc_span
 from .corpus import Document, QAItem
 from .errors import EmptyRetrieval, EmptyScope, ParseError, UnknownDoc, ViewMismatch
 from .fusion import VIEW_ORDER, per_view_budget, retrieve_mc, retrieve_single, single_budget
@@ -64,7 +64,7 @@ def parse_mode(spec: str) -> tuple[ViewKind | None, ...]:
 
 def check_views(scheme: ChunkScheme, views: tuple[ViewKind | None, ...]) -> None:
     """Reject (ValueError) a view under a scheme other than content: views index sections."""
-    if scheme.kind != "content" and views != (None,):
+    if scheme.kind != CONTENT and views != (None,):
         raise ValueError(f"views index sections and need the content scheme, got {scheme.spec()!r}")
 
 

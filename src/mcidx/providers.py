@@ -6,7 +6,8 @@ Both HTTP contracts are tiny JSON-over-POST surfaces:
   returns ``{"text": str}``; authenticated with a bearer token.
 * ``POST {MCIDX_EMBED_URL}/embed`` with ``{"texts": [str]}`` returns
   ``{"vectors": [[float]], "model": str}``; ``HttpEmbeddingProvider.embed``
-  returns those vectors as they came, and ``retrieval.embed`` checks them.
+  returns those vectors as they came. ``retrieval.embed`` sends it texts cut
+  to ``retrieval.DENSE_TOKEN_LIMIT`` tokens and checks the vectors.
 
 Both clients check their endpoint URL when they are built and send through
 one ``_post_json``, on the standard library's ``urllib.request``, with one
@@ -213,8 +214,7 @@ class MockEmbeddingProvider(EmbeddingProvider):
     reproducible and checkable against a brute-force cosine oracle.
     """
 
-    def __init__(self, name: str = "mock"):
-        self.name = name
+    name = "mock"
 
     def embed(self, texts: list[str]) -> np.ndarray:
         # One bincount over the batch, each row MOCK_EMBED_DIM + 1 wide so that

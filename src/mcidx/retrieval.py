@@ -12,11 +12,13 @@ identical texts under any retriever, or a zero-score tail) keep ascending
 corpus position, so results are reproducible across runs and thread counts;
 the top n is always a prefix of the full ranking. Dense scores are float32 dot
 products, so two different rows whose exact cosines tie can differ in the last
-bit and rank by that rounding. A question is analyzed once per retrieval, as
-a ``Query`` that every index it is ranked against shares: its index terms,
-term counts and vector (embedded by the retrieval's provider) are each made
-once. Evaluation ranks each question once per index (``fusion.retrieve_mc``
-or ``retrieve_single``); a budget keeps the top k' ranks.
+bit and rank by that rounding. ``embed`` cuts every text it embeds, unit or
+question, to the encoder input cap ``DENSE_TOKEN_LIMIT``. A question is
+analyzed once per retrieval, as a ``Query`` that every index it is ranked
+against shares: its index terms, term counts and vector (embedded by the
+retrieval's provider) are each made once. Evaluation ranks each question
+once per index (``fusion.retrieve_mc`` or ``retrieve_single``); a budget
+keeps the top k' ranks.
 """
 
 from __future__ import annotations
@@ -39,8 +41,8 @@ DENSE = "dense"
 BM25_K1 = 1.5
 BM25_B = 0.75
 
-# Single-vector encoders cap their input; texts are cut to this many
-# whitespace tokens before embedding.
+# Single-vector encoders cap their input; ``embed`` cuts every text to this
+# many whitespace tokens.
 DENSE_TOKEN_LIMIT = 512
 EMBED_BATCH_SIZE = 32
 
@@ -114,6 +116,7 @@ class SparseIndex:
 
 @dataclass
 class DenseIndex:
+    kind = DENSE  # a class constant, not a field
     unit_ids: list[str]
     matrix: np.ndarray  # float32, one L2-normalized row per unit
     provider: str
@@ -150,8 +153,7 @@ class Query:
 
     @cached_property
     def vector(self) -> np.ndarray:
-        """The normalized embedding of the text cut to ``DENSE_TOKEN_LIMIT`` tokens."""
-        return embed([truncate_tokens(self.text, DENSE_TOKEN_LIMIT)], self.provider)[0]
+        return embed([self.text], self.provider)[0]
 
 
 def _check_units(units: list[tuple[str, str]]) -> None:
@@ -242,14 +244,14 @@ def _bm25_scores(index: SparseIndex, query: Query) -> np.ndarray:
 
 
 def embed(texts: list[str], provider: EmbeddingProvider) -> np.ndarray:
-    """Embed texts in batches of ``EMBED_BATCH_SIZE`` and L2-normalize the rows (float32).
+    """Embed texts cut to ``DENSE_TOKEN_LIMIT`` tokens, ``EMBED_BATCH_SIZE`` a batch, as L2-normalized float32 rows.
 
     Each batch must come back as one finite row of ints and floats per text,
     every row of one width across batches; anything else is a ProviderError
     (DimensionMismatch for a wrong shape or value). Zero vectors (texts with no
     terms under a sparse-featured provider) are left unnormalized, not divided by zero.
     """
-    texts = list(texts)
+    texts = [truncate_tokens(text, DENSE_TOKEN_LIMIT) for text in texts]
     if not texts:
         return np.zeros((0, 0), dtype=np.float32)
     blocks: list[np.ndarray] = []
@@ -281,16 +283,17 @@ def embed(texts: list[str], provider: EmbeddingProvider) -> np.ndarray:
 
 
 def build_dense_index(units: list[tuple[str, str]], provider: EmbeddingProvider) -> DenseIndex:
-    """Embed unit texts (truncated to the encoder input cap) into a DenseIndex."""
+    """Embed unit texts into a DenseIndex."""
     units = list(units)
     _check_units(units)
-    texts = [truncate_tokens(text, DENSE_TOKEN_LIMIT) for _, text in units]
-    return DenseIndex([uid for uid, _ in units], embed(texts, provider), provider.name)
+    return DenseIndex([uid for uid, _ in units], embed([text for _, text in units], provider), provider.name)
 
 
 def _dense_scores(index: DenseIndex, query: Query) -> np.ndarray:
     """Cosine (float32 dot product of normalized vectors) between query and rows."""
     provider = query.provider
+    if provider is None:
+        raise ValueError("dense scoring needs the embedding provider")
     if provider.name != index.provider:
         raise ProviderMismatch(
             f"index built with provider {index.provider!r}, scoring with {provider.name!r}"
@@ -308,9 +311,7 @@ def rank_units(
     n: int | None = None,
 ) -> list[ScoredUnit]:
     """Rank a prepared query against any index kind, returning the top n (all when None)."""
-    if isinstance(index, DenseIndex):
-        if query.provider is None:
-            raise ValueError("dense scoring needs the embedding provider")
+    if index.kind == DENSE:
         scores = _dense_scores(index, query)
     elif index.kind == TFIDF:
         scores = _tfidf_scores(index, query)

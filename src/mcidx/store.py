@@ -149,13 +149,11 @@ def save_index(index: SparseIndex | DenseIndex, directory: str | Path) -> None:
     if directory.samefile(Path.cwd()):
         raise DataError("is the working directory, which cannot be replaced; write the index elsewhere",
                         path=directory)
-    if isinstance(index, DenseIndex):
-        kind = DENSE
+    if index.kind == DENSE:
         blobs = (jsonl_bytes({"unit_id": uid} for uid in index.unit_ids),
                  index.matrix.astype("<f4").tobytes())
         extra = {"provider": index.provider, "n_units": index.n, "dim": index.dim}
     else:
-        kind = index.kind
         blobs = (jsonl_bytes({"unit_id": uid, "n_tokens": n}
                              for uid, n in zip(index.unit_ids, index.unit_lens.tolist())),
                  _pack_terms(index))
@@ -165,10 +163,10 @@ def save_index(index: SparseIndex | DenseIndex, directory: str | Path) -> None:
     try:
         staged.mkdir()
         checksums = {}
-        for name, blob in zip(_data_files(kind), blobs):
+        for name, blob in zip(_data_files(index.kind), blobs):
             (staged / name).write_bytes(blob)
             checksums[name] = hashlib.sha256(blob).hexdigest()
-        manifest = {"format_version": FORMAT_VERSION, "kind": kind, "checksums": checksums, **extra}
+        manifest = {"format_version": FORMAT_VERSION, "kind": index.kind, "checksums": checksums, **extra}
         (staged / MANIFEST).write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
         directory.rename(aside)
         try:

@@ -14,10 +14,10 @@ from mcidx import cli, providers
 from mcidx.cli import build_parser, parse_k_list, run
 from mcidx.chunking import ChunkScheme
 from mcidx.corpus import load_and_filter_qa, load_corpus_jsonl, write_corpus_jsonl, write_qa_jsonl
-from mcidx.evaluation import build_doc_context, parse_mode
+from mcidx.evaluation import build_doc_context, eval_recall, parse_mode
 from mcidx.fusion import retrieve_mc, retrieve_single
 from mcidx.prompts import ANSWER
-from mcidx.views import build_views
+from mcidx.views import DEFAULT_JOBS, build_views
 from mcidx.synthetic import synthetic_corpus
 
 MARKDOWN = """# Guide
@@ -185,6 +185,21 @@ class TestPipeline:
         assert outputs[0] == outputs[1]
         header = outputs[0].decode().splitlines()[0]
         assert header == "scheme,retriever,mode,k,n,mean_recall"
+
+    def test_eval_recall_invert_parity(self, tmp_path):
+        # In mc mode k=3 gives 1 or 2 units per view by question ordinal; the flag swaps which half gets 2.
+        docs, qa = synthetic_corpus(n_docs=3)
+        corpus, qa_path = tmp_path / "corpus.jsonl", tmp_path / "qa.jsonl"
+        write_corpus_jsonl(docs, corpus)
+        write_qa_jsonl(qa, qa_path)
+        argv = ["eval", "recall", "--corpus", str(corpus), "--qa", str(qa_path), "--scheme", "content",
+                "--retriever", "bm25", "--mode", "mc", "--k", "1.5,3"]
+        assert run([*argv, "--invert-parity", "--output", str(tmp_path / "inverted.csv")]) == 0
+        assert run([*argv, "--output", str(tmp_path / "plain.csv")]) == 0
+        inverted = (tmp_path / "inverted.csv").read_text(encoding="utf-8")
+        expected = eval_recall(docs, qa, "content", "bm25", "mc", [1.5, 3], invert_parity=True).to_csv()
+        assert inverted == expected
+        assert inverted != (tmp_path / "plain.csv").read_text(encoding="utf-8")
 
     def test_eval_recall_markdown_output(self, dataset, tmp_path):
         corpus, qa = dataset
@@ -523,6 +538,17 @@ class TestUsageChecks:
         corpus, _ = dataset
         assert run([*command, "--corpus", str(corpus), *rest, "--jobs", "0"]) == 1
         assert "--jobs" in capsys.readouterr().err
+
+    def test_jobs_default_does_not_follow_the_cpu_count(self, monkeypatch):
+        # LLM calls wait on I/O, so the pool size is the same on every host.
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        parser = build_parser()
+        views = parser.parse_args(["views", "--corpus", "c.jsonl", "--output", "v.jsonl"])
+        answers = parser.parse_args(["eval", "answers", "--corpus", "c.jsonl", "--qa", "q.jsonl",
+                                     "--retriever", "bm25", "--k", "3", "--scheme-a", "content",
+                                     "--mode-a", "mc", "--scheme-b", "content", "--mode-b", "single:raw",
+                                     "--output", "t.jsonl"])
+        assert views.jobs == answers.jobs == DEFAULT_JOBS == 4
 
     @pytest.mark.parametrize("manifest", ["{not json", "[]"], ids=["not-json", "not-object"])
     def test_unparseable_manifest_is_data_error(self, manifest, tmp_path, capsys):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SECTION_TEXTS, make_doc
+from conftest import SECTION_TEXTS, make_doc, words
 from mcidx.chunking import ChunkScheme
 from mcidx.errors import (
     DimensionMismatch,
@@ -18,8 +18,9 @@ from mcidx.errors import (
     ProviderMismatch,
 )
 from mcidx.evaluation import doc_units
-from mcidx.providers import EmbeddingProvider, MockEmbeddingProvider
+from mcidx.providers import EmbeddingProvider, HttpEmbeddingProvider, MockEmbeddingProvider
 from mcidx.retrieval import (
+    DENSE_TOKEN_LIMIT,
     Query,
     build_dense_index,
     bm25_idf,
@@ -29,6 +30,7 @@ from mcidx.retrieval import (
     rank_units,
     smoothed_idf,
 )
+from mcidx.text import token_count, truncate_tokens
 from mcidx.views import ViewKind
 from oracles import (
     oracle_bm25_scores,
@@ -282,6 +284,19 @@ class TestEmbed:
         with pytest.raises(ProviderError, match="after width 3"):
             embed(["t"] * 40, ShiftingProvider())
 
+    def test_cuts_each_text_to_the_token_limit(self):
+        # 900 distinct tokens: the 388 past the limit would add to the row if embedded.
+        text = words(900)
+        (row,) = embed([text], MockEmbeddingProvider())
+        (cut,) = embed([truncate_tokens(text, DENSE_TOKEN_LIMIT)], MockEmbeddingProvider())
+        assert row.tobytes() == cut.tobytes()
+
+    def test_sends_no_text_past_the_token_limit(self, stub):
+        stub.responder = lambda path, payload: (200, {"vectors": [[1.0, 2.0]] * len(payload["texts"])})
+        embed([words(900), "short text", words(DENSE_TOKEN_LIMIT)], HttpEmbeddingProvider(stub.url, name="stub"))
+        ((_, payload, _),) = stub.requests
+        assert [token_count(text) for text in payload["texts"]] == [DENSE_TOKEN_LIMIT, 2, DENSE_TOKEN_LIMIT]
+
     def test_batching_preserves_order(self):
         calls = []
 
@@ -345,7 +360,8 @@ class TestScoreDense:
     def test_provider_mismatch(self):
         provider = MockEmbeddingProvider()
         index = build_dense_index([("u", "text")], provider)
-        other = MockEmbeddingProvider(name="other")
+        other = MockEmbeddingProvider()
+        other.name = "other"
         with pytest.raises(ProviderMismatch):
             rank_units(index, Query("q", other))
         with pytest.raises(ValueError, match="needs the embedding provider"):
