@@ -26,6 +26,7 @@ from .corpus import (
 )
 from .errors import DataError, DuplicateId, McIndexError, ParseError, ProviderError, ViewMismatch
 from .evaluation import (
+    VIEWS_FILE_KINDS,
     check_budgets,
     check_setup,
     check_views,
@@ -82,8 +83,8 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _load_views_arg(args):
-    return read_views_jsonl(args.views) if args.views else None
+def _load_views_arg(args, view_kinds) -> dict | None:
+    return read_views_jsonl(args.views) if args.views and not VIEWS_FILE_KINDS.isdisjoint(view_kinds) else None
 
 
 def cmd_ingest(args) -> int:
@@ -136,11 +137,10 @@ def cmd_index(args) -> int:
     view = ViewKind(args.view) if args.view else None
     check_views(scheme, (view,))
     docs = load_corpus_jsonl(args.corpus)
-    needs_views = view in (ViewKind.KEYWORDS, ViewKind.SUMMARY)
-    views_by_doc = _load_views_arg(args) if needs_views else None
+    views_by_doc = _load_views_arg(args, (view,))
     units = []
     for doc in docs:
-        doc_views = doc_views_for(doc, views_by_doc) if needs_views else None
+        doc_views = doc_views_for(doc, views_by_doc) if view in VIEWS_FILE_KINDS else None
         # Unit ids are doc-qualified so one index can hold the whole corpus.
         units.extend((f"{doc.doc_id}#{uid}", text) for uid, _, text, _ in doc_units(doc, scheme, view, doc_views))
     if kind == DENSE:
@@ -185,7 +185,7 @@ def cmd_eval_recall(args) -> int:
     docs = load_corpus_jsonl(args.corpus)
     qa = load_and_filter_qa(args.qa, docs)
     report = eval_recall(docs, qa, scheme, args.retriever, args.mode, list(args.k),
-                         views=_load_views_arg(args), invert_parity=args.invert_parity)
+                         views=_load_views_arg(args, parse_mode(args.mode)), invert_parity=args.invert_parity)
     csv_text = report.to_csv()
     if args.output:
         _write_text(args.output, csv_text)
@@ -220,7 +220,7 @@ def cmd_eval_answers(args) -> int:
     docs = load_corpus_jsonl(args.corpus)
     qa = load_and_filter_qa(args.qa, docs)
     llm = HttpLlmClient.from_env()
-    views_by_doc = _load_views_arg(args)
+    views_by_doc = _load_views_arg(args, parse_mode(args.mode_a) + parse_mode(args.mode_b))
     side_a, side_b = (retrieved_spans(docs, qa, scheme, args.retriever, mode, [args.k], views_by_doc)
                       for scheme, mode in setups)
     records = []
@@ -295,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--retriever", required=True, help="tfidf | bm25 | dense:<provider>")
     p.add_argument("--view", choices=("raw", "keywords", "summary"), default=None,
                    help="index a view instead of chunk text (content scheme only)")
-    p.add_argument("--views", default=None, help="views.jsonl to reuse")
+    p.add_argument("--views", default=None, help="views.jsonl of keyword and summary texts, read only to index those")
     p.add_argument("--output", required=True, help="index directory")
     p.set_defaults(func=cmd_index)
 
@@ -318,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--retriever", required=True)
     p.add_argument("--mode", required=True)
     p.add_argument("--k", type=parse_k_list, required=True, help="comma-separated budgets, e.g. 1.5,3,5,10")
-    p.add_argument("--views", default=None, help="views.jsonl to reuse")
+    p.add_argument("--views", default=None, help="views.jsonl of keyword and summary texts, read only to index those")
     p.add_argument("--invert-parity", action="store_true",
                    help="give even ordinals the larger alternating budget")
     p.add_argument("--output", default=None, help="CSV path (default: stdout)")
@@ -341,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode-a", required=True)
     p.add_argument("--scheme-b", required=True)
     p.add_argument("--mode-b", required=True)
-    p.add_argument("--views", default=None, help="views.jsonl to reuse")
+    p.add_argument("--views", default=None, help="views.jsonl of keyword and summary texts, read only to index those")
     p.add_argument("--output", required=True, help="transcripts JSONL")
     p.add_argument("--jobs", type=_at_least_one, default=DEFAULT_JOBS,
                    help="accepted and unused: requests are sent one at a time")

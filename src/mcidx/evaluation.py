@@ -44,6 +44,9 @@ from .views import ViewEntry, ViewKind, build_views, view_texts
 
 logger = logging.getLogger(__name__)
 
+# The view kinds a views file supplies; it is read only for a setup indexing one.
+VIEWS_FILE_KINDS = frozenset({ViewKind.KEYWORDS, ViewKind.SUMMARY})
+
 _MODE_VIEWS = {
     "mc": VIEW_ORDER,
     "single:raw": (None,),
@@ -164,18 +167,16 @@ def doc_units(
     """``(unit_id, doc_span, text, token_span)`` of what a (scheme, view) pair indexes, in section order.
 
     With no view the units are the scheme's chunks. A view indexes the
-    document's sections: the raw view with the corpus section text, the
-    keyword and summary views with their entries in ``doc_views``, which must
-    name each section exactly once. ``token_span`` is the unit's token range
-    in the document's ``terms``, None for keyword and summary units, whose
-    text is not document text. Callers check that a view comes with the
-    content scheme (``check_views``).
+    document's sections: the raw view is the content chunks under their
+    section ids, the keyword and summary views are their entries in
+    ``doc_views``, which must name each section exactly once. ``token_span``
+    is the unit's token range in the document's ``terms``, None for keyword
+    and summary units, whose text is not document text. Callers check that a
+    view comes with the content scheme (``check_views``).
     """
-    if view is None:
-        return [(c.chunk_id, c.doc_span, c.text, c.token_span) for c in chunk_document(doc, scheme)]
-    if view is ViewKind.RAW_TEXT:
-        starts = doc.section_starts
-        return [(s.section_id, s.doc_span, s.text, (starts[i], starts[i + 1])) for i, s in enumerate(doc.sections)]
+    if view in (None, ViewKind.RAW_TEXT):
+        return [(c.chunk_id if view is None else c.section_id, c.doc_span, c.text, c.token_span)
+                for c in chunk_document(doc, scheme)]
     if doc_views is None:
         raise UnknownDoc(f"no views supplied for document {doc.doc_id!r}")
     entries = view_texts(doc_views, view)
@@ -201,9 +202,7 @@ def build_doc_context(
     """One document's unit spans and one index per view, in fusion order."""
     indexes = {}
     for view in views:
-        # The views of a mode share one unit table: the document's sections.
         units = doc_units(doc, scheme, view, doc_views)
-        span_by_unit = {uid: span for uid, span, _, _ in units}
         pairs = [(uid, text) for uid, _, text, _ in units]
         if retriever_kind == DENSE:
             indexes[view] = build_dense_index(pairs, provider)
@@ -214,7 +213,8 @@ def build_doc_context(
             vocabulary, ids = doc.terms
             terms = (vocabulary, [ids[a:b] for _, _, _, (a, b) in units])
         indexes[view] = build_sparse_index(pairs, retriever_kind, terms)
-    return span_by_unit, indexes
+    # The views of a mode share one unit table: the document's sections.
+    return {uid: span for uid, span, _, _ in units}, indexes
 
 
 def retrieved_spans(
@@ -238,7 +238,7 @@ def retrieved_spans(
     budget. Questions whose document is absent are skipped with a warning.
     """
     view_kinds = parse_mode(mode)
-    needs_views = any(v in (ViewKind.KEYWORDS, ViewKind.SUMMARY) for v in view_kinds)
+    needs_views = not VIEWS_FILE_KINDS.isdisjoint(view_kinds)
     fused = len(view_kinds) > 1
     budget = per_view_budget if fused else single_budget
     retriever_kind, provider_name = parse_retriever(retriever)

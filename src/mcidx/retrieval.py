@@ -70,8 +70,8 @@ class SparseIndex:
 
     Rows are in sorted term order; ``postings[indptr[r]:indptr[r + 1]]`` are
     the ascending unit indexes containing the row's term and ``tfs`` their
-    term counts. ``unit_lens``, ``avgdl``, ``idf`` and (TF-IDF only) the
-    units' tf*idf lengths ``unit_norms`` are derived here, whether the postings
+    term counts. ``unit_lens``, ``avgdl``, ``idf`` and ``unit_norms`` (tf*idf
+    lengths, or BM25 length normalizers) are derived here, whether the postings
     were built from text or loaded from disk, so they are bit-identical either way.
     """
 
@@ -84,7 +84,7 @@ class SparseIndex:
     unit_lens: np.ndarray = field(init=False)
     avgdl: float = field(init=False)
     idf: np.ndarray = field(init=False)
-    unit_norms: np.ndarray | None = field(init=False, default=None)
+    unit_norms: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         if self.kind not in (TFIDF, BM25):
@@ -100,6 +100,8 @@ class SparseIndex:
             # adds each unit's squares sequentially in (sorted) term order.
             squares = np.float_power(self.tfs * np.repeat(self.idf, np.diff(self.indptr)), 2)
             self.unit_norms = np.sqrt(np.bincount(self.postings, weights=squares, minlength=self.n))
+        else:  # avgdl is 0 only when every unit length is, so dividing those by 1 changes nothing
+            self.unit_norms = BM25_K1 * (1.0 - BM25_B + BM25_B * (self.unit_lens / (self.avgdl or 1.0)))
 
     @property
     def n(self) -> int:
@@ -236,10 +238,8 @@ def _bm25_scores(index: SparseIndex, query: Query) -> np.ndarray:
     """
     found = [postings for term in query.terms if (postings := index.term_postings(term)) is not None]
     scores = np.zeros(index.n)
-    if found:  # then some unit has terms, so avgdl > 0
-        denom_norm = BM25_K1 * (1.0 - BM25_B + BM25_B * (index.unit_lens / index.avgdl))
     for idf, unit_idx, tfs in found:
-        scores[unit_idx] += idf * tfs * (BM25_K1 + 1.0) / (tfs + denom_norm[unit_idx])
+        scores[unit_idx] += idf * tfs * (BM25_K1 + 1.0) / (tfs + index.unit_norms[unit_idx])
     return scores
 
 

@@ -13,12 +13,13 @@ Saving hashes each data file's bytes before it writes them, so nothing is
 read back, and replaces a directory as a whole (``save_index``). Loading
 reads each data file once and checks its checksum on the bytes that are then
 parsed. It parses the postings straight into the index arrays and checks
-them (terms sorted and unique, unit indexes in range and strictly ascending
-per term, term counts positive), the unit ids (one per row, none repeated)
-and the embeddings (every value finite); any defect is ``CorruptIndex``.
-``SparseIndex`` derives its statistics (unit term counts, idf, norms, avgdl)
-from the stored integers, so a save/load round trip reproduces rankings
-bit-exactly; the stored ``n_tokens`` must equal the derived counts.
+them (terms sorted and unique, each with at least one posting, unit indexes
+in range and strictly ascending per term, term counts positive), the unit
+ids (one per row, none repeated) and the embeddings (every value finite);
+any defect is ``CorruptIndex``. ``SparseIndex`` derives its statistics (unit
+term counts, idf, avgdl and the kind's unit norms) from the stored integers,
+so a save/load round trip reproduces rankings bit-exactly; the stored
+``n_tokens`` must equal the derived counts.
 """
 
 from __future__ import annotations
@@ -97,6 +98,8 @@ def _unpack_terms(blob: bytes, n_units: int) -> tuple[dict[str, int], np.ndarray
         raise CorruptIndex("terms file names a unit index out of range")
     if (tfs == 0).any():
         raise CorruptIndex("terms file has a zero term count")
+    if 0 in counts:
+        raise CorruptIndex("terms file has a term with no postings")
     rows = np.repeat(np.arange(n_terms), counts)
     if ((np.diff(postings) <= 0) & (np.diff(rows) == 0)).any():
         raise CorruptIndex("terms file has postings not strictly ascending within a term")

@@ -386,6 +386,61 @@ class TestViewsCoverSections:
         assert "no views supplied for document 'doc001'" in capsys.readouterr().err
 
 
+class TestViewsFileReadOnlyForViewKinds:
+    """``--views`` is read only by a setup that indexes keyword or summary texts."""
+
+    @pytest.fixture
+    def invalid(self, tmp_path):
+        path = tmp_path / "views.jsonl"
+        path.write_text("{not json\n")
+        return path
+
+    @pytest.mark.parametrize("scheme", ["content", "flc:40"])
+    def test_eval_recall_raw_mode_ignores_it(self, scheme, dataset, invalid, capsys):
+        corpus, qa = dataset
+        argv = ["eval", "recall", "--corpus", str(corpus), "--qa", str(qa), "--scheme", scheme,
+                "--retriever", "bm25", "--mode", "single:raw", "--k", "1.5,3"]
+        assert run(argv) == 0
+        want = capsys.readouterr().out
+        assert run([*argv, "--views", str(invalid)]) == 0
+        assert capsys.readouterr().out == want
+
+    def test_eval_answers_raw_modes_ignore_it(self, dataset, tmp_path, invalid, stub, monkeypatch, capsys):
+        corpus, qa = dataset
+        _answers_stub(stub, monkeypatch)
+        argv = ["eval", "answers", "--corpus", str(corpus), "--qa", str(qa), "--retriever", "bm25", "--k", "3",
+                "--scheme-a", "content", "--mode-a", "single:raw", "--scheme-b", "flc:40", "--mode-b", "single:raw"]
+        runs = []
+        for extra in ([], ["--views", str(invalid)]):
+            transcripts = tmp_path / f"judge{len(extra)}.jsonl"
+            assert run([*argv, *extra, "--output", str(transcripts)]) == 0
+            runs.append((capsys.readouterr().out, transcripts.read_bytes()))
+        assert runs[0] == runs[1]
+
+    def test_index_raw_view_ignores_it(self, dataset, tmp_path, invalid):
+        corpus, _ = dataset
+        argv = ["index", "--corpus", str(corpus), "--scheme", "content", "--retriever", "bm25", "--view", "raw"]
+        assert run([*argv, "--output", str(tmp_path / "a")]) == 0
+        assert run([*argv, "--views", str(invalid), "--output", str(tmp_path / "b")]) == 0
+        assert (tmp_path / "a" / "manifest.json").read_bytes() == (tmp_path / "b" / "manifest.json").read_bytes()
+
+    @pytest.mark.parametrize("command", [
+        ["eval", "recall", "--qa", "QA", "--scheme", "content", "--mode", "mc", "--k", "3"],
+        ["eval", "answers", "--qa", "QA", "--k", "3", "--scheme-a", "content", "--mode-a", "single:raw",
+         "--scheme-b", "content", "--mode-b", "mc", "--output", "OUT"],
+        ["index", "--scheme", "content", "--view", "summary", "--output", "OUT"],
+    ], ids=["eval-recall-mc", "eval-answers-mc", "index-summary"])
+    def test_view_modes_read_it(self, command, dataset, tmp_path, invalid, stub, monkeypatch, capsys):
+        corpus, qa = dataset
+        _answers_stub(stub, monkeypatch)
+        paths = {"QA": str(qa), "OUT": str(tmp_path / "out")}
+        code = run([*(paths.get(arg, arg) for arg in command), "--corpus", str(corpus), "--retriever", "bm25",
+                    "--views", str(invalid)])
+        assert code == 2
+        assert str(invalid) in capsys.readouterr().err
+        assert stub.requests == []
+
+
 # A command that takes --k, with every other argument it needs.
 _BUDGET_COMMANDS = {
     "retrieve": ["retrieve", "--index", "missing-idx", "--question", "anything"],

@@ -281,6 +281,14 @@ class TestDocUnits:
         summary = doc_units(doc, self.CONTENT, ViewKind.SUMMARY, views)
         assert summary == [(sid, span, f"summary {sid}", None) for sid, span in spans]
 
+    def test_raw_view_is_the_content_chunks_under_section_ids(self):
+        docs, _ = synthetic_corpus(n_docs=5)
+        for doc in docs:
+            chunks = doc_units(doc, self.CONTENT, None, None)
+            raw = doc_units(doc, self.CONTENT, ViewKind.RAW_TEXT, None)
+            assert [unit[1:] for unit in raw] == [unit[1:] for unit in chunks]
+            assert [unit[0] for unit in raw] == [s.section_id for s in doc.sections]
+
     def test_missing_views_and_wrong_scheme_rejected(self):
         doc = self._doc()
         with pytest.raises(UnknownDoc):

@@ -405,10 +405,7 @@ class TestTableTermsBuild:
                     a, b = getattr(got, name), getattr(want, name)
                     assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
                 assert np.float64(got.avgdl).tobytes() == np.float64(want.avgdl).tobytes()
-                if kind == "tfidf":
-                    assert got.unit_norms.tobytes() == want.unit_norms.tobytes()
-                else:
-                    assert got.unit_norms is None and want.unit_norms is None
+                assert got.unit_norms.tobytes() == want.unit_norms.tobytes()
             postings, lens = oracle_postings(pairs)
             assert list(want.terms) == list(postings)
             for term, row in want.terms.items():

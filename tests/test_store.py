@@ -67,13 +67,22 @@ class TestSparseRoundTrip:
             query = " ".join(qrng.choice(vocabulary) for _ in range(5))
             assert ranking(index, query) == ranking(reloaded, query)
 
+    @pytest.mark.parametrize("kind", ["tfidf", "bm25"])
+    def test_units_without_terms(self, tmp_path, kind):
+        # avgdl is 0, which no derived norm may divide by.
+        index = build_sparse_index([("u1", ""), ("u2", "... !")], kind)
+        save_index(index, tmp_path / kind)
+        reloaded = load_index(tmp_path / kind)
+        assert reloaded.avgdl == 0.0 and reloaded.unit_norms.tobytes() == index.unit_norms.tobytes()
+        assert ranking(reloaded, "cat") == ranking(index, "cat") == [("u1", 0.0, 1), ("u2", 0.0, 2)]
+
     def test_statistics_survive(self, tmp_path):
         index = build_sparse_index(UNITS, "bm25")
         save_index(index, tmp_path / "idx")
         reloaded = load_index(tmp_path / "idx")
         assert reloaded.unit_ids == index.unit_ids
         assert reloaded.terms == index.terms
-        for name in ("indptr", "postings", "tfs", "unit_lens", "idf"):
+        for name in ("indptr", "postings", "tfs", "unit_lens", "idf", "unit_norms"):
             assert np.array_equal(getattr(reloaded, name), getattr(index, name)), name
         assert reloaded.avgdl == index.avgdl
 
@@ -358,6 +367,18 @@ class TestCorruptIndexRejected:
         _rewrite(sparse, TERMS_FILE, _terms_blob(entries))
         with pytest.raises(CorruptIndex):
             load_index(sparse)
+
+    def test_term_without_postings(self, tmp_path, capsys):
+        # Its idf would join every query norm that names it and scale each TF-IDF score.
+        directory = tmp_path / "idx"
+        index = build_sparse_index([("u1", "alpha beta"), ("u2", "beta gamma"), ("u3", "gamma delta")], "tfidf")
+        save_index(index, directory)
+        blob = (directory / TERMS_FILE).read_bytes()
+        # One more row, "zzz", sorted last and with a count of 0.
+        _rewrite(directory, TERMS_FILE, b"".join([blob[:4], struct.pack("<I", len(index.terms) + 1), blob[8:],
+                                                  struct.pack("<I", 3), b"zzz", struct.pack("<I", 0)]))
+        assert run(["retrieve", "--index", str(directory), "--question", "beta zzz"]) == 2
+        assert capsys.readouterr().err == f"data error: {directory}: terms file has a term with no postings\n"
 
     @pytest.mark.parametrize("cut", [-3, 3], ids=["truncated", "trailing-bytes"])
     def test_terms_file_size(self, sparse, cut):
