@@ -24,7 +24,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import Document, QAItem
+from .corpus import Document, QAItem, docs_by_id, scope_doc_span
 from .errors import EmptyCorpus, UnknownDoc
 from .jsonio import write_jsonl
 
@@ -144,26 +144,20 @@ def chunk_document(doc: Document, scheme: ChunkScheme) -> list[Chunk]:
             for n, (section_id, span, token_span) in enumerate(pieces)]
 
 
-def scope_doc_span(doc: Document, item: QAItem) -> tuple[int, int]:
-    """Answer scope mapped from section-relative to document coordinates."""
-    section = doc.sections_by_id.get(item.scope_section_id)
-    if section is None:
-        raise UnknownDoc(f"section {item.scope_section_id!r} not in document {doc.doc_id!r}")
-    offset = section.doc_span[0]
-    return (offset + item.scope_span[0], offset + item.scope_span[1])
-
-
 def chunking_error(docs: list[Document], qa: list[QAItem], scheme: ChunkScheme) -> ChunkingErrorReport:
-    """Fraction of answer scopes not fully contained in any single chunk of ``docs`` under ``scheme``."""
+    """Fraction of answer scopes not fully contained in any single chunk of ``docs`` under ``scheme``.
+
+    Refuses (``DataError``) an absent document or section, a scope empty or outside its section and a repeated id.
+    """
     if not docs:
         raise EmptyCorpus("chunking_error needs at least one document")
+    by_id = docs_by_id(docs)
     spans_by_doc = {d.doc_id: [c.doc_span for c in chunk_document(d, scheme)] for d in docs}
-    docs_by_id = {d.doc_id: d for d in docs}
     n_split = 0
     for item in qa:
-        if item.doc_id not in docs_by_id:
+        if item.doc_id not in by_id:
             raise UnknownDoc(f"question {item.question_id!r} references unknown document {item.doc_id!r}")
-        s, e = scope_doc_span(docs_by_id[item.doc_id], item)
+        s, e = scope_doc_span(by_id[item.doc_id], item)
         if not any(cs <= s and e <= ce for cs, ce in spans_by_doc[item.doc_id]):
             n_split += 1
     return ChunkingErrorReport(scheme, len(qa), n_split)

@@ -24,7 +24,7 @@ from .corpus import (
     parse_markdown,
     write_corpus_jsonl,
 )
-from .errors import DataError, DuplicateId, McIndexError, ParseError, ProviderError, ViewMismatch
+from .errors import DataError, DuplicateId, McIndexError, ProviderError, ViewMismatch
 from .evaluation import (
     VIEWS_FILE_KINDS,
     check_budgets,
@@ -364,7 +364,7 @@ def run(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
         return args.func(args)
-    except (ProviderError, ParseError) as exc:
+    except ProviderError as exc:
         print(f"provider error: {exc}", file=sys.stderr)
         return EXIT_PROVIDER
     except OSError as exc:

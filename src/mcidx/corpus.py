@@ -4,8 +4,8 @@ Documents are flat ordered lists of sections. A section is the smallest
 heading-delimited division of the source text; its ``doc_span`` addresses the
 document ``full_text``, which is the section texts joined with a single
 newline. Questions carry an answer scope as a character span inside exactly
-one section. A section counts its tokens on first use of ``token_count``;
-loading a corpus tokenizes nothing.
+one section, resolved by ``scope_doc_span`` alone. A section counts its tokens
+on first use of ``token_count``; loading a corpus tokenizes nothing.
 
 A document analyzes its text once for every chunking scheme and index built
 over it: each part of the analysis (``Document.terms``, ``section_starts``,
@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DuplicateId, EmptyDocument, SchemaError
+from .errors import DuplicateId, EmptyDocument, EmptyScope, SchemaError, UnknownDoc
 from .jsonio import read_jsonl, require, write_jsonl
 from .text import iter_sentences, term_ids, token_count
 
@@ -139,14 +139,14 @@ def _normalize_type_key(name: str) -> str:
 
 _TYPE_ALIASES: dict[str, QuestionType] = {}
 for _qt, _aliases in {
-    QuestionType.NARRATIVE_PLOT: ("questions about narrative and plot details", "narrative and plot details", "narrative plot"),
-    QuestionType.SUMMARIZATION: ("summarization questions", "summarization"),
-    QuestionType.INFERENTIAL_IMPLIED: ("inferential and implied questions", "inferential and implied", "inferential implied"),
-    QuestionType.INFORMATION_SYNTHESIS: ("questions requiring synthesis of information", "synthesis of information", "information synthesis"),
-    QuestionType.CAUSE_EFFECT: ("cause and effect questions", "cause and effect", "cause effect"),
-    QuestionType.COMPARATIVE: ("comparative questions", "comparative"),
-    QuestionType.EXPLANATORY: ("explanatory questions", "explanatory"),
-    QuestionType.THEMES_MOTIFS: ("questions about themes and motifs", "themes and motifs", "themes motifs"),
+    QuestionType.NARRATIVE_PLOT: ("questions about narrative and plot details", "narrative and plot details"),
+    QuestionType.SUMMARIZATION: ("summarization questions",),
+    QuestionType.INFERENTIAL_IMPLIED: ("inferential and implied questions", "inferential and implied"),
+    QuestionType.INFORMATION_SYNTHESIS: ("questions requiring synthesis of information", "synthesis of information"),
+    QuestionType.CAUSE_EFFECT: ("cause and effect questions", "cause and effect"),
+    QuestionType.COMPARATIVE: ("comparative questions",),
+    QuestionType.EXPLANATORY: ("explanatory questions",),
+    QuestionType.THEMES_MOTIFS: ("questions about themes and motifs", "themes and motifs"),
 }.items():
     _TYPE_ALIASES[_normalize_type_key(_qt.value)] = _qt
     for _a in _aliases:
@@ -173,6 +173,28 @@ class QAItem:
     question_type: QuestionType
     scope_section_id: str
     scope_span: tuple[int, int]
+
+
+def scope_doc_span(doc: Document, item: QAItem) -> tuple[int, int]:
+    """The answer scope in document coordinates: ``UnknownDoc`` for an absent section,
+    ``EmptyScope`` for a span that is empty or not inside ``[0, len(section.text)]``."""
+    section = doc.sections_by_id.get(item.scope_section_id)
+    if section is None:
+        raise UnknownDoc(f"section {item.scope_section_id!r} not in document {doc.doc_id!r}")
+    start, end = item.scope_span
+    if not 0 <= start < end <= len(section.text):
+        raise EmptyScope(f"scope {item.scope_span} empty or outside section {section.section_id!r} of {doc.doc_id!r}")
+    return section.doc_span[0] + start, section.doc_span[0] + end
+
+
+def docs_by_id(docs: list[Document]) -> dict[str, Document]:
+    """Each document under its id; a repeated id is ``DuplicateId``."""
+    by_id: dict[str, Document] = {}
+    for doc in docs:
+        if doc.doc_id in by_id:
+            raise DuplicateId(f"document id {doc.doc_id!r} repeated")
+        by_id[doc.doc_id] = doc
+    return by_id
 
 
 @dataclass(frozen=True)
@@ -315,26 +337,20 @@ def load_qa_jsonl(path: str | Path) -> list[QAItem]:
 def load_and_filter_qa(path: str | Path, docs: list[Document]) -> list[QAItem]:
     """Load QA JSONL and drop items whose scope cannot be resolved.
 
-    Dropped (with a warning): unknown doc_id, unknown section_id, and scope
-    spans that are empty or fall outside the section text.
+    Dropped with a warning: an unknown doc_id, and what ``scope_doc_span``
+    rejects (unknown section_id, span empty or outside the section text).
     """
-    docs_by_id = {d.doc_id: d for d in docs}
+    by_id = docs_by_id(docs)
     kept: list[QAItem] = []
     for item in load_qa_jsonl(path):
-        doc = docs_by_id.get(item.doc_id)
+        doc = by_id.get(item.doc_id)
         if doc is None:
             logger.warning("dropping %s: unknown doc_id %r", item.question_id, item.doc_id)
             continue
-        section = doc.sections_by_id.get(item.scope_section_id)
-        if section is None:
-            logger.warning("dropping %s: unknown section %r", item.question_id, item.scope_section_id)
-            continue
-        start, end = item.scope_span
-        if not (0 <= start < end <= len(section.text)):
-            logger.warning(
-                "dropping %s: scope (%d, %d) outside section of length %d",
-                item.question_id, start, end, len(section.text),
-            )
+        try:
+            scope_doc_span(doc, item)
+        except (UnknownDoc, EmptyScope) as exc:
+            logger.warning("dropping %s: %s", item.question_id, exc)
             continue
         kept.append(item)
     return kept
@@ -362,25 +378,25 @@ def write_qa_jsonl(items: list[QAItem], path: str | Path) -> None:
 
 
 def corpus_stats(docs: list[Document], qa_items: list[QAItem]) -> CorpusStats:
-    """Arithmetic means over the corpus; empty inputs yield zeros."""
-    docs_by_id = {d.doc_id: d for d in docs}
-    n_docs = len(docs)
-    n_sections = sum(len(d.sections) for d in docs)
+    """Arithmetic means over the corpus, zeros for empty inputs; the scope mean skips scopes that do not resolve."""
+    by_id = docs_by_id(docs)
     scope_tokens = []
     for item in qa_items:
-        doc = docs_by_id.get(item.doc_id)
-        section = doc.sections_by_id.get(item.scope_section_id) if doc else None
-        if section is None:
+        doc = by_id.get(item.doc_id)
+        if doc is None:
             continue
-        start, end = item.scope_span
-        scope_tokens.append(token_count(section.text[start:end]))
+        try:
+            start, end = scope_doc_span(doc, item)
+        except (UnknownDoc, EmptyScope):
+            continue
+        scope_tokens.append(token_count(doc.full_text[start:end]))
 
     def mean(values) -> float:
         values = list(values)
         return sum(values) / len(values) if values else 0.0
 
     return CorpusStats(
-        n_documents=n_docs,
+        n_documents=len(docs),
         n_questions=len(qa_items),
         mean_sections_per_doc=mean(len(d.sections) for d in docs),
         # Sections are joined by a newline, so no token spans two of them.

@@ -2,7 +2,7 @@
 
 Split into two broad families so the CLI can map failures to exit codes:
 ``DataError`` (bad inputs, exit 2) and ``ProviderError`` (remote generation
-or embedding endpoints, exit 3).
+or embedding endpoints and their replies, exit 3).
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ class ViewMismatch(DataError):
 
 
 class EmptyScope(DataError):
-    """An answer scope with zero characters cannot be scored."""
+    """An answer scope is empty or not inside its section, so it cannot be scored."""
 
 
 class EmptyRetrieval(DataError):
@@ -87,5 +87,5 @@ class DimensionMismatch(ProviderError):
     """An embedding provider's vectors are not one numeric row per text of a single width."""
 
 
-class ParseError(McIndexError):
+class ParseError(ProviderError):
     """Provider output could not be parsed into the expected shape."""

@@ -24,8 +24,8 @@ from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .chunking import CONTENT, ChunkScheme, chunk_document, scope_doc_span
-from .corpus import Document, QAItem
+from .chunking import CONTENT, ChunkScheme, chunk_document
+from .corpus import Document, QAItem, docs_by_id, scope_doc_span
 from .errors import EmptyRetrieval, EmptyScope, ParseError, UnknownDoc, ViewMismatch
 from .fusion import VIEW_ORDER, per_view_budget, retrieve_mc, retrieve_single, single_budget
 from .jsonio import iter_json_objects
@@ -243,7 +243,7 @@ def retrieved_spans(
     budget = per_view_budget if fused else single_budget
     retriever_kind, provider_name = parse_retriever(retriever)
     provider = resolve_provider(provider_name) if retriever_kind == DENSE else None
-    by_id = {d.doc_id: d for d in docs}
+    by_id = docs_by_id(docs)
     contexts = {}
     questions_left = Counter(item.doc_id for item in qa)
     for ordinal, item in enumerate(qa, start=int(invert_parity)):
@@ -279,10 +279,10 @@ def eval_recall(
 ) -> RecallReport:
     """Mean recall per budget k for one (scheme, retriever, mode) setup.
 
-    Questions come from ``retrieved_spans`` and keep their dataset-order
-    ordinal for budget alternation; each answer scope is mapped to document
-    coordinates once. The setup is checked (``check_setup``) before any
-    document is.
+    Questions come from ``retrieved_spans``, which refuses a repeated document
+    id, with their dataset-order ordinal for budget alternation; each answer
+    scope goes to document coordinates once, by ``scope_doc_span``, which
+    refuses one outside its section. ``check_setup`` runs before all of that.
     """
     if isinstance(scheme, str):
         scheme = ChunkScheme.parse(scheme)

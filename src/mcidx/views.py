@@ -173,7 +173,7 @@ def _llm_views_for_section(section: Section, llm: LlmClient) -> list[ViewEntry]:
     try:
         keywords = generate_keywords(section, llm)
         summary = generate_summary(section, llm)
-    except (ProviderError, ParseError) as exc:
+    except ProviderError as exc:
         raise type(exc)(f"section {section.section_id!r}: {exc}") from exc
     generated = section.token_count > SUMMARY_TOKEN_THRESHOLD
     truncated = truncate_tokens(summary, DENSE_TOKEN_LIMIT)

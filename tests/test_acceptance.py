@@ -11,9 +11,9 @@ import random
 import time
 from contextlib import contextmanager
 
-from mcidx.chunking import ChunkScheme, chunk_document, chunking_error, scope_doc_span
+from mcidx.chunking import ChunkScheme, chunk_document, chunking_error
 from mcidx.cli import run
-from mcidx.corpus import write_corpus_jsonl, write_qa_jsonl
+from mcidx.corpus import scope_doc_span, write_corpus_jsonl, write_qa_jsonl
 from mcidx.evaluation import eval_recall, judge_outcome, recall_of_set
 from mcidx.fusion import per_view_budget, retrieve_mc, retrieve_single
 from mcidx.providers import MockEmbeddingProvider

@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import json
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import SECTION_TEXTS, make_doc
 from mcidx import corpus
-from mcidx.chunking import ChunkScheme
+from mcidx.chunking import ChunkScheme, chunking_error
 from mcidx.cli import run
 from mcidx.corpus import (
     QAItem,
@@ -26,8 +27,8 @@ from mcidx.corpus import (
     write_corpus_jsonl,
     write_qa_jsonl,
 )
-from mcidx.errors import DuplicateId, EmptyDocument, SchemaError
-from mcidx.evaluation import doc_units
+from mcidx.errors import DuplicateId, EmptyDocument, EmptyScope, SchemaError
+from mcidx.evaluation import doc_units, eval_recall
 from mcidx.synthetic import synthetic_corpus
 from mcidx.text import index_terms, term_ids, token_count
 from mcidx.views import ViewKind
@@ -208,6 +209,7 @@ class TestQuestionTypes:
         ("Questions about Narrative and Plot Details", QuestionType.NARRATIVE_PLOT),
         ("InformationSynthesis", QuestionType.INFORMATION_SYNTHESIS),
         ("themes and motifs", QuestionType.THEMES_MOTIFS),
+        ("cause effect", QuestionType.CAUSE_EFFECT),
     ])
     def test_alias_parsing(self, label, expected):
         assert parse_question_type(label) is expected
@@ -254,6 +256,41 @@ class TestCorpusStats:
         stats = corpus_stats([], [])
         assert stats.n_documents == 0
         assert stats.mean_tokens_per_doc == 0.0
+
+
+class TestOneScopeResolver:
+    """Every caller resolves a question's document and scope as ``load_and_filter_qa`` does.
+
+    ``doc000:q0`` of seed 7 has the scope (0, 347) in section ``s0005``,
+    1,434 characters long.
+    """
+
+    @pytest.mark.parametrize("span", [(0, 6434), (-50, 347), (347, 347)])
+    def test_scope_outside_its_section(self, span):
+        docs, qa = synthetic_corpus(n_docs=2, seed=7)
+        assert qa[0].question_id == "doc000:q0" and qa[0].scope_span == (0, 347)
+        bad = [replace(qa[0], scope_span=span), *qa[1:]]
+        with pytest.raises(EmptyScope, match="s0005"):
+            eval_recall(docs, bad, "content", "bm25", "single:raw", [3])
+        with pytest.raises(EmptyScope, match="s0005"):
+            chunking_error(docs, bad, ChunkScheme("content"))
+        stats = corpus_stats(docs, bad)
+        assert stats.n_questions == len(qa)
+        assert stats.mean_tokens_per_answer_scope == corpus_stats(docs, qa[1:]).mean_tokens_per_answer_scope
+
+    def test_repeated_document_id(self, tmp_path):
+        docs, qa = synthetic_corpus(n_docs=2, seed=7)
+        docs = [docs[0], replace(docs[1], doc_id=docs[0].doc_id)]
+        qa = [q for q in qa if q.doc_id == docs[0].doc_id]
+        path = tmp_path / "qa.jsonl"
+        write_qa_jsonl(qa, path)
+        calls = [lambda: eval_recall(docs, qa, "content", "bm25", "single:raw", [1.5, 3]),
+                 lambda: chunking_error(docs, qa, ChunkScheme("content")),
+                 lambda: corpus_stats(docs, qa),
+                 lambda: load_and_filter_qa(path, docs)]
+        for call in calls:
+            with pytest.raises(DuplicateId, match="doc000"):
+                call()
 
 
 class TestDocumentInvariants:

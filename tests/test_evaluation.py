@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from conftest import SECTION_TEXTS, ScriptedLlm, make_doc
 import mcidx.evaluation as evaluation
 import mcidx.fusion as fusion
-from mcidx.chunking import ChunkScheme, chunk_document, scope_doc_span
-from mcidx.corpus import QAItem, QuestionType
+from mcidx.chunking import ChunkScheme, chunk_document
+from mcidx.corpus import QAItem, QuestionType, scope_doc_span
 from mcidx.errors import EmptyRetrieval, EmptyScope, ParseError, UnknownDoc, ViewMismatch
 from mcidx.evaluation import (
     RecallReport,

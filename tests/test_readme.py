@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
+import importlib
+import inspect
+import pkgutil
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
+import mcidx
 from mcidx.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -34,3 +39,29 @@ def test_cli_block_commands_parse():
             parser.parse_args(argv[1:])
         except SystemExit:
             pytest.fail(f"README command does not parse: {shlex.join(argv)}")
+
+
+def test_dotted_names_resolve():
+    # A `module.name` or `Class.name` the README names under an mcidx module or
+    # exported class must exist; a dataclass field counts. A function or class
+    # must be defined in the module named, not only imported into it.
+    modules = {info.name for info in pkgutil.iter_modules(mcidx.__path__)}
+    resolved, missing = 0, []
+    for head, name in re.findall(r"`([A-Za-z_]\w*)\.([A-Za-z_]\w*)`", README.read_text(encoding="utf-8")):
+        if head in modules:
+            owner = importlib.import_module(f"mcidx.{head}")
+            value = getattr(owner, name, None)
+            imported = (inspect.isfunction(value) or inspect.isclass(value)) and value.__module__ != owner.__name__
+            found = hasattr(owner, name) and not imported
+        elif isinstance(getattr(mcidx, head, None), type):
+            owner = getattr(mcidx, head)
+            fields = {f.name for f in dataclasses.fields(owner)} if dataclasses.is_dataclass(owner) else set()
+            found = hasattr(owner, name) or name in fields
+        else:
+            continue
+        if found:
+            resolved += 1
+        else:
+            missing.append(f"{head}.{name}")
+    assert missing == []
+    assert resolved >= 10
