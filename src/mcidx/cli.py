@@ -27,8 +27,8 @@ from .corpus import (
 from .errors import DataError, DuplicateId, McIndexError, ProviderError, ViewMismatch
 from .evaluation import (
     VIEWS_FILE_KINDS,
+    Setup,
     check_budgets,
-    check_setup,
     check_views,
     doc_units,
     doc_views_for,
@@ -83,8 +83,8 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _load_views_arg(args, view_kinds) -> dict | None:
-    return read_views_jsonl(args.views) if args.views and not VIEWS_FILE_KINDS.isdisjoint(view_kinds) else None
+def _load_views_arg(args, wanted: bool) -> dict | None:
+    return read_views_jsonl(args.views) if args.views and wanted else None
 
 
 def cmd_ingest(args) -> int:
@@ -137,10 +137,11 @@ def cmd_index(args) -> int:
     view = ViewKind(args.view) if args.view else None
     check_views(scheme, (view,))
     docs = load_corpus_jsonl(args.corpus)
-    views_by_doc = _load_views_arg(args, (view,))
+    reads_views = view in VIEWS_FILE_KINDS
+    views_by_doc = _load_views_arg(args, reads_views)
     units = []
     for doc in docs:
-        doc_views = doc_views_for(doc, views_by_doc) if view in VIEWS_FILE_KINDS else None
+        doc_views = doc_views_for(doc, views_by_doc) if reads_views else None
         # Unit ids are doc-qualified so one index can hold the whole corpus.
         units.extend((f"{doc.doc_id}#{uid}", text) for uid, _, text, _ in doc_units(doc, scheme, view, doc_views))
     if kind == DENSE:
@@ -180,12 +181,11 @@ def cmd_retrieve(args) -> int:
 
 
 def cmd_eval_recall(args) -> int:
-    scheme = ChunkScheme.parse(args.scheme)
-    check_setup(scheme, args.retriever, args.mode, list(args.k))
+    setup = Setup.parse(args.scheme, args.retriever, args.mode, args.k)
     docs = load_corpus_jsonl(args.corpus)
     qa = load_and_filter_qa(args.qa, docs)
-    report = eval_recall(docs, qa, scheme, args.retriever, args.mode, list(args.k),
-                         views=_load_views_arg(args, parse_mode(args.mode)), invert_parity=args.invert_parity)
+    report = eval_recall(docs, qa, setup.scheme, args.retriever, args.mode, setup.ks,
+                         views=_load_views_arg(args, setup.reads_views_file), invert_parity=args.invert_parity)
     csv_text = report.to_csv()
     if args.output:
         _write_text(args.output, csv_text)
@@ -213,16 +213,13 @@ def cmd_eval_chunking_error(args) -> int:
 
 
 def cmd_eval_answers(args) -> int:
-    setups = [(ChunkScheme.parse(scheme), mode)
+    setups = [Setup.parse(scheme, args.retriever, mode, [args.k])
               for scheme, mode in ((args.scheme_a, args.mode_a), (args.scheme_b, args.mode_b))]
-    for scheme, mode in setups:
-        check_setup(scheme, args.retriever, mode, [args.k])
     docs = load_corpus_jsonl(args.corpus)
     qa = load_and_filter_qa(args.qa, docs)
     llm = HttpLlmClient.from_env()
-    views_by_doc = _load_views_arg(args, parse_mode(args.mode_a) + parse_mode(args.mode_b))
-    side_a, side_b = (retrieved_spans(docs, qa, scheme, args.retriever, mode, [args.k], views_by_doc)
-                      for scheme, mode in setups)
+    views_by_doc = _load_views_arg(args, any(setup.reads_views_file for setup in setups))
+    side_a, side_b = (retrieved_spans(docs, qa, setup, views_by_doc) for setup in setups)
     records = []
     tallies = {"score_based": {"a": 0, "b": 0, "tie": 0}, "round_based": {"a": 0, "b": 0, "tie": 0}}
     for (item, doc, (spans_a,)), (_, _, (spans_b,)) in zip(side_a, side_b):

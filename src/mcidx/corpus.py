@@ -201,6 +201,8 @@ def docs_by_id(docs: list[Document]) -> dict[str, Document]:
 class CorpusStats:
     n_documents: int
     n_questions: int
+    # Questions whose document is absent or whose scope does not resolve; the scope mean leaves them out.
+    n_questions_skipped: int
     mean_sections_per_doc: float
     mean_tokens_per_doc: float
     mean_tokens_per_section: float
@@ -378,7 +380,7 @@ def write_qa_jsonl(items: list[QAItem], path: str | Path) -> None:
 
 
 def corpus_stats(docs: list[Document], qa_items: list[QAItem]) -> CorpusStats:
-    """Arithmetic means over the corpus, zeros for empty inputs; the scope mean skips scopes that do not resolve."""
+    """Arithmetic means over the corpus, zeros for empty inputs; the scope mean skips, and counts, unresolved scopes."""
     by_id = docs_by_id(docs)
     scope_tokens = []
     for item in qa_items:
@@ -398,6 +400,7 @@ def corpus_stats(docs: list[Document], qa_items: list[QAItem]) -> CorpusStats:
     return CorpusStats(
         n_documents=len(docs),
         n_questions=len(qa_items),
+        n_questions_skipped=len(qa_items) - len(scope_tokens),
         mean_sections_per_doc=mean(len(d.sections) for d in docs),
         # Sections are joined by a newline, so no token spans two of them.
         mean_tokens_per_doc=mean(sum(s.token_count for s in d.sections) for d in docs),

@@ -1,5 +1,7 @@
 """Answer-scope recall, the evaluation grid, and pairwise answer judging.
 
+A grid setup (scheme, retriever, mode, budgets) is parsed once, by
+``Setup.parse``, where it enters; nothing below parses a spec again.
 Recall of a question is the fraction of its answer scope's characters
 covered by the union of retrieved spans. Both harnesses, ``eval_recall`` and
 ``mcidx eval answers``, reach their spans through one loop,
@@ -21,7 +23,7 @@ import enum
 import logging
 import re
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 
 from .chunking import CONTENT, ChunkScheme, chunk_document
@@ -71,8 +73,8 @@ def check_views(scheme: ChunkScheme, views: tuple[ViewKind | None, ...]) -> None
         raise ValueError(f"views index sections and need the content scheme, got {scheme.spec()!r}")
 
 
-def check_budgets(views: tuple[ViewKind | None, ...], ks: list[float]) -> None:
-    """Reject (ValueError) no budget, a repeated one or one the rule of a mode with these views does not take."""
+def check_budgets(views: tuple[ViewKind | None, ...], ks: list[float]) -> Callable[[float, int], int]:
+    """The budget rule of these views, per view if they fuse; ValueError: no k, a repeated k or one it does not take."""
     if not ks:
         raise ValueError("no budget given: each setup needs at least one k")
     rule = per_view_budget if len(views) > 1 else single_budget
@@ -80,18 +82,37 @@ def check_budgets(views: tuple[ViewKind | None, ...], ks: list[float]) -> None:
         rule(k, 0)
     if len({float(k) for k in ks}) != len(ks):
         raise ValueError(f"repeated budget in {list(ks)}: each k gets one row")
+    return rule
 
 
-def check_setup(scheme: ChunkScheme, retriever: str, mode: str, ks: list[float]) -> None:
-    """Apply every rule of a (scheme, retriever, mode, budgets) setup; ValueError names a broken one.
+@dataclass(frozen=True)
+class Setup:
+    """A parsed (scheme, retriever, mode, budgets) setup; callers parse where it enters, before reading any file."""
 
-    Callers run it where the setup enters, before any file is read, client
-    created or document touched.
-    """
-    parse_retriever(retriever)
-    views = parse_mode(mode)
-    check_views(scheme, views)
-    check_budgets(views, ks)
+    scheme: ChunkScheme
+    retriever: str
+    kind: str
+    provider_name: str | None
+    mode: str
+    views: tuple[ViewKind | None, ...]
+    ks: tuple[float, ...]
+    budget: Callable[[float, int], int]  # (k, question ordinal) -> rank cut
+
+    @classmethod
+    def parse(cls, scheme: ChunkScheme | str, retriever: str, mode: str, ks: Sequence[float]) -> "Setup":
+        """Apply every setup rule; ValueError names a broken one."""
+        if isinstance(scheme, str):
+            scheme = ChunkScheme.parse(scheme)
+        kind, provider_name = parse_retriever(retriever)
+        views = parse_mode(mode)
+        check_views(scheme, views)
+        budget = check_budgets(views, ks)
+        return cls(scheme, retriever, kind, provider_name, mode, views, tuple(map(float, ks)), budget)
+
+    @property
+    def reads_views_file(self) -> bool:
+        """Whether the mode indexes a view that a views file supplies."""
+        return not VIEWS_FILE_KINDS.isdisjoint(self.views)
 
 
 def format_k(k: float) -> str:
@@ -193,18 +214,16 @@ def doc_views_for(doc: Document, views: dict[str, list[ViewEntry]] | None) -> li
 
 def build_doc_context(
     doc: Document,
-    scheme: ChunkScheme,
-    views: tuple[ViewKind | None, ...],
-    retriever_kind: str,
+    setup: Setup,
     provider: EmbeddingProvider | None,
     doc_views: list[ViewEntry] | None,
 ) -> tuple[dict[str, tuple[int, int]], dict[ViewKind | None, SparseIndex | DenseIndex]]:
-    """One document's unit spans and one index per view, in fusion order."""
+    """One document's unit spans and one index per view of the setup's mode, in fusion order."""
     indexes = {}
-    for view in views:
-        units = doc_units(doc, scheme, view, doc_views)
+    for view in setup.views:
+        units = doc_units(doc, setup.scheme, view, doc_views)
         pairs = [(uid, text) for uid, _, text, _ in units]
-        if retriever_kind == DENSE:
+        if setup.kind == DENSE:
             indexes[view] = build_dense_index(pairs, provider)
             continue
         terms = None
@@ -212,7 +231,7 @@ def build_doc_context(
             # Chunk and section terms are slices of the document's terms.
             vocabulary, ids = doc.terms
             terms = (vocabulary, [ids[a:b] for _, _, _, (a, b) in units])
-        indexes[view] = build_sparse_index(pairs, retriever_kind, terms)
+        indexes[view] = build_sparse_index(pairs, setup.kind, terms)
     # The views of a mode share one unit table: the document's sections.
     return {uid: span for uid, span, _, _ in units}, indexes
 
@@ -220,14 +239,11 @@ def build_doc_context(
 def retrieved_spans(
     docs: list[Document],
     qa: list[QAItem],
-    scheme: ChunkScheme,
-    retriever: str,
-    mode: str,
-    ks: list[float],
+    setup: Setup,
     views: dict[str, list[ViewEntry]] | None,
     invert_parity: bool = False,
 ) -> Iterator[tuple[QAItem, Document, list[list[tuple[int, int]]]]]:
-    """Each question's item, document and retrieved document spans per budget k, in dataset order.
+    """Each question's item, document and retrieved document spans per budget k of ``setup``, in dataset order.
 
     Each document gets one context (``build_doc_context``) on first use,
     dropped after the document's last question.
@@ -237,12 +253,8 @@ def retrieved_spans(
     ``invert_parity``); each k keeps the units whose best rank is within its
     budget. Questions whose document is absent are skipped with a warning.
     """
-    view_kinds = parse_mode(mode)
-    needs_views = not VIEWS_FILE_KINDS.isdisjoint(view_kinds)
-    fused = len(view_kinds) > 1
-    budget = per_view_budget if fused else single_budget
-    retriever_kind, provider_name = parse_retriever(retriever)
-    provider = resolve_provider(provider_name) if retriever_kind == DENSE else None
+    k_max = max(setup.ks)
+    provider = resolve_provider(setup.provider_name) if setup.kind == DENSE else None
     by_id = docs_by_id(docs)
     contexts = {}
     questions_left = Counter(item.doc_id for item in qa)
@@ -252,17 +264,17 @@ def retrieved_spans(
             logger.warning("skipping %s: document %r not ingested", item.question_id, item.doc_id)
             continue
         if doc.doc_id not in contexts:
-            doc_views = doc_views_for(doc, views) if needs_views else None
-            contexts[doc.doc_id] = build_doc_context(doc, scheme, view_kinds, retriever_kind, provider, doc_views)
+            doc_views = doc_views_for(doc, views) if setup.reads_views_file else None
+            contexts[doc.doc_id] = build_doc_context(doc, setup, provider, doc_views)
         questions_left[doc.doc_id] -= 1
         span_by_unit, indexes = contexts[doc.doc_id] if questions_left[doc.doc_id] else contexts.pop(doc.doc_id)
-        if fused:
+        if len(indexes) > 1:
             ranked = [(u.unit_id, min(u.view_ranks.values()))
-                      for u in retrieve_mc(indexes, item.question, max(ks), ordinal, provider).units]
+                      for u in retrieve_mc(indexes, item.question, k_max, ordinal, provider).units]
         else:
             (index,) = indexes.values()
-            ranked = [(s.unit_id, s.rank) for s in retrieve_single(index, item.question, max(ks), ordinal, provider)]
-        budgets = [budget(k, ordinal) for k in ks]
+            ranked = [(s.unit_id, s.rank) for s in retrieve_single(index, item.question, k_max, ordinal, provider)]
+        budgets = [setup.budget(k, ordinal) for k in setup.ks]
         yield item, doc, [[span_by_unit[uid] for uid, rank in ranked if rank <= b] for b in budgets]
 
 
@@ -282,20 +294,18 @@ def eval_recall(
     Questions come from ``retrieved_spans``, which refuses a repeated document
     id, with their dataset-order ordinal for budget alternation; each answer
     scope goes to document coordinates once, by ``scope_doc_span``, which
-    refuses one outside its section. ``check_setup`` runs before all of that.
+    refuses one outside its section. ``Setup.parse`` runs before all of that.
     """
-    if isinstance(scheme, str):
-        scheme = ChunkScheme.parse(scheme)
-    check_setup(scheme, retriever, mode, ks)
-    per_k: list[list[float]] = [[] for _ in ks]
-    for item, doc, spans_per_k in retrieved_spans(docs, qa, scheme, retriever, mode, ks, views, invert_parity):
+    setup = Setup.parse(scheme, retriever, mode, ks)
+    per_k: list[list[float]] = [[] for _ in setup.ks]
+    for item, doc, spans_per_k in retrieved_spans(docs, qa, setup, views, invert_parity):
         scope = scope_doc_span(doc, item)
         for recalls, spans in zip(per_k, spans_per_k):
             recalls.append(recall_of_set(spans, scope))
     rows = []
-    for k, recalls in zip(ks, per_k):
+    for k, recalls in zip(setup.ks, per_k):
         mean = sum(recalls) / len(recalls) if recalls else 0.0
-        rows.append(RecallRow(scheme.spec(), retriever, mode, float(k), len(recalls), mean, tuple(recalls)))
+        rows.append(RecallRow(setup.scheme.spec(), retriever, mode, k, len(recalls), mean, tuple(recalls)))
     return RecallReport(tuple(rows))
 
 
@@ -328,20 +338,11 @@ def judge_outcome(a1: float, b1: float, a2: float, b2: float) -> tuple[Winner, W
     Score-based compares round totals. Round-based requires winning both
     rounds outright; a split or any tied round is a tie.
     """
+    def winner(a_wins: bool, b_wins: bool) -> Winner:
+        return Winner.A if a_wins else Winner.B if b_wins else Winner.TIE
+
     total_a, total_b = a1 + a2, b1 + b2
-    if total_a > total_b:
-        score_based = Winner.A
-    elif total_b > total_a:
-        score_based = Winner.B
-    else:
-        score_based = Winner.TIE
-    if a1 > b1 and a2 > b2:
-        round_based = Winner.A
-    elif b1 > a1 and b2 > a2:
-        round_based = Winner.B
-    else:
-        round_based = Winner.TIE
-    return score_based, round_based
+    return winner(total_a > total_b, total_b > total_a), winner(a1 > b1 and a2 > b2, b1 > a1 and b2 > a2)
 
 
 _JSON_NUMBER = re.compile(r"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")

@@ -7,14 +7,14 @@ import json
 import os
 import socket
 import threading
+from collections import Counter
 
 import pytest
 
-from mcidx import cli, providers
+from mcidx import cli, evaluation, providers
 from mcidx.cli import build_parser, parse_k_list, run
-from mcidx.chunking import ChunkScheme
 from mcidx.corpus import load_and_filter_qa, load_corpus_jsonl, write_corpus_jsonl, write_qa_jsonl
-from mcidx.evaluation import build_doc_context, eval_recall, parse_mode
+from mcidx.evaluation import Setup, build_doc_context, eval_recall
 from mcidx.fusion import retrieve_mc, retrieve_single
 from mcidx.prompts import ANSWER
 from mcidx.views import DEFAULT_JOBS, build_views
@@ -237,6 +237,7 @@ class TestPipeline:
         stats = json.loads(capsys.readouterr().out)
         assert stats["n_documents"] == 2
         assert stats["n_questions"] == 4
+        assert stats["n_questions_skipped"] == 0  # the loader has dropped what would not resolve
 
     def test_eval_answers_with_stub_llm(self, dataset, tmp_path, stub, monkeypatch, capsys):
         corpus, qa = dataset
@@ -290,8 +291,7 @@ class TestPipeline:
             doc = docs[item.doc_id]
             texts = []
             for scheme, mode in (("content", "mc"), ("flc:40", "single:raw")):
-                views = parse_mode(mode)
-                units, indexes = build_doc_context(doc, ChunkScheme.parse(scheme), views, "bm25", None,
+                units, indexes = build_doc_context(doc, Setup.parse(scheme, "bm25", mode, [3]), None,
                                                    build_views(doc))
                 if mode == "mc":
                     unit_ids = retrieve_mc(indexes, item.question, 3, ordinal).unit_ids
@@ -306,6 +306,49 @@ class TestPipeline:
             assert judge1.index(reply_a) < judge1.index(reply_b)
             assert judge2.index(reply_b) < judge2.index(reply_a)
         assert differ  # the two sides retrieve different texts for some question
+
+
+class TestOneParsePerSetup:
+    """A setup's mode and retriever are parsed where the setup enters, and nothing below parses them again."""
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        # (function name, spec) -> calls, counted under every name the entry points reach them by.
+        counted = Counter()
+        for module in (evaluation, cli):
+            for name in ("parse_mode", "parse_retriever"):
+                def counting(spec, parse=getattr(module, name), name=name):
+                    counted[name, spec] += 1
+                    return parse(spec)
+
+                monkeypatch.setattr(module, name, counting)
+        return counted
+
+    @pytest.mark.parametrize("scheme,retriever,mode", [("content", "bm25", "mc"),
+                                                       ("flc:100", "dense:mock", "single:raw")])
+    def test_eval_recall(self, parses, scheme, retriever, mode):
+        docs, qa = synthetic_corpus(n_docs=2, seed=7)
+        eval_recall(docs, qa, scheme, retriever, mode, [1.5, 3])
+        assert parses == {("parse_mode", mode): 1, ("parse_retriever", retriever): 1}
+
+    def test_cli_eval_recall(self, parses, dataset, capsys):
+        # The command parses its setup before reading a file; eval_recall keeps its string entry and parses once more.
+        corpus, qa = dataset
+        assert run(["eval", "recall", "--corpus", str(corpus), "--qa", str(qa), "--scheme", "content",
+                    "--retriever", "bm25", "--mode", "mc", "--k", "1.5,3"]) == 0
+        assert set(parses) == {("parse_mode", "mc"), ("parse_retriever", "bm25")}
+        assert max(parses.values()) <= 2
+
+    def test_cli_eval_answers(self, parses, dataset, tmp_path, stub, monkeypatch, capsys):
+        corpus, qa = dataset
+        _answers_stub(stub, monkeypatch)
+        assert run(["eval", "answers", "--corpus", str(corpus), "--qa", str(qa),
+                    "--retriever", "bm25", "--k", "3",
+                    "--scheme-a", "content", "--mode-a", "mc",
+                    "--scheme-b", "flc:300", "--mode-b", "single:raw",
+                    "--output", str(tmp_path / "judge.jsonl")]) == 0
+        # One parse of each side's mode and one of the retriever per side.
+        assert parses == {("parse_mode", "mc"): 1, ("parse_mode", "single:raw"): 1, ("parse_retriever", "bm25"): 2}
 
 
 class TestParseKList:
@@ -486,7 +529,12 @@ class TestUsageChecks:
         ["eval", "recall", "--qa", "qa.jsonl", "--scheme", "flc:100", "--retriever", "bm25",
          "--mode", "mc", "--k", "3"],
         ["index", "--scheme", "flc:100", "--retriever", "bm25", "--view", "raw", "--output", "idx"],
-    ], ids=["unknown-mode", "unknown-retriever", "mc-under-flc", "index-view-under-flc"])
+        ["eval", "answers", "--qa", "qa.jsonl", "--retriever", "bm25", "--k", "3", "--scheme-a", "content",
+         "--mode-a", "single:raw", "--scheme-b", "flc:100", "--mode-b", "mc", "--output", "judge.jsonl"],
+        ["eval", "answers", "--qa", "qa.jsonl", "--retriever", "bogus", "--k", "3", "--scheme-a", "content",
+         "--mode-a", "mc", "--scheme-b", "content", "--mode-b", "single:raw", "--output", "judge.jsonl"],
+    ], ids=["unknown-mode", "unknown-retriever", "mc-under-flc", "index-view-under-flc", "answers-mc-under-flc-on-b",
+            "answers-unknown-retriever"])
     def test_setup_usage_error_before_corpus_is_read(self, argv, tmp_path, capsys):
         # The corpus path is wrong too: read first, it would be exit 2 ("missing file").
         assert run([*argv, "--corpus", str(tmp_path / "missing.jsonl")]) == 1

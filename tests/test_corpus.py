@@ -250,6 +250,7 @@ class TestCorpusStats:
                                                  ("q3", "nope", "s0000")]]
         stats = corpus_stats([doc], items)
         assert stats.n_questions == 3
+        assert stats.n_questions_skipped == 2
         assert stats.mean_tokens_per_answer_scope == 2  # "one two" alone
 
     def test_empty_corpus_is_all_zero(self):
@@ -276,6 +277,7 @@ class TestOneScopeResolver:
             chunking_error(docs, bad, ChunkScheme("content"))
         stats = corpus_stats(docs, bad)
         assert stats.n_questions == len(qa)
+        assert stats.n_questions_skipped == 1
         assert stats.mean_tokens_per_answer_scope == corpus_stats(docs, qa[1:]).mean_tokens_per_answer_scope
 
     def test_repeated_document_id(self, tmp_path):

@@ -17,9 +17,9 @@ from mcidx.corpus import QAItem, QuestionType, scope_doc_span
 from mcidx.errors import EmptyRetrieval, EmptyScope, ParseError, UnknownDoc, ViewMismatch
 from mcidx.evaluation import (
     RecallReport,
+    Setup,
     Winner,
     build_doc_context,
-    check_budgets,
     check_views,
     doc_units,
     eval_recall,
@@ -186,7 +186,7 @@ class TestEvalRecall:
         with pytest.raises(ValueError, match="no budget"):
             eval_recall(docs, qa, "content", "bm25", mode, [])
         with pytest.raises(ValueError, match="no budget"):
-            check_budgets(parse_mode(mode), [])
+            Setup.parse("content", "bm25", mode, [])
 
     def test_mc_requires_content_scheme(self):
         docs, qa = synthetic_corpus(n_docs=1)
@@ -324,14 +324,13 @@ class TestOneRankingPerQuestion:
     @pytest.mark.parametrize("scheme,mode", [("flc-content:100", "single:raw"), ("content", "mc")])
     def test_every_k_equals_its_own_retrieval(self, scheme, mode):
         docs, qa = synthetic_corpus(n_docs=2)
-        parsed = ChunkScheme.parse(scheme)
+        setup = Setup.parse(scheme, "tfidf", mode, self.KS)
         for invert_parity in (False, True):
-            got = list(retrieved_spans(docs, qa, parsed, "tfidf", mode, self.KS, None, invert_parity))
+            got = list(retrieved_spans(docs, qa, setup, None, invert_parity))
             assert [item for item, _, _ in got] == qa
             for position, (item, doc, spans_per_k) in enumerate(got):
                 assert doc.doc_id == item.doc_id
-                span_by_unit, indexes = build_doc_context(doc, parsed, parse_mode(mode), "tfidf", None,
-                                                          build_views(doc))
+                span_by_unit, indexes = build_doc_context(doc, setup, None, build_views(doc))
                 ordinal = position + 1 if invert_parity else position
                 if mode == "mc":
                     expected = [retrieve_mc(indexes, item.question, k, ordinal).unit_ids for k in self.KS]
@@ -404,8 +403,7 @@ class TestRecallOracle:
         # None means the extractive views, which test_views pins to their own oracle.
         oracle_views = views if views is not None else {doc.doc_id: build_views(doc) for doc in docs}
         want = oracle_recall(docs, qa, scheme, retriever, mode, self.KS, oracle_views, invert_parity)
-        got = list(retrieved_spans(docs, qa, ChunkScheme.parse(scheme), retriever, mode, self.KS, views,
-                                   invert_parity))
+        got = list(retrieved_spans(docs, qa, Setup.parse(scheme, retriever, mode, self.KS), views, invert_parity))
         assert [item.question_id for item, _, _ in got] == [qid for qid, _, _ in want]
         compared = [i for i, (_, spans, _) in enumerate(want) if spans is not None]
         assert [got[i][2] for i in compared] == [want[i][1] for i in compared]

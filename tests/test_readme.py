@@ -41,27 +41,37 @@ def test_cli_block_commands_parse():
             pytest.fail(f"README command does not parse: {shlex.join(argv)}")
 
 
+def _has(owner, name: str) -> bool:
+    fields = {f.name for f in dataclasses.fields(owner)} if dataclasses.is_dataclass(owner) else set()
+    return hasattr(owner, name) or name in fields
+
+
 def test_dotted_names_resolve():
-    # A `module.name` or `Class.name` the README names under an mcidx module or
-    # exported class must exist; a dataclass field counts. A function or class
-    # must be defined in the module named, not only imported into it.
+    # A `module.name`, `Class.name` or longer chain (`module.Class.name`) the
+    # README names under an mcidx module or exported class must exist; a
+    # dataclass field counts. A function or class must be defined in the
+    # module named, not only imported into it.
     modules = {info.name for info in pkgutil.iter_modules(mcidx.__path__)}
     resolved, missing = 0, []
-    for head, name in re.findall(r"`([A-Za-z_]\w*)\.([A-Za-z_]\w*)`", README.read_text(encoding="utf-8")):
+    for dotted in re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`", README.read_text(encoding="utf-8")):
+        head, name, *rest = dotted.split(".")
         if head in modules:
             owner = importlib.import_module(f"mcidx.{head}")
             value = getattr(owner, name, None)
             imported = (inspect.isfunction(value) or inspect.isclass(value)) and value.__module__ != owner.__name__
             found = hasattr(owner, name) and not imported
         elif isinstance(getattr(mcidx, head, None), type):
-            owner = getattr(mcidx, head)
-            fields = {f.name for f in dataclasses.fields(owner)} if dataclasses.is_dataclass(owner) else set()
-            found = hasattr(owner, name) or name in fields
+            value = getattr(mcidx, head)
+            found = _has(value, name)
+            value = getattr(value, name, None)
         else:
             continue
+        for attr in rest:
+            found = found and _has(value, attr)
+            value = getattr(value, attr, None)
         if found:
             resolved += 1
         else:
-            missing.append(f"{head}.{name}")
+            missing.append(dotted)
     assert missing == []
     assert resolved >= 10
