@@ -47,6 +47,7 @@ class Mutant:
 
 
 EVALUATION, CORPUS = "src/mcidx/evaluation.py", "src/mcidx/corpus.py"
+RETRIEVAL, FUSION = "src/mcidx/retrieval.py", "src/mcidx/fusion.py"
 TEST_EVALUATION, TEST_CLI, TEST_CORPUS = "tests/test_evaluation.py", "tests/test_cli.py", "tests/test_corpus.py"
 
 MUTANTS = (
@@ -67,6 +68,13 @@ MUTANTS = (
            "budget = check_budgets(views, ks)",
            "budget = per_view_budget if len(views) > 1 else single_budget",
            (TEST_EVALUATION,)),
+    # The provider resolves only once every usage check has passed: a usage error is exit 1, not 3.
+    Mutant("setup-resolves-provider-before-check-budgets", EVALUATION,
+           "        budget = check_budgets(views, ks)\n"
+           "        provider = resolve_provider(provider_name) if kind == DENSE else None\n",
+           "        provider = resolve_provider(provider_name) if kind == DENSE else None\n"
+           "        budget = check_budgets(views, ks)\n",
+           ("tests/test_cli.py::TestUsageChecks::test_setup_usage_error_before_corpus_is_read",)),
     # Which budget rule a mode takes: per view when it fuses several views.
     Mutant("budget-rule-always-single", EVALUATION,
            "rule = per_view_budget if len(views) > 1 else single_budget",
@@ -92,6 +100,39 @@ MUTANTS = (
            "n_questions_skipped=len(qa_items) - len(scope_tokens)",
            "n_questions_skipped=sum(item.doc_id not in by_id for item in qa_items)",
            (TEST_CORPUS,)),
+    # A top-n cut keeps every unit scoring at least the n-th score, so ties at the cut go by position.
+    Mutant("top-n-cut-drops-its-ties", RETRIEVAL,
+           "scores >= np.partition(scores, -n)[-n]",
+           "scores > np.partition(scores, -n)[-n]",
+           ("tests/test_retrieval.py::TestTopN",)),
+    Mutant("ranking-sort-not-stable", RETRIEVAL,
+           'np.argsort(-scores[candidates], kind="stable")',
+           "np.argsort(-scores[candidates])",
+           ("tests/test_retrieval.py::TestTopN",)),
+    # The larger alternating budget goes to odd question ordinals.
+    Mutant("per-view-budget-parity-flipped", FUSION,
+           "odd = question_ordinal % 2 == 1",
+           "odd = question_ordinal % 2 == 0",
+           ("tests/test_fusion.py::TestPerViewBudget",)),
+    Mutant("single-budget-parity-flipped", FUSION,
+           "return 2 if question_ordinal % 2 == 1 else 1",
+           "return 2 if question_ordinal % 2 == 0 else 1",
+           ("tests/test_fusion.py::TestRetrieveSingle",)),
+    # Fusion takes every view's r-th unit in round r, not one view's whole list after another.
+    Mutant("fuse-view-by-view", FUSION,
+           "top[r].unit_id for r in range(k_prime) for top in tops if r < len(top)",
+           "top[r].unit_id for top in tops for r in range(len(top))",
+           ("tests/test_fusion.py::TestRetrieveMc",)),
+    # Recall sweeps spans in start order, each counting only past what earlier spans reached.
+    Mutant("recall-counts-overlaps-twice", EVALUATION,
+           "start, end = max(start, reach), min(end, scope_end)",
+           "start, end = max(start, scope_start), min(end, scope_end)",
+           ("tests/test_evaluation.py::TestRecallOfSet",)),
+    # An answer scope must start inside its section.
+    Mutant("scope-may-start-before-its-section", CORPUS,
+           "if not 0 <= start < end <= len(section.text):",
+           "if not start < end <= len(section.text):",
+           ("tests/test_corpus.py::TestOneScopeResolver",)),
 )
 
 

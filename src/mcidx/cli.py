@@ -120,8 +120,8 @@ def cmd_chunk(args) -> int:
 
 
 def cmd_views(args) -> int:
-    docs = load_corpus_jsonl(args.corpus)
     llm = HttpLlmClient.from_env() if args.generator == LLM_GENERATOR else None
+    docs = load_corpus_jsonl(args.corpus)
     views_by_doc = {
         doc.doc_id: build_views(doc, generator=args.generator, llm=llm, jobs=args.jobs)
         for doc in docs
@@ -136,6 +136,7 @@ def cmd_index(args) -> int:
     kind, provider_name = parse_retriever(args.retriever)
     view = ViewKind(args.view) if args.view else None
     check_views(scheme, (view,))
+    provider = resolve_provider(provider_name) if kind == DENSE else None
     docs = load_corpus_jsonl(args.corpus)
     reads_views = view in VIEWS_FILE_KINDS
     views_by_doc = _load_views_arg(args, reads_views)
@@ -144,10 +145,7 @@ def cmd_index(args) -> int:
         doc_views = doc_views_for(doc, views_by_doc) if reads_views else None
         # Unit ids are doc-qualified so one index can hold the whole corpus.
         units.extend((f"{doc.doc_id}#{uid}", text) for uid, _, text, _ in doc_units(doc, scheme, view, doc_views))
-    if kind == DENSE:
-        index = build_dense_index(units, resolve_provider(provider_name))
-    else:
-        index = build_sparse_index(units, kind)
+    index = build_dense_index(units, provider) if kind == DENSE else build_sparse_index(units, kind)
     save_index(index, args.output)
     logger.info("saved %s index of %d units to %s", args.retriever, len(units), args.output)
     return EXIT_OK
@@ -184,7 +182,7 @@ def cmd_eval_recall(args) -> int:
     setup = Setup.parse(args.scheme, args.retriever, args.mode, args.k)
     docs = load_corpus_jsonl(args.corpus)
     qa = load_and_filter_qa(args.qa, docs)
-    report = eval_recall(docs, qa, setup.scheme, args.retriever, args.mode, setup.ks,
+    report = eval_recall(docs, qa, args.scheme, args.retriever, args.mode, args.k,
                          views=_load_views_arg(args, setup.reads_views_file), invert_parity=args.invert_parity)
     csv_text = report.to_csv()
     if args.output:
@@ -215,9 +213,9 @@ def cmd_eval_chunking_error(args) -> int:
 def cmd_eval_answers(args) -> int:
     setups = [Setup.parse(scheme, args.retriever, mode, [args.k])
               for scheme, mode in ((args.scheme_a, args.mode_a), (args.scheme_b, args.mode_b))]
+    llm = HttpLlmClient.from_env()
     docs = load_corpus_jsonl(args.corpus)
     qa = load_and_filter_qa(args.qa, docs)
-    llm = HttpLlmClient.from_env()
     views_by_doc = _load_views_arg(args, any(setup.reads_views_file for setup in setups))
     side_a, side_b = (retrieved_spans(docs, qa, setup, views_by_doc) for setup in setups)
     records = []
@@ -290,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--scheme", required=True)
     p.add_argument("--retriever", required=True, help="tfidf | bm25 | dense:<provider>")
-    p.add_argument("--view", choices=("raw", "keywords", "summary"), default=None,
+    p.add_argument("--view", choices=[view.value for view in ViewKind], default=None,
                    help="index a view instead of chunk text (content scheme only)")
     p.add_argument("--views", default=None, help="views.jsonl of keyword and summary texts, read only to index those")
     p.add_argument("--output", required=True, help="index directory")

@@ -1,7 +1,8 @@
 """Answer-scope recall, the evaluation grid, and pairwise answer judging.
 
-A grid setup (scheme, retriever, mode, budgets) is parsed once, by
-``Setup.parse``, where it enters; nothing below parses a spec again.
+A grid setup (scheme, retriever, mode, budgets) is parsed once, with its
+embedding provider resolved, by ``Setup.parse`` where it enters; nothing
+below parses a spec or resolves a provider again.
 Recall of a question is the fraction of its answer scope's characters
 covered by the union of retrieved spans. Both harnesses, ``eval_recall`` and
 ``mcidx eval answers``, reach their spans through one loop,
@@ -87,27 +88,25 @@ def check_budgets(views: tuple[ViewKind | None, ...], ks: list[float]) -> Callab
 
 @dataclass(frozen=True)
 class Setup:
-    """A parsed (scheme, retriever, mode, budgets) setup; callers parse where it enters, before reading any file."""
+    """A parsed (scheme, retriever, mode, budgets) setup and its embedding provider, made before any file is read."""
 
     scheme: ChunkScheme
-    retriever: str
     kind: str
-    provider_name: str | None
-    mode: str
+    provider: EmbeddingProvider | None  # the dense retriever's; None for tfidf and bm25
     views: tuple[ViewKind | None, ...]
     ks: tuple[float, ...]
     budget: Callable[[float, int], int]  # (k, question ordinal) -> rank cut
 
     @classmethod
-    def parse(cls, scheme: ChunkScheme | str, retriever: str, mode: str, ks: Sequence[float]) -> "Setup":
-        """Apply every setup rule; ValueError names a broken one."""
-        if isinstance(scheme, str):
-            scheme = ChunkScheme.parse(scheme)
+    def parse(cls, scheme: str, retriever: str, mode: str, ks: Sequence[float]) -> "Setup":
+        """Apply every setup rule, then resolve the provider; ValueError names a broken rule."""
+        scheme = ChunkScheme.parse(scheme)
         kind, provider_name = parse_retriever(retriever)
         views = parse_mode(mode)
         check_views(scheme, views)
         budget = check_budgets(views, ks)
-        return cls(scheme, retriever, kind, provider_name, mode, views, tuple(map(float, ks)), budget)
+        provider = resolve_provider(provider_name) if kind == DENSE else None
+        return cls(scheme, kind, provider, views, tuple(map(float, ks)), budget)
 
     @property
     def reads_views_file(self) -> bool:
@@ -215,7 +214,6 @@ def doc_views_for(doc: Document, views: dict[str, list[ViewEntry]] | None) -> li
 def build_doc_context(
     doc: Document,
     setup: Setup,
-    provider: EmbeddingProvider | None,
     doc_views: list[ViewEntry] | None,
 ) -> tuple[dict[str, tuple[int, int]], dict[ViewKind | None, SparseIndex | DenseIndex]]:
     """One document's unit spans and one index per view of the setup's mode, in fusion order."""
@@ -224,7 +222,7 @@ def build_doc_context(
         units = doc_units(doc, setup.scheme, view, doc_views)
         pairs = [(uid, text) for uid, _, text, _ in units]
         if setup.kind == DENSE:
-            indexes[view] = build_dense_index(pairs, provider)
+            indexes[view] = build_dense_index(pairs, setup.provider)
             continue
         terms = None
         if all(token_span is not None for *_, token_span in units):
@@ -254,7 +252,6 @@ def retrieved_spans(
     budget. Questions whose document is absent are skipped with a warning.
     """
     k_max = max(setup.ks)
-    provider = resolve_provider(setup.provider_name) if setup.kind == DENSE else None
     by_id = docs_by_id(docs)
     contexts = {}
     questions_left = Counter(item.doc_id for item in qa)
@@ -265,15 +262,16 @@ def retrieved_spans(
             continue
         if doc.doc_id not in contexts:
             doc_views = doc_views_for(doc, views) if setup.reads_views_file else None
-            contexts[doc.doc_id] = build_doc_context(doc, setup, provider, doc_views)
+            contexts[doc.doc_id] = build_doc_context(doc, setup, doc_views)
         questions_left[doc.doc_id] -= 1
         span_by_unit, indexes = contexts[doc.doc_id] if questions_left[doc.doc_id] else contexts.pop(doc.doc_id)
         if len(indexes) > 1:
             ranked = [(u.unit_id, min(u.view_ranks.values()))
-                      for u in retrieve_mc(indexes, item.question, k_max, ordinal, provider).units]
+                      for u in retrieve_mc(indexes, item.question, k_max, ordinal, setup.provider).units]
         else:
             (index,) = indexes.values()
-            ranked = [(s.unit_id, s.rank) for s in retrieve_single(index, item.question, k_max, ordinal, provider)]
+            ranked = [(s.unit_id, s.rank)
+                      for s in retrieve_single(index, item.question, k_max, ordinal, setup.provider)]
         budgets = [setup.budget(k, ordinal) for k in setup.ks]
         yield item, doc, [[span_by_unit[uid] for uid, rank in ranked if rank <= b] for b in budgets]
 
@@ -281,7 +279,7 @@ def retrieved_spans(
 def eval_recall(
     docs: list[Document],
     qa: list[QAItem],
-    scheme: ChunkScheme | str,
+    scheme: str,
     retriever: str,
     mode: str,
     ks: list[float],

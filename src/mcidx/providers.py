@@ -11,10 +11,13 @@ Both HTTP contracts are tiny JSON-over-POST surfaces:
 
 Both clients check their endpoint URL when they are built and send through
 one ``_post_json``, on the standard library's ``urllib.request``, with one
-fixed policy: each request may take ``TIMEOUT_S``; transient failures
-(connection errors, 429, 5xx) are retried ``MAX_RETRIES`` times after the
-first try, waiting ``BACKOFF_S`` and doubling the wait each time; anything
-else, including a 200 whose body is not a JSON object, is a ProviderError.
+fixed policy: each attempt must have its whole reply, status line, headers
+and body, by ``TIMEOUT_S`` after it starts (connecting and sending the
+request are bounded by ``TIMEOUT_S`` each as socket operations); a missed
+deadline and other transient failures (connection errors, 429, 5xx) are
+retried ``MAX_RETRIES`` times after the first try, waiting ``BACKOFF_S`` and
+doubling the wait each time; anything else, including a 200 whose body is
+not a JSON object, is a ProviderError.
 A reply body may hold at most ``MAX_REPLY_BYTES``: a larger declared
 ``Content-Length`` fails before the body is read, and a body without one is
 read no further than one byte past the cap; either is a ProviderError, not
@@ -29,8 +32,10 @@ each lowercased whitespace token in one module-level memo, bounded by
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import http.client
+import io
 import json
 import logging
 import os
@@ -114,6 +119,53 @@ def _read_capped(response, url: str) -> bytes:
     return raw
 
 
+class _DeadlineReader(io.RawIOBase):
+    """A reply's socket stream whose every read waits only for the time left before ``deadline``."""
+
+    def __init__(self, sock, raw, deadline: float):
+        self._sock, self._raw, self._deadline = sock, raw, deadline
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int | None:
+        left = self._deadline - time.monotonic()
+        if left <= 0:
+            raise TimeoutError("reply not complete by its deadline")
+        self._sock.settimeout(left)
+        return self._raw.readinto(buffer)
+
+    def close(self) -> None:
+        self._raw.close()
+        super().close()
+
+
+class _DeadlineResponse(http.client.HTTPResponse):
+    """An HTTP response whose status line, headers and body are read through a ``_DeadlineReader``."""
+
+    def __init__(self, sock, *args, deadline: float, **kwargs):
+        super().__init__(sock, *args, **kwargs)
+        self.fp = io.BufferedReader(_DeadlineReader(sock, self.fp.detach(), deadline))
+
+
+class _DeadlineHandler(urllib.request.HTTPHandler, urllib.request.HTTPSHandler):
+    """urllib's http and https handler, reading each reply by ``timeout`` seconds after its request opens."""
+
+    def do_open(self, http_class, req, **kwargs):
+        response_class = functools.partial(_DeadlineResponse, deadline=time.monotonic() + req.timeout)
+
+        def connection(*args, **kwargs):
+            conn = http_class(*args, **kwargs)
+            conn.response_class = response_class
+            return conn
+
+        return super().do_open(connection, req, **kwargs)
+
+
+# urlopen's handlers, the proxy handler among them, with the deadline in the http and https ones.
+_OPENER = urllib.request.build_opener(_DeadlineHandler)
+
+
 def _post_json(url: str, payload: dict, headers: dict[str, str]) -> dict:
     """POST ``payload`` and return the JSON object of a 200 reply, retrying transient failures."""
     request = urllib.request.Request(
@@ -124,7 +176,7 @@ def _post_json(url: str, payload: dict, headers: dict[str, str]) -> dict:
             time.sleep(BACKOFF_S * (2 ** (attempt - 1)))
         try:
             try:
-                response = urllib.request.urlopen(request, timeout=TIMEOUT_S)
+                response = _OPENER.open(request, timeout=TIMEOUT_S)
             except urllib.error.HTTPError as exc:  # any status outside 2xx
                 response = exc
             with response:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import socketserver
 import string
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -98,6 +99,62 @@ def stub():
     server = StubServer()
     yield server
     server.stop()
+
+
+class RawStub:
+    """A loopback JSON-over-POST endpoint that writes its replies on the raw socket.
+
+    Each connection is served in its own thread: the request is read, its
+    payload appended to ``requests``, then ``reply(conn, payload)`` sends
+    whatever bytes it likes, at whatever pace. An ``OSError`` from it (the
+    client hung up) ends the connection quietly.
+    """
+
+    def __init__(self, reply):
+        self.requests: list[dict] = []
+        outer = self
+
+        class Handler(socketserver.StreamRequestHandler):
+            timeout = 10  # a connection the client never ends does not hold ``stop`` for longer
+
+            def handle(self):
+                headers = {}
+                while (line := self.rfile.readline()) not in (b"\r\n", b""):
+                    name, _, value = line.decode("latin-1").partition(":")
+                    headers[name.strip().lower()] = value.strip()
+                outer.requests.append(json.loads(self.rfile.read(int(headers.get("content-length", 0)))))
+                try:
+                    reply(self.connection, outer.requests[-1])
+                except OSError:
+                    pass
+
+        self.server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), Handler)
+        self.thread = threading.Thread(target=self.server.serve_forever, args=(0.01,), daemon=True)
+        self.thread.start()
+
+    @property
+    def url(self) -> str:
+        host, port = self.server.server_address
+        return f"http://{host}:{port}"
+
+    def stop(self):
+        """Stop accepting and wait for every connection's reply to end."""
+        self.server.shutdown()
+        self.server.server_close()
+
+
+@pytest.fixture
+def raw_stub():
+    """``raw_stub(reply)`` starts a ``RawStub``; each is stopped after the test."""
+    started = []
+
+    def start(reply):
+        started.append(RawStub(reply))
+        return started[-1]
+
+    yield start
+    for server in started:
+        server.stop()
 
 
 @pytest.fixture

@@ -5,8 +5,6 @@ import errno
 import hashlib
 import json
 import os
-import socket
-import threading
 from collections import Counter
 
 import pytest
@@ -291,7 +289,7 @@ class TestPipeline:
             doc = docs[item.doc_id]
             texts = []
             for scheme, mode in (("content", "mc"), ("flc:40", "single:raw")):
-                units, indexes = build_doc_context(doc, Setup.parse(scheme, "bm25", mode, [3]), None,
+                units, indexes = build_doc_context(doc, Setup.parse(scheme, "bm25", mode, [3]),
                                                    build_views(doc))
                 if mode == "mc":
                     unit_ids = retrieve_mc(indexes, item.question, 3, ordinal).unit_ids
@@ -533,12 +531,33 @@ class TestUsageChecks:
          "--mode-a", "single:raw", "--scheme-b", "flc:100", "--mode-b", "mc", "--output", "judge.jsonl"],
         ["eval", "answers", "--qa", "qa.jsonl", "--retriever", "bogus", "--k", "3", "--scheme-a", "content",
          "--mode-a", "mc", "--scheme-b", "content", "--mode-b", "single:raw", "--output", "judge.jsonl"],
+        ["eval", "recall", "--qa", "qa.jsonl", "--scheme", "content", "--retriever", "dense:remote",
+         "--mode", "bogus", "--k", "3"],
+        ["eval", "recall", "--qa", "qa.jsonl", "--scheme", "content", "--retriever", "dense:remote",
+         "--mode", "mc", "--k", "1"],
     ], ids=["unknown-mode", "unknown-retriever", "mc-under-flc", "index-view-under-flc", "answers-mc-under-flc-on-b",
-            "answers-unknown-retriever"])
-    def test_setup_usage_error_before_corpus_is_read(self, argv, tmp_path, capsys):
-        # The corpus path is wrong too: read first, it would be exit 2 ("missing file").
+            "answers-unknown-retriever", "unknown-mode-before-provider", "bad-k-before-provider"])
+    def test_setup_usage_error_before_corpus_is_read(self, argv, tmp_path, monkeypatch, capsys):
+        # The corpus path is wrong too: read first, it would be exit 2 ("missing file"); and with no
+        # embedding endpoint, a provider resolved before the usage checks would be exit 3.
+        monkeypatch.delenv("MCIDX_EMBED_URL", raising=False)
         assert run([*argv, "--corpus", str(tmp_path / "missing.jsonl")]) == 1
         assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,variable", [
+        (["index", "--scheme", "content", "--retriever", "dense:remote", "--output", "idx"], "MCIDX_EMBED_URL"),
+        (["eval", "recall", "--qa", "qa.jsonl", "--scheme", "content", "--retriever", "dense:remote",
+          "--mode", "mc", "--k", "3"], "MCIDX_EMBED_URL"),
+        (["eval", "answers", "--qa", "qa.jsonl", "--retriever", "bm25", "--k", "3", "--scheme-a", "content",
+          "--mode-a", "mc", "--scheme-b", "flc:100", "--mode-b", "single:raw", "--output", "judge.jsonl"],
+         "MCIDX_LLM_URL"),
+        (["views", "--generator", "llm", "--output", "views.jsonl"], "MCIDX_LLM_URL"),
+    ], ids=["index", "eval-recall", "eval-answers", "views"])
+    def test_provider_error_before_corpus_is_read(self, argv, variable, tmp_path, monkeypatch, capsys):
+        # The corpus path is wrong too: read before the provider resolves, it would be exit 2.
+        monkeypatch.delenv(variable, raising=False)
+        assert run([*argv, "--corpus", str(tmp_path / "missing.jsonl")]) == 3
+        assert f"provider error: {variable} is not set" in capsys.readouterr().err
 
     def test_eval_recall_fractional_k_other_than_1_5(self, dataset, capsys):
         corpus, qa = dataset
@@ -745,38 +764,25 @@ class TestNonObjectReply:
         assert "not a JSON object" in capsys.readouterr().err
 
 
-def _serve_unsized_replies(listener, requests, sent, total):
-    """Answer each embed request with a valid reply of about ``total`` bytes, sent without a Content-Length.
+def _unsized_reply(conn, payload, sent, total):
+    """A valid embed reply of about ``total`` bytes, sent without a Content-Length.
 
     The body ends only when the connection closes, so only the client's own
     cap stops it from reading all of it. ``sent`` gets the bytes sent before
     the client hung up, or ``total``.
     """
     piece = b"x" * 65536
-    while True:
-        try:
-            conn, _ = listener.accept()
-        except OSError:  # the listener was closed
-            return
-        with conn, conn.makefile("rb") as reader:
-            headers = {}
-            while (line := reader.readline()) not in (b"\r\n", b""):
-                name, _, value = line.decode("latin-1").partition(":")
-                headers[name.strip().lower()] = value.strip()
-            payload = json.loads(reader.read(int(headers.get("content-length", 0))))
-            requests.append(payload)
-            head = json.dumps({"vectors": [[1.0, 0.0]] * len(payload["texts"])})[:-1] + ', "pad": "'
-            done = 0
-            try:
-                conn.sendall(b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nConnection: close\r\n\r\n"
-                             + head.encode())
-                while done < total:
-                    conn.sendall(piece)
-                    done += len(piece)
-                conn.sendall(b'"}')
-            except OSError:  # the client hung up after its cap
-                pass
-            sent.append(done)
+    head = json.dumps({"vectors": [[1.0, 0.0]] * len(payload["texts"])})[:-1] + ', "pad": "'
+    done = 0
+    try:
+        conn.sendall(b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nConnection: close\r\n\r\n"
+                     + head.encode())
+        while done < total:
+            conn.sendall(piece)
+            done += len(piece)
+        conn.sendall(b'"}')
+    finally:
+        sent.append(done)
 
 
 class TestReplySizeCap:
@@ -800,19 +806,12 @@ class TestReplySizeCap:
         assert len(stub.requests) == 1
         assert "declares 2" in capsys.readouterr().err  # rejected before the body is read
 
-    def test_unsized_body_over_the_cap(self, dataset, tmp_path, monkeypatch, capsys):
-        listener = socket.create_server(("127.0.0.1", 0))
-        requests, sent, total = [], [], 64 << 20
-        server = threading.Thread(target=_serve_unsized_replies, args=(listener, requests, sent, total),
-                                  daemon=True)
-        server.start()
-        try:
-            host, port = listener.getsockname()
-            assert self._index(dataset, tmp_path, monkeypatch, f"http://{host}:{port}") == 3
-        finally:
-            listener.close()
-            server.join(timeout=5)
-        assert len(requests) == 1 and sent[0] < total  # the client stopped reading at its cap
+    def test_unsized_body_over_the_cap(self, dataset, tmp_path, monkeypatch, raw_stub, capsys):
+        sent, total = [], 64 << 20
+        server = raw_stub(lambda conn, payload: _unsized_reply(conn, payload, sent, total))
+        assert self._index(dataset, tmp_path, monkeypatch, server.url) == 3
+        server.stop()
+        assert len(server.requests) == 1 and sent[0] < total  # the client stopped reading at its cap
         assert "is larger than 1024 bytes" in capsys.readouterr().err
 
 

@@ -330,7 +330,7 @@ class TestOneRankingPerQuestion:
             assert [item for item, _, _ in got] == qa
             for position, (item, doc, spans_per_k) in enumerate(got):
                 assert doc.doc_id == item.doc_id
-                span_by_unit, indexes = build_doc_context(doc, setup, None, build_views(doc))
+                span_by_unit, indexes = build_doc_context(doc, setup, build_views(doc))
                 ordinal = position + 1 if invert_parity else position
                 if mode == "mc":
                     expected = [retrieve_mc(indexes, item.question, k, ordinal).unit_ids for k in self.KS]

@@ -96,6 +96,12 @@ class TestRetrieveMc:
         assert fused.k_prime == 2
         assert fused.unit_ids == ["u3", "u1", "u2", "u4"]
 
+    def test_round_r_takes_every_views_rth_unit(self):
+        # Per-view top-2: raw=[u0,u1], keywords=[u2,u3], summary=[u4,u5]; view by view would give u0, u1, u2, ...
+        indexes = indexes_with_counts({ViewKind.RAW_TEXT: {0: 2, 1: 1}, ViewKind.KEYWORDS: {2: 2, 3: 1},
+                                       ViewKind.SUMMARY: {4: 2, 5: 1}}, n_units=6)
+        assert retrieve_mc(indexes, "q", 3, 1).unit_ids == ["u0", "u2", "u4", "u1", "u3", "u5"]
+
     def test_full_agreement_collapses_to_one(self):
         indexes = indexes_with_counts(
             {view: {7: 3} for view in VIEWS},

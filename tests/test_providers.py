@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -145,6 +146,45 @@ def test_from_env_rejects_api_key_that_http_cannot_send(key, stub, monkeypatch):
     monkeypatch.setenv("MCIDX_LLM_API_KEY", key)
     with pytest.raises(ProviderError, match="MCIDX_LLM_API_KEY"):
         HttpLlmClient.from_env()
+
+
+class TestDeadline:
+    """Each attempt has its whole reply by ``TIMEOUT_S`` after it starts, or fails and is retried."""
+
+    @pytest.fixture(autouse=True)
+    def _short_timeout(self, monkeypatch):
+        monkeypatch.setattr(providers, "TIMEOUT_S", 0.25)
+
+    def _every_attempt_times_out(self, server):
+        start = time.monotonic()
+        with pytest.raises(ProviderError, match="retries exhausted .*request failed"):
+            HttpLlmClient(server.url).generate("p")
+        elapsed = time.monotonic() - start
+        attempts = providers.MAX_RETRIES + 1
+        backoff = sum(providers.BACKOFF_S * 2 ** i for i in range(providers.MAX_RETRIES))
+        assert len(server.requests) == attempts
+        # 0.3 s of slack for thread scheduling on a busy machine.
+        assert elapsed < attempts * providers.TIMEOUT_S + backoff + 0.3
+
+    def test_trickled_body(self, raw_stub):
+        # 40 bytes at one per 0.05 s: each byte comes well within a socket timeout, the body in 2 s.
+        def reply(conn, payload):
+            body = json.dumps({"text": "x" * 28}).encode()
+            conn.sendall(b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % len(body))
+            for byte in body:
+                time.sleep(0.05)
+                conn.sendall(bytes([byte]))
+
+        self._every_attempt_times_out(raw_stub(reply))
+
+    def test_body_stalls_after_late_headers(self, raw_stub):
+        # The headers take 4/5 of the deadline, so the body has only the rest of it.
+        def reply(conn, payload):
+            time.sleep(0.2)
+            conn.sendall(b'HTTP/1.1 200 OK\r\nContent-Length: 40\r\n\r\n{"te')
+            conn.recv(1)  # until the client hangs up
+
+        self._every_attempt_times_out(raw_stub(reply))
 
 
 @pytest.mark.parametrize("url", ["http://127.0.0.1:8000", "https://example.com/v1/", "http://[::1]:9/",
