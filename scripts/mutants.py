@@ -48,7 +48,10 @@ class Mutant:
 
 EVALUATION, CORPUS = "src/mcidx/evaluation.py", "src/mcidx/corpus.py"
 RETRIEVAL, FUSION = "src/mcidx/retrieval.py", "src/mcidx/fusion.py"
+CHUNKING, STORE, CLI = "src/mcidx/chunking.py", "src/mcidx/store.py", "src/mcidx/cli.py"
 TEST_EVALUATION, TEST_CLI, TEST_CORPUS = "tests/test_evaluation.py", "tests/test_cli.py", "tests/test_corpus.py"
+ORACLES = "tests/test_retrieval.py::TestOracleEquivalence"
+BAD_TERMS = "tests/test_store.py::TestCorruptIndexRejected::test_bad_terms_file"
 
 MUTANTS = (
     # The four checks of evaluation.Setup.parse, each dropped in turn.
@@ -133,6 +136,59 @@ MUTANTS = (
            "if not 0 <= start < end <= len(section.text):",
            "if not start < end <= len(section.text):",
            ("tests/test_corpus.py::TestOneScopeResolver",)),
+    # A greedy chunk closes at the first sentence boundary reaching its target, a boundary at exactly the
+    # target included, and the last chunk takes what is left.
+    Mutant("greedy-chunk-passes-an-exact-target", CHUNKING,
+           "bisect_left(tokens, tokens[i] + target_tokens, i + 1)",
+           "bisect_right(tokens, tokens[i] + target_tokens, i + 1)",
+           ("tests/test_chunking.py::TestGreedyOracle",)),
+    Mutant("greedy-chunk-runs-past-the-last-boundary", CHUNKING,
+           "min(bisect_left(tokens, tokens[i] + target_tokens, i + 1), last)",
+           "bisect_left(tokens, tokens[i] + target_tokens, i + 1)",
+           ("tests/test_chunking.py::TestGreedyOracle",)),
+    # The idf formulas and BM25's saturation and length normalizer, against the formula oracles.
+    Mutant("smoothed-idf-loses-its-one", RETRIEVAL,
+           "return math.log((1 + n) / (1 + df)) + 1.0",
+           "return math.log((1 + n) / (1 + df))",
+           (ORACLES,)),
+    Mutant("bm25-idf-loses-its-halves", RETRIEVAL,
+           "(n - df + 0.5) / (df + 0.5)",
+           "(n - df) / df",
+           (ORACLES,)),
+    Mutant("bm25-saturation-loses-its-one", RETRIEVAL,
+           "(BM25_K1 + 1.0)",
+           "BM25_K1",
+           (ORACLES,)),
+    Mutant("bm25-length-not-over-avgdl", RETRIEVAL,
+           "BM25_B * (self.unit_lens / (self.avgdl or 1.0))",
+           "BM25_B * self.unit_lens",
+           (ORACLES,)),
+    # Each postings check of a loaded terms file.
+    Mutant("terms-unit-index-may-equal-n-units", STORE,
+           "postings.max() >= n_units",
+           "postings.max() > n_units",
+           (BAD_TERMS,)),
+    Mutant("terms-postings-may-repeat", STORE,
+           "(np.diff(postings) <= 0)",
+           "(np.diff(postings) < 0)",
+           (BAD_TERMS,)),
+    Mutant("terms-zero-tf-accepted", STORE,
+           "if (tfs == 0).any():",
+           "if False:",
+           (BAD_TERMS,)),
+    Mutant("terms-may-repeat", STORE,
+           "if row and term <= previous:",
+           "if row and term < previous:",
+           (BAD_TERMS,)),
+    # Embedding rows have a width of at least 1, and an mc index set comes from one retriever.
+    Mutant("embed-accepts-zero-width", RETRIEVAL,
+           "block.shape[0] != len(batch) or not block.shape[1]",
+           "block.shape[0] != len(batch)",
+           ("tests/test_retrieval.py::TestEmbed",)),
+    Mutant("mc-set-of-any-retrievers", CLI,
+           "if retriever != retrievers[0]:",
+           "if False:",
+           ("tests/test_cli.py::TestExitCodes",)),
 )
 
 

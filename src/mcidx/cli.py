@@ -9,6 +9,7 @@ byte-for-byte reproducible.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import logging
@@ -77,9 +78,9 @@ def parse_k(spec: str) -> float:
     return ks[0]
 
 
-def _write_text(path: str, text: str) -> None:
-    """Write an output file atomically, creating its parent directories."""
-    with atomic_text_writer(path) as fh:
+def _write_text(path: str | None, text: str) -> None:
+    """Write ``text`` to the file ``path`` atomically, creating its parent directories, or to stdout without one."""
+    with atomic_text_writer(path) if path else contextlib.nullcontext(sys.stdout) as fh:
         fh.write(text)
 
 
@@ -159,9 +160,14 @@ def cmd_retrieve(args) -> int:
     check_budgets(views, [args.k])
     indexes = [load_index(d) for d in args.index]
     # Checked once where the view indexes meet; fusion relies on it.
+    retrievers = [f"{DENSE}:{index.provider}" if index.kind == DENSE else index.kind for index in indexes]
+    for directory, retriever in zip(args.index, retrievers):
+        if retriever != retrievers[0]:
+            raise ViewMismatch(f"a {retriever} index, but {args.index[0]} is a {retrievers[0]} index; "
+                               "an mc index set comes from one retriever", path=directory)
     if len({frozenset(index.unit_ids) for index in indexes}) > 1:
         raise ViewMismatch("view indexes cover different unit id sets")
-    provider = next((resolve_provider(index.provider) for index in indexes if index.kind == DENSE), None)
+    provider = resolve_provider(indexes[0].provider) if indexes[0].kind == DENSE else None
     if len(views) > 1:
         fused = retrieve_mc(dict(zip(views, indexes)), args.question, args.k, args.ordinal, provider)
         for pos, unit in enumerate(fused.units, start=1):
@@ -184,11 +190,7 @@ def cmd_eval_recall(args) -> int:
     qa = load_and_filter_qa(args.qa, docs)
     report = eval_recall(docs, qa, args.scheme, args.retriever, args.mode, args.k,
                          views=_load_views_arg(args, setup.reads_views_file), invert_parity=args.invert_parity)
-    csv_text = report.to_csv()
-    if args.output:
-        _write_text(args.output, csv_text)
-    else:
-        sys.stdout.write(csv_text)
+    _write_text(args.output, report.to_csv())
     if args.markdown:
         _write_text(args.markdown, report.to_markdown())
     return EXIT_OK
@@ -202,11 +204,7 @@ def cmd_eval_chunking_error(args) -> int:
     for spec, scheme in schemes:
         report = chunking_error(docs, qa, scheme)
         lines.append(f"{spec},{report.n_scopes},{report.n_split},{report.error_rate:.6f}")
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        _write_text(args.output, text)
-    else:
-        sys.stdout.write(text)
+    _write_text(args.output, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -263,20 +261,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="Multi-view content-aware indexing and retrieval evaluation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # The inputs several commands share, each declared once.
+    corpus = argparse.ArgumentParser(add_help=False)
+    corpus.add_argument("--corpus", required=True)
+    qa = argparse.ArgumentParser(add_help=False)
+    qa.add_argument("--qa", required=True)
+    views = argparse.ArgumentParser(add_help=False)
+    views.add_argument("--views", help="views.jsonl of keyword and summary texts, read only when the command "
+                                       "indexes a keyword or summary view")
 
     p = sub.add_parser("ingest", help="parse markdown files into corpus JSONL")
     p.add_argument("inputs", nargs="+", help="markdown files (doc_id = file stem)")
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("chunk", help="chunk a corpus under one scheme")
-    p.add_argument("--corpus", required=True)
+    p = sub.add_parser("chunk", parents=[corpus], help="chunk a corpus under one scheme")
     p.add_argument("--scheme", required=True, help="content | flc:<N> | flc-content:<N>")
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_chunk)
 
-    p = sub.add_parser("views", help="generate raw/keywords/summary views per section")
-    p.add_argument("--corpus", required=True)
+    p = sub.add_parser("views", parents=[corpus], help="generate raw/keywords/summary views per section")
     p.add_argument("--generator", choices=(LLM_GENERATOR, EXTRACTIVE_GENERATOR),
                    default=EXTRACTIVE_GENERATOR)
     p.add_argument("--output", required=True)
@@ -284,13 +288,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker pool size for provider calls (default: %(default)s)")
     p.set_defaults(func=cmd_views)
 
-    p = sub.add_parser("index", help="build and save one index over the corpus")
-    p.add_argument("--corpus", required=True)
+    p = sub.add_parser("index", parents=[corpus, views], help="build and save one index over the corpus")
     p.add_argument("--scheme", required=True)
     p.add_argument("--retriever", required=True, help="tfidf | bm25 | dense:<provider>")
     p.add_argument("--view", choices=[view.value for view in ViewKind], default=None,
                    help="index a view instead of chunk text (content scheme only)")
-    p.add_argument("--views", default=None, help="views.jsonl of keyword and summary texts, read only to index those")
     p.add_argument("--output", required=True, help="index directory")
     p.set_defaults(func=cmd_index)
 
@@ -306,44 +308,35 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluation harness")
     eval_sub = p_eval.add_subparsers(dest="eval_command", required=True)
 
-    p = eval_sub.add_parser("recall", help="answer-scope recall per budget k")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--qa", required=True)
+    p = eval_sub.add_parser("recall", parents=[corpus, qa, views], help="answer-scope recall per budget k")
     p.add_argument("--scheme", required=True)
     p.add_argument("--retriever", required=True)
     p.add_argument("--mode", required=True)
     p.add_argument("--k", type=parse_k_list, required=True, help="comma-separated budgets, e.g. 1.5,3,5,10")
-    p.add_argument("--views", default=None, help="views.jsonl of keyword and summary texts, read only to index those")
     p.add_argument("--invert-parity", action="store_true",
                    help="give even ordinals the larger alternating budget")
     p.add_argument("--output", default=None, help="CSV path (default: stdout)")
     p.add_argument("--markdown", default=None, help="also write a markdown table here")
     p.set_defaults(func=cmd_eval_recall)
 
-    p = eval_sub.add_parser("chunking-error", help="fraction of split answer scopes")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--qa", required=True)
+    p = eval_sub.add_parser("chunking-error", parents=[corpus, qa], help="fraction of split answer scopes")
     p.add_argument("--scheme", required=True, nargs="+")
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_eval_chunking_error)
 
-    p = eval_sub.add_parser("answers", help="generate and judge answers for two setups")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--qa", required=True)
+    p = eval_sub.add_parser("answers", parents=[corpus, qa, views], help="generate and judge answers for two setups")
     p.add_argument("--retriever", required=True)
     p.add_argument("--k", type=parse_k, default="5")
     p.add_argument("--scheme-a", required=True)
     p.add_argument("--mode-a", required=True)
     p.add_argument("--scheme-b", required=True)
     p.add_argument("--mode-b", required=True)
-    p.add_argument("--views", default=None, help="views.jsonl of keyword and summary texts, read only to index those")
     p.add_argument("--output", required=True, help="transcripts JSONL")
     p.add_argument("--jobs", type=_at_least_one, default=DEFAULT_JOBS,
                    help="accepted and unused: requests are sent one at a time")
     p.set_defaults(func=cmd_eval_answers)
 
-    p = sub.add_parser("stats", help="corpus statistics as JSON")
-    p.add_argument("--corpus", required=True)
+    p = sub.add_parser("stats", parents=[corpus], help="corpus statistics as JSON")
     p.add_argument("--qa", default=None)
     p.set_defaults(func=cmd_stats)
 

@@ -24,6 +24,7 @@ read no further than one byte past the cap; either is a ProviderError, not
 retried.
 A client keeps no state between calls and may be shared across threads; its
 callers bound their concurrency (``build_views`` by its ``jobs`` workers).
+Every https request of a process shares one TLS context, built on the first.
 
 ``MockEmbeddingProvider`` is the offline embedder. It keeps the bucket of
 each lowercased whitespace token in one module-level memo, bounded by
@@ -39,6 +40,8 @@ import io
 import json
 import logging
 import os
+import ssl
+import threading
 import time
 import urllib.error
 import urllib.parse
@@ -86,6 +89,14 @@ class EmbeddingProvider:
 def _visible_ascii(text: str) -> bool:
     """No space, control or non-ASCII character, which ``http.client`` rejects or cannot encode."""
     return all(32 < ord(c) < 127 for c in text)
+
+
+def _env_value(variable: str) -> str:
+    """The value of the environment variable ``variable``; a ProviderError when it is unset or empty."""
+    value = os.environ.get(variable)
+    if not value:
+        raise ProviderError(f"{variable} is not set")
+    return value
 
 
 def _endpoint(base_url: str, path: str, variable: str) -> str:
@@ -148,8 +159,41 @@ class _DeadlineResponse(http.client.HTTPResponse):
         self.fp = io.BufferedReader(_DeadlineReader(sock, self.fp.detach(), deadline))
 
 
+_TLS_CONTEXT: ssl.SSLContext | None = None
+_TLS_LOCK = threading.Lock()
+
+
+def _tls_context() -> ssl.SSLContext:
+    """The TLS context of every https request, built on the first as ``http.client.HTTPSConnection`` builds one.
+
+    That is the system trust store (``SSL_CERT_FILE`` overrides it), the
+    hostname check and ALPN ``http/1.1``. Loading the trust store costs tens
+    of milliseconds, so it is done once per process, and not at import, where
+    every offline run would pay for it.
+    """
+    global _TLS_CONTEXT
+    with _TLS_LOCK:
+        if _TLS_CONTEXT is None:
+            context = ssl._create_default_https_context()
+            context.set_alpn_protocols(["http/1.1"])
+            if context.post_handshake_auth is not None:
+                context.post_handshake_auth = True
+            _TLS_CONTEXT = context
+        return _TLS_CONTEXT
+
+
 class _DeadlineHandler(urllib.request.HTTPHandler, urllib.request.HTTPSHandler):
-    """urllib's http and https handler, reading each reply by ``timeout`` seconds after its request opens."""
+    """urllib's http and https handler, reading each reply by ``timeout`` seconds after its request opens.
+
+    Every https connection takes the one ``_tls_context``.
+    """
+
+    def __init__(self):
+        # Not HTTPSHandler's, which from Python 3.12 builds a TLS context here, at import.
+        urllib.request.AbstractHTTPHandler.__init__(self)
+
+    def https_open(self, req):
+        return self.do_open(http.client.HTTPSConnection, req, context=_tls_context())
 
     def do_open(self, http_class, req, **kwargs):
         response_class = functools.partial(_DeadlineResponse, deadline=time.monotonic() + req.timeout)
@@ -208,10 +252,7 @@ class HttpLlmClient(LlmClient):
 
     @classmethod
     def from_env(cls) -> "HttpLlmClient":
-        url = os.environ.get(LLM_URL_ENV)
-        if not url:
-            raise ProviderError(f"{LLM_URL_ENV} is not set")
-        return cls(url, api_key=os.environ.get(LLM_API_KEY_ENV))
+        return cls(_env_value(LLM_URL_ENV), api_key=os.environ.get(LLM_API_KEY_ENV))
 
     def generate(self, prompt: str, max_tokens: int = 1024) -> str:
         data = _post_json(self._url, {"prompt": prompt, "max_tokens": max_tokens}, self._headers)
@@ -228,10 +269,7 @@ class HttpEmbeddingProvider(EmbeddingProvider):
 
     @classmethod
     def from_env(cls, name: str) -> "HttpEmbeddingProvider":
-        url = os.environ.get(EMBED_URL_ENV)
-        if not url:
-            raise ProviderError(f"{EMBED_URL_ENV} is not set")
-        return cls(url, name=name)
+        return cls(_env_value(EMBED_URL_ENV), name=name)
 
     def embed(self, texts: list[str]):
         return _post_json(self._url, {"texts": list(texts)}, {}).get("vectors")

@@ -247,9 +247,10 @@ def embed(texts: list[str], provider: EmbeddingProvider) -> np.ndarray:
     """Embed texts cut to ``DENSE_TOKEN_LIMIT`` tokens, ``EMBED_BATCH_SIZE`` a batch, as L2-normalized float32 rows.
 
     Each batch must come back as one finite row of ints and floats per text,
-    every row of one width across batches; anything else is a ProviderError
-    (DimensionMismatch for a wrong shape or value). Zero vectors (texts with no
-    terms under a sparse-featured provider) are left unnormalized, not divided by zero.
+    every row of one width of at least 1 across batches; anything else is a
+    ProviderError (DimensionMismatch for a wrong shape or value). Zero vectors
+    (texts with no terms under a sparse-featured provider) are left
+    unnormalized, not divided by zero.
     """
     texts = [truncate_tokens(text, DENSE_TOKEN_LIMIT) for text in texts]
     if not texts:
@@ -264,7 +265,8 @@ def embed(texts: list[str], provider: EmbeddingProvider) -> np.ndarray:
             raise DimensionMismatch(
                 f"provider {provider.name!r} returned vectors that are not a numeric matrix: {exc}"
             ) from exc
-        if block.ndim != 2 or block.shape[0] != len(batch) or (blocks and block.shape[1] != blocks[0].shape[1]):
+        if (block.ndim != 2 or block.shape[0] != len(batch) or not block.shape[1]
+                or (blocks and block.shape[1] != blocks[0].shape[1])):
             after = f" after width {blocks[0].shape[1]}" if blocks else ""
             raise DimensionMismatch(
                 f"provider {provider.name!r} returned shape {block.shape} for {len(batch)} texts{after}"

@@ -107,7 +107,8 @@ class RawStub:
     Each connection is served in its own thread: the request is read, its
     payload appended to ``requests``, then ``reply(conn, payload)`` sends
     whatever bytes it likes, at whatever pace. An ``OSError`` from it (the
-    client hung up) ends the connection quietly.
+    client hung up) ends the connection quietly. With ``reply`` None, each
+    connection is closed as soon as it is accepted, before anything is read.
     """
 
     def __init__(self, reply):
@@ -118,6 +119,8 @@ class RawStub:
             timeout = 10  # a connection the client never ends does not hold ``stop`` for longer
 
             def handle(self):
+                if reply is None:
+                    return
                 headers = {}
                 while (line := self.rfile.readline()) not in (b"\r\n", b""):
                     name, _, value = line.decode("latin-1").partition(":")

@@ -102,6 +102,23 @@ class TestExitCodes:
         assert run(["retrieve", "--mode", "mc", "--index", *dirs, "--question", "anything"]) == 2
         assert "different unit id sets" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("retrievers", [("bm25", "dense:mock", "tfidf"), ("bm25", "bm25", "dense:mock")])
+    def test_mc_retrieve_over_indexes_of_different_retrievers_is_data_error(self, retrievers, dataset, tmp_path,
+                                                                            capsys):
+        # One unit id set in all three, so only the retriever differs: bm25 fused with dense is no mc retrieval.
+        corpus, _ = dataset
+        views = tmp_path / "views.jsonl"
+        assert run(["views", "--corpus", str(corpus), "--output", str(views)]) == 0
+        dirs = [str(tmp_path / view) for view in ("raw", "keywords", "summary")]
+        for directory, view, retriever in zip(dirs, ("raw", "keywords", "summary"), retrievers):
+            assert run(["index", "--corpus", str(corpus), "--scheme", "content", "--retriever", retriever,
+                        "--view", view, "--views", str(views), "--output", directory]) == 0
+        capsys.readouterr()
+        assert run(["retrieve", "--mode", "mc", "--index", *dirs, "--question", "anything"]) == 2
+        other = 1 if retrievers[1] != retrievers[0] else 2  # the first directory that disagrees is named
+        assert capsys.readouterr().err == (f"data error: {dirs[other]}: a {retrievers[other]} index, but {dirs[0]} is "
+                                           f"a {retrievers[0]} index; an mc index set comes from one retriever\n")
+
 
 class TestPipeline:
     def test_ingest_excludes_reference_sections(self, tmp_path, capsys):
@@ -710,8 +727,9 @@ class TestMalformedEmbeddings:
         lambda n: {"vectors": [["1.5", "2"]] * n},
         lambda n: {"vectors": [[1, "\u0663"]] * n},
         lambda n: {"vectors": [[1.0, 0.0]] * (n - 1) + [[1.0, True]]},
+        lambda n: {"vectors": [[]] * n},
     ], ids=["string-value", "flat-number", "null-value", "missing", "object", "wrong-count", "ragged",
-            "boolean-value", "numeric-string", "non-ascii-digit", "boolean-in-last-row"])
+            "boolean-value", "numeric-string", "non-ascii-digit", "boolean-in-last-row", "zero-width"])
     def test_index_with_malformed_vectors_is_provider_error(self, reply, dataset, tmp_path, stub,
                                                            monkeypatch, capsys):
         monkeypatch.setenv("MCIDX_EMBED_URL", stub.url)

@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import json
 import os
+import ssl
 import subprocess
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -187,6 +189,38 @@ class TestDeadline:
         self._every_attempt_times_out(raw_stub(reply))
 
 
+class TestTlsContext:
+    """Every HTTPS request of a process goes out on one TLS context, built on the first of them."""
+
+    def test_one_context_for_every_attempt(self, raw_stub, monkeypatch):
+        built, create = [], ssl._create_default_https_context
+        monkeypatch.setattr(ssl, "_create_default_https_context", lambda: built.append(create()) or built[-1])
+        monkeypatch.setattr(providers, "_TLS_CONTEXT", None)
+        monkeypatch.setattr(providers, "BACKOFF_S", 0)
+        server = raw_stub(None)  # closes each connection before the handshake ends
+        monkeypatch.setenv("MCIDX_EMBED_URL", server.url.replace("http://", "https://"))
+        provider = HttpEmbeddingProvider.from_env(name="stub")
+        for _ in range(2):
+            with pytest.raises(ProviderError, match="retries exhausted .*request failed"):
+                provider.embed(["text"])
+        assert len(built) == 1
+
+    def test_threads_racing_to_the_first_request_build_one(self, monkeypatch):
+        # build_views sends from --jobs threads at once; a slow build widens the race.
+        built, create = [], ssl._create_default_https_context
+        monkeypatch.setattr(ssl, "_create_default_https_context",
+                            lambda: time.sleep(0.01) or built.append(create()) or built[-1])
+        monkeypatch.setattr(providers, "_TLS_CONTEXT", None)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                contexts = list(pool.map(lambda _: providers._tls_context(), range(8), timeout=10))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(built) == 1 and all(context is built[0] for context in contexts)
+
+
 @pytest.mark.parametrize("url", ["http://127.0.0.1:8000", "https://example.com/v1/", "http://[::1]:9/",
                                  "HTTP://Host"])
 def test_http_urls_naming_a_host_are_accepted(url):
@@ -196,12 +230,15 @@ def test_http_urls_naming_a_host_are_accepted(url):
 
 # numpy is the only runtime dependency. With the installed packages it could
 # lean on blocked, an offline pipeline runs end to end, so a lazy import of
-# one of them fails too.
+# one of them fails too. It builds no TLS context either, not even at import.
 _WITHOUT_OPTIONAL_PACKAGES = """
-import sys, tempfile
+import ssl, sys, tempfile
 from pathlib import Path
 for name in ("requests", "scipy", "orjson"):
     sys.modules[name] = None
+def no_tls_context():
+    raise AssertionError("an offline run built a TLS context")
+ssl._create_default_https_context = no_tls_context
 import mcidx.cli
 from mcidx import (MockEmbeddingProvider, build_dense_index, build_sparse_index, eval_recall,
                    load_index, save_index, synthetic_corpus)

@@ -270,6 +270,17 @@ class TestEmbed:
         with pytest.raises(DimensionMismatch):
             embed(["a", "b"], RaggedProvider())
 
+    def test_zero_width_rows_are_provider_error(self):
+        # An index of width 0 saves, but its directory does not load ('dim' must be at least 1).
+        class WidthlessProvider(EmbeddingProvider):
+            name = "widthless"
+
+            def embed(self, texts):
+                return [[] for _ in texts]
+
+        with pytest.raises(DimensionMismatch, match=r"shape \(2, 0\) for 2 texts"):
+            build_dense_index([("u1", "cat"), ("u2", "dog")], WidthlessProvider())
+
     def test_width_change_between_batches_is_provider_error(self):
         class ShiftingProvider(EmbeddingProvider):
             name = "shifting"

@@ -354,18 +354,19 @@ class TestCorruptIndexRejected:
         with pytest.raises(CorruptIndex, match=f"{name} repeats unit id 'u1'"):
             load_index(directory)
 
-    @pytest.mark.parametrize("entries", [
-        [("dog", [(0, 1)]), ("cat", [(1, 1)])],
-        [("cat", [(0, 1)]), ("cat", [(1, 1)])],
-        [("cat", [(0, 1), (4, 1)])],
-        [("cat", [(0, 1), (1, 0)])],
-        [("cat", [(1, 1), (0, 1)])],
-        [("cat", [(1, 1), (1, 2)])],
+    @pytest.mark.parametrize("entries, reason", [
+        ([("dog", [(0, 1)]), ("cat", [(1, 1)])], "not sorted and unique"),
+        ([("cat", [(0, 1)]), ("cat", [(1, 1)])], "not sorted and unique"),
+        ([("cat", [(0, 1), (4, 1)])], "unit index out of range"),
+        ([("cat", [(0, 1), (1, 0)])], "zero term count"),
+        ([("cat", [(1, 1), (0, 1)])], "not strictly ascending"),
+        ([("cat", [(1, 1), (1, 2)])], "not strictly ascending"),
     ], ids=["unsorted-terms", "repeated-term", "unit-out-of-range", "zero-tf",
             "descending-postings", "repeated-posting"])
-    def test_bad_terms_file(self, sparse, entries):
+    def test_bad_terms_file(self, sparse, entries, reason):
+        # Each defect is named by its own check, not caught later by the token counts it also upsets.
         _rewrite(sparse, TERMS_FILE, _terms_blob(entries))
-        with pytest.raises(CorruptIndex):
+        with pytest.raises(CorruptIndex, match=reason):
             load_index(sparse)
 
     def test_term_without_postings(self, tmp_path, capsys):
