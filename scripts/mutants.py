@@ -61,7 +61,7 @@ MUTANTS = (
            (TEST_CLI,)),
     Mutant("setup-takes-any-mode", EVALUATION,
            "views = parse_mode(mode)",
-           "views = _MODE_VIEWS.get(mode, (None,))",
+           "views = _MODE_VIEWS.get(mode, (ViewKind.RAW_TEXT,))",
            (TEST_CLI,)),
     Mutant("setup-skips-check-views", EVALUATION,
            "        check_views(scheme, views)\n",
@@ -136,6 +136,11 @@ MUTANTS = (
            "if not 0 <= start < end <= len(section.text):",
            "if not start < end <= len(section.text):",
            ("tests/test_corpus.py::TestOneScopeResolver",)),
+    # A content chunk is its section under the section's id, so the raw view joins the other views in an mc set.
+    Mutant("content-chunks-under-their-own-ids", CHUNKING,
+           'section_id if scheme.kind == CONTENT else f"c{n:04d}"',
+           'f"c{n:04d}"',
+           ("tests/test_cli.py::TestPipeline::test_index_without_view_joins_an_mc_set",)),
     # A greedy chunk closes at the first sentence boundary reaching its target, a boundary at exactly the
     # target included, and the last chunk takes what is left.
     Mutant("greedy-chunk-passes-an-exact-target", CHUNKING,

@@ -3,7 +3,7 @@
 Three schemes produce retrieval units from a document. Each cuts a list of
 regions, either whole or by a greedy sentence merge:
 
-* content-aware (``content``): each section is one region, kept whole;
+* content-aware (``content``): each section is one region, kept whole under its id;
 * fixed-length (``flc:<N>``): the full document text is one region, whose
   whole sentences are greedily merged until a chunk reaches the target token
   count;
@@ -124,7 +124,8 @@ def chunk_document(doc: Document, scheme: ChunkScheme) -> list[Chunk]:
 
     ``flc`` cuts the full text as one region, so a chunk's section is the one
     containing it, or None when it crosses a section boundary. The other
-    schemes cut each section as its own region and keep that section's id.
+    schemes cut each section as its own region and keep that section's id,
+    which is also a ``content`` chunk's id; other chunks are ``c0000``, ``c0001``, ...
     Sentences and token offsets come from the document's analysis, so only
     the first scheme over a document splits its text.
     """
@@ -140,7 +141,8 @@ def chunk_document(doc: Document, scheme: ChunkScheme) -> list[Chunk]:
                 chunk_section = _flc_section(doc, token_span) if scheme.kind == FLC else section_id
                 pieces.append((chunk_section, (starts[i], starts[p]), token_span))
     text = doc.full_text
-    return [Chunk(f"c{n:04d}", doc.doc_id, section_id, span, text[span[0]:span[1]], scheme, token_span)
+    return [Chunk(section_id if scheme.kind == CONTENT else f"c{n:04d}", doc.doc_id, section_id, span,
+                  text[span[0]:span[1]], scheme, token_span)
             for n, (section_id, span, token_span) in enumerate(pieces)]
 
 

@@ -80,7 +80,7 @@ def parse_k(spec: str) -> float:
 
 def _write_text(path: str | None, text: str) -> None:
     """Write ``text`` to the file ``path`` atomically, creating its parent directories, or to stdout without one."""
-    with atomic_text_writer(path) if path else contextlib.nullcontext(sys.stdout) as fh:
+    with contextlib.nullcontext(sys.stdout) if path is None else atomic_text_writer(path) as fh:
         fh.write(text)
 
 
@@ -135,7 +135,7 @@ def cmd_views(args) -> int:
 def cmd_index(args) -> int:
     scheme = ChunkScheme.parse(args.scheme)
     kind, provider_name = parse_retriever(args.retriever)
-    view = ViewKind(args.view) if args.view else None
+    view = ViewKind(args.view)
     check_views(scheme, (view,))
     provider = resolve_provider(provider_name) if kind == DENSE else None
     docs = load_corpus_jsonl(args.corpus)
@@ -190,9 +190,10 @@ def cmd_eval_recall(args) -> int:
     qa = load_and_filter_qa(args.qa, docs)
     report = eval_recall(docs, qa, args.scheme, args.retriever, args.mode, args.k,
                          views=_load_views_arg(args, setup.reads_views_file), invert_parity=args.invert_parity)
-    _write_text(args.output, report.to_csv())
-    if args.markdown:
+    # The table first: an unwritable --markdown then stops the run before the CSV reaches stdout.
+    if args.markdown is not None:
         _write_text(args.markdown, report.to_markdown())
+    _write_text(args.output, report.to_csv())
     return EXIT_OK
 
 
@@ -291,8 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("index", parents=[corpus, views], help="build and save one index over the corpus")
     p.add_argument("--scheme", required=True)
     p.add_argument("--retriever", required=True, help="tfidf | bm25 | dense:<provider>")
-    p.add_argument("--view", choices=[view.value for view in ViewKind], default=None,
-                   help="index a view instead of chunk text (content scheme only)")
+    p.add_argument("--view", choices=[view.value for view in ViewKind], default=ViewKind.RAW_TEXT.value,
+                   help="raw, the scheme's chunks (the default), or keywords or summary (content scheme only)")
     p.add_argument("--output", required=True, help="index directory")
     p.set_defaults(func=cmd_index)
 

@@ -8,9 +8,9 @@ covered by the union of retrieved spans. Both harnesses, ``eval_recall`` and
 ``mcidx eval answers``, reach their spans through one loop,
 ``retrieved_spans``. It builds one context per document: its unit table
 (``doc_units``) and one index per view of the mode, so each question is
-scored only against its own document. Sparse indexes over chunks and raw
-sections take their terms from the document's ``terms``, which every setup
-over the document shares. Each question makes one ``retrieve_mc`` or
+scored only against its own document. Sparse indexes over the raw view, the
+scheme's chunks, take their terms from the document's ``terms``, which every
+setup over the document shares. Each question makes one ``retrieve_mc`` or
 ``retrieve_single`` call at the largest budget, which ranks it once per index;
 each budget k keeps the units whose best rank is within its k'.
 Pairwise judging scores two candidate answers in two position-swapped
@@ -52,29 +52,26 @@ VIEWS_FILE_KINDS = frozenset({ViewKind.KEYWORDS, ViewKind.SUMMARY})
 
 _MODE_VIEWS = {
     "mc": VIEW_ORDER,
-    "single:raw": (None,),
+    "single:raw": (ViewKind.RAW_TEXT,),
     "single:keywords": (ViewKind.KEYWORDS,),
     "single:summary": (ViewKind.SUMMARY,),
 }
 
 
-def parse_mode(spec: str) -> tuple[ViewKind | None, ...]:
-    """The views ``mc | single:<raw|keywords|summary>`` indexes, in fusion order.
-
-    ``None`` is the scheme's chunks, which ``single:raw`` indexes.
-    """
+def parse_mode(spec: str) -> tuple[ViewKind, ...]:
+    """The views ``mc | single:<raw|keywords|summary>`` indexes in fusion order; raw is the scheme's chunks."""
     if spec not in _MODE_VIEWS:
         raise ValueError(f"unknown mode spec {spec!r}")
     return _MODE_VIEWS[spec]
 
 
-def check_views(scheme: ChunkScheme, views: tuple[ViewKind | None, ...]) -> None:
-    """Reject (ValueError) a view under a scheme other than content: views index sections."""
-    if scheme.kind != CONTENT and views != (None,):
-        raise ValueError(f"views index sections and need the content scheme, got {scheme.spec()!r}")
+def check_views(scheme: ChunkScheme, views: tuple[ViewKind, ...]) -> None:
+    """Reject (ValueError) a keyword or summary view under a scheme other than content: they index sections."""
+    if scheme.kind != CONTENT and not VIEWS_FILE_KINDS.isdisjoint(views):
+        raise ValueError(f"keyword and summary views need the content scheme, got {scheme.spec()!r}")
 
 
-def check_budgets(views: tuple[ViewKind | None, ...], ks: list[float]) -> Callable[[float, int], int]:
+def check_budgets(views: tuple[ViewKind, ...], ks: list[float]) -> Callable[[float, int], int]:
     """The budget rule of these views, per view if they fuse; ValueError: no k, a repeated k or one it does not take."""
     if not ks:
         raise ValueError("no budget given: each setup needs at least one k")
@@ -93,7 +90,7 @@ class Setup:
     scheme: ChunkScheme
     kind: str
     provider: EmbeddingProvider | None  # the dense retriever's; None for tfidf and bm25
-    views: tuple[ViewKind | None, ...]
+    views: tuple[ViewKind, ...]
     ks: tuple[float, ...]
     budget: Callable[[float, int], int]  # (k, question ordinal) -> rank cut
 
@@ -182,21 +179,19 @@ def recall_of_set(spans: list[tuple[int, int]], scope: tuple[int, int]) -> float
 
 
 def doc_units(
-    doc: Document, scheme: ChunkScheme, view: ViewKind | None, doc_views: list[ViewEntry] | None
+    doc: Document, scheme: ChunkScheme, view: ViewKind, doc_views: list[ViewEntry] | None
 ) -> list[tuple[str, tuple[int, int], str, tuple[int, int] | None]]:
-    """``(unit_id, doc_span, text, token_span)`` of what a (scheme, view) pair indexes, in section order.
+    """``(unit_id, doc_span, text, token_span)`` of what a (scheme, view) pair indexes, in document order.
 
-    With no view the units are the scheme's chunks. A view indexes the
-    document's sections: the raw view is the content chunks under their
-    section ids, the keyword and summary views are their entries in
-    ``doc_views``, which must name each section exactly once. ``token_span``
-    is the unit's token range in the document's ``terms``, None for keyword
-    and summary units, whose text is not document text. Callers check that a
-    view comes with the content scheme (``check_views``).
+    The raw view is the scheme's chunks under their ids; a content chunk is a
+    section under its id. The keyword and summary views are the sections'
+    entries in ``doc_views``, which must name each section exactly once, and
+    need the content scheme (``check_views``). ``token_span`` is the unit's
+    token range in the document's ``terms``, None for keyword and summary
+    units, whose text is not document text.
     """
-    if view in (None, ViewKind.RAW_TEXT):
-        return [(c.chunk_id if view is None else c.section_id, c.doc_span, c.text, c.token_span)
-                for c in chunk_document(doc, scheme)]
+    if view is ViewKind.RAW_TEXT:
+        return [(c.chunk_id, c.doc_span, c.text, c.token_span) for c in chunk_document(doc, scheme)]
     if doc_views is None:
         raise UnknownDoc(f"no views supplied for document {doc.doc_id!r}")
     entries = view_texts(doc_views, view)
@@ -215,7 +210,7 @@ def build_doc_context(
     doc: Document,
     setup: Setup,
     doc_views: list[ViewEntry] | None,
-) -> tuple[dict[str, tuple[int, int]], dict[ViewKind | None, SparseIndex | DenseIndex]]:
+) -> tuple[dict[str, tuple[int, int]], dict[ViewKind, SparseIndex | DenseIndex]]:
     """One document's unit spans and one index per view of the setup's mode, in fusion order."""
     indexes = {}
     for view in setup.views:
@@ -230,7 +225,7 @@ def build_doc_context(
             vocabulary, ids = doc.terms
             terms = (vocabulary, [ids[a:b] for _, _, _, (a, b) in units])
         indexes[view] = build_sparse_index(pairs, setup.kind, terms)
-    # The views of a mode share one unit table: the document's sections.
+    # The views of a mode share one unit table: under mc, the sections.
     return {uid: span for uid, span, _, _ in units}, indexes
 
 

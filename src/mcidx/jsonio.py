@@ -92,8 +92,10 @@ def atomic_text_writer(path: str | Path) -> Iterator[TextIO]:
     Writes go to a temporary sibling in the same directory (created with its
     parents), which ``os.replace`` moves over ``path`` once the block exits
     cleanly. If the block raises, the sibling is removed and any old file at
-    ``path`` keeps its bytes.
+    ``path`` keeps its bytes. An empty path names no file: ValueError.
     """
+    if not str(path):
+        raise ValueError("empty output path")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")

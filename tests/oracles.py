@@ -340,12 +340,13 @@ def oracle_extractive_keywords(
 def oracle_recall(docs, qa, scheme: str, retriever: str, mode: str, ks: list[float], views, invert_parity: bool):
     """``(question_id, spans per k, recall per k)`` of each answered question, in dataset order.
 
-    Composed from the oracles above: units are ``oracle_chunks`` (a content
-    chunk is its section) or a view of the sections (raw text, or the
-    keywords and summary texts in ``views``); ``oracle_rank`` orders them and
-    ``oracle_recall_sum`` measures the (disjoint) spans. Sparse retrievers
-    score with ``reference_loop_scores``. ``dense:mock`` ranks by the exact
-    cosine of ``oracle_mock_embed`` rows of texts cut to 512 tokens, as the
+    Composed from the oracles above: the raw view's units are the scheme's
+    chunks, ``oracle_chunks`` or, under content, the sections under their ids;
+    the keyword and summary views' units are the sections' texts in ``views``.
+    ``oracle_rank`` orders them and ``oracle_recall_sum`` measures the
+    (disjoint) spans. Sparse retrievers score with ``reference_loop_scores``.
+    ``dense:mock`` ranks by the exact cosine of ``oracle_mock_embed`` rows of
+    texts cut to 512 tokens, as the
     rational dot**2 / |row|**2; a question where units with different rows
     tie at a nonzero cosine within the budgets gets None for its spans and
     recalls, because float rounding, not position, orders such a tie. A
@@ -354,7 +355,7 @@ def oracle_recall(docs, qa, scheme: str, retriever: str, mode: str, ks: list[flo
     multi-view budget k gives every view k' units, and the union is taken
     round-robin in the order raw, keywords, summary.
     """
-    view_order = {"mc": ("raw", "keywords", "summary"), "single:raw": (None,),
+    view_order = {"mc": ("raw", "keywords", "summary"), "single:raw": ("raw",),
                   "single:keywords": ("keywords",), "single:summary": ("summary",)}[mode]
     kind, _, target = scheme.partition(":")
 
@@ -373,20 +374,23 @@ def oracle_recall(docs, qa, scheme: str, retriever: str, mode: str, ks: list[flo
         return " ".join(text.split()[:512])
 
     @functools.cache
+    def section_spans(doc) -> dict[str, tuple[int, int]]:
+        spans, pos = {}, 0
+        for s in doc.sections:
+            spans[s.section_id] = (pos, pos + len(s.text))
+            pos += len(s.text) + 1
+        return spans
+
+    @functools.cache
     def units_of(doc, view) -> list[tuple[str, tuple[int, int], str]]:
-        texts = [s.text for s in doc.sections]
-        spans, pos = [], 0
-        for text in texts:
-            spans.append((pos, pos + len(text)))
-            pos += len(text) + 1
-        if view is None and kind != "content":
+        if view == "raw" and kind != "content":
+            texts = [s.text for s in doc.sections]
             return [(cid, span, text) for cid, _, span, text in oracle_chunks(texts, kind, int(target))]
-        if view is None:
-            return [(f"c{i:04d}", span, text) for i, (span, text) in enumerate(zip(spans, texts))]
         if view == "raw":
-            return [(s.section_id, span, s.text) for s, span in zip(doc.sections, spans)]
-        by_section = {v.section_id: v.text for v in views[doc.doc_id] if v.view_kind.value == view}
-        return [(s.section_id, span, by_section[s.section_id]) for s, span in zip(doc.sections, spans)]
+            texts = {s.section_id: s.text for s in doc.sections}
+        else:
+            texts = {v.section_id: v.text for v in views[doc.doc_id] if v.view_kind.value == view}
+        return [(sid, span, texts[sid]) for sid, span in section_spans(doc).items()]
 
     @functools.cache
     def rows_of(doc, view) -> list[tuple[int, ...]]:
@@ -425,7 +429,7 @@ def oracle_recall(docs, qa, scheme: str, retriever: str, mode: str, ks: list[flo
             results.append((item.question_id, None, None))
             continue
         span_of = {uid: span for uid, span, _ in units_of(doc, view_order[0])}
-        offset = {sid: span[0] for sid, span, _ in units_of(doc, "raw")}[item.scope_section_id]
+        offset = section_spans(doc)[item.scope_section_id][0]
         scope = (offset + item.scope_span[0], offset + item.scope_span[1])
         spans_per_k = []
         for b in budgets:

@@ -10,12 +10,14 @@ from collections import Counter
 import pytest
 
 from mcidx import cli, evaluation, providers
+from mcidx.chunking import ChunkScheme, chunk_document
 from mcidx.cli import build_parser, parse_k_list, run
 from mcidx.corpus import load_and_filter_qa, load_corpus_jsonl, write_corpus_jsonl, write_qa_jsonl
 from mcidx.evaluation import Setup, build_doc_context, eval_recall
 from mcidx.fusion import retrieve_mc, retrieve_single
 from mcidx.prompts import ANSWER
-from mcidx.views import DEFAULT_JOBS, build_views
+from mcidx.store import load_index
+from mcidx.views import DEFAULT_JOBS, ViewKind, build_views
 from mcidx.synthetic import synthetic_corpus
 
 MARKDOWN = """# Guide
@@ -158,6 +160,38 @@ class TestPipeline:
         lines = capsys.readouterr().out.strip().splitlines()
         records = [json.loads(line) for line in lines]
         assert records and all("unit_id" in r and "views" in r for r in records)
+
+    def test_index_without_view_joins_an_mc_set(self, dataset, tmp_path, capsys):
+        # Without --view, index builds the raw view, which an mc set takes as its first index.
+        corpus, _ = dataset
+        views = tmp_path / "views.jsonl"
+        assert run(["views", "--corpus", str(corpus), "--output", str(views)]) == 0
+        dirs = {}
+        for name, extra in (("default", []), ("raw", ["--view", "raw"]), ("keywords", ["--view", "keywords"]),
+                            ("summary", ["--view", "summary"])):
+            dirs[name] = str(tmp_path / f"idx_{name}")
+            assert run(["index", "--corpus", str(corpus), "--scheme", "content", "--retriever", "bm25",
+                        *extra, "--views", str(views), "--output", dirs[name]]) == 0
+        outputs = []
+        for raw in ("default", "raw"):
+            capsys.readouterr()
+            assert run(["retrieve", "--mode", "mc", "--index", dirs[raw], dirs["keywords"], dirs["summary"],
+                        "--question", "anything at all", "--k", "3"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] and outputs[0] == outputs[1]
+
+    def test_raw_view_under_flc_indexes_its_chunks(self, dataset, tmp_path):
+        corpus, _ = dataset
+        dirs = [tmp_path / "idx_default", tmp_path / "idx_raw"]
+        for directory, extra in zip(dirs, ([], ["--view", "raw"])):
+            assert run(["index", "--corpus", str(corpus), "--scheme", "flc:100", "--retriever", "bm25",
+                        *extra, "--output", str(directory)]) == 0
+        files = [{f.name: f.read_bytes() for f in directory.iterdir()} for directory in dirs]
+        assert files[0] == files[1]
+        chunks = [f"{doc.doc_id}#{c.chunk_id}" for doc in load_corpus_jsonl(corpus)
+                  for c in chunk_document(doc, ChunkScheme.parse("flc:100"))]
+        assert chunks[0].endswith("#c0000")
+        assert load_index(dirs[1]).unit_ids == chunks
 
     def test_retrieve_embeds_its_question_once(self, dataset, tmp_path, stub, monkeypatch):
         monkeypatch.setenv("MCIDX_EMBED_URL", stub.url)
@@ -311,7 +345,8 @@ class TestPipeline:
                 if mode == "mc":
                     unit_ids = retrieve_mc(indexes, item.question, 3, ordinal).unit_ids
                 else:
-                    unit_ids = [s.unit_id for s in retrieve_single(indexes[None], item.question, 3, ordinal)]
+                    unit_ids = [s.unit_id
+                                for s in retrieve_single(indexes[ViewKind.RAW_TEXT], item.question, 3, ordinal)]
                 texts.append([doc.full_text[slice(*units[uid])] for uid in unit_ids])
             differ += texts[0] != texts[1]
             answer_a, answer_b, judge1, judge2 = prompts[4 * ordinal:4 * ordinal + 4]
@@ -543,7 +578,7 @@ class TestUsageChecks:
          "--mode", "mc", "--k", "3"],
         ["eval", "recall", "--qa", "qa.jsonl", "--scheme", "flc:100", "--retriever", "bm25",
          "--mode", "mc", "--k", "3"],
-        ["index", "--scheme", "flc:100", "--retriever", "bm25", "--view", "raw", "--output", "idx"],
+        ["index", "--scheme", "flc:100", "--retriever", "bm25", "--view", "keywords", "--output", "idx"],
         ["eval", "answers", "--qa", "qa.jsonl", "--retriever", "bm25", "--k", "3", "--scheme-a", "content",
          "--mode-a", "single:raw", "--scheme-b", "flc:100", "--mode-b", "mc", "--output", "judge.jsonl"],
         ["eval", "answers", "--qa", "qa.jsonl", "--retriever", "bogus", "--k", "3", "--scheme-a", "content",
@@ -1013,6 +1048,31 @@ class TestFileSystemErrors:
                     "--retriever", "bm25", "--mode", "single:raw", "--k", "3",
                     "--output", str(blocker / "r.csv")]) == 2
         assert f"data error: {blocker}: {os.strerror(errno.EEXIST)}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["chunk", "--scheme", "content", "--output", ""],
+        ["views", "--output", ""],
+        ["eval", "recall", "--scheme", "content", "--retriever", "bm25", "--mode", "mc", "--k", "3",
+         "--output", ""],
+        ["eval", "recall", "--scheme", "content", "--retriever", "bm25", "--mode", "mc", "--k", "3",
+         "--markdown", ""],
+        ["eval", "chunking-error", "--scheme", "content", "--output", ""],
+        ["eval", "answers", "--retriever", "bm25", "--scheme-a", "content", "--mode-a", "mc",
+         "--scheme-b", "content", "--mode-b", "single:raw", "--output", ""],
+    ], ids=["chunk", "views", "eval-recall", "eval-recall-markdown", "eval-chunking-error", "eval-answers"])
+    def test_empty_output_path_is_usage_error(self, argv, dataset, tmp_path, stub, monkeypatch, capsys):
+        # An empty path names no file: not stdout, and not the working directory.
+        corpus, qa = dataset
+        _answers_stub(stub, monkeypatch)
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        inputs = ["--corpus", str(corpus)] + (["--qa", str(qa)] if argv[0] == "eval" else [])
+        assert run([*argv, *inputs]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "usage error: empty output path" in err
+        assert not any(work.iterdir())
 
     def test_ingest_file_name_that_is_not_utf8(self, tmp_path, capsys):
         # The document id is the file stem, and corpus JSONL is UTF-8.

@@ -344,11 +344,10 @@ class TestDocumentAnalysis:
         vocabulary, ids = doc.terms
         assert vocabulary == sorted(set(index_terms(doc.full_text)))
         assert ids.dtype == np.int32 and len(ids) == token_count(doc.full_text)
-        content = ChunkScheme("content")
-        setups = [(content, ViewKind.RAW_TEXT), (content, None)] + [
-            (ChunkScheme(kind, target), None) for kind in ("flc", "flc-content") for target in range(1, len(ids) + 2)]
-        for scheme, view in setups:
-            for _, _, text, (start, end) in doc_units(doc, scheme, view, None):
+        schemes = [ChunkScheme("content")] + [
+            ChunkScheme(kind, target) for kind in ("flc", "flc-content") for target in range(1, len(ids) + 2)]
+        for scheme in schemes:
+            for _, _, text, (start, end) in doc_units(doc, scheme, ViewKind.RAW_TEXT, None):
                 assert [vocabulary[i] for i in ids[start:end] if i >= 0] == index_terms(text)
 
     def test_load_builds_no_analysis(self, tmp_path, monkeypatch):
@@ -372,7 +371,7 @@ class TestDocumentAnalysis:
             doc = make_doc(["Alpha beta. Gamma delta.", "Epsilon zeta!"])
             _ = doc.terms, doc.section_starts, doc.text_sentences, doc.section_sentences
             for spec in ("content", "flc:2", "flc-content:2"):
-                doc_units(doc, ChunkScheme.parse(spec), None, None)
+                doc_units(doc, ChunkScheme.parse(spec), ViewKind.RAW_TEXT, None)
             freed = weakref.ref(doc)
             del doc
             assert freed() is None

@@ -284,17 +284,18 @@ class TestDocUnits:
     def test_raw_view_is_the_content_chunks_under_section_ids(self):
         docs, _ = synthetic_corpus(n_docs=5)
         for doc in docs:
-            chunks = doc_units(doc, self.CONTENT, None, None)
+            chunks = chunk_document(doc, self.CONTENT)
+            section_ids = [s.section_id for s in doc.sections]
+            assert [c.chunk_id for c in chunks] == [c.section_id for c in chunks] == section_ids
             raw = doc_units(doc, self.CONTENT, ViewKind.RAW_TEXT, None)
-            assert [unit[1:] for unit in raw] == [unit[1:] for unit in chunks]
-            assert [unit[0] for unit in raw] == [s.section_id for s in doc.sections]
+            assert raw == [(c.chunk_id, c.doc_span, c.text, c.token_span) for c in chunks]
 
     def test_missing_views_and_wrong_scheme_rejected(self):
         doc = self._doc()
         with pytest.raises(UnknownDoc):
             doc_units(doc, self.CONTENT, ViewKind.KEYWORDS, None)
         with pytest.raises(ValueError):
-            check_views(ChunkScheme.parse("flc:100"), (ViewKind.RAW_TEXT,))
+            check_views(ChunkScheme.parse("flc:100"), (ViewKind.KEYWORDS,))
 
 
 class TestOneRankingPerQuestion:
@@ -335,8 +336,8 @@ class TestOneRankingPerQuestion:
                 if mode == "mc":
                     expected = [retrieve_mc(indexes, item.question, k, ordinal).unit_ids for k in self.KS]
                 else:
-                    expected = [[s.unit_id for s in retrieve_single(indexes[None], item.question, k, ordinal)]
-                                for k in self.KS]
+                    index = indexes[ViewKind.RAW_TEXT]
+                    expected = [[s.unit_id for s in retrieve_single(index, item.question, k, ordinal)] for k in self.KS]
                 assert spans_per_k == [[span_by_unit[uid] for uid in ids] for ids in expected]
 
 
@@ -414,10 +415,10 @@ class TestRecallOracle:
 
 
 class TestModeSpec:
-    # A mode is the views it indexes in fusion order; None is the scheme's chunks.
+    # A mode is the views it indexes in fusion order; the raw view is the scheme's chunks.
     VIEWS = {
         "mc": (ViewKind.RAW_TEXT, ViewKind.KEYWORDS, ViewKind.SUMMARY),
-        "single:raw": (None,),
+        "single:raw": (ViewKind.RAW_TEXT,),
         "single:keywords": (ViewKind.KEYWORDS,),
         "single:summary": (ViewKind.SUMMARY,),
     }

@@ -44,7 +44,7 @@ sha256 55ecdd93f054153f7037c408f1641a0d06b8e34faabb747150da086c031cd4df  flc:200
 sha256 e65dc709542e99f66805fa80e5f2686623e6c0df7da7df4ab7b4f5adf5021cef  flc-content:200
 sha256 88253b28fccab31125b52aa2e6265ead7d256b55ee9b8687ac72ef059c4f2ea4  flc:300
 sha256 cc7bcb0afb57509e867c74c60d22351412d28cae83ede5895f07f113b484df3d  flc-content:300
-sha256 9456f98b04a4c59477a6dc84f00f2351c02ab43b28e3b4ab4f9775a32c7a49ad  content
+sha256 f34c9318d94d7823ef63070d7317d83e162c8fc7068d0f1c403e027277dec838  content
 """
 
 COMPLEMENTARITY_STDOUT = """\
@@ -58,8 +58,8 @@ mc               recall 100.0%
 VIEWS_SHA256 = "0a7b2e53b5f29c3ceda74cf4de16ed2bdf439c02af93dcc80092629f76e57d4a"
 
 RETRIEVE_SHA256 = {
-    "bm25": "ff44e02905c75f977aa85657fe484f6ed670ade338ba298c58ca2733e4c0161e",
-    "dense:mock": "89ad1857069631cf43c9a9ab49135691563a0ea924ba10c63b1195a4b4356047",
+    "bm25": "e1a6c085e811b40a3adf51f0a9b28ae532a9329281ae6264b22df8e8f5343b03",
+    "dense:mock": "ef3ddfd3a4b99f51132af696a4200dc1724a03298c03506aea51ced16cd2e9f7",
 }
 
 
@@ -107,6 +107,9 @@ def test_retrieve_stdout(retriever, tmp_path, capsys):
         extra = ["--view", view, "--views", views] if view else []
         assert run(["index", "--corpus", corpus, "--scheme", "content", "--retriever", retriever,
                     *extra, "--output", dirs[view]]) == 0
+    # Without --view, index builds the raw view.
+    files = [{f.name: f.read_bytes() for f in Path(dirs[view]).iterdir()} for view in (None, "raw")]
+    assert files[0] == files[1]
     questions = [json.loads(line)["question"] for line in (tmp_path / "qa.jsonl").read_text().splitlines()[:4]]
     capsys.readouterr()
     for ordinal, question in enumerate(questions):

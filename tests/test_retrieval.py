@@ -399,11 +399,8 @@ class TestTableTermsBuild:
     def test_equals_text_build_field_by_field(self, texts, target):
         doc = make_doc(texts)
         vocabulary, ids = doc.terms
-        content = ChunkScheme("content")
-        setups = [(content, ViewKind.RAW_TEXT), (content, None),
-                  (ChunkScheme("flc", target), None), (ChunkScheme("flc-content", target), None)]
-        for scheme, view in setups:
-            units = doc_units(doc, scheme, view, None)
+        for scheme in (ChunkScheme("content"), ChunkScheme("flc", target), ChunkScheme("flc-content", target)):
+            units = doc_units(doc, scheme, ViewKind.RAW_TEXT, None)
             if not units:
                 continue
             pairs = [(uid, text) for uid, _, text, _ in units]
