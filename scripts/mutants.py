@@ -47,7 +47,7 @@ class Mutant:
 
 
 EVALUATION, CORPUS = "src/mcidx/evaluation.py", "src/mcidx/corpus.py"
-RETRIEVAL, FUSION = "src/mcidx/retrieval.py", "src/mcidx/fusion.py"
+RETRIEVAL, FUSION, PROVIDERS = "src/mcidx/retrieval.py", "src/mcidx/fusion.py", "src/mcidx/providers.py"
 CHUNKING, STORE, CLI = "src/mcidx/chunking.py", "src/mcidx/store.py", "src/mcidx/cli.py"
 TEST_EVALUATION, TEST_CLI, TEST_CORPUS = "tests/test_evaluation.py", "tests/test_cli.py", "tests/test_corpus.py"
 ORACLES = "tests/test_retrieval.py::TestOracleEquivalence"
@@ -190,6 +190,15 @@ MUTANTS = (
            "block.shape[0] != len(batch) or not block.shape[1]",
            "block.shape[0] != len(batch)",
            ("tests/test_retrieval.py::TestEmbed",)),
+    # Embedding values are finite, and a reply read after its deadline fails before it reads.
+    Mutant("embed-accepts-non-finite", RETRIEVAL,
+           "if not np.isfinite(block).all():",
+           "if False:",
+           ("tests/test_retrieval.py::TestEmbed",)),
+    Mutant("deadline-never-expires", PROVIDERS,
+           "if left <= 0:",
+           "if False:",
+           ("tests/test_providers.py::TestDeadline::test_read_after_the_deadline_times_out_without_reading",)),
     Mutant("mc-set-of-any-retrievers", CLI,
            "if retriever != retrievers[0]:",
            "if False:",

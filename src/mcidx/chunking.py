@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -165,9 +165,9 @@ def chunking_error(docs: list[Document], qa: list[QAItem], scheme: ChunkScheme) 
     return ChunkingErrorReport(scheme, len(qa), n_split)
 
 
-def write_chunks_jsonl(chunks: list[Chunk], path: str | Path) -> None:
-    """Persist chunk coordinates; texts are reconstructed from the corpus."""
-    write_jsonl(
+def write_chunks_jsonl(chunks: Iterable[Chunk], path: str | Path) -> int:
+    """Persist chunk coordinates as each chunk arrives; returns how many. Texts are reconstructed from the corpus."""
+    return write_jsonl(
         path,
         (
             {

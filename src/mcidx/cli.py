@@ -43,7 +43,7 @@ from .fusion import retrieve_mc, retrieve_single
 from .jsonio import atomic_text_writer, write_jsonl
 from .providers import HttpLlmClient
 from .retrieval import DENSE, build_dense_index, build_sparse_index, parse_retriever, resolve_provider
-from .store import load_index, save_index
+from .store import check_replaceable, load_index, save_index
 from .views import (
     DEFAULT_JOBS,
     EXTRACTIVE_GENERATOR,
@@ -114,21 +114,17 @@ def cmd_ingest(args) -> int:
 def cmd_chunk(args) -> int:
     scheme = ChunkScheme.parse(args.scheme)
     docs = load_corpus_jsonl(args.corpus)
-    chunks = [c for doc in docs for c in chunk_document(doc, scheme)]
-    write_chunks_jsonl(chunks, args.output)
-    logger.info("wrote %d chunks to %s", len(chunks), args.output)
+    n_chunks = write_chunks_jsonl((c for doc in docs for c in chunk_document(doc, scheme)), args.output)
+    logger.info("wrote %d chunks to %s", n_chunks, args.output)
     return EXIT_OK
 
 
 def cmd_views(args) -> int:
     llm = HttpLlmClient.from_env() if args.generator == LLM_GENERATOR else None
     docs = load_corpus_jsonl(args.corpus)
-    views_by_doc = {
-        doc.doc_id: build_views(doc, generator=args.generator, llm=llm, jobs=args.jobs)
-        for doc in docs
-    }
-    write_views_jsonl(views_by_doc, args.output)
-    logger.info("wrote views for %d documents to %s", len(views_by_doc), args.output)
+    write_views_jsonl(((doc.doc_id, build_views(doc, generator=args.generator, llm=llm, jobs=args.jobs))
+                       for doc in docs), args.output)
+    logger.info("wrote views for %d documents to %s", len(docs), args.output)
     return EXIT_OK
 
 
@@ -138,6 +134,7 @@ def cmd_index(args) -> int:
     view = ViewKind(args.view)
     check_views(scheme, (view,))
     provider = resolve_provider(provider_name) if kind == DENSE else None
+    check_replaceable(args.output)
     docs = load_corpus_jsonl(args.corpus)
     reads_views = view in VIEWS_FILE_KINDS
     views_by_doc = _load_views_arg(args, reads_views)
@@ -217,16 +214,16 @@ def cmd_eval_answers(args) -> int:
     qa = load_and_filter_qa(args.qa, docs)
     views_by_doc = _load_views_arg(args, any(setup.reads_views_file for setup in setups))
     side_a, side_b = (retrieved_spans(docs, qa, setup, views_by_doc) for setup in setups)
-    records = []
     tallies = {"score_based": {"a": 0, "b": 0, "tie": 0}, "round_based": {"a": 0, "b": 0, "tie": 0}}
-    for (item, doc, (spans_a,)), (_, _, (spans_b,)) in zip(side_a, side_b):
-        answer_a, answer_b = (generate_answer(item.question, [doc.full_text[slice(*span)] for span in spans], llm)
-                              for spans in (spans_a, spans_b))
-        outcome = judge_pairwise(item.question, item.answer, answer_a, answer_b, llm)
-        tallies["score_based"][outcome.score_based.value] += 1
-        tallies["round_based"][outcome.round_based.value] += 1
-        records.append(
-            {
+
+    def transcripts():
+        for (item, doc, (spans_a,)), (_, _, (spans_b,)) in zip(side_a, side_b):
+            answer_a, answer_b = (generate_answer(item.question, [doc.full_text[slice(*span)] for span in spans], llm)
+                                  for spans in (spans_a, spans_b))
+            outcome = judge_pairwise(item.question, item.answer, answer_a, answer_b, llm)
+            tallies["score_based"][outcome.score_based.value] += 1
+            tallies["round_based"][outcome.round_based.value] += 1
+            yield {
                 "question_id": item.question_id,
                 "answer_a": answer_a,
                 "answer_b": answer_b,
@@ -236,9 +233,10 @@ def cmd_eval_answers(args) -> int:
                 "judge_round1": outcome.raw_round1,
                 "judge_round2": outcome.raw_round2,
             }
-        )
-    write_jsonl(args.output, records)
-    print(json.dumps({"n_questions": len(records), **tallies}))
+
+    # Each transcript is written as it is judged, into the output opened before the first request.
+    n_questions = write_jsonl(args.output, transcripts())
+    print(json.dumps({"n_questions": n_questions, **tallies}))
     return EXIT_OK
 
 

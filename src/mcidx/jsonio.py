@@ -108,10 +108,16 @@ def atomic_text_writer(path: str | Path) -> Iterator[TextIO]:
         raise
 
 
-def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
+def write_jsonl(path: str | Path, records: Iterable[dict]) -> int:
+    """Write each record to ``path`` as one JSON line as it arrives; returns how many.
+
+    The output is open before the first record is drawn from ``records``.
+    """
+    n = 0
     with atomic_text_writer(path) as fh:
-        for record in records:
+        for n, record in enumerate(records, start=1):
             fh.write(_encode(record) + "\n")
+    return n
 
 
 def jsonl_bytes(records: Iterable[dict]) -> bytes:

@@ -136,22 +136,33 @@ def _read_units(path: Path, blob: bytes, n_units: int, with_lens: bool) -> tuple
     return unit_ids, unit_lens
 
 
-def save_index(index: SparseIndex | DenseIndex, directory: str | Path) -> None:
-    """Write ``index`` to ``directory``, replacing any index there as a whole.
+def check_replaceable(directory: str | Path) -> None:
+    """A DataError if ``save_index`` would refuse to replace ``directory``; creates nothing.
 
-    The files go to a temporary sibling directory, which is renamed into
-    place once complete; an old index is moved aside first and removed after
-    the swap, and stays as it was if the save fails. A non-empty directory
-    without a manifest is not an index, and the working directory cannot be
-    renamed: either is a DataError, left untouched.
+    A non-empty directory without a manifest is not an index, and the working
+    directory cannot be renamed. A path that is not a directory passes.
     """
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+    if not directory.is_dir():
+        return
     if any(directory.iterdir()) and not (directory / MANIFEST).is_file():
         raise DataError(f"not an index (no {MANIFEST}) and not empty; refusing to replace it", path=directory)
     if directory.samefile(Path.cwd()):
         raise DataError("is the working directory, which cannot be replaced; write the index elsewhere",
                         path=directory)
+
+
+def save_index(index: SparseIndex | DenseIndex, directory: str | Path) -> None:
+    """Write ``index`` to ``directory``, replacing any index there as a whole.
+
+    The files go to a temporary sibling directory, which is renamed into
+    place once complete; an old index is moved aside first and removed after
+    the swap, and stays as it was if the save fails. A directory that
+    ``check_replaceable`` refuses is a DataError, left untouched.
+    """
+    directory = Path(directory)
+    check_replaceable(directory)
+    directory.mkdir(parents=True, exist_ok=True)
     if index.kind == DENSE:
         blobs = (jsonl_bytes({"unit_id": uid} for uid in index.unit_ids),
                  index.matrix.astype("<f4").tobytes())

@@ -18,6 +18,7 @@ import enum
 import json
 import logging
 from collections import Counter
+from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import chain
@@ -219,7 +220,8 @@ def view_texts(views: list[ViewEntry], kind: ViewKind) -> list[tuple[str, str]]:
     return [(v.section_id, v.text) for v in views if v.view_kind is kind]
 
 
-def write_views_jsonl(views_by_doc: dict[str, list[ViewEntry]], path: str | Path) -> None:
+def write_views_jsonl(views_by_doc: Iterable[tuple[str, list[ViewEntry]]], path: str | Path) -> None:
+    """Write the view records of each ``(doc_id, entries)`` pair as the pair arrives."""
     write_jsonl(
         path,
         (
@@ -230,7 +232,7 @@ def write_views_jsonl(views_by_doc: dict[str, list[ViewEntry]], path: str | Path
                 "text": v.text,
                 "provenance": v.provenance.value,
             }
-            for doc_id, entries in views_by_doc.items()
+            for doc_id, entries in views_by_doc
             for v in entries
         ),
     )

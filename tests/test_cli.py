@@ -1106,6 +1106,79 @@ class TestFileSystemErrors:
         assert f"data error: {source}: no content survived" in capsys.readouterr().err
 
 
+class TestOutputBeforeWork:
+    """A command refuses an output it cannot write before it reads or sends anything, and replaces one only on
+    success."""
+
+    @pytest.mark.parametrize("argv", [
+        ["views", "--generator", "llm", "--jobs", "2"],
+        ["eval", "answers", "--retriever", "bm25", "--scheme-a", "content", "--mode-a", "mc",
+         "--scheme-b", "content", "--mode-b", "single:raw"],
+    ], ids=["views", "eval-answers"])
+    def test_llm_output_opened_before_the_first_request(self, argv, dataset, tmp_path, stub, monkeypatch, capsys):
+        corpus, qa = dataset
+        monkeypatch.setenv("MCIDX_LLM_URL", stub.url)
+
+        def answer(path, payload):
+            # A keyword list serves as keywords, summary and answer alike.
+            if "evaluating answers" in payload["prompt"]:
+                return (200, {"text": '{"answer_1_score": 5, "answer_2_score": 4}'})
+            return (200, {"text": '["alpha", "beta"]'})
+
+        stub.responder = answer
+        inputs = ["--corpus", str(corpus)] + (["--qa", str(qa)] if argv[0] == "eval" else [])
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory")
+        before = sorted(os.listdir(tmp_path))
+        assert run([*argv, *inputs, "--output", str(blocker / "out.jsonl")]) == 2
+        assert f"data error: {blocker}: {os.strerror(errno.EEXIST)}" in capsys.readouterr().err
+        assert stub.requests == []
+        assert sorted(os.listdir(tmp_path)) == before
+        assert blocker.read_text() == "not a directory"
+
+        # A run that fails after some requests leaves the output of an earlier run as it was.
+        output = tmp_path / "out.jsonl"
+        assert run([*argv, *inputs, "--output", str(output)]) == 0
+        old, n_requests = output.read_bytes(), len(stub.requests)
+        stub.requests.clear()
+        stub.responder = lambda path, payload: (answer(path, payload) if len(stub.requests) <= n_requests // 2
+                                                else (400, {"error": "refused"}))
+        assert run([*argv, *inputs, "--output", str(output)]) == 3
+        assert len(stub.requests) > n_requests // 2
+        assert output.read_bytes() == old
+        assert sorted(os.listdir(tmp_path)) == sorted([*before, output.name])
+
+    @pytest.mark.parametrize("where", ["not-an-index", "working-directory"])
+    def test_index_refuses_its_output_before_reading_the_corpus(self, where, dataset, tmp_path, monkeypatch,
+                                                               capsys):
+        corpus, _ = dataset
+        output = tmp_path / "out"
+        output.mkdir()
+        if where == "not-an-index":
+            (output / "notes.txt").write_text("keep me")
+            expected = f"data error: {output}: not an index (no manifest.json) and not empty"
+        else:
+            monkeypatch.chdir(output)
+            expected = f"data error: {output}: is the working directory"
+        calls = Counter()
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+            monkeypatch.setattr(cli, name, wrapper)
+
+        for name in ("load_corpus_jsonl", "build_dense_index", "build_sparse_index"):
+            counted(name, getattr(cli, name))
+        assert run(["index", "--corpus", str(corpus), "--scheme", "content", "--retriever", "dense:mock",
+                    "--output", str(output)]) == 2
+        assert expected in capsys.readouterr().err
+        assert calls == Counter()
+        assert sorted(os.listdir(tmp_path)) == ["corpus.jsonl", "out", "qa.jsonl"]
+        assert {p.name: p.read_text() for p in output.iterdir()} == (
+            {"notes.txt": "keep me"} if where == "not-an-index" else {})
+
+
 DEEP_LIST = "[" * 100_000 + "]" * 100_000
 DEEP_OBJECT = '{"a": ' * 100_000 + "1" + "}" * 100_000
 

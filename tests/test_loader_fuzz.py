@@ -50,7 +50,7 @@ def valid(tmp_path_factory) -> dict[str, bytes]:
     docs, qa = synthetic_corpus(n_docs=2, questions_per_doc=2)
     write_corpus_jsonl(docs, directory / NAMES["corpus"])
     write_qa_jsonl(qa, directory / NAMES["qa"])
-    write_views_jsonl({d.doc_id: build_views(d) for d in docs}, directory / NAMES["views"])
+    write_views_jsonl({d.doc_id: build_views(d) for d in docs}.items(), directory / NAMES["views"])
     (directory / NAMES["markdown"]).write_bytes(MARKDOWN)
     return {kind: (directory / name).read_bytes() for kind, name in NAMES.items()}
 

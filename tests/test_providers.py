@@ -168,6 +168,27 @@ class TestDeadline:
         # 0.3 s of slack for thread scheduling on a busy machine.
         assert elapsed < attempts * providers.TIMEOUT_S + backoff + 0.3
 
+    def test_read_after_the_deadline_times_out_without_reading(self):
+        class Stream:
+            def __init__(self):
+                self.calls = []
+
+            def settimeout(self, seconds):
+                self.calls.append("settimeout")
+
+            def readinto(self, buffer):
+                self.calls.append("readinto")
+                return 0
+
+            def close(self):
+                pass
+
+        stream = Stream()
+        reader = providers._DeadlineReader(stream, stream, time.monotonic() - 1.0)
+        with pytest.raises(TimeoutError, match="reply not complete by its deadline"):
+            reader.readinto(bytearray(8))
+        assert stream.calls == []
+
     def test_trickled_body(self, raw_stub):
         # 40 bytes at one per 0.05 s: each byte comes well within a socket timeout, the body in 2 s.
         def reply(conn, payload):

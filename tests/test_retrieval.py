@@ -270,6 +270,17 @@ class TestEmbed:
         with pytest.raises(DimensionMismatch):
             embed(["a", "b"], RaggedProvider())
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_value_is_provider_error(self, value):
+        class NonFiniteProvider(EmbeddingProvider):
+            name = "non-finite"
+
+            def embed(self, texts):
+                return [[1.0, value if i == len(texts) - 1 else 0.0] for i, _ in enumerate(texts)]
+
+        with pytest.raises(ProviderError, match="returned a non-finite vector value"):
+            embed(["a", "b"], NonFiniteProvider())
+
     def test_zero_width_rows_are_provider_error(self):
         # An index of width 0 saves, but its directory does not load ('dim' must be at least 1).
         class WidthlessProvider(EmbeddingProvider):

@@ -306,5 +306,5 @@ class TestViewsJsonl:
         doc_b = make_doc(["epsilon zeta eta."], doc_id="b")
         views = {"a": build_views(doc_a), "b": build_views(doc_b)}
         path = tmp_path / "views.jsonl"
-        write_views_jsonl(views, path)
+        write_views_jsonl(views.items(), path)
         assert read_views_jsonl(path) == views
