@@ -49,9 +49,11 @@ class Mutant:
 EVALUATION, CORPUS = "src/mcidx/evaluation.py", "src/mcidx/corpus.py"
 RETRIEVAL, FUSION, PROVIDERS = "src/mcidx/retrieval.py", "src/mcidx/fusion.py", "src/mcidx/providers.py"
 CHUNKING, STORE, CLI = "src/mcidx/chunking.py", "src/mcidx/store.py", "src/mcidx/cli.py"
+JSONIO, VIEWS = "src/mcidx/jsonio.py", "src/mcidx/views.py"
 TEST_EVALUATION, TEST_CLI, TEST_CORPUS = "tests/test_evaluation.py", "tests/test_cli.py", "tests/test_corpus.py"
 ORACLES = "tests/test_retrieval.py::TestOracleEquivalence"
 BAD_TERMS = "tests/test_store.py::TestCorruptIndexRejected::test_bad_terms_file"
+REFUSALS = "tests/test_cli.py::TestRefusalsBeforeProviderCalls"
 
 MUTANTS = (
     # The four checks of evaluation.Setup.parse, each dropped in turn.
@@ -203,6 +205,75 @@ MUTANTS = (
            "if retriever != retrievers[0]:",
            "if False:",
            ("tests/test_cli.py::TestExitCodes",)),
+    # Every refusal comes before the first provider call: outputs are opened, and a views file is checked for
+    # every questioned document, before any work. Each mutant moves one refusal back behind the work.
+    Mutant("eval-recall-opens-its-outputs-after-the-report", CLI,
+           "    with _open_output(args.output) as csv_out:\n"
+           "        with contextlib.nullcontext() if args.markdown is None else "
+           "atomic_text_writer(args.markdown) as table:\n"
+           "            docs = load_corpus_jsonl(args.corpus)\n"
+           "            qa = load_and_filter_qa(args.qa, docs)\n"
+           "            report = eval_recall(docs, qa, args.scheme, args.retriever, args.mode, args.k,\n"
+           "                                 views=_load_views_arg(args, setup.reads_views_file),\n"
+           "                                 invert_parity=args.invert_parity)\n",
+           "    docs = load_corpus_jsonl(args.corpus)\n"
+           "    qa = load_and_filter_qa(args.qa, docs)\n"
+           "    report = eval_recall(docs, qa, args.scheme, args.retriever, args.mode, args.k,\n"
+           "                         views=_load_views_arg(args, setup.reads_views_file),\n"
+           "                         invert_parity=args.invert_parity)\n"
+           "    with _open_output(args.output) as csv_out:\n"
+           "        with contextlib.nullcontext() if args.markdown is None else "
+           "atomic_text_writer(args.markdown) as table:\n",
+           (REFUSALS,)),
+    Mutant("chunking-error-opens-its-output-after-chunking", CLI,
+           "    with _open_output(args.output) as out:\n"
+           "        docs = load_corpus_jsonl(args.corpus)\n"
+           "        qa = load_and_filter_qa(args.qa, docs)\n"
+           "        lines = [\"scheme,n_scopes,n_split,error_rate\"]\n"
+           "        for spec, scheme in schemes:\n"
+           "            report = chunking_error(docs, qa, scheme)\n",
+           "    docs = load_corpus_jsonl(args.corpus)\n"
+           "    qa = load_and_filter_qa(args.qa, docs)\n"
+           "    reports = [chunking_error(docs, qa, scheme) for _, scheme in schemes]\n"
+           "    with _open_output(args.output) as out:\n"
+           "        lines = [\"scheme,n_scopes,n_split,error_rate\"]\n"
+           "        for (spec, scheme), report in zip(schemes, reports):\n",
+           ("tests/test_cli.py::TestOutputBeforeWork::test_chunking_error_refuses_its_output_before_chunking",)),
+    Mutant("index-output-made-only-at-the-save", STORE,
+           "        directory.mkdir(parents=True)\n        directory.rmdir()\n",
+           "",
+           (REFUSALS,)),
+    Mutant("views-checked-only-at-each-document", EVALUATION,
+           "for doc in (by_id[doc_id] for doc_id in questions_left if doc_id in by_id and views is not None):",
+           "for doc in ():",
+           (REFUSALS,)),
+    # The check is made by the call, not by the first draw: eval answers draws setup a's first question
+    # before setup b's.
+    Mutant("views-checked-at-the-first-draw", EVALUATION,
+           "    return spans()\n",
+           "    yield from spans()\n",
+           (REFUSALS,)),
+    # Two writers open on one path in one process each write their own temporary file.
+    Mutant("one-temporary-file-per-path", JSONIO,
+           ".{os.getpid()}.{next(_tmp_serial)}.tmp",
+           ".{os.getpid()}.tmp",
+           ("tests/test_jsonio.py::test_two_writers_open_on_one_path",
+            "tests/test_cli.py::TestPipeline::test_eval_recall_output_and_markdown_on_one_path")),
+    # A section of exactly SUMMARY_TOKEN_THRESHOLD tokens is its own summary.
+    Mutant("summary-at-the-threshold", VIEWS,
+           "return section.token_count > SUMMARY_TOKEN_THRESHOLD",
+           "return section.token_count >= SUMMARY_TOKEN_THRESHOLD",
+           ("tests/test_views.py::TestBuildViews",)),
+    # A heading's level is its number of hashes, not the length of its text.
+    Mutant("heading-level-from-its-text", CORPUS,
+           "len(match.group(1))",
+           "len(match.group(2))",
+           ("tests/test_corpus.py::TestParseMarkdown",)),
+    # A manifest's n_units and dim may equal their minimum of 1.
+    Mutant("manifest-count-must-exceed-its-minimum", STORE,
+           "value < minimum",
+           "value <= minimum",
+           ("tests/test_store.py::TestSmallestRoundTrip",)),
 )
 
 

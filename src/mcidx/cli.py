@@ -78,10 +78,9 @@ def parse_k(spec: str) -> float:
     return ks[0]
 
 
-def _write_text(path: str | None, text: str) -> None:
-    """Write ``text`` to the file ``path`` atomically, creating its parent directories, or to stdout without one."""
-    with contextlib.nullcontext(sys.stdout) if path is None else atomic_text_writer(path) as fh:
-        fh.write(text)
+def _open_output(path: str | None) -> contextlib.AbstractContextManager:
+    """The file ``path``, replaced atomically on success with its parent directories created, or stdout without one."""
+    return contextlib.nullcontext(sys.stdout) if path is None else atomic_text_writer(path)
 
 
 def _load_views_arg(args, wanted: bool) -> dict | None:
@@ -183,26 +182,30 @@ def cmd_retrieve(args) -> int:
 
 def cmd_eval_recall(args) -> int:
     setup = Setup.parse(args.scheme, args.retriever, args.mode, args.k)
-    docs = load_corpus_jsonl(args.corpus)
-    qa = load_and_filter_qa(args.qa, docs)
-    report = eval_recall(docs, qa, args.scheme, args.retriever, args.mode, args.k,
-                         views=_load_views_arg(args, setup.reads_views_file), invert_parity=args.invert_parity)
-    # The table first: an unwritable --markdown then stops the run before the CSV reaches stdout.
-    if args.markdown is not None:
-        _write_text(args.markdown, report.to_markdown())
-    _write_text(args.output, report.to_csv())
+    # The CSV is written once the table is in place, so --output X --markdown X leaves the CSV in X.
+    with _open_output(args.output) as csv_out:
+        with contextlib.nullcontext() if args.markdown is None else atomic_text_writer(args.markdown) as table:
+            docs = load_corpus_jsonl(args.corpus)
+            qa = load_and_filter_qa(args.qa, docs)
+            report = eval_recall(docs, qa, args.scheme, args.retriever, args.mode, args.k,
+                                 views=_load_views_arg(args, setup.reads_views_file),
+                                 invert_parity=args.invert_parity)
+            if table is not None:
+                table.write(report.to_markdown())
+        csv_out.write(report.to_csv())
     return EXIT_OK
 
 
 def cmd_eval_chunking_error(args) -> int:
     schemes = [(spec, ChunkScheme.parse(spec)) for spec in args.scheme]
-    docs = load_corpus_jsonl(args.corpus)
-    qa = load_and_filter_qa(args.qa, docs)
-    lines = ["scheme,n_scopes,n_split,error_rate"]
-    for spec, scheme in schemes:
-        report = chunking_error(docs, qa, scheme)
-        lines.append(f"{spec},{report.n_scopes},{report.n_split},{report.error_rate:.6f}")
-    _write_text(args.output, "\n".join(lines) + "\n")
+    with _open_output(args.output) as out:
+        docs = load_corpus_jsonl(args.corpus)
+        qa = load_and_filter_qa(args.qa, docs)
+        lines = ["scheme,n_scopes,n_split,error_rate"]
+        for spec, scheme in schemes:
+            report = chunking_error(docs, qa, scheme)
+            lines.append(f"{spec},{report.n_scopes},{report.n_split},{report.error_rate:.6f}")
+        out.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 

@@ -245,30 +245,38 @@ def retrieved_spans(
     at the largest k and its dataset-order ordinal (shifted by one with
     ``invert_parity``); each k keeps the units whose best rank is within its
     budget. Questions whose document is absent are skipped with a warning.
+    Before any question is ranked, this call refuses a repeated document id and ``views`` that ``doc_units`` refuses.
     """
     k_max = max(setup.ks)
     by_id = docs_by_id(docs)
-    contexts = {}
     questions_left = Counter(item.doc_id for item in qa)
-    for ordinal, item in enumerate(qa, start=int(invert_parity)):
-        doc = by_id.get(item.doc_id)
-        if doc is None:
-            logger.warning("skipping %s: document %r not ingested", item.question_id, item.doc_id)
-            continue
-        if doc.doc_id not in contexts:
-            doc_views = doc_views_for(doc, views) if setup.reads_views_file else None
-            contexts[doc.doc_id] = build_doc_context(doc, setup, doc_views)
-        questions_left[doc.doc_id] -= 1
-        span_by_unit, indexes = contexts[doc.doc_id] if questions_left[doc.doc_id] else contexts.pop(doc.doc_id)
-        if len(indexes) > 1:
-            ranked = [(u.unit_id, min(u.view_ranks.values()))
-                      for u in retrieve_mc(indexes, item.question, k_max, ordinal, setup.provider).units]
-        else:
-            (index,) = indexes.values()
-            ranked = [(s.unit_id, s.rank)
-                      for s in retrieve_single(index, item.question, k_max, ordinal, setup.provider)]
-        budgets = [setup.budget(k, ordinal) for k in setup.ks]
-        yield item, doc, [[span_by_unit[uid] for uid, rank in ranked if rank <= b] for b in budgets]
+    for doc in (by_id[doc_id] for doc_id in questions_left if doc_id in by_id and views is not None):
+        for view in filter(VIEWS_FILE_KINDS.__contains__, setup.views):
+            doc_units(doc, setup.scheme, view, doc_views_for(doc, views))
+
+    def spans() -> Iterator[tuple[QAItem, Document, list[list[tuple[int, int]]]]]:
+        contexts = {}
+        for ordinal, item in enumerate(qa, start=int(invert_parity)):
+            doc = by_id.get(item.doc_id)
+            if doc is None:
+                logger.warning("skipping %s: document %r not ingested", item.question_id, item.doc_id)
+                continue
+            if doc.doc_id not in contexts:
+                doc_views = doc_views_for(doc, views) if setup.reads_views_file else None
+                contexts[doc.doc_id] = build_doc_context(doc, setup, doc_views)
+            questions_left[doc.doc_id] -= 1
+            span_by_unit, indexes = contexts[doc.doc_id] if questions_left[doc.doc_id] else contexts.pop(doc.doc_id)
+            if len(indexes) > 1:
+                ranked = [(u.unit_id, min(u.view_ranks.values()))
+                          for u in retrieve_mc(indexes, item.question, k_max, ordinal, setup.provider).units]
+            else:
+                (index,) = indexes.values()
+                ranked = [(s.unit_id, s.rank)
+                          for s in retrieve_single(index, item.question, k_max, ordinal, setup.provider)]
+            budgets = [setup.budget(k, ordinal) for k in setup.ks]
+            yield item, doc, [[span_by_unit[uid] for uid, rank in ranked if rank <= b] for b in budgets]
+
+    return spans()
 
 
 def eval_recall(

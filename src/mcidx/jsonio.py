@@ -3,6 +3,7 @@ writes and tolerant JSON extraction from generated text."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from collections.abc import Callable, Iterable, Iterator
@@ -19,6 +20,7 @@ _raw_decode = json.JSONDecoder().raw_decode
 # ``json.dumps(record, ensure_ascii=False)`` builds a new encoder per call;
 # this one is built once and writes the same bytes.
 _encode = json.JSONEncoder(ensure_ascii=False).encode
+_tmp_serial = itertools.count()  # two writers open on one path in one process get two temporary files
 
 
 def read_jsonl(path: str | Path, parse: Callable[[dict], object]) -> None:
@@ -98,7 +100,7 @@ def atomic_text_writer(path: str | Path) -> Iterator[TextIO]:
         raise ValueError("empty output path")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{next(_tmp_serial)}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             yield fh

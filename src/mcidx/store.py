@@ -137,13 +137,16 @@ def _read_units(path: Path, blob: bytes, n_units: int, with_lens: bool) -> tuple
 
 
 def check_replaceable(directory: str | Path) -> None:
-    """A DataError if ``save_index`` would refuse to replace ``directory``; creates nothing.
+    """A DataError if ``save_index`` would refuse to replace ``directory``, an OSError if it could not make it.
 
     A non-empty directory without a manifest is not an index, and the working
-    directory cannot be renamed. A path that is not a directory passes.
+    directory cannot be renamed. A path that is not a directory is made and
+    removed again, so only its missing parents are left made, as for a file output.
     """
     directory = Path(directory)
     if not directory.is_dir():
+        directory.mkdir(parents=True)
+        directory.rmdir()
         return
     if any(directory.iterdir()) and not (directory / MANIFEST).is_file():
         raise DataError(f"not an index (no {MANIFEST}) and not empty; refusing to replace it", path=directory)

@@ -79,9 +79,14 @@ class ViewEntry:
     provenance: Provenance
 
 
+def _summarized(section: Section) -> bool:
+    """Whether the LLM summarizes ``section``: only when it has more than SUMMARY_TOKEN_THRESHOLD tokens."""
+    return section.token_count > SUMMARY_TOKEN_THRESHOLD
+
+
 def generate_summary(section: Section, llm: LlmClient) -> str:
     """LLM summary for long sections; short sections are returned unchanged."""
-    if section.token_count <= SUMMARY_TOKEN_THRESHOLD:
+    if not _summarized(section):
         return section.text
     return llm.generate(SUMMARY.substitute(section_name=section.heading, section_text=section.text), max_tokens=512)
 
@@ -176,7 +181,6 @@ def _llm_views_for_section(section: Section, llm: LlmClient) -> list[ViewEntry]:
         summary = generate_summary(section, llm)
     except ProviderError as exc:
         raise type(exc)(f"section {section.section_id!r}: {exc}") from exc
-    generated = section.token_count > SUMMARY_TOKEN_THRESHOLD
     truncated = truncate_tokens(summary, DENSE_TOKEN_LIMIT)
     if truncated != summary:
         logger.warning(
@@ -184,7 +188,7 @@ def _llm_views_for_section(section: Section, llm: LlmClient) -> list[ViewEntry]:
             section.section_id, token_count(summary), DENSE_TOKEN_LIMIT,
         )
     return section_views(section, keywords, Provenance.LLM_GENERATED,
-                         truncated, Provenance.LLM_GENERATED if generated else Provenance.IDENTITY)
+                         truncated, Provenance.LLM_GENERATED if _summarized(section) else Provenance.IDENTITY)
 
 
 def build_views(

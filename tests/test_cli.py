@@ -5,6 +5,7 @@ import errno
 import hashlib
 import json
 import os
+import shutil
 from collections import Counter
 
 import pytest
@@ -250,6 +251,18 @@ class TestPipeline:
         assert inverted == expected
         assert inverted != (tmp_path / "plain.csv").read_text(encoding="utf-8")
 
+    def test_eval_recall_output_and_markdown_on_one_path(self, dataset, tmp_path, capsys):
+        # Both are open at once; the CSV replaces the file last.
+        corpus, qa = dataset
+        argv = ["eval", "recall", "--corpus", str(corpus), "--qa", str(qa), "--scheme", "content",
+                "--retriever", "bm25", "--mode", "mc", "--k", "3,5"]
+        assert run(argv) == 0
+        csv = capsys.readouterr().out
+        both = tmp_path / "out" / "both"
+        assert run([*argv, "--output", str(both), "--markdown", str(both)]) == 0
+        assert both.read_text() == csv
+        assert os.listdir(both.parent) == ["both"]
+
     def test_eval_recall_markdown_output(self, dataset, tmp_path):
         corpus, qa = dataset
         md = tmp_path / "table.md"
@@ -432,7 +445,10 @@ def _answers_stub(stub, monkeypatch):
 
 
 class TestViewsCoverSections:
-    """A views file must cover exactly each document's sections, else exit 2."""
+    """A views file must cover exactly each document's sections, else exit 2.
+
+    A views file that lacks a whole document is a case of ``TestRefusalsBeforeProviderCalls``.
+    """
 
     def test_missing_section_in_mc_recall(self, dataset, tmp_path, capsys):
         corpus, qa = dataset
@@ -456,27 +472,6 @@ class TestViewsCoverSections:
                     "--k", "10", "--views", str(views)])
         assert code == 2
         assert "do not cover exactly its sections" in capsys.readouterr().err
-
-    def test_index_views_missing_document(self, dataset, tmp_path, capsys):
-        corpus, _ = dataset
-        views = _views_file(tmp_path, corpus, keep=lambda r: r["doc_id"] == "doc000")
-        code = run(["index", "--corpus", str(corpus), "--scheme", "content",
-                    "--retriever", "bm25", "--view", "keywords", "--views", str(views),
-                    "--output", str(tmp_path / "idx")])
-        assert code == 2
-        assert "no views supplied for document 'doc001'" in capsys.readouterr().err
-
-    def test_eval_answers_views_missing_document(self, dataset, tmp_path, stub, monkeypatch, capsys):
-        corpus, qa = dataset
-        _answers_stub(stub, monkeypatch)
-        views = _views_file(tmp_path, corpus, keep=lambda r: r["doc_id"] == "doc000")
-        code = run(["eval", "answers", "--corpus", str(corpus), "--qa", str(qa),
-                    "--retriever", "bm25", "--k", "3",
-                    "--scheme-a", "content", "--mode-a", "mc",
-                    "--scheme-b", "flc:300", "--mode-b", "single:raw",
-                    "--views", str(views), "--output", str(tmp_path / "judge.jsonl")])
-        assert code == 2
-        assert "no views supplied for document 'doc001'" in capsys.readouterr().err
 
 
 class TestViewsFileReadOnlyForViewKinds:
@@ -1040,15 +1035,6 @@ class TestFileSystemErrors:
                     "--output", str(output)]) == 2
         assert f"data error: {output}: {os.strerror(errno.EEXIST)}" in capsys.readouterr().err
 
-    def test_eval_recall_output_under_a_file(self, dataset, tmp_path, capsys):
-        corpus, qa = dataset
-        blocker = tmp_path / "blocker"
-        blocker.write_text("not a directory")
-        assert run(["eval", "recall", "--corpus", str(corpus), "--qa", str(qa), "--scheme", "content",
-                    "--retriever", "bm25", "--mode", "single:raw", "--k", "3",
-                    "--output", str(blocker / "r.csv")]) == 2
-        assert f"data error: {blocker}: {os.strerror(errno.EEXIST)}" in capsys.readouterr().err
-
     @pytest.mark.parametrize("argv", [
         ["chunk", "--scheme", "content", "--output", ""],
         ["views", "--output", ""],
@@ -1177,6 +1163,103 @@ class TestOutputBeforeWork:
         assert sorted(os.listdir(tmp_path)) == ["corpus.jsonl", "out", "qa.jsonl"]
         assert {p.name: p.read_text() for p in output.iterdir()} == (
             {"notes.txt": "keep me"} if where == "not-an-index" else {})
+
+    def test_chunking_error_refuses_its_output_before_chunking(self, dataset, tmp_path, monkeypatch, capsys):
+        corpus, qa = dataset
+        calls = []
+        monkeypatch.setattr(cli, "chunking_error", lambda *args: calls.append(args))
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory")
+        assert run(["eval", "chunking-error", "--corpus", str(corpus), "--qa", str(qa), "--scheme", "content",
+                    "--output", str(blocker / "e.csv")]) == 2
+        assert f"data error: {blocker}: {os.strerror(errno.EEXIST)}" in capsys.readouterr().err
+        assert calls == []
+
+
+def _provider_stub(stub, monkeypatch):
+    """Serve both endpoints from ``stub``: rows two wide, a keyword list as every text, and judge scores."""
+    monkeypatch.setenv("MCIDX_EMBED_URL", stub.url)
+    monkeypatch.setenv("MCIDX_LLM_URL", stub.url)
+
+    def responder(path, payload):
+        if path == "/embed":
+            return (200, {"vectors": [[1.0 + len(text) % 5, 1.0] for text in payload["texts"]]})
+        if "evaluating answers" in payload["prompt"]:
+            return (200, {"text": '{"answer_1_score": 5, "answer_2_score": 4}'})
+        return (200, {"text": '["alpha", "beta"]'})
+
+    stub.responder = responder
+
+
+class TestRefusalsBeforeProviderCalls:
+    """Every command that calls a provider refuses a bad output or input file (exit 2) before its first request.
+
+    With that one argument good, the same command exits 0 after at least one request.
+    """
+
+    # Each command with every argument it needs; the dense retriever's endpoint is the stub. OUT and TABLE
+    # are outputs, CORPUS, VIEWS and INDEX input files.
+    COMMANDS = {
+        "views": ["views", "--corpus", "CORPUS", "--generator", "llm", "--output", "OUT"],
+        "index": ["index", "--corpus", "CORPUS", "--scheme", "content", "--retriever", "dense:stub",
+                  "--view", "keywords", "--views", "VIEWS", "--output", "OUT"],
+        "eval-recall": ["eval", "recall", "--corpus", "CORPUS", "--qa", "QA", "--scheme", "content",
+                        "--retriever", "dense:stub", "--mode", "mc", "--k", "3", "--views", "VIEWS",
+                        "--output", "OUT", "--markdown", "TABLE"],
+        "retrieve": ["retrieve", "--index", "INDEX", "--question", "How is it configured?"],
+        # Only setup b reads the views file, and setup a's first question is drawn first.
+        "eval-answers": ["eval", "answers", "--corpus", "CORPUS", "--qa", "QA", "--retriever", "dense:stub",
+                         "--k", "3", "--scheme-a", "flc:300", "--mode-a", "single:raw",
+                         "--scheme-b", "content", "--mode-b", "mc", "--views", "VIEWS", "--output", "OUT"],
+    }
+
+    # (command, the argument made bad, what the error says)
+    CASES = [
+        ("views", "OUT", "{blocker}: {EEXIST}"),
+        ("views", "CORPUS", "{broken_corpus}: line 3: invalid JSON"),
+        ("index", "OUT", "{blocker}/result: {ENOTDIR}"),
+        ("index", "VIEWS", "no views supplied for document 'doc001'"),
+        ("eval-recall", "OUT", "{blocker}: {EEXIST}"),
+        ("eval-recall", "TABLE", "{blocker}: {EEXIST}"),
+        ("eval-recall", "VIEWS", "no views supplied for document 'doc001'"),
+        ("retrieve", "INDEX", "{broken_index}: checksum mismatch for 'embeddings.f32le'"),
+        ("eval-answers", "OUT", "{blocker}: {EEXIST}"),
+        ("eval-answers", "VIEWS", "no views supplied for document 'doc001'"),
+    ]
+
+    @pytest.mark.parametrize("command,bad,says", CASES, ids=[f"{command}-{bad}" for command, bad, _ in CASES])
+    def test_refused_before_the_first_request(self, command, bad, says, dataset, tmp_path, stub, monkeypatch,
+                                               capsys):
+        corpus, qa = dataset
+        _provider_stub(stub, monkeypatch)
+        paths = {"blocker": tmp_path / "blocker", "broken_corpus": tmp_path / "broken.jsonl",
+                 "broken_index": tmp_path / "broken_idx"}
+        paths["blocker"].write_text("not a directory")
+        paths["broken_corpus"].write_text(corpus.read_text() + "{not json\n")
+        views_missing_doc001 = _views_file(tmp_path, corpus, keep=lambda r: r["doc_id"] == "doc000")
+        good = {"CORPUS": corpus, "QA": qa, "VIEWS": tmp_path / "views_full.jsonl", "INDEX": tmp_path / "idx",
+                "OUT": tmp_path / "out" / "result", "TABLE": tmp_path / "out" / "table.md"}
+        if command == "retrieve":
+            assert run(["index", "--corpus", str(corpus), "--scheme", "content", "--retriever", "dense:stub",
+                        "--output", str(good["INDEX"])]) == 0
+            shutil.copytree(good["INDEX"], paths["broken_index"])
+            embeddings = paths["broken_index"] / "embeddings.f32le"
+            embeddings.write_bytes(embeddings.read_bytes()[:-4])
+            stub.requests.clear()
+        bad_value = {"OUT": paths["blocker"] / "result", "TABLE": paths["blocker"] / "table.md",
+                     "CORPUS": paths["broken_corpus"], "VIEWS": views_missing_doc001,
+                     "INDEX": paths["broken_index"]}[bad]
+        argv = self.COMMANDS[command]
+        capsys.readouterr()
+
+        assert run([str({**good, bad: bad_value}.get(arg, arg)) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert says.format(**paths, EEXIST=os.strerror(errno.EEXIST), ENOTDIR=os.strerror(errno.ENOTDIR)) in err
+        assert err.startswith("data error: ")
+        assert stub.requests == []
+
+        assert run([str(good.get(arg, arg)) for arg in argv]) == 0
+        assert stub.requests
 
 
 DEEP_LIST = "[" * 100_000 + "]" * 100_000

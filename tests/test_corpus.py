@@ -44,6 +44,11 @@ class TestParseMarkdown:
         assert [(s.heading, s.text) for s in doc.sections] == [("T", "intro"), ("S1", "body")]
         assert [s.level for s in doc.sections] == [1, 2]
 
+    def test_level_is_the_number_of_hashes(self):
+        # Heading texts whose lengths differ from their levels.
+        doc = parse_markdown("### Introduction\nintro\n# Setup steps\nbody", "d")
+        assert [(s.heading, s.level) for s in doc.sections] == [("Introduction", 3), ("Setup steps", 1)]
+
     def test_excluded_headings_dropped_with_body(self):
         doc = parse_markdown("## A\nx\n## References\nz", "d")
         assert [(s.heading, s.text) for s in doc.sections] == [("A", "x")]

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcidx.errors import DataError, SchemaError
-from mcidx.jsonio import iter_json_objects, iter_jsonl_lines, read_jsonl, write_jsonl
+from mcidx.jsonio import atomic_text_writer, iter_json_objects, iter_jsonl_lines, read_jsonl, write_jsonl
 from oracles import oracle_jsonl
 
 
@@ -33,6 +33,16 @@ def test_failed_write_keeps_old_file(tmp_path):
         write_jsonl(path, records())
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["records.jsonl"]
+
+
+def test_two_writers_open_on_one_path(tmp_path):
+    # Each writes its own temporary file; the one closed last replaces the path last.
+    path = tmp_path / "out.txt"
+    with atomic_text_writer(path) as first, atomic_text_writer(path) as second:
+        first.write("first\n")
+        second.write("second\n")
+    assert path.read_text() == "first\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
 
 
 _JSON_VALUES = st.recursive(

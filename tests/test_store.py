@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from mcidx.cli import run
 from mcidx.errors import CorruptIndex, DataError, McIndexError, VersionMismatch
-from mcidx.providers import MockEmbeddingProvider
+from mcidx.providers import EmbeddingProvider, MockEmbeddingProvider
 from mcidx.retrieval import (
     Query,
     build_dense_index,
@@ -95,6 +95,40 @@ class TestDenseRoundTrip:
         reloaded = load_index(tmp_path / "dense")
         assert (reloaded.matrix == index.matrix).all()
         assert reloaded.provider == index.provider
+        for query in QUERIES:
+            assert ranking(index, query, provider) == ranking(reloaded, query, provider)
+
+
+class OneColumnProvider(EmbeddingProvider):
+    """Rows one column wide: -1, 0 or 1 by text length."""
+
+    name = "one-column"
+
+    def embed(self, texts):
+        return [[len(text) % 3 - 1.0] for text in texts]
+
+
+class TestSmallestRoundTrip:
+    """The fewest units and the narrowest rows a manifest allows load and rank as before the save."""
+
+    @pytest.mark.parametrize("kind", ["tfidf", "bm25", "dense"])
+    def test_one_unit(self, tmp_path, kind):
+        provider = MockEmbeddingProvider() if kind == "dense" else None
+        units = [("only", "cat sat on the mat")]
+        index = build_dense_index(units, provider) if provider else build_sparse_index(units, kind)
+        save_index(index, tmp_path / kind)
+        reloaded = load_index(tmp_path / kind)
+        assert reloaded.unit_ids == ["only"]
+        for query in QUERIES:
+            assert ranking(index, query, provider) == ranking(reloaded, query, provider)
+
+    def test_dense_one_column_wide(self, tmp_path):
+        provider = OneColumnProvider()
+        index = build_dense_index(UNITS, provider)
+        assert index.dim == 1
+        save_index(index, tmp_path / "dense")
+        reloaded = load_index(tmp_path / "dense")
+        assert (reloaded.matrix == index.matrix).all()
         for query in QUERIES:
             assert ranking(index, query, provider) == ranking(reloaded, query, provider)
 

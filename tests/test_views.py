@@ -214,6 +214,17 @@ class TestBuildViews:
         assert by_key[("s0000", ViewKind.KEYWORDS)].provenance is Provenance.LLM_GENERATED
         assert by_key[("s0000", ViewKind.KEYWORDS)].text == "topic one; topic two"
 
+    @pytest.mark.parametrize("n_tokens,summarized", [(200, False), (201, True)])
+    def test_llm_summarizes_only_past_the_threshold(self, n_tokens, summarized):
+        # SUMMARY_TOKEN_THRESHOLD is 200: a section of exactly 200 tokens is its own summary.
+        doc = make_doc([words_sentence(n_tokens)])
+        assert doc.sections[0].token_count == n_tokens
+        llm = ScriptedLlm(handler=self._llm_handler())
+        summary = next(v for v in build_views(doc, generator="llm", llm=llm) if v.view_kind is ViewKind.SUMMARY)
+        assert summary.text == ("GENERATED SUMMARY" if summarized else doc.sections[0].text)
+        assert summary.provenance is (Provenance.LLM_GENERATED if summarized else Provenance.IDENTITY)
+        assert len(llm.prompts) == (2 if summarized else 1)
+
     def test_llm_summary_truncated_for_indexing(self):
         long_summary = " ".join(f"s{i}" for i in range(600))
         doc = make_doc([words_sentence(300)])
