@@ -106,13 +106,18 @@ MUTANTS = (
            "n_questions_skipped=sum(item.doc_id not in by_id for item in qa_items)",
            (TEST_CORPUS,)),
     # A top-n cut keeps every unit scoring at least the n-th score, so ties at the cut go by position.
+    # The cut is the n-th smallest negated score, at selection index n - 1.
     Mutant("top-n-cut-drops-its-ties", RETRIEVAL,
-           "scores >= np.partition(scores, -n)[-n]",
-           "scores > np.partition(scores, -n)[-n]",
+           "negated <= np.partition(negated, n - 1)[n - 1]",
+           "negated < np.partition(negated, n - 1)[n - 1]",
+           ("tests/test_retrieval.py::TestTopN",)),
+    Mutant("top-n-selection-index-off-by-one", RETRIEVAL,
+           "np.partition(negated, n - 1)",
+           "np.partition(negated, n)",
            ("tests/test_retrieval.py::TestTopN",)),
     Mutant("ranking-sort-not-stable", RETRIEVAL,
-           'np.argsort(-scores[candidates], kind="stable")',
-           "np.argsort(-scores[candidates])",
+           'np.argsort(negated[candidates], kind="stable")',
+           "np.argsort(negated[candidates])",
            ("tests/test_retrieval.py::TestTopN",)),
     # The larger alternating budget goes to odd question ordinals.
     Mutant("per-view-budget-parity-flipped", FUSION,
@@ -163,8 +168,13 @@ MUTANTS = (
            "(n - df) / df",
            (ORACLES,)),
     Mutant("bm25-saturation-loses-its-one", RETRIEVAL,
-           "(BM25_K1 + 1.0)",
-           "BM25_K1",
+           "idf * tfs * (BM25_K1 + 1.0)",
+           "idf * tfs * BM25_K1",
+           (ORACLES,)),
+    # A kept TF-IDF contribution is a term's for one query occurrence; a repeated term weighs its count.
+    Mutant("tfidf-repeated-term-takes-its-single-contribution", RETRIEVAL,
+           "kept if count == 1 else weight * tfs * idf",
+           "kept",
            (ORACLES,)),
     Mutant("bm25-length-not-over-avgdl", RETRIEVAL,
            "BM25_B * (self.unit_lens / (self.avgdl or 1.0))",

@@ -7,6 +7,13 @@ or, for a document's chunks and sections, from slices of the document's
 settings k1=1.5, b=0.75 (Robertson & Zaragoza, 2009), the constants
 ``BM25_K1`` and ``BM25_B``. One function, ``rank_units``, ranks
 a query against an index: it cuts the top n of the index kind's score vector.
+What a term's postings add to their units' scores for one query occurrence
+(the BM25 term weight, or TF-IDF's ``idf * tf * idf``) depends on no query, so
+a sparse index makes it on the term's first query and keeps it: at most one
+float per posting, never saved. Scores sum those arrays in the same order, so
+they are the same floats as arithmetic redone per query. The top n is selected
+from the low end of the negated scores, where numpy's selection stays fast on
+a vector that is mostly zeros.
 Rankings have scores non-increasing, and units with bit-equal scores (such as
 identical texts under any retriever, or a zero-score tail) keep ascending
 corpus position, so results are reproducible across runs and thread counts;
@@ -102,18 +109,29 @@ class SparseIndex:
             self.unit_norms = np.sqrt(np.bincount(self.postings, weights=squares, minlength=self.n))
         else:  # avgdl is 0 only when every unit length is, so dividing those by 1 changes nothing
             self.unit_norms = BM25_K1 * (1.0 - BM25_B + BM25_B * (self.unit_lens / (self.avgdl or 1.0)))
+        # Row -> contributions, made on the row's first query; never saved, compared or shown.
+        self._contributions: dict[int, np.ndarray] = {}
 
     @property
     def n(self) -> int:
         return len(self.unit_ids)
 
-    def term_postings(self, term: str) -> tuple[float, np.ndarray, np.ndarray] | None:
-        """(idf, unit indexes, tfs) of a term's postings, or None if unseen."""
+    def term_postings(self, term: str) -> tuple[float, np.ndarray, np.ndarray, np.ndarray] | None:
+        """(idf, unit indexes, tfs, contributions) of a term's postings, or None if unseen.
+
+        The contributions, each posting's score for one query occurrence of
+        the term, are made on the term's first call and kept.
+        """
         r = self.terms.get(term)
         if r is None:
             return None
         start, end = self.indptr[r], self.indptr[r + 1]
-        return float(self.idf[r]), self.postings[start:end], self.tfs[start:end]
+        idf, units, tfs = float(self.idf[r]), self.postings[start:end], self.tfs[start:end]
+        kept = self._contributions.get(r)
+        if kept is None:
+            kept = self._contributions[r] = (idf * tfs * idf if self.kind == TFIDF else
+                                              idf * tfs * (BM25_K1 + 1.0) / (tfs + self.unit_norms[units]))
+        return idf, units, tfs, kept
 
 
 @dataclass
@@ -208,24 +226,27 @@ def _ranked(unit_ids: list[str], scores: np.ndarray, n: int | None) -> list[Scor
     """Top n (all when None) by (-score, position).
 
     Every unit scoring at least the n-th largest score is kept, so ties at the
-    cut are broken by position as in the full ranking.
+    cut are broken by position as in the full ranking. The cut is selected
+    from the low end of the negated scores, where numpy is fast on mostly zeros.
     """
-    candidates = np.arange(len(scores))
+    negated = -scores
     if n is not None and n < len(scores):
-        candidates = np.flatnonzero(scores >= np.partition(scores, -n)[-n])
-    order = candidates[np.argsort(-scores[candidates], kind="stable")][:n]
+        candidates = np.flatnonzero(negated <= np.partition(negated, n - 1)[n - 1])
+    else:
+        candidates = np.arange(len(scores))
+    order = candidates[np.argsort(negated[candidates], kind="stable")][:n]
     return [ScoredUnit(unit_ids[i], s, rank)
             for rank, (i, s) in enumerate(zip(order.tolist(), scores[order].tolist()), 1)]
 
 
 def _tfidf_scores(index: SparseIndex, query: Query) -> np.ndarray:
     """Cosine similarity between L2-normalized tf*idf vectors; unseen query terms weigh zero."""
-    weighted = [(count * found[0], found) for term, count in query.term_counts.items()
+    weighted = [(count, count * found[0], found) for term, count in query.term_counts.items()
                 if (found := index.term_postings(term)) is not None]
-    query_norm = math.sqrt(sum(weight * weight for weight, _ in weighted))
+    query_norm = math.sqrt(sum(weight * weight for _, weight, _ in weighted))
     dots = np.zeros(index.n)
-    for weight, (idf, unit_idx, tfs) in weighted:
-        dots[unit_idx] += weight * tfs * idf
+    for count, weight, (idf, unit_idx, tfs, kept) in weighted:
+        dots[unit_idx] += kept if count == 1 else weight * tfs * idf
     denom = query_norm * index.unit_norms
     return np.divide(dots, denom, out=np.zeros(index.n), where=denom != 0)
 
@@ -238,8 +259,8 @@ def _bm25_scores(index: SparseIndex, query: Query) -> np.ndarray:
     """
     found = [postings for term in query.terms if (postings := index.term_postings(term)) is not None]
     scores = np.zeros(index.n)
-    for idf, unit_idx, tfs in found:
-        scores[unit_idx] += idf * tfs * (BM25_K1 + 1.0) / (tfs + index.unit_norms[unit_idx])
+    for _, unit_idx, _, kept in found:
+        scores[unit_idx] += kept
     return scores
 
 

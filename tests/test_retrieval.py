@@ -30,6 +30,7 @@ from mcidx.retrieval import (
     rank_units,
     smoothed_idf,
 )
+from mcidx.store import load_index, save_index
 from mcidx.text import token_count, truncate_tokens
 from mcidx.views import ViewKind
 from oracles import (
@@ -185,10 +186,10 @@ class TestOracleEquivalence:
         assert checked == 100
 
     @pytest.mark.parametrize("kind", ["tfidf", "bm25"])
-    def test_scores_bit_exact_against_loop_reference(self, kind):
+    def test_scores_bit_exact_against_loop_reference(self, kind, tmp_path):
         # In the first corpus u0's TF-IDF norm differs in the last bit when
         # (tf * idf) ** 2 is taken as a plain product instead of C pow().
-        cases = [([("u0", "a b b b")] + [(f"u{i}", "x") for i in range(1, 5)], "a")]
+        cases = [([("u0", "a b b b")] + [(f"u{i}", "x") for i in range(1, 5)], ["a", "a b a", "b b b"])]
         rng = random.Random(77)
         for _ in range(60):
             vocabulary = [f"w{i}" for i in range(rng.randint(2, 80))]
@@ -196,12 +197,32 @@ class TestOracleEquivalence:
                 (f"u{i}", " ".join(rng.choice(vocabulary) for _ in range(rng.randint(0, 60))))
                 for i in range(rng.randint(1, 30))
             ]
-            query = " ".join(rng.choice(vocabulary + ["unseen"]) for _ in range(rng.randint(0, 8)))
-            cases.append((units, query))
-        for units, query in cases:
-            expected = reference_loop_scores(units, query, kind)
+            query = [rng.choice(vocabulary + ["unseen"]) for _ in range(rng.randint(0, 8))]
+            # The same terms with the first repeated: a TF-IDF count above 1, a repeated BM25 token.
+            cases.append((units, [" ".join(query), " ".join(query[:1] * 2 + query)]))
+        for units, queries in cases:
             index = build_sparse_index(units, kind)
-            assert {u.unit_id: u.score for u in rank_units(index, Query(query))} == expected
+            save_index(index, tmp_path / "index")
+            assert not index._contributions
+            # Each query on a cold index, on the index warm from every query, and on its reloaded copy.
+            for target in (index, index, load_index(tmp_path / "index")):
+                for query in queries:
+                    expected = reference_loop_scores(units, query, kind)
+                    assert {u.unit_id: u.score for u in rank_units(target, Query(query))} == expected, query
+
+    @pytest.mark.parametrize("kind", ["tfidf", "bm25"])
+    def test_kept_contributions_hold_one_float_per_posting_and_are_never_saved(self, kind, tmp_path):
+        units = random_units(random.Random(31), max_units=30, max_terms=40)
+        index = build_sparse_index(units, kind)
+        save_index(index, tmp_path / "cold")
+        for term in index.terms:
+            rank_units(index, Query(term), n=3)
+            rank_units(index, Query(f"{term} {term}"), n=3)
+        assert sum(len(kept) for kept in index._contributions.values()) == len(index.postings)
+        save_index(index, tmp_path / "warm")
+        cold, warm = sorted((tmp_path / "cold").iterdir()), sorted((tmp_path / "warm").iterdir())
+        assert [f.name for f in cold] == [f.name for f in warm]
+        assert [f.read_bytes() for f in cold] == [f.read_bytes() for f in warm]
 
     def test_scores_always_finite(self):
         rng = random.Random(9)
@@ -244,6 +265,34 @@ class TestTopN:
         assert [u.score for u in full[3:]] == [0.0, 0.0, 0.0]
         for n in (2, 4):  # a cut inside the top tie and one inside the zero-score tail
             assert rank_units(index, Query("cat dog", provider), n=n) == full[:n]
+
+    @pytest.mark.parametrize("kind", ["tfidf", "bm25"])
+    def test_mostly_zero_scores_cut_at_every_n(self, kind):
+        # As on a keyword view, most units share no term with the query, so
+        # most scores are 0, and units with equal term counts and lengths tie.
+        # So cuts fall inside positive ties, after the last positive score and
+        # inside the zero tail. The index is large enough that numpy's
+        # selection partitions it before it sorts a small range. Ids descend as
+        # positions ascend, so only position orders a tie.
+        rng = random.Random(5)
+        filler = [f"f{i}" for i in range(300)]
+        texts = []
+        for _ in range(1000):
+            words = rng.sample(filler, rng.randint(3, 6))
+            if rng.random() < 0.15:
+                words += rng.choices(["cat", "dog", "fish"], k=rng.randint(1, 3))
+            texts.append(" ".join(words))
+        for i in rng.sample(range(1000), 40):  # copies tie under any retriever
+            texts[i] = texts[i - 1]
+        units = [(f"u{999 - i:03d}", text) for i, text in enumerate(texts)]
+        index = build_sparse_index(units, kind)
+        expected = reference_loop_scores(units, "cat dog fish", kind)
+        full = oracle_rank(expected, [uid for uid, _ in units])
+        positive = sum(score > 0 for score in expected.values())
+        assert 100 < positive < 200 and len({score for score in expected.values() if score > 0}) < positive
+        for n in [*range(1, index.n + 1), None]:
+            ranked = rank_units(index, Query("cat dog fish"), n=n)
+            assert [(u.unit_id, u.score) for u in ranked] == [(uid, expected[uid]) for uid in full[:n]], n
 
 
 class TestEmbed:
