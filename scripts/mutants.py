@@ -56,7 +56,7 @@ BAD_TERMS = "tests/test_store.py::TestCorruptIndexRejected::test_bad_terms_file"
 REFUSALS = "tests/test_cli.py::TestRefusalsBeforeProviderCalls"
 
 MUTANTS = (
-    # The four checks of evaluation.Setup.parse, each dropped in turn.
+    # The four checks of evaluation.Setup.parse, each dropped in turn; `eval` and `index` parse through it.
     Mutant("setup-takes-any-retriever", EVALUATION,
            "kind, provider_name = parse_retriever(retriever)",
            'kind, _, provider_name = retriever.partition(":")',
@@ -85,7 +85,7 @@ MUTANTS = (
            "rule = per_view_budget if len(views) > 1 else single_budget",
            "rule = single_budget",
            (TEST_EVALUATION,)),
-    # Whether a setup reads a views file: only for a keyword or summary view.
+    # Whether a setup reads a views file, `index` included: only for a keyword or summary view.
     Mutant("setup-always-reads-views-file", EVALUATION,
            "return not VIEWS_FILE_KINDS.isdisjoint(self.views)",
            "return True",
@@ -211,6 +211,11 @@ MUTANTS = (
            "if left <= 0:",
            "if False:",
            ("tests/test_providers.py::TestDeadline::test_read_after_the_deadline_times_out_without_reading",)),
+    # `index --view V` builds the setup single:V.
+    Mutant("index-ignores-its-view", CLI,
+           'f"single:{args.view}"',
+           '"single:raw"',
+           (TEST_CLI,)),
     Mutant("mc-set-of-any-retrievers", CLI,
            "if retriever != retrievers[0]:",
            "if False:",
@@ -279,6 +284,16 @@ MUTANTS = (
            "len(match.group(1))",
            "len(match.group(2))",
            ("tests/test_corpus.py::TestParseMarkdown",)),
+    # Retries wait BACKOFF_S, then twice and four times as long.
+    Mutant("backoff-starts-at-twice-its-base", PROVIDERS,
+           "2 ** (attempt - 1)",
+           "2 ** attempt",
+           ("tests/test_providers.py::TestHttpLlmClient::test_backoff_doubles_from_half_a_second",)),
+    # The keyword prompt asks for at most 512 tokens, not the client's default of 1024.
+    Mutant("keywords-prompt-takes-the-default-max-tokens", VIEWS,
+           "section_text=section.text), max_tokens=512)\n    return _parse_keyword_list(raw)",
+           "section_text=section.text))\n    return _parse_keyword_list(raw)",
+           ("tests/test_views.py::TestBuildViews::test_llm_summarizes_only_past_the_threshold",)),
     # A manifest's n_units and dim may equal their minimum of 1.
     Mutant("manifest-count-must-exceed-its-minimum", STORE,
            "value < minimum",

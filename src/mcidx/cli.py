@@ -27,10 +27,8 @@ from .corpus import (
 )
 from .errors import DataError, DuplicateId, McIndexError, ProviderError, ViewMismatch
 from .evaluation import (
-    VIEWS_FILE_KINDS,
     Setup,
     check_budgets,
-    check_views,
     doc_units,
     doc_views_for,
     eval_recall,
@@ -42,7 +40,7 @@ from .evaluation import (
 from .fusion import retrieve_mc, retrieve_single
 from .jsonio import atomic_text_writer, write_jsonl
 from .providers import HttpLlmClient
-from .retrieval import DENSE, build_dense_index, build_sparse_index, parse_retriever, resolve_provider
+from .retrieval import DENSE, build_dense_index, build_sparse_index, resolve_provider
 from .store import check_replaceable, load_index, save_index
 from .views import (
     DEFAULT_JOBS,
@@ -128,21 +126,17 @@ def cmd_views(args) -> int:
 
 
 def cmd_index(args) -> int:
-    scheme = ChunkScheme.parse(args.scheme)
-    kind, provider_name = parse_retriever(args.retriever)
-    view = ViewKind(args.view)
-    check_views(scheme, (view,))
-    provider = resolve_provider(provider_name) if kind == DENSE else None
+    setup = Setup.parse(args.scheme, args.retriever, f"single:{args.view}", ())
+    (view,) = setup.views
     check_replaceable(args.output)
     docs = load_corpus_jsonl(args.corpus)
-    reads_views = view in VIEWS_FILE_KINDS
-    views_by_doc = _load_views_arg(args, reads_views)
+    views_by_doc = _load_views_arg(args, setup.reads_views_file)
     units = []
     for doc in docs:
-        doc_views = doc_views_for(doc, views_by_doc) if reads_views else None
+        doc_views = doc_views_for(doc, setup, views_by_doc)
         # Unit ids are doc-qualified so one index can hold the whole corpus.
-        units.extend((f"{doc.doc_id}#{uid}", text) for uid, _, text, _ in doc_units(doc, scheme, view, doc_views))
-    index = build_dense_index(units, provider) if kind == DENSE else build_sparse_index(units, kind)
+        units.extend((f"{doc.doc_id}#{uid}", text) for uid, _, text, _ in doc_units(doc, setup.scheme, view, doc_views))
+    index = build_dense_index(units, setup.provider) if setup.kind == DENSE else build_sparse_index(units, setup.kind)
     save_index(index, args.output)
     logger.info("saved %s index of %d units to %s", args.retriever, len(units), args.output)
     return EXIT_OK

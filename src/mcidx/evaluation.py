@@ -1,8 +1,12 @@
 """Answer-scope recall, the evaluation grid, and pairwise answer judging.
 
-A grid setup (scheme, retriever, mode, budgets) is parsed once, with its
+A setup (scheme, retriever, mode, budgets) is parsed once, with its
 embedding provider resolved, by ``Setup.parse`` where it enters; nothing
-below parses a spec or resolves a provider again.
+below parses a spec or resolves a provider again. ``mcidx index`` parses
+its one view as the setup ``single:<view>`` without budgets;
+``retrieved_spans``, the one place that uses budgets, refuses a setup
+without them. Whether a setup reads a views file, and which entries each
+document takes from it, ``doc_views_for`` decides.
 Recall of a question is the fraction of its answer scope's characters
 covered by the union of retrieved spans. Both harnesses, ``eval_recall`` and
 ``mcidx eval answers``, reach their spans through one loop,
@@ -71,10 +75,8 @@ def check_views(scheme: ChunkScheme, views: tuple[ViewKind, ...]) -> None:
         raise ValueError(f"keyword and summary views need the content scheme, got {scheme.spec()!r}")
 
 
-def check_budgets(views: tuple[ViewKind, ...], ks: list[float]) -> Callable[[float, int], int]:
-    """The budget rule of these views, per view if they fuse; ValueError: no k, a repeated k or one it does not take."""
-    if not ks:
-        raise ValueError("no budget given: each setup needs at least one k")
+def check_budgets(views: tuple[ViewKind, ...], ks: Sequence[float]) -> Callable[[float, int], int]:
+    """The budget rule of these views, per view if they fuse; ValueError: a repeated k or one it does not take."""
     rule = per_view_budget if len(views) > 1 else single_budget
     for k in ks:
         rule(k, 0)
@@ -85,7 +87,10 @@ def check_budgets(views: tuple[ViewKind, ...], ks: list[float]) -> Callable[[flo
 
 @dataclass(frozen=True)
 class Setup:
-    """A parsed (scheme, retriever, mode, budgets) setup and its embedding provider, made before any file is read."""
+    """A parsed (scheme, retriever, mode, budgets) setup and its embedding provider, made before any file is read.
+
+    ``mcidx index`` is the setup ``single:<view>`` without budgets; only ``retrieved_spans`` uses them.
+    """
 
     scheme: ChunkScheme
     kind: str
@@ -201,8 +206,10 @@ def doc_units(
     return [(s.section_id, s.doc_span, texts[s.section_id], None) for s in doc.sections]
 
 
-def doc_views_for(doc: Document, views: dict[str, list[ViewEntry]] | None) -> list[ViewEntry] | None:
-    """The document's entries in ``views``, or its extractive views when ``views`` is None."""
+def doc_views_for(doc: Document, setup: Setup, views: dict[str, list[ViewEntry]] | None) -> list[ViewEntry] | None:
+    """None for a setup that reads no views file, else the document's entries in ``views``, or its extractive views."""
+    if not setup.reads_views_file:
+        return None
     return views.get(doc.doc_id) if views is not None else build_views(doc)
 
 
@@ -245,14 +252,17 @@ def retrieved_spans(
     at the largest k and its dataset-order ordinal (shifted by one with
     ``invert_parity``); each k keeps the units whose best rank is within its
     budget. Questions whose document is absent are skipped with a warning.
-    Before any question is ranked, this call refuses a repeated document id and ``views`` that ``doc_units`` refuses.
+    Before any question is ranked, this call refuses a setup without budgets, a repeated document id and
+    ``views`` that ``doc_units`` refuses.
     """
+    if not setup.ks:
+        raise ValueError("no budget given: each setup needs at least one k")
     k_max = max(setup.ks)
     by_id = docs_by_id(docs)
     questions_left = Counter(item.doc_id for item in qa)
     for doc in (by_id[doc_id] for doc_id in questions_left if doc_id in by_id and views is not None):
         for view in filter(VIEWS_FILE_KINDS.__contains__, setup.views):
-            doc_units(doc, setup.scheme, view, doc_views_for(doc, views))
+            doc_units(doc, setup.scheme, view, doc_views_for(doc, setup, views))
 
     def spans() -> Iterator[tuple[QAItem, Document, list[list[tuple[int, int]]]]]:
         contexts = {}
@@ -262,8 +272,7 @@ def retrieved_spans(
                 logger.warning("skipping %s: document %r not ingested", item.question_id, item.doc_id)
                 continue
             if doc.doc_id not in contexts:
-                doc_views = doc_views_for(doc, views) if setup.reads_views_file else None
-                contexts[doc.doc_id] = build_doc_context(doc, setup, doc_views)
+                contexts[doc.doc_id] = build_doc_context(doc, setup, doc_views_for(doc, setup, views))
             questions_left[doc.doc_id] -= 1
             span_by_unit, indexes = contexts[doc.doc_id] if questions_left[doc.doc_id] else contexts.pop(doc.doc_id)
             if len(indexes) > 1:

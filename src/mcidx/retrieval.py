@@ -71,7 +71,8 @@ class ScoredUnit:
     rank: int
 
 
-@dataclass
+# Field-wise == over numpy arrays has no truth value, so an index equals only itself and is hashable.
+@dataclass(eq=False)
 class SparseIndex:
     """Term postings in CSR layout: row ``terms[t]`` of every array is term t.
 
@@ -134,7 +135,7 @@ class SparseIndex:
         return idf, units, tfs, kept
 
 
-@dataclass
+@dataclass(eq=False)  # equal only to itself, as SparseIndex
 class DenseIndex:
     kind = DENSE  # a class constant, not a field
     unit_ids: list[str]

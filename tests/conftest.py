@@ -14,15 +14,17 @@ from mcidx.providers import LlmClient
 
 
 class ScriptedLlm(LlmClient):
-    """Returns queued responses (or a handler's output) and records prompts."""
+    """Returns queued responses (or a handler's output) and records prompts and their max_tokens."""
 
     def __init__(self, responses=None, handler=None):
         self.responses = list(responses or [])
         self.handler = handler
         self.prompts: list[str] = []
+        self.max_tokens: list[int] = []
 
     def generate(self, prompt: str, max_tokens: int = 1024) -> str:
         self.prompts.append(prompt)
+        self.max_tokens.append(max_tokens)
         if self.handler is not None:
             return self.handler(prompt)
         if not self.responses:

@@ -376,15 +376,15 @@ class TestOneParsePerSetup:
 
     @pytest.fixture
     def parses(self, monkeypatch):
-        # (function name, spec) -> calls, counted under every name the entry points reach them by.
+        # (function name, spec) -> calls, counted under every name the entry points reach them by:
+        # retrieve parses its mode in cli, and only Setup.parse parses a retriever.
         counted = Counter()
-        for module in (evaluation, cli):
-            for name in ("parse_mode", "parse_retriever"):
-                def counting(spec, parse=getattr(module, name), name=name):
-                    counted[name, spec] += 1
-                    return parse(spec)
+        for module, name in ((evaluation, "parse_mode"), (cli, "parse_mode"), (evaluation, "parse_retriever")):
+            def counting(spec, parse=getattr(module, name), name=name):
+                counted[name, spec] += 1
+                return parse(spec)
 
-                monkeypatch.setattr(module, name, counting)
+            monkeypatch.setattr(module, name, counting)
         return counted
 
     @pytest.mark.parametrize("scheme,retriever,mode", [("content", "bm25", "mc"),
@@ -401,6 +401,13 @@ class TestOneParsePerSetup:
                     "--retriever", "bm25", "--mode", "mc", "--k", "1.5,3"]) == 0
         assert set(parses) == {("parse_mode", "mc"), ("parse_retriever", "bm25")}
         assert max(parses.values()) <= 2
+
+    def test_cli_index(self, parses, dataset, tmp_path):
+        # index builds the setup single:<view> without budgets.
+        corpus, _ = dataset
+        assert run(["index", "--corpus", str(corpus), "--scheme", "content", "--retriever", "bm25",
+                    "--view", "summary", "--output", str(tmp_path / "idx")]) == 0
+        assert parses == {("parse_mode", "single:summary"): 1, ("parse_retriever", "bm25"): 1}
 
     def test_cli_eval_answers(self, parses, dataset, tmp_path, stub, monkeypatch, capsys):
         corpus, qa = dataset

@@ -175,18 +175,21 @@ class TestEvalRecall:
         with pytest.raises(ValueError, match="repeated budget"):
             eval_recall(docs, qa, "content", "bm25", "single:raw", ks)
 
-    @pytest.mark.parametrize("mode", ["mc", "single:raw"])
+    @pytest.mark.parametrize("mode", ["mc", "single:raw", "single:keywords"])
     def test_empty_budget_list_rejected(self, mode, monkeypatch):
-        # Rejected up front: no document is touched and no ranking is made.
+        # A setup parses without budgets (mcidx index builds one), but retrieved_spans, the one place that uses
+        # them, refuses none up front: no document is touched, not even for its views, and no ranking is made.
         def untouched(*args):
             raise AssertionError("a document was touched")
 
-        monkeypatch.setattr(evaluation, "build_doc_context", untouched)
+        for name in ("build_doc_context", "doc_units", "doc_views_for"):
+            monkeypatch.setattr(evaluation, name, untouched)
         docs, qa = synthetic_corpus(n_docs=1)
         with pytest.raises(ValueError, match="no budget"):
             eval_recall(docs, qa, "content", "bm25", mode, [])
+        setup = Setup.parse("content", "bm25", mode, [])
         with pytest.raises(ValueError, match="no budget"):
-            Setup.parse("content", "bm25", mode, [])
+            retrieved_spans(docs, qa, setup, {})
 
     def test_mc_requires_content_scheme(self):
         docs, qa = synthetic_corpus(n_docs=1)
@@ -443,6 +446,7 @@ class TestGenerateAnswer:
         assert prompt.count("second text") == 1
         assert prompt.index("first text") < prompt.index("second text") < prompt.index("third text")
         assert "why?" in prompt
+        assert llm.max_tokens == [512]
 
     def test_empty_retrieval_rejected(self):
         with pytest.raises(EmptyRetrieval):
@@ -481,6 +485,7 @@ class TestJudge:
         round1, round2 = llm.prompts
         assert round1.index("AAA") < round1.index("BBB")
         assert round2.index("BBB") < round2.index("AAA")
+        assert llm.max_tokens == [1024, 1024]
 
     def test_win_one_tie_one_is_round_tie(self):
         assert judge_outcome(8, 5, 6, 6) == (Winner.A, Winner.TIE)

@@ -39,6 +39,9 @@ def _row_bytes(rows) -> tuple[tuple[int, ...], bytes]:
     return matrix.shape, matrix.tobytes()
 
 
+_BACKOFF_S = providers.BACKOFF_S  # the shipped value, before _short_backoff replaces it
+
+
 @pytest.fixture(autouse=True)
 def _short_backoff(monkeypatch):
     monkeypatch.setattr(providers, "BACKOFF_S", 0.01)
@@ -70,6 +73,19 @@ class TestHttpLlmClient:
         with pytest.raises(ProviderError, match="retries exhausted"):
             _client(stub).generate("p")
         assert len(stub.requests) == 3  # initial try + 2 retries
+
+    @pytest.mark.parametrize("n_failures", [3, 4])
+    def test_backoff_doubles_from_half_a_second(self, n_failures, stub, monkeypatch):
+        waits = []
+        monkeypatch.setattr(providers, "BACKOFF_S", _BACKOFF_S)
+        monkeypatch.setattr(providers.time, "sleep", waits.append)
+        stub.queue = [(503, "down")] * n_failures + [(200, {"text": "fine"})]
+        if n_failures > providers.MAX_RETRIES:
+            with pytest.raises(ProviderError, match="retries exhausted"):
+                _client(stub).generate("p")
+        else:
+            assert _client(stub).generate("p") == "fine"
+        assert waits == [0.5, 1.0, 2.0]
 
     def test_non_retryable_status_fails_fast(self, stub):
         stub.default = (403, "forbidden")

@@ -99,6 +99,17 @@ class TestBuildSparseIndex:
             assert index.idf.tobytes() == np.array(per_term, dtype=np.float64).tobytes()
 
 
+@pytest.mark.parametrize("build", [lambda units: build_sparse_index(units, "bm25"),
+                                   lambda units: build_dense_index(units, MockEmbeddingProvider())],
+                         ids=["sparse", "dense"])
+def test_an_index_equals_only_itself(build):
+    # Field-wise equality over the array fields raised "truth value ... is ambiguous".
+    first, second = build(THREE_UNITS), build(THREE_UNITS)
+    assert first != second
+    assert first == first
+    assert len({first, first, second}) == 2
+
+
 class TestScoreTfidf:
     def test_unknown_query_term_scores_zero_in_corpus_order(self):
         index = build_sparse_index(THREE_UNITS, "tfidf")

@@ -223,7 +223,8 @@ class TestBuildViews:
         summary = next(v for v in build_views(doc, generator="llm", llm=llm) if v.view_kind is ViewKind.SUMMARY)
         assert summary.text == ("GENERATED SUMMARY" if summarized else doc.sections[0].text)
         assert summary.provenance is (Provenance.LLM_GENERATED if summarized else Provenance.IDENTITY)
-        assert len(llm.prompts) == (2 if summarized else 1)
+        # Keywords, then the summary, each asking for at most 512 tokens.
+        assert llm.max_tokens == ([512, 512] if summarized else [512])
 
     def test_llm_summary_truncated_for_indexing(self):
         long_summary = " ".join(f"s{i}" for i in range(600))
