@@ -53,6 +53,7 @@ JSONIO, VIEWS = "src/mcidx/jsonio.py", "src/mcidx/views.py"
 TEST_EVALUATION, TEST_CLI, TEST_CORPUS = "tests/test_evaluation.py", "tests/test_cli.py", "tests/test_corpus.py"
 ORACLES = "tests/test_retrieval.py::TestOracleEquivalence"
 BAD_TERMS = "tests/test_store.py::TestCorruptIndexRejected::test_bad_terms_file"
+UNITS_AGREE = "tests/test_store.py::TestUnitsParsedAtOnce::test_agrees_with_the_per_line_parser"
 REFUSALS = "tests/test_cli.py::TestRefusalsBeforeProviderCalls"
 
 MUTANTS = (
@@ -186,13 +187,35 @@ MUTANTS = (
            "postings.max() > n_units",
            (BAD_TERMS,)),
     Mutant("terms-postings-may-repeat", STORE,
-           "(np.diff(postings) <= 0)",
-           "(np.diff(postings) < 0)",
+           "postings[1:] <= postings[:-1]",
+           "postings[1:] < postings[:-1]",
            (BAD_TERMS,)),
     Mutant("terms-zero-tf-accepted", STORE,
-           "if (tfs == 0).any():",
+           "if not tfs.all():",
            "if False:",
            (BAD_TERMS,)),
+    Mutant("terms-row-boundaries-unmasked", STORE,
+           "    not_ascending[indptr[1:-1] - 1] = False\n",
+           "",
+           ("tests/test_store.py::TestCorruptIndexRejected::test_next_row_may_start_below_the_last_posting",)),
+    # Each guard of the one-call parse of a units or ids file, dropped in turn, lets it accept a file that the
+    # per-line parser rejects.
+    Mutant("units-lone-cr-accepted", STORE,
+           '"\\r" in text or ',
+           "",
+           (UNITS_AGREE,)),
+    Mutant("units-line-may-continue-a-record", STORE,
+           ' or text.count("\\n{") != n_lines - 1',
+           "",
+           (UNITS_AGREE,)),
+    Mutant("units-two-records-on-a-line", STORE,
+           "len(records) != n_lines or ",
+           "",
+           (UNITS_AGREE,)),
+    Mutant("units-record-may-nest", STORE,
+           "if set(map(len, records)) != {2 if with_lens else 1}:",
+           "if False:",
+           (UNITS_AGREE,)),
     Mutant("terms-may-repeat", STORE,
            "if row and term <= previous:",
            "if row and term < previous:",

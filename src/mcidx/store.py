@@ -20,6 +20,11 @@ any defect is ``CorruptIndex``. ``SparseIndex`` derives its statistics (unit
 term counts, idf, avgdl and the kind's unit norms) from the stored integers,
 so a save/load round trip reproduces rankings bit-exactly; the stored
 ``n_tokens`` must equal the derived counts.
+
+A units or ids file is parsed in one ``json.loads`` call when its lines are
+records of the form ``save_index`` writes (``_parse_units_at_once``); any
+other file, valid or not, goes through the per-line parser, which alone
+names a defect and its line, so error texts do not depend on the path taken.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import operator
 import shutil
 import struct
 import tempfile
@@ -48,6 +54,7 @@ IDS_FILE = "ids.jsonl"
 EMBEDDINGS_FILE = "embeddings.f32le"
 
 _TERMS_MAGIC = b"MCIT"
+_UNIT_ID, _N_TOKENS = operator.itemgetter("unit_id"), operator.itemgetter("n_tokens")
 
 
 def _data_files(kind: str) -> tuple[str, str]:
@@ -96,14 +103,17 @@ def _unpack_terms(blob: bytes, n_units: int) -> tuple[dict[str, int], np.ndarray
     postings, tfs = np.frombuffer(b"".join(blocks), dtype="<u4").reshape(-1, 2).T.astype(np.int64, order="C")
     if postings.size and postings.max() >= n_units:
         raise CorruptIndex("terms file names a unit index out of range")
-    if (tfs == 0).any():
+    if not tfs.all():
         raise CorruptIndex("terms file has a zero term count")
     if 0 in counts:
         raise CorruptIndex("terms file has a term with no postings")
-    rows = np.repeat(np.arange(n_terms), counts)
-    if ((np.diff(postings) <= 0) & (np.diff(rows) == 0)).any():
+    indptr = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+    # Each pair of neighbouring postings; a row's last and the next row's first need not ascend.
+    not_ascending = postings[1:] <= postings[:-1]
+    not_ascending[indptr[1:-1] - 1] = False
+    if not_ascending.any():
         raise CorruptIndex("terms file has postings not strictly ascending within a term")
-    return terms, np.concatenate(([0], np.cumsum(counts, dtype=np.int64))), postings, tfs
+    return terms, indptr, postings, tfs
 
 
 def _count(record: dict, key: str, where: str, minimum: int) -> int:
@@ -114,7 +124,65 @@ def _count(record: dict, key: str, where: str, minimum: int) -> int:
 
 
 def _read_units(path: Path, blob: bytes, n_units: int, with_lens: bool) -> tuple[list[str], list[int]]:
-    """Unit ids (and token counts) of a units or ids file's bytes, in row order."""
+    """Unit ids (and token counts) of a units or ids file's bytes, in row order.
+
+    A file as ``save_index`` writes it is parsed in one call; any other, valid
+    or not, goes through the per-line parser, the one source of its errors.
+    """
+    parsed = _parse_units_at_once(blob, n_units, with_lens)
+    return parsed if parsed is not None else _read_units_by_line(path, blob, n_units, with_lens)
+
+
+def _parse_units_at_once(blob: bytes, n_units: int, with_lens: bool) -> tuple[list[str], list[int]] | None:
+    """``_read_units_by_line``'s result for ``blob`` from one ``json.loads`` call, or None to leave the file to it.
+
+    The text's lines, joined by ",\n", are parsed as one JSON array. Its
+    records are the lines' own values when all of these hold:
+
+    * the text holds no "\r", so "\n" alone ends a line, as for
+      ``iter_jsonl_lines``, which also ends one at a lone "\r";
+    * no inserted comma is inside a string, which cannot hold a raw "\n";
+    * every line but the first starts with "{", and every record has exactly
+      the keys the file's kind writes, with a ``str`` and an ``int`` value:
+      with no nested array, and no object key starting with "{", every
+      inserted comma separates two records;
+    * there are as many records as lines, so no line holds a second one.
+
+    The records must then pass the per-line parser's own checks.
+    """
+    try:
+        # json.loads(bytes) would guess UTF-16 or -32 from NUL bytes, and let encoded surrogates pass.
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    text = text[:-1] if text.endswith("\n") else text
+    n_lines = text.count("\n") + 1
+    if n_lines != n_units or "\r" in text or text.count("\n{") != n_lines - 1:
+        return None
+    try:
+        records = json.loads("[" + text.replace("\n", ",\n") + "]")
+    # Besides a JSONDecodeError: a ValueError for an int of over 4300 digits, and nesting too deep.
+    except (ValueError, RecursionError):
+        return None
+    if len(records) != n_lines or set(map(type, records)) != {dict}:
+        return None
+    if set(map(len, records)) != {2 if with_lens else 1}:
+        return None
+    try:
+        unit_ids = list(map(_UNIT_ID, records))
+        unit_lens = list(map(_N_TOKENS, records)) if with_lens else []
+    except KeyError:
+        return None
+    if set(map(type, unit_ids)) != {str} or len(set(unit_ids)) != n_units:
+        return None
+    # JSON decodes to no int subclass but bool, which is not a count.
+    if with_lens and (set(map(type, unit_lens)) != {int} or min(unit_lens) < 0):
+        return None
+    return unit_ids, unit_lens
+
+
+def _read_units_by_line(path: Path, blob: bytes, n_units: int, with_lens: bool) -> tuple[list[str], list[int]]:
+    """``_read_units`` one line at a time through ``iter_jsonl_lines``; each defect is a CorruptIndex or DataError."""
     unit_ids: list[str] = []
     unit_lens: list[int] = []
     for lineno, record in iter_jsonl_lines(io.TextIOWrapper(io.BytesIO(blob), encoding="utf-8"), path):

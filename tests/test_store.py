@@ -15,8 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mcidx import store
 from mcidx.cli import run
 from mcidx.errors import CorruptIndex, DataError, McIndexError, VersionMismatch
+from mcidx.jsonio import jsonl_bytes
 from mcidx.providers import EmbeddingProvider, MockEmbeddingProvider
 from mcidx.retrieval import (
     Query,
@@ -312,6 +314,15 @@ class TestCorruptIndexRejected:
         assert index.postings.tolist() == [0, 1, 1]
         assert index.tfs.tolist() == [1, 2, 1]
 
+    def test_next_row_may_start_below_the_last_posting(self, sparse):
+        # Postings ascend within a row; from one row to the next they start again.
+        units = "".join(f'{{"unit_id": "u{i}", "n_tokens": {n}}}\n' for i, n in enumerate([1, 0, 0, 1], 1))
+        _rewrite(sparse, UNITS_FILE, units.encode())
+        _rewrite(sparse, TERMS_FILE, _terms_blob([("cat", [(3, 1)]), ("dog", [(0, 1)])]))
+        index = load_index(sparse)
+        assert index.postings.tolist() == [3, 0]
+        assert index.indptr.tolist() == [0, 1, 2]
+
     @pytest.mark.parametrize("changes", [
         {"n_units": _DROP}, {"n_units": "4"}, {"n_units": 4.0}, {"n_units": True}, {"n_units": 0},
     ], ids=["missing", "string", "float", "bool", "zero"])
@@ -395,8 +406,10 @@ class TestCorruptIndexRejected:
         ([("cat", [(0, 1), (1, 0)])], "zero term count"),
         ([("cat", [(1, 1), (0, 1)])], "not strictly ascending"),
         ([("cat", [(1, 1), (1, 2)])], "not strictly ascending"),
+        ([("cat", [(1, 1), (0, 1)]), ("dog", [(2, 1)])], "not strictly ascending"),
+        ([("cat", [(0, 1)]), ("dog", [(2, 1), (1, 1)])], "not strictly ascending"),
     ], ids=["unsorted-terms", "repeated-term", "unit-out-of-range", "zero-tf",
-            "descending-postings", "repeated-posting"])
+            "descending-postings", "repeated-posting", "descent-in-first-row", "descent-in-last-row"])
     def test_bad_terms_file(self, sparse, entries, reason):
         # Each defect is named by its own check, not caught later by the token counts it also upsets.
         _rewrite(sparse, TERMS_FILE, _terms_blob(entries))
@@ -421,6 +434,118 @@ class TestCorruptIndexRejected:
         _rewrite(sparse, TERMS_FILE, blob[:cut] if cut < 0 else blob + b"\0" * cut)
         with pytest.raises(CorruptIndex):
             load_index(sparse)
+
+
+def _units_file(*lines: str, end: str = "\n") -> bytes:
+    return "".join(line + end for line in lines).encode("utf-8")
+
+
+_CANONICAL = jsonl_bytes({"unit_id": f"u{i}", "n_tokens": n} for i, n in enumerate([5, 0, 3, 7], 1)).decode()
+L1, L2, L3, L4 = _CANONICAL.splitlines()
+_IDS = _units_file(*(f'{{"unit_id": "u{i}"}}' for i in range(1, 5)))
+
+
+def _outcome(read, blob: bytes, n_units: int, with_lens: bool):
+    """What ``read`` returns for a units file's bytes, or the type, text and line of the error it raises."""
+    try:
+        return read(Path(UNITS_FILE), blob, n_units, with_lens)
+    except McIndexError as exc:
+        return type(exc), str(exc), exc.line
+
+
+@st.composite
+def _edited_units_files(draw):
+    """A units or ids file's bytes, often damaged line by line and byte by byte, with a manifest count."""
+    with_lens = draw(st.booleans())
+    ids = draw(st.lists(st.text(alphabet='ab\u00e9\u2028"\\{},\n', max_size=3), min_size=1, max_size=6, unique=True))
+    lines = jsonl_bytes({"unit_id": uid, **({"n_tokens": draw(st.integers(0, 9))} if with_lens else {})}
+                        for uid in ids).decode().split("\n")[:-1]
+    for edit in draw(st.lists(st.sampled_from(["join", "split", "blank", "odd", "drop", "repeat"]), max_size=3)):
+        i = draw(st.integers(0, max(len(lines) - 1, 0)))
+        if edit == "join" and i + 1 < len(lines):
+            lines[i:i + 2] = [lines[i] + draw(st.sampled_from([", ", ",", " ", ""])) + lines[i + 1]]
+        elif edit == "split" and lines:
+            cut = draw(st.integers(0, len(lines[i])))
+            lines[i:i + 1] = [lines[i][:cut], lines[i][cut:]]
+        elif edit == "blank":
+            lines.insert(i, draw(st.sampled_from(["", " ", "\t", "\x0c"])))
+        elif edit == "odd" and lines:
+            lines[i] = draw(st.sampled_from([
+                "[1]", '"u1"', "{}", '{"unit_id": 1}', '{"unit_id": "z", "n_tokens": true}',
+                '{"unit_id": "z", "n_tokens": -1}', '{"unit_id": "z", "n_tokens": 1.0}',
+                '{"unit_id": "z", "n_tokens": 1, "x": [1]}', '{"unit_id": "z"}', ' {"unit_id": "z"} ']))
+        elif edit == "drop" and lines:
+            del lines[i]
+        elif edit == "repeat" and lines:
+            lines.insert(i, lines[i])
+    blob = bytearray(_units_file(*lines, end=draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))))
+    if not draw(st.integers(0, 3)):
+        blob.insert(draw(st.integers(0, len(blob))), draw(st.sampled_from(b"\r\n\x00\xff\xed{},\" ")))
+    n_units = draw(st.sampled_from([len(lines) or 1, len(ids), len(ids) + 1, max(len(ids) - 1, 1)]))
+    return bytes(blob), n_units, with_lens
+
+
+class TestUnitsParsedAtOnce:
+    """A units or ids file read in one call gives what the per-line parser gives: the ids and counts, or its error."""
+
+    @pytest.mark.parametrize("blob, n_units, with_lens", [
+        (_CANONICAL.encode(), 4, True),
+        (_CANONICAL.rstrip("\n").encode(), 4, True),
+        (_IDS, 4, False),
+        (_units_file(L1, "", L2, " \t", L3, "\x0c", L4, ""), 4, True),
+        (_units_file(L1, L2, L3, L4, end="\r\n"), 4, True),
+        (_units_file(L1, '{"unit_id":\r"u2", "n_tokens": 0}', L3, L4), 4, True),
+        (_units_file(L1 + ", " + L2, L3, L4), 4, True),
+        (_units_file(L1 + ", " + L1, L2, L3, L4), 4, True),
+        (_units_file('{"unit_id": "u1"', '"n_tokens": 5}', L2 + ", " + L3, L4), 4, True),
+        (_units_file('{"unit_id": "u1", "n_tokens": 5, "x": [0', '{"y": 1}]}', L2 + ", " + L3, L4), 4, True),
+        (_units_file('{"unit_id": "u1", "x": [0', '{"y": 1}]}', '{"unit_id": "u2"}, {"unit_id": "u3"}',
+                     '{"unit_id": "u4"}'), 4, False),
+        (_units_file(L1, L2, L3, L4).replace(b'"u2"', b'"u\xed\xa0\x80"'), 4, True),
+        (_units_file(L1, L2, L3, L4).replace(b'"u2"', b'"\\ud800"'), 4, True),
+        (_units_file(L1, L2, L3, L4).replace(b'"u2"', b'"u\xff"'), 4, True),
+        (b"\x00" + _CANONICAL.encode(), 4, True),
+        (b"\xef\xbb\xbf" + _CANONICAL.encode(), 4, True),
+        (_units_file(L1, "[1, 2]", L3, L4), 4, True),
+        (_units_file(L1, '"u2"', L3, L4), 4, True),
+        (_units_file(L1, L2.replace("0}", "false}"), L3, L4), 4, True),
+        (_units_file(L1, L2.replace("0}", "-1}"), L3, L4), 4, True),
+        (_units_file(L1, L2.replace("0}", "0.0}"), L3, L4), 4, True),
+        (_units_file(L1, L2.replace("0}", "9" * 4301 + "}"), L3, L4), 4, True),
+        (_units_file(L1, '{"unit_id": "u2", "x": ' + "[" * 100_000 + "]" * 100_000 + "}", L3, L4), 4, False),
+        (_units_file(L1, L2.replace("}", ', "x": 1}'), L3, L4), 4, True),
+        (_units_file(L1, L2.replace('"unit_id": "u2"', '"unit_id": 2'), L3, L4), 4, True),
+        (_IDS.replace(b'"u3"', b'"u1"'), 4, False),
+        (_IDS.replace(b"}", b', "n_tokens": 1}'), 4, False),
+        (b" " + _CANONICAL.encode().replace(b"}\n", b"} \t\n"), 4, True),
+        (_CANONICAL.encode(), 5, True),
+        (_CANONICAL.encode(), 3, True),
+        (b"", 1, True),
+    ], ids=["canonical", "no-final-newline", "ids", "blank-lines", "crlf", "lone-cr-between-tokens",
+            "two-records-on-a-line", "two-records-on-a-line-one-repeated", "record-over-two-lines",
+            "nested-array-over-two-lines", "ids-nested-array-over-two-lines", "utf8-encoded-surrogate",
+            "escaped-surrogate", "not-utf8", "leading-nul", "bom", "array-record", "string-record",
+            "bool-n_tokens", "negative-n_tokens", "float-n_tokens", "int-of-4301-digits", "deep-nesting",
+            "extra-key", "int-unit_id", "repeated-id", "ids-with-n_tokens", "spaces-around-records",
+            "fewer-lines-than-units", "more-lines-than-units", "empty"])
+    def test_agrees_with_the_per_line_parser(self, blob, n_units, with_lens):
+        assert (_outcome(store._read_units, blob, n_units, with_lens)
+                == _outcome(store._read_units_by_line, blob, n_units, with_lens))
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=_edited_units_files())
+    def test_agrees_on_edited_files(self, case):
+        blob, n_units, with_lens = case
+        assert (_outcome(store._read_units, blob, n_units, with_lens)
+                == _outcome(store._read_units_by_line, blob, n_units, with_lens))
+
+    @pytest.mark.parametrize("kind", ["bm25", "dense"])
+    def test_saved_files_parse_at_once(self, tmp_path, kind):
+        directory = _saved(kind, tmp_path)
+        name = IDS_FILE if kind == "dense" else UNITS_FILE
+        parsed = store._parse_units_at_once((directory / name).read_bytes(), len(UNITS), kind != "dense")
+        assert parsed == store._read_units_by_line(directory / name, (directory / name).read_bytes(),
+                                                   len(UNITS), kind != "dense")
 
 
 def _saved(kind, directory):
